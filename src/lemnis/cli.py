@@ -132,14 +132,25 @@ def _env_tol() -> float:
     return val
 
 
+def _tol_arg(text: str) -> float:
+    val = float(text)
+    if not 0.0 < val < math.inf:
+        raise argparse.ArgumentTypeError(f"tol must be positive and finite, got {text!r}")
+    return val
+
+
 def _emit(report: dict, started: float) -> int:
     report["elapsed_ms"] = round(1000.0 * (time.perf_counter() - started), 3)
-    sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
+    sys.stdout.write(
+        json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    )
     if sys.stderr.isatty():
         lines = [f"{report['command']}: {'PASS' if report['pass'] else 'FAIL'}"]
         for r in report["residuals"]:
-            mark = "ok " if r["value"] < r["tol"] else "BAD"
-            lines.append(f"  [{mark}] {r['name']:<40} {r['value']:.3e} (tol {r['tol']:.1e})")
+            value = r["value"]
+            mark = "ok " if value is not None and value < r["tol"] else "BAD"
+            shown = "null" if value is None else f"{value:.3e}"
+            lines.append(f"  [{mark}] {r['name']:<40} {shown} (tol {r['tol']:.1e})")
         sys.stderr.write("\n".join(lines) + "\n")
     return 0 if report["pass"] else 1
 
@@ -149,7 +160,10 @@ def _finish(command: str, inputs: dict, outputs: dict, residuals: list, seed: in
         "command": command,
         "inputs": inputs,
         "outputs": outputs,
-        "residuals": residuals,
+        # strict JSON has no Infinity or NaN; a non-finite residual is null and fails
+        "residuals": [
+            {**r, "value": r["value"] if math.isfinite(r["value"]) else None} for r in residuals
+        ],
         "pass": all(r["value"] < r["tol"] for r in residuals),
         "seed": seed,
     }
@@ -248,17 +262,6 @@ def _cmd_curve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             point = lift_branch(curve, t, args.branch)
     except (DomainError, ValueError) as exc:
         parser.error(str(exc))
-    try:
-        z = abel_jacobi(point)
-    except (PathError, IterationLimitError) as exc:
-        return _finish(
-            "curve",
-            {"curve": args.curve, "t": args.t, "point": args.point},
-            {"error": str(exc)},
-            [{"name": "path", "value": math.inf, "tol": tol}],
-            None,
-            started,
-        )
     inputs = {
         "curve": args.curve,
         "t": args.t if args.t is not None else "",
@@ -266,6 +269,17 @@ def _cmd_curve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         "point": args.point if args.point is not None else "",
         "mul": bool(args.mul),
     }
+    try:
+        z = abel_jacobi(point)
+    except (PathError, IterationLimitError) as exc:
+        return _finish(
+            "curve",
+            inputs,
+            {"error": str(exc)},
+            [{"name": "path", "value": math.inf, "tol": tol}],
+            None,
+            started,
+        )
     outputs = {
         "t": format_complex(point.t),
         "u": format_complex(point.u),
@@ -597,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_theta.add_argument(
         "--tau", required=True, help="modulus: 'i', 'zeta', or a complex re+imi (generic)"
     )
-    p_theta.add_argument("--tol", type=float, default=None)
+    p_theta.add_argument("--tol", type=_tol_arg, default=None)
     p_theta.set_defaults(func=_cmd_theta)
 
     p_verify = sub.add_parser("verify", help="run seeded identity sweeps")
@@ -607,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(_SUITES) + ["all"],
     )
     p_verify.add_argument("--samples", type=int, default=50)
-    p_verify.add_argument("--tol", type=float, default=None)
+    p_verify.add_argument("--tol", type=_tol_arg, default=None)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=_cmd_verify)
 
@@ -615,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_agm.add_argument("--variant", required=True, choices=["quartic", "sextic"])
     p_agm.add_argument("--a", type=float, required=True)
     p_agm.add_argument("--b", type=float, required=True)
-    p_agm.add_argument("--tol", type=float, default=None)
+    p_agm.add_argument("--tol", type=_tol_arg, default=None)
     p_agm.set_defaults(func=_cmd_agm)
 
     p_curve = sub.add_parser("curve", help="map a curve point to its torus image")
@@ -624,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--branch", type=int, default=0)
     p_curve.add_argument("--point", default=None, help="named special point, e.g. P1, P01, Pinf1")
     p_curve.add_argument("--mul", action="store_true", help="also apply the unit multiplication map")
-    p_curve.add_argument("--tol", type=float, default=None)
+    p_curve.add_argument("--tol", type=_tol_arg, default=None)
     p_curve.set_defaults(func=_cmd_curve)
     return parser
 

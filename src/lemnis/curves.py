@@ -33,6 +33,7 @@ from .numerics import (
     e_of,
     gamma_real,
     principal_arg,
+    principal_arg_array,
 )
 from .theta import (
     Modulus,
@@ -167,22 +168,51 @@ def lift_branch(curve: Curve, t: complex, k: int = 0) -> CurvePoint:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive quadrature: embedded 7/15-point Gauss panels with bisection.
+# Adaptive quadrature: Gauss-Kronrod G7/K15 panels with bisection.  The
+# 15 Kronrod nodes contain the 7 Gauss nodes at odd indices, so one
+# integrand call on the node array gives both estimates; the constants are
+# QUADPACK's qk15 (Piessens et al. 1983).  Integrands take and return
+# numpy arrays.
 
-_G7_X, _G7_W = np.polynomial.legendre.leggauss(7)
-_G15_X, _G15_W = np.polynomial.legendre.leggauss(15)
+# Non-negative halves in QUADPACK order, outermost node first, centre last.
+_XGK = np.array([
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.0,
+])
+_WGK = np.array([
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+])
+_WG = np.array([
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
+])
+_K15_X = np.concatenate([-_XGK, _XGK[-2::-1]])
+_K15_W = np.concatenate([_WGK, _WGK[-2::-1]])
+_G7_W = np.concatenate([_WG, _WG[-2::-1]])  # weights of the nodes _K15_X[1::2]
+# rows K15 and K15 - G7, so one product gives the estimate and its error
+_PANEL_W = np.stack([_K15_W, _K15_W])
+_PANEL_W[1, 1::2] -= _G7_W
 
 
 def _panel(f, a: float, b: float) -> tuple[complex, float]:
-    mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    s7 = 0j
-    for x, w in zip(_G7_X, _G7_W):
-        s7 += w * f(mid + half * x)
-    s15 = 0j
-    for x, w in zip(_G15_X, _G15_W):
-        s15 += w * f(mid + half * x)
-    return half * s15, abs(half * (s15 - s7))
+    k15, diff = (_PANEL_W @ f(0.5 * (a + b) + half * _K15_X)).tolist()
+    return half * k15, abs(half * diff)
 
 
 def _adaptive(f, a: float, b: float, tol: float, depth: int) -> complex:
@@ -213,9 +243,8 @@ def _leg_start(curve: Curve, t1: complex, th_w: float, tol: float, depth: int) -
     d = t1 - 1
     s_end = cmath.exp((math.log(abs(d)) + 1j * th_w) / k)
 
-    def f(sig: float) -> complex:
-        t = 1 + d * sig ** k
-        return cmath.exp(-0.5 * cmath.log(t))
+    def f(sig: np.ndarray) -> np.ndarray:
+        return 1 / np.sqrt(1 + d * sig ** k)
 
     return k * s_end * _adaptive(f, 0.0, 1.0, tol, depth)
 
@@ -237,22 +266,25 @@ def _leg_plain(
     wq = curve.w_exponent
     d = tb - ta
     wa = ta - 1
+    # t = ta zt and t - 1 = wa zw, with zt and zw starting at 1; the
+    # tracked logarithms of t and t - 1 at ta go into the constant c
+    st, sw = d / ta, d / wa
+    log_ta = complex(math.log(abs(ta)), th_t)
+    log_wa = complex(math.log(abs(wa)), th_w)
+    c = d * cmath.exp(-0.5 * log_ta - wq * log_wa)
 
-    def f(tau: float) -> complex:
-        t = ta + d * tau
-        w = t - 1
-        at = th_t + principal_arg(1 + d * tau / ta)
-        aw = th_w + principal_arg(1 + d * tau / wa)
-        return d * cmath.exp(
-            complex(-0.5 * math.log(abs(t)), -0.5 * at)
-            + complex(-wq * math.log(abs(w)), -wq * aw)
-        )
+    def f(tau: np.ndarray) -> np.ndarray:
+        zt = 1 + st * tau
+        zw = 1 + sw * tau
+        re = -0.5 * np.log(np.abs(zt)) - wq * np.log(np.abs(zw))
+        im = -0.5 * principal_arg_array(zt) - wq * principal_arg_array(zw)
+        return c * np.exp(re + 1j * im)
 
     val = _adaptive(f, 0.0, 1.0, tol, depth)
     return (
         val,
-        th_t + principal_arg(1 + d / ta),
-        th_w + principal_arg(1 + d / wa),
+        th_t + principal_arg(1 + st),
+        th_w + principal_arg(1 + sw),
     )
 
 
@@ -272,11 +304,14 @@ def _leg_end_zero(
     wq = curve.w_exponent
     va = cmath.exp(complex(0.5 * math.log(abs(ta)), 0.5 * th_t))
     wa = ta - 1
+    # t - 1 = wa zw, with zw = 1 at sigma = 1; the tracked logarithm of
+    # t - 1 at ta goes into the constant c
+    c = -2.0 * va * cmath.exp(-wq * complex(math.log(abs(wa)), th_w))
+    slope, shift = ta / wa, 1 / wa
 
-    def f(sig: float) -> complex:
-        w = ta * sig * sig - 1
-        aw = th_w + principal_arg(w / wa)
-        return -2.0 * va * cmath.exp(complex(-wq * math.log(abs(w)), -wq * aw))
+    def f(sig: np.ndarray) -> np.ndarray:
+        zw = slope * (sig * sig) - shift
+        return c * np.exp(-wq * (np.log(np.abs(zw)) + 1j * principal_arg_array(zw)))
 
     return _adaptive(f, sigma_lo, 1.0, tol, depth)
 
@@ -289,13 +324,13 @@ def _leg_end_infinity(curve: Curve, ta: complex, tol: float, depth: int) -> comp
     if curve is Curve.C_I:
         qa = ta.real ** -0.25
 
-        def f(q: float) -> complex:
+        def f(q: np.ndarray) -> np.ndarray:
             return 4.0 * (1.0 - q ** 4) ** -0.75
 
     else:
         qa = ta.real ** (-1.0 / 3.0)
 
-        def f(q: float) -> complex:
+        def f(q: np.ndarray) -> np.ndarray:
             return 3.0 * (1.0 - q ** 3) ** (-5.0 / 6.0)
 
     return _adaptive(f, 0.0, qa, tol, depth)
@@ -350,33 +385,36 @@ def _integrate_legs(
     total = 0j
     th_t, th_w = 0.0, 0.0
     t_cur = 1 + 0j
-    for leg in legs:
-        kind = leg[0]
-        if kind == "start":
-            t1 = leg[1]
-            th_w = principal_arg(t1 - 1)
-            total += _leg_start(curve, t1, th_w, tol, cfg.max_depth)
-            th_t = principal_arg(t1)
-            t_cur = t1
-        elif kind == "plain":
-            tb = leg[1]
-            val, th_t, th_w = _leg_plain(curve, t_cur, tb, th_t, th_w, tol, cfg.max_depth)
-            total += val
-            t_cur = tb
-        elif kind == "end0":
-            total += _leg_end_zero(curve, t_cur, th_t, th_w, tol, cfg.max_depth)
-            t_cur = 0j
-        elif kind == "pend0":
-            tb = leg[1]
-            sig = math.sqrt(abs(tb) / abs(t_cur))
-            total += _leg_end_zero(curve, t_cur, th_t, th_w, tol, cfg.max_depth, sig)
-            th_t += principal_arg(tb / t_cur)
-            th_w += principal_arg((tb - 1) / (t_cur - 1))
-            t_cur = tb
-        elif kind == "endinf":
-            total += _leg_end_infinity(curve, t_cur, tol, cfg.max_depth)
-        else:
-            raise PathError(f"unknown leg kind {kind!r}")
+    # A non-finite panel is never accepted, so it ends in IterationLimitError;
+    # numpy's warnings on the way there are noise.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for leg in legs:
+            kind = leg[0]
+            if kind == "start":
+                t1 = leg[1]
+                th_w = principal_arg(t1 - 1)
+                total += _leg_start(curve, t1, th_w, tol, cfg.max_depth)
+                th_t = principal_arg(t1)
+                t_cur = t1
+            elif kind == "plain":
+                tb = leg[1]
+                val, th_t, th_w = _leg_plain(curve, t_cur, tb, th_t, th_w, tol, cfg.max_depth)
+                total += val
+                t_cur = tb
+            elif kind == "end0":
+                total += _leg_end_zero(curve, t_cur, th_t, th_w, tol, cfg.max_depth)
+                t_cur = 0j
+            elif kind == "pend0":
+                tb = leg[1]
+                sig = math.sqrt(abs(tb) / abs(t_cur))
+                total += _leg_end_zero(curve, t_cur, th_t, th_w, tol, cfg.max_depth, sig)
+                th_t += principal_arg(tb / t_cur)
+                th_w += principal_arg((tb - 1) / (t_cur - 1))
+                t_cur = tb
+            elif kind == "endinf":
+                total += _leg_end_infinity(curve, t_cur, tol, cfg.max_depth)
+            else:
+                raise PathError(f"unknown leg kind {kind!r}")
     return total, th_t, th_w
 
 

@@ -16,6 +16,8 @@ from .hypergeometric import GaussParams, SchwarzVariant, gauss_2f1
 from .numerics import DEFAULT_TOLERANCE, DomainError, Tolerance, branch_root
 
 _SQRT3 = math.sqrt(3.0)
+# 1 - (b/a)^2 lies in (-0.8, 0.8) exactly when b/a lies in this window
+_RATIO_LO, _RATIO_HI = math.sqrt(0.2), math.sqrt(1.8)
 
 
 @dataclass(frozen=True)
@@ -50,14 +52,19 @@ class IterationTrace:
 
 
 def step_quartic(p: MeanPair) -> MeanPair:
-    a1 = 0.5 * (p.a + p.b)
-    return MeanPair(a1, math.sqrt(p.a * a1))
+    # halves and square roots taken apart so no intermediate leaves the range
+    a1 = 0.5 * p.a + 0.5 * p.b
+    return MeanPair(a1, math.sqrt(p.a) * math.sqrt(a1))
 
 
 def eta_pair(p: MeanPair) -> tuple[complex, complex]:
     """b +/- sqrt(b^2 - a^2), a conjugate pair when a > b."""
-    s = cmath.sqrt(complex(p.b * p.b - p.a * p.a, 0.0))
-    return p.b + s, p.b - s
+    # sqrt(b - a) sqrt(b + a) cannot overflow or underflow where b^2 - a^2
+    # would, and eta1 eta2 = a^2 gives eta2 without the cancellation in
+    # b - sqrt(...) when a << b
+    s = cmath.sqrt(complex(p.b - p.a, 0.0)) * math.sqrt(p.b + p.a)
+    eta1 = p.b + s
+    return eta1, p.a * (p.a / eta1)
 
 
 def sextic_means_complex(p: MeanPair) -> tuple[complex, complex]:
@@ -94,10 +101,11 @@ def _step(variant: SchwarzVariant):
 
 def _precondition(p: MeanPair, variant: SchwarzVariant) -> MeanPair:
     # Each step preserves the limit, so stepping until the series argument
-    # 1 - (b/a)^2 is small is free.
+    # 1 - (b/a)^2 is small is free.  The test reads b/a unsquared, since
+    # the square overflows for ratios beyond about 1e154.
     step = _step(variant)
     guard = 0
-    while abs(1.0 - (p.b / p.a) ** 2) >= 0.8:
+    while not _RATIO_LO < p.b / p.a < _RATIO_HI:
         p = step(p)
         guard += 1
         if guard > 64:
@@ -141,7 +149,7 @@ def _accelerated_limit(mids: list[float]) -> float:
             if den == 0.0:
                 nxt.append(cur[k + 2])
             else:
-                nxt.append(cur[k + 2] - d2 * d2 / den)
+                nxt.append(cur[k + 2] - d2 / den * d2)
         cur = nxt
         if len(cur) >= 2:
             err = abs(cur[-1] - cur[-2])
@@ -171,7 +179,7 @@ def iterate_until_converged(
     while pairs[-1].gap() >= tol * pairs[-1].a and len(pairs) <= max_iter:
         pairs.append(step(pairs[-1]))
     last = pairs[-1]
-    mids = [0.5 * (q.a + q.b) for q in pairs]
+    mids = [0.5 * q.a + 0.5 * q.b for q in pairs]
     return IterationTrace(
         pairs=tuple(pairs),
         converged=last.gap() < tol * last.a,

@@ -1,7 +1,8 @@
 """Scalar helpers shared by every other module.
 
 Real gamma and beta, the unit-circle map ``e_of`` and windowed k-th roots.
-Everything here is a pure function of binary64 inputs.
+Everything here is a pure function of binary64 inputs; ``principal_arg_array``
+is the one elementwise form, for quadrature integrands.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -107,6 +110,13 @@ def principal_arg(w: complex) -> float:
     if a <= -math.pi:
         a = math.pi  # signed-zero underside of the cut maps to +pi
     return a
+
+
+def principal_arg_array(w: np.ndarray) -> np.ndarray:
+    """Elementwise principal_arg of a complex array, same (-pi, pi] convention."""
+    # adding +0.0 turns a -0.0 imaginary part into +0.0, so the underside
+    # of the cut lands on +pi as in the scalar form
+    return np.arctan2(w.imag + 0.0, w.real)
 
 
 def branch_root(w: complex, k: int, arg_center: float) -> complex:

@@ -9,7 +9,9 @@ import random
 
 import pytest
 
+import lemnis.cli
 from lemnis.cli import SplitMix64, format_complex, main, parse_complex
+from lemnis.numerics import IterationLimitError
 
 REPORT_KEYS = {"command", "inputs", "outputs", "residuals", "pass", "seed", "elapsed_ms"}
 
@@ -18,6 +20,13 @@ def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out), out
+
+
+def strict_loads(raw):
+    def reject(name):
+        raise ValueError(f"{name} is not strict JSON")
+
+    return json.loads(raw, parse_constant=reject)
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +195,41 @@ def test_curve_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["curve", "--curve", "i"])
     assert exc.value.code == 2
+
+
+def test_curve_failure_report_is_strict_json_with_success_schema(capsys, monkeypatch):
+    code = main(["curve", "--curve", "i", "--t", "2"])
+    ok = strict_loads(capsys.readouterr().out)
+    assert code == 0
+
+    def fail(p):
+        raise IterationLimitError("quadrature failed to converge within max_depth")
+
+    monkeypatch.setattr(lemnis.cli, "abel_jacobi", fail)
+    code = main(["curve", "--curve", "i", "--t", "2"])
+    rep = strict_loads(capsys.readouterr().out)
+    assert code == 1 and rep["pass"] is False
+    assert rep["inputs"] == ok["inputs"]
+    assert rep["inputs"] == {"branch": 0, "curve": "i", "mul": False, "point": "", "t": "2"}
+    assert rep["residuals"] == [{"name": "path", "tol": 1e-10, "value": None}]
+    assert rep["outputs"]["error"].startswith("quadrature failed")
+
+
+def test_non_finite_residual_is_null_in_report_and_summary(capsys, monkeypatch):
+    monkeypatch.setattr(lemnis.cli.sys.stderr, "isatty", lambda: True)
+    code = main(["theta", "--a", "0", "--b", "0", "--z", "nan", "--tau", "i"])
+    captured = capsys.readouterr()
+    rep = strict_loads(captured.out)
+    assert code == 1 and rep["pass"] is False
+    assert rep["residuals"][0]["value"] is None
+    assert "[BAD] parity" in captured.err and "null (tol 1.0e-10)" in captured.err
+
+
+def test_non_finite_tol_is_a_usage_error(capsys):
+    for bad in ("inf", "nan", "0", "-1e-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["curve", "--curve", "i", "--t", "2", "--tol", bad])
+        assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------

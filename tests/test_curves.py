@@ -6,7 +6,9 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 
 from lemnis.curves import (
@@ -29,9 +31,16 @@ from lemnis.curves import (
     ratio_identities_sextic,
     special_point,
 )
-from lemnis.curves import _integrate_legs
+from lemnis.curves import _G7_W, _K15_W, _K15_X, _integrate_legs
 from lemnis.hypergeometric import SchwarzVariant, schwarz_map
-from lemnis.numerics import DomainError, beta
+from lemnis.numerics import (
+    DomainError,
+    IterationLimitError,
+    PathError,
+    beta,
+    principal_arg,
+    principal_arg_array,
+)
 from lemnis.theta import (
     TAU_I,
     TAU_ZETA,
@@ -210,6 +219,72 @@ def test_period_normalization_by_quadrature():
     assert abs(s1 - 1j) < 1e-9
     assert abs(s2) < 1e-9
     assert abs(1j * s1 + s2 + 1) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Kronrod panels and the vectorised integrands.
+
+
+def test_kronrod_rule_is_exact_to_degree_22():
+    for d in range(23):
+        exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+        assert abs(_K15_W @ _K15_X ** d - exact) < 1e-15, d
+
+
+def test_gauss_subset_is_the_7_point_legendre_rule():
+    x7, w7 = np.polynomial.legendre.leggauss(7)
+    assert np.max(np.abs(_K15_X[1::2] - x7)) < 1e-15
+    assert np.max(np.abs(_G7_W - w7)) < 1e-15
+
+
+def test_principal_arg_array_matches_scalar():
+    rng = random.Random(303)
+    pts = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(200)]
+    pts += [
+        complex(-1.0, -0.0),
+        complex(-1.0, 0.0),
+        complex(-0.0, -0.0),
+        complex(0.0, 0.0),
+        complex(0.0, -1.0),
+        complex(1.0, -0.0),
+    ]
+    got = principal_arg_array(np.array(pts))
+    want = np.array([principal_arg(w) for w in pts])
+    # numpy's arctan2 may round differently from cmath.phase in the last bit
+    assert np.max(np.abs(got - want)) < 1e-15
+    # the cut and the signed zeros land on the same side exactly
+    assert got[200:].tolist() == want[200:].tolist()
+    assert got[200] == math.pi
+
+
+def test_roundtrip_grid_every_sheet():
+    # lift -> Abel-Jacobi -> theta inverse recovers the point on every
+    # sheet, from next to t = 0 out to |t| = 1e6, cut included
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for curve, inverse in ((Curve.C_I, inverse_quartic), (Curve.C_ZETA, inverse_sextic)):
+            for k in range(curve.root_order):
+                for r in (1e-3, 0.1, 0.9, 1.1, 10.0, 1e3, 1e6):
+                    for arg in (0.0, 2.0, math.pi, -1.2):
+                        p = lift_branch(curve, cmath.rect(r, arg), k)
+                        q = inverse(abel_jacobi(p))
+                        assert abs(q.t - p.t) <= 1e-8 * abs(p.t), (curve, k, r, arg)
+                        assert abs(q.u - p.u) <= 1e-8 * abs(p.u), (curve, k, r, arg)
+
+
+def test_non_finite_panels_raise_without_numpy_warnings():
+    cfg = config_for(Curve.C_I)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # a leg through t = 0 puts a node on log 0; a NaN endpoint makes
+        # every node NaN.  Neither panel is ever accepted.
+        through_zero = [("start", 0.5 + 0j), ("plain", -0.5 + 0j)]
+        for legs in (through_zero, [("start", complex(math.nan, 0))]):
+            with pytest.raises(IterationLimitError):
+                _integrate_legs(Curve.C_I, legs, cfg)
+        for t in (complex(math.nan, 0), complex(math.inf, 0)):
+            with pytest.raises((DomainError, IterationLimitError, PathError)):
+                abel_jacobi(CurvePoint(Curve.C_I, t, t))
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,13 @@ from __future__ import annotations
 import math
 import random
 
+import mpmath
 import pytest
 
 from lemnis import (
     DomainError,
     GaussParams,
+    IterationLimitError,
     MeanPair,
     SchwarzVariant,
     closed_form_limit,
@@ -184,6 +186,47 @@ def test_orbit_limit_matches_closed_form():
         assert abs(tq.limit - limit_quartic(p)) < 1e-11 * max(1.0, limit_quartic(p))
         ts = iterate_until_converged(p, SEXTIC, tol=1e-12, max_iter=12)
         assert abs(ts.limit - limit_sextic(p)) < 1e-10 * max(1.0, limit_sextic(p))
+
+
+def test_limits_at_extreme_ratios():
+    # (b/a)^2 overflows or underflows for all of these; each closed form
+    # either returns a finite limit that the orbit confirms or raises a
+    # package error, and only the last pair (ratio 1e600) may raise
+    pairs = [
+        (1e-300, 1.0),
+        (1.0, 1e300),
+        (1e300, 1.0),
+        (1.0, 1e-300),
+        (1e-170, 2e-170),
+        (1e200, 3e200),
+        (1e300, 1e-300),
+    ]
+    for variant in (QUARTIC, SEXTIC):
+        for a, b in pairs:
+            p = MeanPair(a, b)
+            try:
+                lim = closed_form_limit(p, variant)
+            except (DomainError, IterationLimitError):
+                assert (a, b) == pairs[-1], (variant, a, b)
+                continue
+            assert math.isfinite(lim) and min(a, b) <= lim <= max(a, b)
+            trace = iterate_until_converged(p, variant)
+            assert trace.converged
+            assert abs(trace.limit - lim) <= 1e-12 * lim, (variant, a, b)
+
+
+def test_sextic_step_for_small_a_matches_mpmath():
+    # b - sqrt(b^2 - a^2) cancels when a << b; the step must not lose it
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf("1e-8"), mpmath.mpf(1)
+        s = mpmath.sqrt(b * b - a * a)
+        r1, r2 = mpmath.cbrt(b + s), mpmath.cbrt(b - s)
+        a23 = a ** (mpmath.mpf(2) / 3)
+        m1 = float(a23 * mpmath.sqrt(r1 * r1 + r1 * r2 + r2 * r2) / mpmath.sqrt(3))
+        m2 = float(a23 * (r1 + r2) / 2)
+    q = step_sextic(MeanPair(1e-8, 1.0))
+    assert q.a == pytest.approx(m1, rel=1e-14)
+    assert q.b == pytest.approx(m2, rel=1e-14)
 
 
 def test_limit_is_homogeneous():
