@@ -3,6 +3,8 @@ the curves they uniformize, exact triangle-group monodromy, and the two
 compatible mean iterations.
 """
 
+import types
+
 from .numerics import (
     BranchBoundaryWarning,
     DEFAULT_TOLERANCE,
@@ -55,7 +57,6 @@ from .curves import (
     GroupWitness,
     QuadratureConfig,
     abel_jacobi,
-    config_for,
     equivalent_mod_group,
     hgf_theta_roundtrip,
     inverse_quartic,
@@ -102,89 +103,8 @@ from .meaniter import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineMap",
-    "BranchBoundaryWarning",
-    "CircuitMatrix",
-    "ClosureSummary",
-    "Curve",
-    "CurvePoint",
-    "CycInt",
-    "DEFAULT_TOLERANCE",
-    "DomainError",
-    "GaussParams",
-    "GroupWitness",
-    "IdentityPair",
-    "IterationLimitError",
-    "IterationTrace",
-    "MeanPair",
-    "Modulus",
-    "ModulusTag",
-    "OmegaPower",
-    "PathError",
-    "QuadratureConfig",
-    "Ring",
-    "SchwarzVariant",
-    "TAU_I",
-    "TAU_ZETA",
-    "TauTransform",
-    "ThetaChar",
-    "Tolerance",
-    "TorusPoint",
-    "abel_jacobi",
-    "addition_check",
-    "as_affine",
-    "base_change_affine",
-    "beta",
-    "branch_root",
-    "canonical_torus_point",
-    "closed_form_limit",
-    "config_for",
-    "cubic_preimage_x0",
-    "e_of",
-    "equivalent_mod_group",
-    "eta_pair",
-    "euler_f1_f2",
-    "gamma_real",
-    "gauss_2f1",
-    "gauss_kummer_value",
-    "general_m0_m1",
-    "group_closure",
-    "hgf_theta_roundtrip",
-    "i_multiple",
-    "invariant_hermitian_form",
-    "inverse_quartic",
-    "inverse_quartic_t_routes",
-    "inverse_sextic",
-    "iterate_until_converged",
-    "lattice_distance",
-    "lift_branch",
-    "limit_quartic",
-    "limit_sextic",
-    "m0_m1_closed_form",
-    "mul_one_plus_i",
-    "mul_one_plus_zeta",
-    "n_matrices",
-    "omega_multiple",
-    "one_form_constant",
-    "one_form_constant_routes",
-    "one_plus_i_multiple",
-    "one_plus_zeta_multiple",
-    "pochhammer",
-    "principal_arg",
-    "quasi_period_factor",
-    "ratio_identities_quartic",
-    "ratio_identities_sextic",
-    "ring_gen",
-    "ring_one",
-    "schwarz_map",
-    "special_point",
-    "step_quartic",
-    "step_sextic",
-    "theta",
-    "theta_constants",
-    "theta_dz",
-    "transform_tau",
-    "units",
-    "zero_locus",
-]
+# every public name imported above; the submodules themselves are not exported
+__all__ = sorted(
+    name for name, obj in globals().items()
+    if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+)

@@ -22,9 +22,11 @@ from enum import Enum
 
 import numpy as np
 
-from .hypergeometric import GaussParams, gauss_2f1
+from .hypergeometric import SchwarzVariant, gauss_2f1
 from .numerics import (
     DEFAULT_TOLERANCE,
+    SQRT3,
+    ZETA,
     DomainError,
     IterationLimitError,
     PathError,
@@ -36,24 +38,18 @@ from .numerics import (
     principal_arg_array,
 )
 from .theta import (
+    HALF_CHARS,
     Modulus,
     TAU_I,
     TAU_ZETA,
-    ThetaChar,
     TorusPoint,
     IdentityPair,
+    _lattice_coefficients,
+    _theta_four,
     canonical_torus_point,
     lattice_distance,
     theta,
 )
-
-ZETA = complex(0.5, math.sqrt(3.0) / 2.0)
-_SQRT3 = math.sqrt(3.0)
-
-_C00 = ThetaChar(0, 0)
-_C01 = ThetaChar(0, "1/2")
-_C10 = ThetaChar("1/2", 0)
-_C11 = ThetaChar("1/2", "1/2")
 
 
 class Curve(Enum):
@@ -103,36 +99,30 @@ class CurvePoint:
     def __post_init__(self) -> None:
         object.__setattr__(self, "t", complex(self.t))
         object.__setattr__(self, "u", complex(self.u))
-        if self.at_infinity:
-            return
-        t, u = self.t, self.u
-        if self.curve is Curve.C_I:
-            lhs, rhs = u ** 4, t * t * (t - 1)
-            scale = max(abs(u) ** 4, abs(t) ** 3, 1.0)
-        else:
-            lhs, rhs = u ** 6, t ** 3 * (t - 1)
-            scale = max(abs(u) ** 6, abs(t) ** 4, 1.0)
-        if abs(lhs - rhs) > 1e-10 * scale:
+        # written so that a NaN residual (any non-finite t or u) is rejected too
+        if not _curve_residual(self) <= 1e-10:
             raise DomainError("(t, u) does not satisfy the curve equation")
+
+
+def _curve_residual(p: CurvePoint) -> float:
+    # |lhs - rhs| of the curve equation over the largest of |lhs|, |t|^deg and 1
+    if p.at_infinity:
+        return 0.0
+    if p.curve is Curve.C_I:
+        return abs(p.u ** 4 - p.t * p.t * (p.t - 1)) / max(abs(p.u) ** 4, abs(p.t) ** 3, 1.0)
+    return abs(p.u ** 6 - p.t ** 3 * (p.t - 1)) / max(abs(p.u) ** 6, abs(p.t) ** 4, 1.0)
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     abs_tol: float = 1e-12
     max_depth: int = 30
-    singular_substitution_order: int = 4
 
     def __post_init__(self) -> None:
         if not 1e-15 < self.abs_tol < 1e-6:
             raise DomainError("abs_tol must lie in (1e-15, 1e-6)")
         if not 1 <= self.max_depth <= 40:
             raise DomainError("max_depth must lie in [1, 40]")
-        if self.singular_substitution_order not in (4, 6):
-            raise DomainError("substitution order must be 4 or 6")
-
-
-def config_for(curve: Curve) -> QuadratureConfig:
-    return QuadratureConfig(singular_substitution_order=curve.root_order)
 
 
 def special_point(curve: Curve, name: str) -> CurvePoint:
@@ -448,7 +438,7 @@ def abel_jacobi(p: CurvePoint, cfg: QuadratureConfig | None = None) -> TorusPoin
     exactly that unit.
     """
     curve = p.curve
-    cfg = cfg or config_for(curve)
+    cfg = cfg or QuadratureConfig()
     mod = curve.modulus
     k = curve.root_order
     if p.at_infinity:
@@ -485,15 +475,6 @@ _POLE_ZETA_1 = (ZETA + 1) / 3
 _POLE_ZETA_2 = 2 * (ZETA + 1) / 3
 
 
-def _theta_four(z: complex, mod: Modulus, tol: Tolerance) -> tuple[complex, complex, complex, complex]:
-    return (
-        theta(_C00, z, mod, tol),
-        theta(_C01, z, mod, tol),
-        theta(_C10, z, mod, tol),
-        theta(_C11, z, mod, tol),
-    )
-
-
 def inverse_quartic_t_routes(zp: TorusPoint, tol: Tolerance | None = None) -> tuple[complex, complex]:
     """Both displayed t-expressions; they agree up to roundoff."""
     tol = tol or DEFAULT_TOLERANCE
@@ -524,8 +505,8 @@ def inverse_sextic(zp: TorusPoint, tol: Tolerance | None = None) -> CurvePoint:
     if lattice_distance(TAU_ZETA, zp.z, _POLE_ZETA_2) < 1e-9:
         return CurvePoint(Curve.C_ZETA, 0.0, 0.0, at_infinity=True, branch=1)
     th00, th01, th10, th11 = _theta_four(zp.z, TAU_ZETA, tol)
-    den = _SQRT3 * 1j * th00 ** 2 - th11 ** 2
-    t = -3 * _SQRT3 * 1j * th00 ** 2 * th01 ** 2 * th10 ** 2 / den ** 3
+    den = SQRT3 * 1j * th00 ** 2 - th11 ** 2
+    t = -3 * SQRT3 * 1j * th00 ** 2 * th01 ** 2 * th10 ** 2 / den ** 3
     u = e_of(-0.125) * 27 ** 0.25 * th00 * th01 * th10 * th11 / den ** 2
     return CurvePoint(Curve.C_ZETA, t, u)
 
@@ -595,9 +576,9 @@ def ratio_identities_sextic(zp: TorusPoint, tol: Tolerance | None = None) -> lis
         degenerate = False
     cube = 0j if degenerate else p.u ** 3 / (p.t * (p.t - 1))
     pairs = [
-        IdentityPair("one_plus_r", 1 + r, _SQRT3 * 1j * th00 ** 2 / th11 ** 2),
-        IdentityPair("one_plus_z2_r", 1 + z2 * r, -_SQRT3 * th10 ** 2 / th11 ** 2),
-        IdentityPair("one_plus_z4_r", 1 + z4 * r, _SQRT3 * th01 ** 2 / th11 ** 2),
+        IdentityPair("one_plus_r", 1 + r, SQRT3 * 1j * th00 ** 2 / th11 ** 2),
+        IdentityPair("one_plus_z2_r", 1 + z2 * r, -SQRT3 * th10 ** 2 / th11 ** 2),
+        IdentityPair("one_plus_z4_r", 1 + z4 * r, SQRT3 * th01 ** 2 / th11 ** 2),
         IdentityPair(
             "cube_over_t_tm1",
             cube,
@@ -641,7 +622,7 @@ def mul_one_plus_zeta(p: CurvePoint) -> CurvePoint:
     t, u = p.t, p.u
     den = (4 * t - 3)
     t_new = t * (9 - 8 * t) ** 2 / den ** 3
-    u_new = e_of(1.0 / 12.0) * _SQRT3 * u * (9 - 8 * t) / den ** 2
+    u_new = e_of(1.0 / 12.0) * SQRT3 * u * (9 - 8 * t) / den ** 2
     return CurvePoint(Curve.C_ZETA, t_new, u_new)
 
 
@@ -660,20 +641,15 @@ def equivalent_mod_group(zp1: TorusPoint, zp2: TorusPoint, tol: float = 1e-8) ->
     """Test z1 = unit * z2 + lattice and report the witness pair."""
     if zp1.modulus.tag is not zp2.modulus.tag:
         raise DomainError("points live on different tori")
-    tag = zp1.modulus.tag
-    if tag is TAU_I.tag:
-        unit, order = 1j, 4
-    elif tag is TAU_ZETA.tag:
-        unit, order = ZETA, 6
-    else:
+    curve = next((c for c in Curve if c.modulus.tag is zp1.modulus.tag), None)
+    if curve is None:
         raise DomainError("group equivalence needs the square or hexagonal torus")
     tau = zp1.modulus.value
     best = None
-    for k in range(order):
-        eps = unit ** k
+    for k in range(curve.root_order):
+        eps = curve.unit ** k
         d = zp1.z - eps * zp2.z
-        alpha = d.imag / tau.imag
-        bcoef = d.real - alpha * tau.real
+        alpha, bcoef = _lattice_coefficients(tau, d)
         lam = round(alpha) * tau + round(bcoef)
         dist = abs(d - lam)
         if best is None or dist < best[0]:
@@ -686,12 +662,10 @@ def equivalent_mod_group(zp1: TorusPoint, zp2: TorusPoint, tol: float = 1e-8) ->
 def one_form_constant_routes(curve: Curve, tol: Tolerance | None = None) -> tuple[complex, complex]:
     """The pullback constant of the 1-form, via theta and via beta."""
     tol = tol or DEFAULT_TOLERANCE
+    th = theta(HALF_CHARS[0], 0j, curve.modulus, tol)
     if curve is Curve.C_I:
-        th = theta(_C00, 0j, TAU_I, tol)
-        return 2 * (1 - 1j) * math.pi * th ** 2, (1 - 1j) * beta(0.25, 0.25)
-    th = theta(_C00, 0j, TAU_ZETA, tol)
-    route_theta = e_of(-0.125) * 2 * math.pi * 27 ** 0.25 * th ** 2
-    return route_theta, (1 - ZETA * ZETA) * beta(1.0 / 3.0, 1.0 / 6.0)
+        return 2 * (1 - 1j) * math.pi * th ** 2, curve.normalization
+    return e_of(-0.125) * 2 * math.pi * 27 ** 0.25 * th ** 2, curve.normalization
 
 
 def one_form_constant(curve: Curve, tol: Tolerance | None = None) -> complex:
@@ -718,20 +692,18 @@ def hgf_theta_roundtrip(z: complex, curve: Curve, tol: Tolerance | None = None) 
         raise DomainError("round trip is stated for |z| < 0.3")
     if z == 0:
         return 0.0
+    th00 = theta(HALF_CHARS[0], z, curve.modulus, tol)
+    th11 = theta(HALF_CHARS[3], z, curve.modulus, tol)
     if curve is Curve.C_I:
-        th00 = theta(_C00, z, TAU_I, tol)
-        th11 = theta(_C11, z, TAU_I, tol)
         ratio = th11 / th00
-        f = gauss_2f1(GaussParams(0.25, 0.5, 1.25), ratio ** 4, tol)
+        f = gauss_2f1(SchwarzVariant.QUARTIC.series_params, ratio ** 4, tol)
         lhs = -2 * math.sqrt(2 * math.pi) / gamma_real(0.25) ** 2 * ratio * f
         return abs(lhs - z)
-    th00 = theta(_C00, z, TAU_ZETA, tol)
-    th11 = theta(_C11, z, TAU_ZETA, tol)
-    w = 1 - _SQRT3 * 1j * th00 ** 2 / th11 ** 2
+    w = 1 - SQRT3 * 1j * th00 ** 2 / th11 ** 2
     pref = 16 ** (1.0 / 3.0) * math.pi * ZETA ** 2 / gamma_real(1.0 / 3.0) ** 3
     root = cmath.sqrt(w)
     if (z * root * pref.conjugate()).real < 0:
         root = -root
-    f = gauss_2f1(GaussParams(1.0 / 6.0, 0.5, 7.0 / 6.0), 1 / w ** 3, tol)
+    f = gauss_2f1(SchwarzVariant.SEXTIC.series_params, 1 / w ** 3, tol)
     lhs = pref / root * f
     return abs(lhs - z)

@@ -15,9 +15,12 @@ from enum import Enum
 
 from .numerics import (
     DEFAULT_TOLERANCE,
+    SQRT3,
+    ZETA,
     DomainError,
     IterationLimitError,
     Tolerance,
+    _dist_to_int,
     _gamma_signed,
     beta as beta_fn,
     gamma_real,
@@ -53,6 +56,12 @@ class SchwarzVariant(Enum):
         return GaussParams(1.0 / 3.0, 0.0, 0.5)
 
     @property
+    def series_params(self) -> GaussParams:
+        """F(1/4, 1/2, 5/4) or F(1/6, 1/2, 7/6): the Schwarz map and mean-limit series."""
+        a = 0.25 if self is SchwarzVariant.QUARTIC else 1.0 / 6.0
+        return GaussParams(a, 0.5, a + 1.0)
+
+    @property
     def root_order(self) -> int:
         return self.value
 
@@ -67,12 +76,12 @@ def pochhammer(a: float, n: int) -> float:
     return acc
 
 
-def _dist_to_int(x: float) -> float:
-    return abs(x - round(x))
-
-
-def _series(alpha: float, beta: float, gamma: float, z: complex, abs_tol: float) -> complex:
-    # Plain power series with the geometric tail bound; |z| < 1 required.
+def _series(
+    alpha: float, beta: float, gamma: float, z: complex, abs_tol: float, s: float | None = None
+) -> complex:
+    # Plain power series.  With s = None, |z| < 1 and the geometric tail
+    # bound.  With s = gamma - alpha - beta > 0, |z| = 1: algebraic decay
+    # ~ n^(-1-s), so the tail is bounded by the integral test, |term| * n / s.
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
     az = abs(z)
@@ -80,24 +89,11 @@ def _series(alpha: float, beta: float, gamma: float, z: complex, abs_tol: float)
         term *= (alpha + n) * (beta + n) / ((gamma + n) * (1.0 + n)) * z
         total += term
         at = abs(term)
-        if at < abs_tol * 0.0625 and at * az / (1.0 - az) < abs_tol:
+        if at < abs_tol * 0.0625 and (
+            at * az / (1.0 - az) if s is None else at * (n + 1) / s
+        ) < abs_tol:
             return total
     raise IterationLimitError("2F1 series did not meet tolerance within the term cap")
-
-
-def _series_boundary(alpha: float, beta: float, gamma: float, z: complex, abs_tol: float) -> complex:
-    # |z| = 1 with gamma - alpha - beta > 0: algebraic decay ~ n^(-1-s),
-    # so the tail is bounded by the integral test, |term| * n / s.
-    s = gamma - alpha - beta
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    for n in range(_MAX_TERMS):
-        term *= (alpha + n) * (beta + n) / ((gamma + n) * (1.0 + n)) * z
-        total += term
-        at = abs(term)
-        if at < abs_tol * 0.0625 and at * (n + 1) / s < abs_tol:
-            return total
-    raise IterationLimitError("2F1 boundary series did not meet tolerance within the term cap")
 
 
 def _connection_near_one(
@@ -153,7 +149,7 @@ def gauss_2f1(
         if abs(1.0 - z) < 1.0 - 1e-9 and _dist_to_int(g - a - b) > 0.05:
             return _connection_near_one(a, b, g, z, abs_tol)
         if g - a - b > 0.0:
-            return _series_boundary(a, b, g, z, tol.abs_tol)
+            return _series(a, b, g, z, tol.abs_tol, g - a - b)
         raise DomainError("2F1 series diverges on |z| = 1 for these parameters")
     raise DomainError(f"2F1 argument outside the admitted domain: {z}")
 
@@ -192,9 +188,10 @@ def euler_f1_f2(v: SchwarzVariant, x: complex, tol: Tolerance = DEFAULT_TOLERANC
     return f1, f2
 
 
-_QUARTIC_SCALE = 2.0 * math.sqrt(2.0) * 1j
-_SEXTIC_ZETA = complex(0.5, math.sqrt(3.0) / 2.0)
-_SEXTIC_SCALE = 2.0 * math.sqrt(3.0) * _SEXTIC_ZETA
+_SCHWARZ_SCALE = {
+    SchwarzVariant.QUARTIC: 2.0 * math.sqrt(2.0) * 1j,
+    SchwarzVariant.SEXTIC: 2.0 * SQRT3 * ZETA,
+}
 
 
 def schwarz_map(v: SchwarzVariant, x: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> complex:
@@ -208,12 +205,9 @@ def schwarz_map(v: SchwarzVariant, x: complex, tol: Tolerance = DEFAULT_TOLERANC
     w = 1.0 - x
     if abs(w) >= 1.0:
         raise DomainError(f"schwarz_map requires |1 - x| < 1, got {abs(w)}")
-    if v is SchwarzVariant.QUARTIC:
-        if w == 0:
-            return 0.0 + 0.0j
-        f = gauss_2f1(GaussParams(0.25, 0.5, 1.25), w, tol)
-        return _QUARTIC_SCALE / beta_fn(0.25, 0.25) * w**0.25 * f
     if w == 0:
         return 0.0 + 0.0j
-    f = gauss_2f1(GaussParams(1.0 / 6.0, 0.5, 7.0 / 6.0), w, tol)
-    return _SEXTIC_SCALE / beta_fn(1.0 / 3.0, 1.0 / 6.0) * w ** (1.0 / 6.0) * f
+    sp = v.series_params
+    f = gauss_2f1(sp, w, tol)
+    # B(1/4, 1/4) or B(1/3, 1/6)
+    return _SCHWARZ_SCALE[v] / beta_fn(v.params.alpha, sp.alpha) * w**sp.alpha * f

@@ -12,10 +12,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .hypergeometric import GaussParams, SchwarzVariant, gauss_2f1
-from .numerics import DEFAULT_TOLERANCE, DomainError, Tolerance, branch_root
+from .hypergeometric import SchwarzVariant, gauss_2f1
+from .numerics import DEFAULT_TOLERANCE, SQRT3, DomainError, Tolerance, branch_root
 
-_SQRT3 = math.sqrt(3.0)
 # 1 - (b/a)^2 lies in (-0.8, 0.8) exactly when b/a lies in this window
 _RATIO_LO, _RATIO_HI = math.sqrt(0.2), math.sqrt(1.8)
 
@@ -78,7 +77,7 @@ def sextic_means_complex(p: MeanPair) -> tuple[complex, complex]:
     r1 = branch_root(eta1, 3, 0.0)
     r2 = branch_root(eta2, 3, 0.0)
     a23 = p.a ** (2.0 / 3.0)
-    m1 = a23 * cmath.sqrt(r1 * r1 + r1 * r2 + r2 * r2) / _SQRT3
+    m1 = a23 * cmath.sqrt(r1 * r1 + r1 * r2 + r2 * r2) / SQRT3
     m2 = a23 * (r1 + r2) / 2.0
     return m1, m2
 
@@ -116,14 +115,14 @@ def _precondition(p: MeanPair, variant: SchwarzVariant) -> MeanPair:
 def limit_quartic(p: MeanPair, tol: Tolerance | None = None) -> float:
     tol = tol or DEFAULT_TOLERANCE
     p = _precondition(p, SchwarzVariant.QUARTIC)
-    f = gauss_2f1(GaussParams(0.25, 0.5, 1.25), 1.0 - (p.b / p.a) ** 2, tol)
+    f = gauss_2f1(SchwarzVariant.QUARTIC.series_params, 1.0 - (p.b / p.a) ** 2, tol)
     return p.a / (f.real * f.real)
 
 
 def limit_sextic(p: MeanPair, tol: Tolerance | None = None) -> float:
     tol = tol or DEFAULT_TOLERANCE
     p = _precondition(p, SchwarzVariant.SEXTIC)
-    f = gauss_2f1(GaussParams(1.0 / 6.0, 0.5, 7.0 / 6.0), 1.0 - (p.b / p.a) ** 2, tol)
+    f = gauss_2f1(SchwarzVariant.SEXTIC.series_params, 1.0 - (p.b / p.a) ** 2, tol)
     return p.a / f.real
 
 

@@ -9,14 +9,13 @@ all, so group-theoretic statements (orders, closures) are decided exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
 import numpy as np
 
-from .numerics import DomainError, IterationLimitError, e_of
+from .numerics import ZETA, DomainError, IterationLimitError, _dist_to_int, e_of
 
 
 class Ring(Enum):
@@ -31,9 +30,7 @@ class Ring(Enum):
 
     @property
     def generator(self) -> complex:
-        if self is Ring.GAUSS:
-            return 1j
-        return complex(0.5, math.sqrt(3.0) / 2.0)
+        return 1j if self is Ring.GAUSS else ZETA
 
 
 @dataclass(frozen=True)
@@ -223,10 +220,6 @@ def as_affine(m: CircuitMatrix) -> AffineMap:
     if not (m.e21.is_zero() and m.e22.is_one()):
         raise DomainError("matrix is not in affine normal form (bottom row must be (0, 1))")
     return AffineMap(m.e11, m.e12)
-
-
-def _dist_to_int(x: float) -> float:
-    return abs(x - round(x))
 
 
 def invariant_hermitian_form(alpha: float, beta: float, gamma: float) -> np.ndarray:

@@ -1,8 +1,9 @@
-"""Scalar helpers shared by every other module.
+"""Scalar helpers and constants shared by every other module.
 
-Real gamma and beta, the unit-circle map ``e_of`` and windowed k-th roots.
-Everything here is a pure function of binary64 inputs; ``principal_arg_array``
-is the one elementwise form, for quadrature integrands.
+Real gamma and beta, the unit-circle map ``e_of`` and windowed k-th roots,
+plus the one home of sqrt(3), zeta and omega.  Everything here is a pure
+function of binary64 inputs; ``principal_arg_array`` is the one elementwise
+form, for quadrature integrands.
 """
 
 from __future__ import annotations
@@ -15,6 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+SQRT3 = math.sqrt(3.0)
+ZETA = complex(0.5, SQRT3 / 2.0)           # primitive sixth root, zeta^2 = zeta - 1
+OMEGA = complex(-0.5, SQRT3 / 2.0)         # omega = zeta^2, primitive cube root
+OMEGA_SQ = complex(-0.5, -SQRT3 / 2.0)
 
 
 class DomainError(ValueError):
@@ -35,13 +40,12 @@ class BranchBoundaryWarning(UserWarning):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute and relative accuracy targets used across the package."""
+    """Absolute accuracy target used across the package."""
 
     abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
+        if self.abs_tol <= 0.0:
             raise DomainError("tolerances must be positive")
 
 
@@ -49,6 +53,8 @@ DEFAULT_TOLERANCE = Tolerance()
 
 # Lanczos, g = 7, nine terms.  Relative error stays below 1e-13 on the
 # positive real axis, which is the only place public callers may evaluate.
+# Gamma overflows binary64 just above 171.62.
+_GAMMA_MAX_X = 171.62
 _LANCZOS_G = 7.0
 _LANCZOS_COEFFS = (
     0.99999999999980993,
@@ -66,8 +72,8 @@ _LANCZOS_COEFFS = (
 def gamma_real(x: float) -> float:
     """Gamma function on the positive real axis."""
     x = float(x)
-    if x <= 0.0:
-        raise DomainError(f"gamma_real requires x > 0, got {x}")
+    if not 0.0 < x <= _GAMMA_MAX_X:
+        raise DomainError(f"gamma_real requires 0 < x <= {_GAMMA_MAX_X}, got {x}")
     if x < 0.5:
         # reflect once so the rational core only sees arguments >= 0.5
         return math.pi / (math.sin(math.pi * x) * gamma_real(1.0 - x))
@@ -76,7 +82,11 @@ def gamma_real(x: float) -> float:
     for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
         acc += c / (z + i)
     t = z + _LANCZOS_G + 0.5
-    return math.sqrt(TWO_PI) * t ** (z + 0.5) * math.exp(-t) * acc
+    if x < 142.0:
+        return math.sqrt(TWO_PI) * t ** (z + 0.5) * math.exp(-t) * acc
+    # t ** (z + 0.5) alone overflows from x ~ 142.4, so take it in halves
+    half = t ** (0.5 * (z + 0.5))
+    return math.sqrt(TWO_PI) * half * math.exp(-t) * half * acc
 
 
 def _gamma_signed(x: float) -> float:
@@ -88,6 +98,14 @@ def _gamma_signed(x: float) -> float:
     if x == math.floor(x):
         raise DomainError(f"gamma pole at {x}")
     return math.pi / (math.sin(math.pi * x) * gamma_real(1.0 - x))
+
+
+def _dist_to_int(x: float) -> float:
+    return abs(x - round(x))
+
+
+def _scaled_residual(lhs: complex, rhs: complex) -> float:
+    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
 def beta(x: float, y: float) -> float:

@@ -21,17 +21,15 @@ from typing import Union
 
 from .numerics import (
     DEFAULT_TOLERANCE,
+    OMEGA,
+    OMEGA_SQ,
+    ZETA,
     DomainError,
     Tolerance,
+    _scaled_residual,
     e_of,
     gamma_real,
 )
-
-_SQRT3 = math.sqrt(3.0)
-
-ZETA = complex(0.5, _SQRT3 / 2.0)           # primitive 12th root, zeta^2 = zeta - 1
-OMEGA = complex(-0.5, _SQRT3 / 2.0)         # omega = zeta^2, primitive cube root
-OMEGA_SQ = complex(-0.5, -_SQRT3 / 2.0)
 
 _MAX_CHAR_DENOM = 144
 
@@ -99,20 +97,12 @@ class Modulus:
             raise DomainError(f"modulus requires Im(tau) > 0, got {self.value}")
 
     @classmethod
-    def tau_i(cls) -> "Modulus":
-        return cls(ModulusTag.TAU_I, 1j)
-
-    @classmethod
-    def tau_zeta(cls) -> "Modulus":
-        return cls(ModulusTag.TAU_ZETA, ZETA)
-
-    @classmethod
     def generic(cls, tau: complex) -> "Modulus":
         return cls(ModulusTag.GENERIC, complex(tau))
 
 
-TAU_I = Modulus.tau_i()
-TAU_ZETA = Modulus.tau_zeta()
+TAU_I = Modulus(ModulusTag.TAU_I, 1j)
+TAU_ZETA = Modulus(ModulusTag.TAU_ZETA, ZETA)
 
 
 @dataclass(frozen=True)
@@ -165,14 +155,18 @@ def lattice_distance(m: Modulus, z1: complex, z2: complex) -> float:
     return best
 
 
-def _truncation_index(a: float, z: complex, tau: complex, abs_tol: float) -> int:
-    # Gaussian decay exp(-pi Im(tau) (n + a + Im z / Im tau)^2) up to a
-    # bounded peak factor; the 2|Im z| term covers the shifted peak.
+def _term_range(a: float, z: complex, tau: complex, abs_tol: float, extra: int) -> range:
+    # Summation indices n, with k = n + a in [-n_max, n_max].  Gaussian decay
+    # exp(-pi Im(tau) (n + a + Im z / Im tau)^2) up to a bounded peak factor;
+    # the 2|Im z| term covers the shifted peak.
+    if not cmath.isfinite(z):
+        raise DomainError(f"theta requires a finite argument, got {z}")
     tail_tol = abs_tol * 1e-2
     im_tau = tau.imag
     n = math.sqrt(math.log(1.0 / tail_tol) / (math.pi * im_tau))
     n += 2.0 * abs(z.imag) / im_tau
-    return math.ceil(n) + 2
+    n_max = math.ceil(n) + 2 + extra
+    return range(math.ceil(-n_max - a), math.floor(n_max - a) + 1)
 
 
 def theta(c: ThetaChar, z: complex, m: Modulus, tol: Tolerance = DEFAULT_TOLERANCE) -> complex:
@@ -181,11 +175,8 @@ def theta(c: ThetaChar, z: complex, m: Modulus, tol: Tolerance = DEFAULT_TOLERAN
     z = complex(z)
     a = float(c.a)
     b = float(c.b)
-    n_max = _truncation_index(a, z, tau, tol.abs_tol)
-    lo = math.ceil(-n_max - a)
-    hi = math.floor(n_max - a)
     total = 0.0 + 0.0j
-    for n in range(lo, hi + 1):
+    for n in _term_range(a, z, tau, tol.abs_tol, 0):
         k = n + a
         total += cmath.exp(1j * math.pi * k * k * tau + 2j * math.pi * k * (z + b))
     return total
@@ -197,11 +188,8 @@ def theta_dz(c: ThetaChar, z: complex, m: Modulus, tol: Tolerance = DEFAULT_TOLE
     z = complex(z)
     a = float(c.a)
     b = float(c.b)
-    n_max = _truncation_index(a, z, tau, tol.abs_tol) + 1
-    lo = math.ceil(-n_max - a)
-    hi = math.floor(n_max - a)
     total = 0.0 + 0.0j
-    for n in range(lo, hi + 1):
+    for n in _term_range(a, z, tau, tol.abs_tol, 1):
         k = n + a
         total += 2j * math.pi * k * cmath.exp(
             1j * math.pi * k * k * tau + 2j * math.pi * k * (z + b)
@@ -250,16 +238,18 @@ def transform_tau(
     return c_new, pref, z / tau, Modulus.generic(-1.0 / tau)
 
 
-_C00 = ThetaChar(0, 0)
-_C01 = ThetaChar(0, Fraction(1, 2))
-_C10 = ThetaChar(Fraction(1, 2), 0)
-_C11 = ThetaChar(Fraction(1, 2), Fraction(1, 2))
+HALF_CHARS = (
+    ThetaChar(0, 0),
+    ThetaChar(0, Fraction(1, 2)),
+    ThetaChar(Fraction(1, 2), 0),
+    ThetaChar(Fraction(1, 2), Fraction(1, 2)),
+)
+_C00, _C01, _C10, _C11 = HALF_CHARS
 
-HALF_CHARS = (_C00, _C01, _C10, _C11)
 
-
-def _scaled_residual(lhs: complex, rhs: complex) -> float:
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+def _theta_four(z: complex, m: Modulus, tol: Tolerance) -> tuple[complex, complex, complex, complex]:
+    """theta00, theta01, theta10, theta11 at z, in that order."""
+    return tuple(theta(c, z, m, tol) for c in HALF_CHARS)
 
 
 @dataclass(frozen=True)
@@ -327,10 +317,7 @@ def one_plus_i_multiple(z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> list[
     k00 = theta(_C00, 0.0, m, tol)
     k01 = theta(_C01, 0.0, m, tol)
     k10 = theta(_C10, 0.0, m, tol)
-    t00 = theta(_C00, z, m, tol)
-    t01 = theta(_C01, z, m, tol)
-    t10 = theta(_C10, z, m, tol)
-    t11 = theta(_C11, z, m, tol)
+    t00, t01, t10, t11 = _theta_four(z, m, tol)
     out = [
         IdentityPair(
             "theta00",
@@ -385,10 +372,7 @@ def one_plus_zeta_multiple(z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> li
     k00 = theta(_C00, 0.0, m, tol)
     k01 = theta(_C01, 0.0, m, tol)
     k10 = theta(_C10, 0.0, m, tol)
-    t00 = theta(_C00, z, m, tol)
-    t01 = theta(_C01, z, m, tol)
-    t10 = theta(_C10, z, m, tol)
-    t11 = theta(_C11, z, m, tol)
+    t00, t01, t10, t11 = _theta_four(z, m, tol)
     e8 = e_of(0.125)
     return [
         IdentityPair(

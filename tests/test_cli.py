@@ -11,7 +11,7 @@ import pytest
 
 import lemnis.cli
 from lemnis.cli import SplitMix64, format_complex, main, parse_complex
-from lemnis.numerics import IterationLimitError
+from lemnis.numerics import DomainError, IterationLimitError
 
 REPORT_KEYS = {"command", "inputs", "outputs", "residuals", "pass", "seed", "elapsed_ms"}
 
@@ -40,6 +40,9 @@ def test_parse_complex_forms():
     assert parse_complex("1.25-0.5I") == 1.25 - 0.5j
     with pytest.raises(Exception):
         parse_complex("one+twoi")
+    for bad in ("nan", "inf", "1+nani", "-inf-2i", "0+infi"):
+        with pytest.raises(DomainError):
+            parse_complex(bad)
 
 
 def test_format_complex_round_trips():
@@ -125,6 +128,10 @@ def test_theta_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["theta", "--a", "one", "--b", "0", "--tau", "i"])
     assert exc.value.code == 2
+    for flag, bad in (("--z", "nan"), ("--z", "0+infi"), ("--tau", "nan+1i")):
+        with pytest.raises(SystemExit) as exc:
+            main(["theta", "--a", "0", "--b", "0", "--tau", "i", flag, bad])
+        assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +164,15 @@ def test_agm_rejects_nonpositive(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["agm", "--variant", "quartic", "--a", "-1", "--b", "2"])
     assert exc.value.code == 2
+
+
+def test_agm_residual_is_relative_for_large_limits(capsys):
+    code, rep, _ = run_cli(capsys, ["agm", "--variant", "sextic", "--a", "1", "--b", "1e300"])
+    assert code == 0 and rep["pass"] is True
+    limit = float(rep["outputs"]["limit"])
+    difference = float(rep["outputs"]["difference"])
+    assert limit > 1e99 and difference > 1e80  # the difference stays absolute
+    assert rep["residuals"][0]["value"] == difference / limit
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +211,10 @@ def test_curve_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["curve", "--curve", "i"])
     assert exc.value.code == 2
+    for bad in ("nan", "inf+1i"):
+        with pytest.raises(SystemExit) as exc:
+            main(["curve", "--curve", "i", "--t", bad])
+        assert exc.value.code == 2
 
 
 def test_curve_failure_report_is_strict_json_with_success_schema(capsys, monkeypatch):
@@ -217,7 +237,9 @@ def test_curve_failure_report_is_strict_json_with_success_schema(capsys, monkeyp
 
 def test_non_finite_residual_is_null_in_report_and_summary(capsys, monkeypatch):
     monkeypatch.setattr(lemnis.cli.sys.stderr, "isatty", lambda: True)
-    code = main(["theta", "--a", "0", "--b", "0", "--z", "nan", "--tau", "i"])
+    # a NaN input is a usage error, so the non-finite value comes from theta
+    monkeypatch.setattr(lemnis.cli, "theta", lambda *args: complex("nan+nanj"))
+    code = main(["theta", "--a", "0", "--b", "0", "--z", "0.5", "--tau", "i"])
     captured = capsys.readouterr()
     rep = strict_loads(captured.out)
     assert code == 1 and rep["pass"] is False

@@ -247,8 +247,8 @@ def test_cubic_argument_rewrite_sextic():
 
 def test_tight_tolerance_is_honoured():
     p = QP
-    tight = Tolerance(1e-14, 1e-14)
-    loose = Tolerance(1e-6, 1e-6)
+    tight = Tolerance(1e-14)
+    loose = Tolerance(1e-6)
     # the working tolerance is floored well below either request, so both
     # land on the same full-accuracy value
     assert gauss_2f1(p, 0.37, tight) == gauss_2f1(p, 0.37, loose)

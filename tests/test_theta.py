@@ -322,6 +322,16 @@ def test_truncation_consistency_at_large_imaginary_part():
         assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), abs(rhs))
 
 
+def test_non_finite_argument_is_a_domain_error():
+    nan, inf = float("nan"), float("inf")
+    for z in (complex(0, inf), complex(nan, 0), complex(inf, 1), complex(nan, nan)):
+        for m in (TAU_I, GENERIC):
+            with pytest.raises(DomainError):
+                theta(C00, z, m)
+            with pytest.raises(DomainError):
+                theta_dz(C11, z, m)
+
+
 def test_canonical_torus_point_and_distance():
     m = TAU_I
     p = canonical_torus_point(m, complex(2.3, 1.0) + 0.25j)
