@@ -105,12 +105,26 @@ class CurvePoint:
 
 
 def _curve_residual(p: CurvePoint) -> float:
-    # |lhs - rhs| of the curve equation over the largest of |lhs|, |t|^deg and 1
+    # |lhs - rhs| of the curve equation over the largest of |lhs|, |t|^deg and 1.
+    # It is taken on u / 2^(wu j), t / 2^(wt j) with the weights (wu, wt) that
+    # make the equation homogeneous, (3, 4) on C_I and (2, 3) on C_ZETA, and j
+    # the least j >= 0 that brings both to modulus below 2, so no power
+    # overflows; scaling by a power of two is exact, and j = 0 for |u|, |t| < 1.
     if p.at_infinity:
         return 0.0
+    wu, wt = (3, 4) if p.curve is Curve.C_I else (2, 3)
+    j = max(0, -(-_binary_exponent(p.u) // wu), -(-_binary_exponent(p.t) // wt))
+    one = math.ldexp(1.0, -wt * j)
+    u = p.u * math.ldexp(1.0, -wu * j)
+    t = p.t * one
     if p.curve is Curve.C_I:
-        return abs(p.u ** 4 - p.t * p.t * (p.t - 1)) / max(abs(p.u) ** 4, abs(p.t) ** 3, 1.0)
-    return abs(p.u ** 6 - p.t ** 3 * (p.t - 1)) / max(abs(p.u) ** 6, abs(p.t) ** 4, 1.0)
+        return abs(u ** 4 - t * t * (t - one)) / max(abs(u) ** 4, abs(t) ** 3, one ** 3)
+    return abs(u ** 6 - t ** 3 * (t - one)) / max(abs(u) ** 6, abs(t) ** 4, one ** 4)
+
+
+def _binary_exponent(v: complex) -> int:
+    # e with max(|Re v|, |Im v|) < 2^e
+    return math.frexp(max(abs(v.real), abs(v.imag)))[1]
 
 
 @dataclass(frozen=True)

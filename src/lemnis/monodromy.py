@@ -83,7 +83,9 @@ class CycInt:
         return self.x == 1 and self.y == 0
 
     def is_unit(self) -> bool:
-        return self in units(self.ring)
+        # the norm |x + y g|^2 is x^2 + y^2 over Z[i] and x^2 + xy + y^2 over Z[zeta]
+        cross = self.x * self.y if self.ring is Ring.EISENSTEIN6 else 0
+        return self.x * self.x + cross + self.y * self.y == 1
 
     def unit_inverse(self) -> "CycInt":
         for u in units(self.ring):
@@ -339,32 +341,45 @@ def group_closure(generators: list[AffineMap], cap: int = 10000) -> ClosureSumma
         if g.ring is not ring:
             raise DomainError("generators must share one ring")
     target_units = _unit_subgroup((g.unit for g in generators), ring)
-    gens = list(generators) + [g.inverse() for g in generators]
-
-    one = ring_one(ring)
-    basis = {one, ring_gen(ring)}
-    visited = {AffineMap.identity(ring)}
+    # The search runs on (unit.x, unit.y, shift.x, shift.y) tuples with the
+    # ring product inlined: g^2 = -1 + e*g, e = 0 over Z[i] and 1 over Z[zeta].
+    e = 1 if ring is Ring.EISENSTEIN6 else 0
+    gens = [
+        (h.unit.x, h.unit.y, h.shift.x, h.shift.y)
+        for h in list(generators) + [g.inverse() for g in generators]
+    ]
+    target = {(u.x, u.y) for u in target_units}
+    basis = {(1, 0), (0, 1)}
+    visited = {(1, 0, 0, 0)}
     frontier = list(visited)
-    seen_units = {one}
-    translations: set[CycInt] = {CycInt(0, 0, ring)}
+    seen_units = {(1, 0)}
+    translations = {(0, 0)}
 
     def satisfied() -> bool:
-        return set(target_units) <= seen_units and basis <= translations
+        return target <= seen_units and basis <= translations
 
     while frontier and len(visited) < cap and not satisfied():
         nxt = []
-        for f in frontier:
-            for g in gens:
-                h = g @ f
+        for fux, fuy, fsx, fsy in frontier:
+            for gux, guy, gsx, gsy in gens:
+                # g @ f: unit gu*fu, shift gu*fs + gs
+                uu = guy * fuy
+                us = guy * fsy
+                h = (
+                    gux * fux - uu,
+                    gux * fuy + guy * fux + e * uu,
+                    gux * fsx - us + gsx,
+                    gux * fsy + guy * fsx + e * us + gsy,
+                )
                 if h in visited:
                     continue
                 visited.add(h)
                 nxt.append(h)
-                seen_units.add(h.unit)
-                if h.unit.is_one():
-                    translations.add(h.shift)
+                seen_units.add(h[:2])
+                if h[0] == 1 and h[1] == 0:
+                    translations.add(h[2:])
         frontier = nxt
-    if not set(target_units) <= seen_units:
+    if not target <= seen_units:
         raise IterationLimitError("unit set had not stabilized at the exploration cap")
     return ClosureSummary(
         units=target_units,

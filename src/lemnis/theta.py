@@ -93,6 +93,8 @@ class Modulus:
     value: complex
 
     def __post_init__(self) -> None:
+        if not cmath.isfinite(self.value):
+            raise DomainError(f"modulus must be finite, got {self.value}")
         if self.value.imag <= 0.0:
             raise DomainError(f"modulus requires Im(tau) > 0, got {self.value}")
 
@@ -169,32 +171,66 @@ def _term_range(a: float, z: complex, tau: complex, abs_tol: float, extra: int) 
     return range(math.ceil(-n_max - a), math.floor(n_max - a) + 1)
 
 
-def theta(c: ThetaChar, z: complex, m: Modulus, tol: Tolerance = DEFAULT_TOLERANCE) -> complex:
-    """Evaluate the series at z.  Values near a zero are returned as-is."""
+def _series(c: ThetaChar, z: complex, m: Modulus, tol: Tolerance, weighted: bool) -> complex:
+    # Sum of T(k) = exp(pi i k^2 tau + 2 pi i k w), w = z + b, over k = n + a
+    # for the n of _term_range (times k when weighted), summed outward from
+    # the largest term by term ratios (Deconinck et al., Math. Comp. 73,
+    # 2004).  R(k) = T(k+1)/T(k) obeys R(k+1) = R(k) q2 with q2 = e(tau), and
+    # so does T(k-1)/T(k) = q2/R(k-1) stepping down: three exponentials per
+    # call, two products per term.  The seed is the largest term, so it
+    # overflows only when the series leaves binary64; that, or a sum that
+    # overflows, is a DomainError.
     tau = m.value
     z = complex(z)
     a = float(c.a)
-    b = float(c.b)
-    total = 0.0 + 0.0j
-    for n in _term_range(a, z, tau, tol.abs_tol, 0):
-        k = n + a
-        total += cmath.exp(1j * math.pi * k * k * tau + 2j * math.pi * k * (z + b))
+    w = z + float(c.b)
+    ns = _term_range(a, z, tau, tol.abs_tol, 1 if weighted else 0)
+    peak = -w.imag / tau.imag
+    n0 = round(peak - a)  # inside ns, whose half-width exceeds 2 |peak|
+    k0 = n0 + a
+    try:
+        t0 = cmath.exp(1j * math.pi * k0 * (k0 * tau + 2.0 * w))
+    except OverflowError:
+        raise _overflow(z, tau) from None
+    q2 = _e(tau)
+    # The two neighbour ratios multiply to q2.  Exponentiate the larger one
+    # (modulus at least |q2|^(1/2)) and divide for the other, so a ratio near
+    # 1 is never derived from an underflowed one; if even the larger one
+    # underflows (Im tau above about 237), both are zero.
+    log_up = 1j * math.pi * ((2.0 * k0 + 1.0) * tau + 2.0 * w)
+    if k0 <= peak:
+        up = cmath.exp(log_up)
+        down = q2 / up if up else 0j
+    else:
+        down = cmath.exp(2j * math.pi * tau - log_up)
+        up = q2 / down if down else 0j
+    total = k0 * t0 if weighted else t0
+    for ratio, step, count in ((up, 1.0, ns.stop - n0 - 1), (down, -1.0, n0 - ns.start)):
+        t, k = t0, k0
+        for _ in range(count):
+            t *= ratio
+            ratio *= q2
+            k += step
+            total += k * t if weighted else t
+    if weighted:
+        total *= 2j * math.pi
+    if not cmath.isfinite(total):
+        raise _overflow(z, tau)
     return total
+
+
+def _overflow(z: complex, tau: complex) -> DomainError:
+    return DomainError(f"theta overflows binary64 at z = {z}, tau = {tau}")
+
+
+def theta(c: ThetaChar, z: complex, m: Modulus, tol: Tolerance = DEFAULT_TOLERANCE) -> complex:
+    """Evaluate the series at z.  Values near a zero are returned as-is."""
+    return _series(c, z, m, tol, False)
 
 
 def theta_dz(c: ThetaChar, z: complex, m: Modulus, tol: Tolerance = DEFAULT_TOLERANCE) -> complex:
     """Term-wise z-derivative of the series."""
-    tau = m.value
-    z = complex(z)
-    a = float(c.a)
-    b = float(c.b)
-    total = 0.0 + 0.0j
-    for n in _term_range(a, z, tau, tol.abs_tol, 1):
-        k = n + a
-        total += 2j * math.pi * k * cmath.exp(
-            1j * math.pi * k * k * tau + 2j * math.pi * k * (z + b)
-        )
-    return total
+    return _series(c, z, m, tol, True)
 
 
 def quasi_period_factor(c: ThetaChar, p: int, q: int, z: complex, m: Modulus) -> complex:

@@ -134,6 +134,14 @@ def test_theta_usage_error_exits_2(capsys):
         assert exc.value.code == 2
 
 
+def test_theta_overflow_exits_2_without_traceback(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["theta", "--a", "0", "--b", "0", "--z", "0+40i", "--tau", "i"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "overflows" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # agm subcommand.
 

@@ -30,7 +30,7 @@ from lemnis.curves import (
     ratio_identities_sextic,
     special_point,
 )
-from lemnis.curves import _G7_W, _K15_W, _K15_X, _integrate_legs
+from lemnis.curves import _G7_W, _K15_W, _K15_X, _curve_residual, _integrate_legs
 from lemnis.hypergeometric import SchwarzVariant, schwarz_map
 from lemnis.numerics import (
     DomainError,
@@ -82,6 +82,25 @@ def test_curve_point_checks_equation():
         CurvePoint(Curve.C_I, math.nan, math.nan)
     with pytest.raises(DomainError):
         CurvePoint(Curve.C_ZETA, math.inf, math.inf)
+
+
+def test_curve_check_is_overflow_safe():
+    # fourth and sixth powers of these coordinates leave binary64; the check
+    # scales them first and the lifted points are on the curve
+    for curve, t in ((Curve.C_I, 1e110), (Curve.C_ZETA, 1e80), (Curve.C_I, -1e300 + 1e300j),
+                     (Curve.C_ZETA, 1e308), (Curve.C_ZETA, -3e200j)):
+        for k in range(curve.root_order):
+            p = lift_branch(curve, t, k)
+            assert _curve_residual(p) <= 1e-10
+    with pytest.raises(DomainError):
+        CurvePoint(Curve.C_I, 1e110, 1e83)
+    with pytest.raises(DomainError):
+        CurvePoint(Curve.C_ZETA, 1e80, 2e53j)
+    # below modulus 1 nothing is scaled: the residual is the plain formula
+    p = lift_branch(Curve.C_ZETA, 0.3 - 0.4j, 1)
+    t, u = p.t, p.u
+    assert abs(u) < 1.0
+    assert _curve_residual(p) == abs(u ** 6 - t ** 3 * (t - 1)) / max(abs(u) ** 6, abs(t) ** 4, 1.0)
 
 
 def test_special_points():

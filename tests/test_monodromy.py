@@ -10,6 +10,7 @@ import pytest
 from lemnis import (
     AffineMap,
     CircuitMatrix,
+    ClosureSummary,
     CycInt,
     DomainError,
     IterationLimitError,
@@ -237,6 +238,24 @@ def test_group_closure_translation_only():
     summary = group_closure([trans], cap=300)
     assert set(summary.units) == {ring_one(G)}
     assert not summary.has_translation_basis
+
+
+def test_group_closure_summaries_are_pinned():
+    quartic = group_closure([as_affine(m) for m in n_matrices(SchwarzVariant.QUARTIC)], cap=2000)
+    assert quartic == ClosureSummary(units(G), True, 17)
+    sextic = group_closure([as_affine(m) for m in n_matrices(SchwarzVariant.SEXTIC)], cap=2000)
+    assert sextic == ClosureSummary(units(E), True, 30)
+    translation = group_closure([AffineMap(ring_one(G), ring_one(G))], cap=300)
+    assert translation == ClosureSummary((ring_one(G),), False, 301)
+
+
+def test_is_unit_is_the_norm_test():
+    for ring in (G, E):
+        us = units(ring)
+        for x in range(-3, 4):
+            for y in range(-3, 4):
+                u = CycInt(x, y, ring)
+                assert u.is_unit() == (u in us)
 
 
 def test_group_closure_validation():

@@ -205,6 +205,95 @@ def test_theta_dz_matches_difference_quotient():
         assert abs(theta_dz(c, z, TAU_ZETA) - num) < 1e-8
 
 
+def _jtheta_reference(c: ThetaChar, z: complex, tau: complex, derivative: bool) -> complex:
+    """theta_{a,b}(z) = e^{pi i a^2 tau + 2 pi i a (z + b)} theta3(pi (z + a tau + b), q)
+    with q = e^{pi i tau}, through mpmath.jtheta (derivative=1 for d/dz)."""
+    with mpmath.workdps(20):
+        a = mpmath.mpf(c.a.numerator) / c.a.denominator
+        b = mpmath.mpf(c.b.numerator) / c.b.denominator
+        tt, zz = mpmath.mpc(tau), mpmath.mpc(z)
+        q = mpmath.exp(1j * mpmath.pi * tt)
+        s = mpmath.pi * (zz + a * tt + b)
+        pref = mpmath.exp(1j * mpmath.pi * a * (a * tt + 2 * (zz + b)))
+        value = mpmath.jtheta(3, s, q)
+        if not derivative:
+            return complex(pref * value)
+        return complex(pref * (2j * mpmath.pi * a * value + mpmath.pi * mpmath.jtheta(3, s, q, 1)))
+
+
+def _abs_series(c: ThetaChar, z: complex, tau: complex, derivative: bool) -> float:
+    """Sum of |terms| of the series (of the derivative series if asked)."""
+    a = float(c.a)
+    n_max = int(12.0 / math.sqrt(tau.imag)) + 8
+    total = 0.0
+    for n in range(-n_max, n_max + 1):
+        k = n + a
+        term = math.exp(-math.pi * tau.imag * k * k - 2.0 * math.pi * k * z.imag)
+        total += term * (2.0 * math.pi * abs(k) if derivative else 1.0)
+    return total
+
+
+def test_series_kernel_matches_jtheta_on_a_grid():
+    # theta and theta_dz summed from the peak term by term ratios, against
+    # mpmath.jtheta, to 1e-12 of the sum of |terms|.  At small Im(tau), where
+    # jtheta itself is slow, each characteristic takes one point of a sparse
+    # z grid in turn.
+    chars = HALF_CHARS + SEXTIC_CHARS
+    dense = [(u, v) for u in (-2.0, -0.75, 0.5, 2.0) for v in (-2.0, -0.5, 1.0, 2.0)]
+    sparse = [(-2.0, 2.0), (0.5, -0.5), (2.0, -2.0), (-0.75, 1.0)]
+    moduli = [
+        (TAU_I, dense),
+        (TAU_ZETA, dense),
+        (Modulus.generic(complex(0.3, 1e-4)), sparse),
+        (Modulus.generic(complex(-0.45, 1e-2)), sparse),
+        (Modulus.generic(complex(0.1, 1.0)), dense),
+        (Modulus.generic(complex(-0.2, 2.0)), dense),
+    ]
+    for m, grid in moduli:
+        tau = m.value
+        for i, c in enumerate(chars):
+            points = grid if grid is dense else [sparse[i % len(sparse)]]
+            for u, v in points:
+                z = u + v * tau
+                for f, derivative in ((theta, False), (theta_dz, True)):
+                    err = abs(f(c, z, m) - _jtheta_reference(c, z, tau, derivative))
+                    assert err <= 1e-12 * _abs_series(c, z, tau, derivative), (f.__name__, c, tau, z)
+
+
+def test_series_kernel_at_large_im_tau():
+    # both neighbour ratios of the peak underflow here, or one of them with
+    # the other near 1 (z near tau/2); the 30-digit direct sum is the oracle
+    for tau in (300j, complex(0.2, 250.0), complex(0.4, 40.0)):
+        m = Modulus.generic(tau)
+        for c in HALF_CHARS + SEXTIC_CHARS:
+            for z in (0.0, 0.5 * tau, 0.49 * tau, 0.51 * tau, 0.2 - 0.3 * tau):
+                err = abs(theta(c, z, m) - mp_theta(c, z, tau))
+                assert err <= 1e-13 * _abs_series(c, z, tau, False), (c, tau, z)
+
+
+def test_theta_overflow_is_a_domain_error():
+    # at tau = i the largest term, exp(pi Im(z)^2), leaves binary64 above Im z = 15.03
+    for f in (theta, theta_dz):
+        for z in (30j, 40j, -30j, complex(0.3, 1e3)):
+            with pytest.raises(DomainError, match="tau"):
+                f(C00, z, TAU_I)
+    # theta_dz is 2 pi k times larger than the largest term, so it leaves first
+    with pytest.raises(DomainError):
+        theta_dz(C00, 15j, TAU_I)
+    # values that fit are returned
+    for z, expected in ((10j, 2.976042006088037e136), (15j, 1.0487773200449855e307)):
+        value = theta(C00, z, TAU_I)
+        assert abs(value - expected) < 1e-12 * expected
+    assert abs(theta_dz(C00, 10.25j, TAU_I)) > 1e140
+
+
+def test_non_finite_modulus_is_a_domain_error():
+    nan, inf = float("nan"), float("inf")
+    for tau in (complex(0, nan), complex(0, inf), complex(nan, 1), complex(inf, 1), complex(0.5, -inf)):
+        with pytest.raises(DomainError):
+            Modulus.generic(tau)
+
+
 def test_addition_formulas():
     rng = random.Random(95)
     for m in (TAU_I, TAU_ZETA):
