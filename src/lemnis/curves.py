@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -175,8 +176,8 @@ def lift_branch(curve: Curve, t: complex, k: int = 0) -> CurvePoint:
 # Adaptive quadrature: Gauss-Kronrod G7/K15 panels with bisection.  The
 # 15 Kronrod nodes contain the 7 Gauss nodes at odd indices, so one
 # integrand call on the node array gives both estimates; the constants are
-# QUADPACK's qk15 (Piessens et al. 1983).  Integrands take and return
-# numpy arrays.
+# QUADPACK's qk15 (Piessens et al. 1983).  Integrands are elementwise numpy
+# expressions, called on an (m, 15) array of nodes, m panels at a time.
 
 # Non-negative halves in QUADPACK order, outermost node first, centre last.
 _XGK = np.array([
@@ -208,29 +209,46 @@ _WG = np.array([
 _K15_X = np.concatenate([-_XGK, _XGK[-2::-1]])
 _K15_W = np.concatenate([_WGK, _WGK[-2::-1]])
 _G7_W = np.concatenate([_WG, _WG[-2::-1]])  # weights of the nodes _K15_X[1::2]
-# rows K15 and K15 - G7, so one product gives the estimate and its error
-_PANEL_W = np.stack([_K15_W, _K15_W])
-_PANEL_W[1, 1::2] -= _G7_W
-
-
-def _panel(f, a: float, b: float) -> tuple[complex, float]:
-    half = 0.5 * (b - a)
-    k15, diff = (_PANEL_W @ f(0.5 * (a + b) + half * _K15_X)).tolist()
-    return half * k15, abs(half * diff)
+# columns K15 and K15 - G7, so one product gives the estimate and its error;
+# the Kronecker factor applies them to the (re, im) pairs of a complex row
+_PANEL_W = np.stack([_K15_W, _K15_W], axis=1)
+_PANEL_W[1::2, 1] -= _G7_W
+_PANEL_W = np.kron(_PANEL_W, np.eye(2))
 
 
 def _adaptive(f, a: float, b: float, tol: float, depth: int) -> complex:
-    val, err = _panel(f, a, b)
-    # halving tol at every split would eventually demand more than double
-    # precision can deliver on long legs, so floor it near machine level
-    if err <= max(tol, 1e-15 * max(1.0, abs(val))):
-        return val
-    if depth <= 0:
-        raise IterationLimitError("quadrature failed to converge within max_depth")
-    mid = 0.5 * (a + b)
-    return _adaptive(f, a, mid, 0.5 * tol, depth - 1) + _adaptive(
-        f, mid, b, 0.5 * tol, depth - 1
-    )
+    # Bisection one level at a time: the open panels of a level go through
+    # one integrand call on an (m, 15) node array, then each is accepted or
+    # split as in depth-first bisection, with tol halved per level.
+    panels = [(a, b)]
+    total = 0j
+    for level in range(depth + 1):
+        mid = np.array([0.5 * (lo + hi) for lo, hi in panels])
+        half = np.array([0.5 * (hi - lo) for lo, hi in panels])[:, None]
+        fx = np.asarray(f(mid[:, None] + half * _K15_X), dtype=complex)
+        # one real product on the (re, im) pairs, cheaper than a complex
+        # matrix product, which first casts the weights to complex
+        est = (half * (fx.view(float) @ _PANEL_W).view(complex)).tolist()
+        split = []
+        for (lo, hi), (val, diff) in zip(panels, est):
+            # halving tol at every split would eventually demand more than
+            # double precision can deliver on long legs, so floor it near
+            # machine level
+            if abs(diff) <= max(tol, 1e-15 * max(1.0, abs(val))):
+                total += val
+            elif not (cmath.isfinite(val) and cmath.isfinite(diff)):
+                # never accepted, and its halves would double the frontier
+                # at every level
+                raise IterationLimitError("quadrature met a non-finite integrand value")
+            else:
+                m = 0.5 * (lo + hi)
+                split += [(lo, m), (m, hi)]
+        if not split:
+            return total
+        if level == depth:
+            raise IterationLimitError("quadrature failed to converge within max_depth")
+        panels = split
+        tol *= 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +494,10 @@ def abel_jacobi(p: CurvePoint, cfg: QuadratureConfig | None = None) -> TorusPoin
         d = abs(ratio - curve.unit ** m)
         if d < best_d:
             best_m, best_d = m, d
-    if best_d > 1e-6:
+    # t - 1 is stored with a rounding error up to about eps (|t| + 1), which
+    # moves u_ref by that much over |t - 1| relative; sheets sit at least
+    # 2 sin(pi/k) apart, so the widened match stays unambiguous
+    if best_d > 1e-6 + 8 * sys.float_info.epsilon * (abs(p.t) + 1) / abs(p.t - 1):
         raise DomainError("u does not match any sheet over t")
     return canonical_torus_point(mod, curve.unit ** best_m * z_raw)
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .hypergeometric import SchwarzVariant, gauss_2f1
-from .numerics import DEFAULT_TOLERANCE, SQRT3, DomainError, Tolerance, branch_root
+from .numerics import DEFAULT_TOLERANCE, SQRT3, DomainError, Tolerance, _real_root, branch_root
 
 # 1 - (b/a)^2 lies in (-0.8, 0.8) exactly when b/a lies in this window
 _RATIO_LO, _RATIO_HI = math.sqrt(0.2), math.sqrt(1.8)
@@ -76,7 +76,7 @@ def sextic_means_complex(p: MeanPair) -> tuple[complex, complex]:
     eta1, eta2 = eta_pair(p)
     r1 = branch_root(eta1, 3, 0.0)
     r2 = branch_root(eta2, 3, 0.0)
-    a23 = p.a ** (2.0 / 3.0)
+    a23 = _real_root(p.a, 3, 2)
     m1 = a23 * cmath.sqrt(r1 * r1 + r1 * r2 + r2 * r2) / SQRT3
     m2 = a23 * (r1 + r2) / 2.0
     return m1, m2
@@ -196,6 +196,6 @@ def cubic_preimage_x0(p: MeanPair) -> float:
     if not p.a < p.b:
         raise DomainError("cubic preimage needs a < b")
     s = math.sqrt(p.b * p.b - p.a * p.a)
-    r1 = (p.b + s) ** (1.0 / 3.0)
-    r2 = (p.b - s) ** (1.0 / 3.0)
-    return 0.375 * ((p.a ** (2.0 / 3.0) / s) * (r1 - r2) + 2.0)
+    r1 = _real_root(p.b + s, 3)
+    r2 = _real_root(p.b - s, 3)
+    return 0.375 * ((_real_root(p.a, 3, 2) / s) * (r1 - r2) + 2.0)

@@ -108,6 +108,19 @@ def _scaled_residual(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
+def _real_root(x: float, k: int, p: int = 1) -> float:
+    """x^(p/k) for x >= 0, with no rounded exponent applied to the scale of x.
+
+    x^(1/k) would carry the rounding of 1/k times ln x, about 2e-17 ln x
+    relative.  Here the binary exponent e of x splits as k q + r, so only
+    the mantissa part m 2^r, in [1/2, 2^(k-1)), meets the rounded power and
+    the factor 2^(p q) is exact.
+    """
+    m, e = math.frexp(x)
+    q, r = divmod(e, k)
+    return math.ldexp(math.ldexp(m, r) ** (p / k), p * q)
+
+
 def beta(x: float, y: float) -> float:
     """Euler beta B(x, y) = Gamma(x) Gamma(y) / Gamma(x + y) for x, y > 0."""
     if x <= 0.0 or y <= 0.0:
@@ -167,4 +180,4 @@ def branch_root(w: complex, k: int, arg_center: float) -> complex:
             BranchBoundaryWarning,
             stacklevel=2,
         )
-    return abs(w) ** (1.0 / k) * complex(math.cos(psi), math.sin(psi))
+    return _real_root(abs(w), k) * complex(math.cos(psi), math.sin(psi))

@@ -175,7 +175,9 @@ def test_agm_rejects_nonpositive(capsys):
 
 
 def test_agm_residual_is_relative_for_large_limits(capsys):
-    code, rep, _ = run_cli(capsys, ["agm", "--variant", "sextic", "--a", "1", "--b", "1e300"])
+    # at (1, 1e300) orbit and closed form now agree exactly, so a pair whose
+    # difference is one rounding of the limit shows the absolute scale
+    code, rep, _ = run_cli(capsys, ["agm", "--variant", "sextic", "--a", "1", "--b", "2e300"])
     assert code == 0 and rep["pass"] is True
     limit = float(rep["outputs"]["limit"])
     difference = float(rep["outputs"]["difference"])
@@ -210,6 +212,18 @@ def test_curve_multiplication_flag(capsys):
     byname = {r["name"]: r for r in rep["residuals"]}
     assert byname["mul_group_equivalence"]["value"] < 1e-8
     assert byname["on_curve"]["value"] < 1e-12
+
+
+def test_curve_mul_image_next_to_t_one(capsys):
+    # the image lies 3.3e-12 from t = 1: a valid point, so a report and not a
+    # usage error; its t is only good to about 1e-5 relative, so the
+    # equivalence misses 1e-8 and the run exits 1
+    code, rep, _ = run_cli(capsys, ["curve", "--curve", "zeta", "--t", "3e5+2e5i", "--branch", "4", "--mul"])
+    assert code == 1 and rep["pass"] is False
+    assert abs(parse_complex(rep["outputs"]["mul_t"]) - 1) < 1e-11
+    byname = {r["name"]: r for r in rep["residuals"]}
+    assert byname["on_curve"]["value"] < 1e-12
+    assert 1e-8 < byname["mul_group_equivalence"]["value"] < 1e-6
 
 
 def test_curve_usage_errors(capsys):

@@ -30,7 +30,8 @@ from lemnis.curves import (
     ratio_identities_sextic,
     special_point,
 )
-from lemnis.curves import _G7_W, _K15_W, _K15_X, _curve_residual, _integrate_legs
+from lemnis import curves as curves_mod
+from lemnis.curves import _G7_W, _K15_W, _K15_X, _adaptive, _curve_residual, _integrate_legs
 from lemnis.hypergeometric import SchwarzVariant, schwarz_map
 from lemnis.numerics import (
     DomainError,
@@ -292,6 +293,105 @@ def test_roundtrip_grid_every_sheet():
                         assert abs(q.u - p.u) <= 1e-8 * abs(p.u), (curve, k, r, arg)
 
 
+_K15_MINUS_G7_W = _K15_W.copy()
+_K15_MINUS_G7_W[1::2] -= _G7_W
+
+
+def _depth_first(f, a, b, tol, depth, panels):
+    # Depth-first bisection, one integrand call per G7/K15 panel: the rule
+    # that _adaptive runs level by level.
+    half = 0.5 * (b - a)
+    fx = f(0.5 * (a + b) + half * _K15_X)
+    panels[0] += 1
+    val = half * complex(_K15_W @ fx)
+    err = abs(half * complex(_K15_MINUS_G7_W @ fx))
+    if err <= max(tol, 1e-15 * max(1.0, abs(val))):
+        return val
+    if depth <= 0:
+        raise IterationLimitError("quadrature failed to converge within max_depth")
+    mid = 0.5 * (a + b)
+    return _depth_first(f, a, mid, 0.5 * tol, depth - 1, panels) + _depth_first(
+        f, mid, b, 0.5 * tol, depth - 1, panels
+    )
+
+
+def _outcome(run):
+    try:
+        return run()
+    except IterationLimitError:
+        return IterationLimitError
+
+
+def test_level_loop_matches_depth_first_bisection(monkeypatch):
+    # every leg of the roundtrip grid, plus |t| = 1e8 and 1e10 where some
+    # legs fail, integrated both ways: same outcome, same value to roundoff,
+    # the same panels apart from acceptance ties
+    legs = []
+
+    def recorded(f, a, b, tol, depth):
+        rows = [0]
+
+        def counted(x):
+            rows[0] += x.size // 15
+            return f(x)
+
+        got = _outcome(lambda: _adaptive(counted, a, b, tol, depth))
+        ref_rows = [0]
+        want = _outcome(lambda: _depth_first(f, a, b, tol, depth, ref_rows))
+        legs.append((got, want, rows[0], ref_rows[0]))
+        if got is IterationLimitError:
+            raise IterationLimitError("quadrature failed to converge within max_depth")
+        return got
+
+    monkeypatch.setattr(curves_mod, "_adaptive", recorded)
+    with np.errstate(all="ignore"):
+        for curve in Curve:
+            for k in range(curve.root_order):
+                for r in (1e-3, 0.1, 0.9, 1.1, 10.0, 1e3, 1e6, 1e8, 1e10):
+                    for arg in (0.0, 2.0, math.pi, -1.2):
+                        try:
+                            abel_jacobi(lift_branch(curve, cmath.rect(r, arg), k))
+                        except IterationLimitError:
+                            pass
+    failed = [leg for leg in legs if leg[1] is IterationLimitError]
+    assert len(legs) > 500 and 0 < len(failed) < len(legs)
+    panels = ref_panels = 0
+    for got, want, rows, ref_rows in legs:
+        if want is IterationLimitError:
+            assert got is IterationLimitError
+            continue
+        assert got is not IterationLimitError
+        assert abs(got - want) <= 2e-15 * max(1.0, abs(want))
+        panels, ref_panels = panels + rows, ref_panels + ref_rows
+    assert abs(panels - ref_panels) <= 1e-3 * ref_panels
+
+
+def test_all_nan_integrand_raises_after_one_call():
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return np.full(x.shape, complex(math.nan, math.nan))
+
+    with pytest.raises(IterationLimitError):
+        _adaptive(f, 0.0, 1.0, 1e-12, 30)
+    assert calls == [(1, 15)]
+
+
+def test_endpoint_singularity_keeps_the_frontier_small():
+    # 1/sigma never converges next to 0; only the panels beside it stay open
+    rows = []
+
+    def f(x):
+        rows.append(x.shape[0])
+        return 1.0 / x
+
+    with pytest.raises(IterationLimitError):
+        _adaptive(f, 0.0, 1.0, 1e-12, 30)
+    assert len(rows) == 31
+    assert max(rows) <= 8
+
+
 def test_non_finite_panels_raise_without_numpy_warnings():
     cfg = QuadratureConfig()
     with warnings.catch_warnings():
@@ -468,6 +568,22 @@ def test_mul_image_stays_on_curve():
         # CurvePoint.__post_init__ re-checks the curve equation
         mul_one_plus_i(lift_branch(Curve.C_I, t, 1))
         mul_one_plus_zeta(lift_branch(Curve.C_ZETA, t, 2))
+
+
+def test_abel_jacobi_on_mul_images_next_to_t_one():
+    # (1 + zeta) maps |t| = 3.6e5 to within about 3e-12 of t = 1, where the
+    # stored t - 1 is only good to about 1e-4 relative; the sheet match
+    # widens by that rounding, and the image stays group-equivalent to
+    # (1 + zeta) z up to the error t carries
+    for j in range(12):
+        t = cmath.rect(3.6e5, -math.pi + 2 * math.pi * (j + 0.5) / 12)
+        for k in range(6):
+            p = lift_branch(Curve.C_ZETA, t, k)
+            image = mul_one_plus_zeta(p)
+            assert 1e-12 < abs(image.t - 1) < 1e-10
+            z_img = abel_jacobi(image)
+            target = _cpt(TAU_ZETA, (1 + ZETA) * abel_jacobi(p).z)
+            assert equivalent_mod_group(z_img, target, tol=1e-6).equivalent, (j, k)
 
 
 def test_mul_pushes_abel_jacobi_forward():

@@ -229,6 +229,40 @@ def test_sextic_step_for_small_a_matches_mpmath():
     assert q.b == pytest.approx(m2, rel=1e-14)
 
 
+def _sextic_step_mpmath(a, b):
+    # the sextic means at 60 digits: conjugate (or real) eta pair, principal
+    # cube roots (argument within pi/6, as eta lies in the right half-plane)
+    with mpmath.workdps(60):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        s = mpmath.sqrt(mpmath.mpc(b * b - a * a))
+        r1, r2 = mpmath.cbrt(b + s), mpmath.cbrt(b - s)
+        a23 = mpmath.cbrt(a) ** 2
+        m1 = a23 * mpmath.sqrt(r1 * r1 + r1 * r2 + r2 * r2) / mpmath.sqrt(3)
+        m2 = a23 * (r1 + r2) / 2
+        return float(mpmath.re(m1)), float(mpmath.re(m2))
+
+
+EXTREME_SEXTIC_PAIRS = [(3e200, 5e200), (2e300, 1e300), (5e-200, 2e-200), (1e-300, 3e-300)]
+
+
+def test_sextic_step_at_extreme_magnitudes_matches_mpmath():
+    # a rounded exponent such as 1/3 costs about 2e-17 ln|x| relative, 1.4e-14
+    # near 1e300; the roots are taken on the binary mantissa instead
+    for a, b in EXTREME_SEXTIC_PAIRS:
+        m1, m2 = _sextic_step_mpmath(a, b)
+        q = step_sextic(MeanPair(a, b))
+        assert abs(q.a - m1) <= 4e-16 * m1, (a, b)
+        assert abs(q.b - m2) <= 4e-16 * m2, (a, b)
+
+
+def test_sextic_orbit_and_closed_form_agree_at_extreme_magnitudes():
+    for a, b in EXTREME_SEXTIC_PAIRS:
+        p = MeanPair(a, b)
+        lim = closed_form_limit(p, SEXTIC)
+        trace = iterate_until_converged(p, SEXTIC)
+        assert abs(trace.limit - lim) <= 1e-15 * lim, (a, b)
+
+
 def test_limit_is_homogeneous():
     rng = random.Random(125)
     for _ in range(20):
