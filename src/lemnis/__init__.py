@@ -23,6 +23,7 @@ from .hypergeometric import (
     SchwarzVariant,
     euler_f1_f2,
     gauss_2f1,
+    gauss_2f1_pair,
     gauss_kummer_value,
     pochhammer,
     schwarz_map,
@@ -55,7 +56,6 @@ from .curves import (
     Curve,
     CurvePoint,
     GroupWitness,
-    QuadratureConfig,
     abel_jacobi,
     equivalent_mod_group,
     hgf_theta_roundtrip,

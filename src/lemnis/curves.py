@@ -2,11 +2,14 @@
 
 Curve C_I is u^4 = t^2 (t - 1) with lattice Z + Z i; curve C_ZETA is
 u^6 = t^3 (t - 1) with lattice Z + Z zeta, zeta = (1 + sqrt(3) i)/2.  The
-forward map integrates the normalized holomorphic 1-form along explicit
-paths from the base point t = 1; power-substitutions at the two
-ramification values keep every leg integrand analytic.  Branch bookkeeping
-is stateless: the arguments of t and t - 1 are carried in closed form along
-each leg, so repeated calls cannot drift.
+forward map is the normalized holomorphic 1-form integrated from the base
+point t = 1, in closed form: with a = 1/4 on C_I and 1/6 on C_ZETA,
+
+    z = (t - 1)^a / a * F(1/2, a; 1 + a; 1 - t) / normalization
+
+on principal branches, with F from `hypergeometric.gauss_2f1_pair`; the
+fiber points over t = 0 and t = infinity have gamma-function images.
+Branch bookkeeping is stateless: the sheet of a point is read off u.
 
 The inverse maps are ratios of theta values on the corresponding square or
 hexagonal torus, and the remaining operations (multiplication formulas,
@@ -16,27 +19,22 @@ ratio identities, group equivalence) tie the two descriptions together.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .hypergeometric import SchwarzVariant, gauss_2f1
+from .hypergeometric import GaussParams, SchwarzVariant, gauss_2f1, gauss_2f1_pair
 from .numerics import (
     DEFAULT_TOLERANCE,
     SQRT3,
     ZETA,
     DomainError,
-    IterationLimitError,
-    PathError,
     Tolerance,
     beta,
     e_of,
     gamma_real,
-    principal_arg,
-    principal_arg_array,
 )
 from .theta import (
     HALF_CHARS,
@@ -74,7 +72,7 @@ class Curve(Enum):
         # Exponent of (t - 1) in the 1-form denominator.
         return 0.75 if self is Curve.C_I else 5.0 / 6.0
 
-    @property
+    @functools.cached_property
     def normalization(self) -> complex:
         if self is Curve.C_I:
             return (1 - 1j) * beta(0.25, 0.25)
@@ -128,18 +126,6 @@ def _binary_exponent(v: complex) -> int:
     return math.frexp(max(abs(v.real), abs(v.imag)))[1]
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-12
-    max_depth: int = 30
-
-    def __post_init__(self) -> None:
-        if not 1e-15 < self.abs_tol < 1e-6:
-            raise DomainError("abs_tol must lie in (1e-15, 1e-6)")
-        if not 1 <= self.max_depth <= 40:
-            raise DomainError("max_depth must lie in [1, 40]")
-
-
 def special_point(curve: Curve, name: str) -> CurvePoint:
     """Named fiber points over t in {1, 0, infinity}.
 
@@ -173,321 +159,51 @@ def lift_branch(curve: Curve, t: complex, k: int = 0) -> CurvePoint:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive quadrature: Gauss-Kronrod G7/K15 panels with bisection.  The
-# 15 Kronrod nodes contain the 7 Gauss nodes at odd indices, so one
-# integrand call on the node array gives both estimates; the constants are
-# QUADPACK's qk15 (Piessens et al. 1983).  Integrands are elementwise numpy
-# expressions, called on an (m, 15) array of nodes, m panels at a time.
+# Abel-Jacobi map.
 
-# Non-negative halves in QUADPACK order, outermost node first, centre last.
-_XGK = np.array([
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144845693013,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-    0.0,
-])
-_WGK = np.array([
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-])
-_WG = np.array([
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-])
-_K15_X = np.concatenate([-_XGK, _XGK[-2::-1]])
-_K15_W = np.concatenate([_WGK, _WGK[-2::-1]])
-_G7_W = np.concatenate([_WG, _WG[-2::-1]])  # weights of the nodes _K15_X[1::2]
-# columns K15 and K15 - G7, so one product gives the estimate and its error;
-# the Kronecker factor applies them to the (re, im) pairs of a complex row
-_PANEL_W = np.stack([_K15_W, _K15_W], axis=1)
-_PANEL_W[1::2, 1] -= _G7_W
-_PANEL_W = np.kron(_PANEL_W, np.eye(2))
-
-
-def _adaptive(f, a: float, b: float, tol: float, depth: int) -> complex:
-    # Bisection one level at a time: the open panels of a level go through
-    # one integrand call on an (m, 15) node array, then each is accepted or
-    # split as in depth-first bisection, with tol halved per level.
-    panels = [(a, b)]
-    total = 0j
-    for level in range(depth + 1):
-        mid = np.array([0.5 * (lo + hi) for lo, hi in panels])
-        half = np.array([0.5 * (hi - lo) for lo, hi in panels])[:, None]
-        fx = np.asarray(f(mid[:, None] + half * _K15_X), dtype=complex)
-        # one real product on the (re, im) pairs, cheaper than a complex
-        # matrix product, which first casts the weights to complex
-        est = (half * (fx.view(float) @ _PANEL_W).view(complex)).tolist()
-        split = []
-        for (lo, hi), (val, diff) in zip(panels, est):
-            # halving tol at every split would eventually demand more than
-            # double precision can deliver on long legs, so floor it near
-            # machine level
-            if abs(diff) <= max(tol, 1e-15 * max(1.0, abs(val))):
-                total += val
-            elif not (cmath.isfinite(val) and cmath.isfinite(diff)):
-                # never accepted, and its halves would double the frontier
-                # at every level
-                raise IterationLimitError("quadrature met a non-finite integrand value")
-            else:
-                m = 0.5 * (lo + hi)
-                split += [(lo, m), (m, hi)]
-        if not split:
-            return total
-        if level == depth:
-            raise IterationLimitError("quadrature failed to converge within max_depth")
-        panels = split
-        tol *= 0.5
-
-
-# ---------------------------------------------------------------------------
-# Path legs.  Every leg returns its integral contribution; the caller keeps
-# the running continuous arguments (th_t, th_w) of t and t - 1.
-
-def _leg_start(curve: Curve, t1: complex, th_w: float, tol: float, depth: int) -> complex:
-    # From the base point t = 1 out to t1, |t1 - 1| <= 0.9.  The
-    # substitution t = 1 + (t1 - 1) sigma^k flattens the (t-1)-power;
-    # what survives is k * s_end / sqrt(t) with s_end a k-th root of t1 - 1
-    # on the branch fixed by th_w.  Re t >= 0.1 on the leg, so the
-    # principal square root of t is the continuous one.
-    k = curve.root_order
-    d = t1 - 1
-    s_end = cmath.exp((math.log(abs(d)) + 1j * th_w) / k)
-
-    def f(sig: np.ndarray) -> np.ndarray:
-        return 1 / np.sqrt(1 + d * sig ** k)
-
-    return k * s_end * _adaptive(f, 0.0, 1.0, tol, depth)
-
-
-def _leg_plain(
-    curve: Curve,
-    ta: complex,
-    tb: complex,
-    th_t: float,
-    th_w: float,
-    tol: float,
-    depth: int,
-) -> tuple[complex, float, float]:
-    # Straight segment clear of both ramification values.  A segment
-    # starting at ratio 1 can only cross the negative real axis by passing
-    # through 0, which path planning has excluded, so the continuous
-    # argument increment along the leg is the principal argument of the
-    # endpoint ratio.
-    wq = curve.w_exponent
-    d = tb - ta
-    wa = ta - 1
-    # t = ta zt and t - 1 = wa zw, with zt and zw starting at 1; the
-    # tracked logarithms of t and t - 1 at ta go into the constant c
-    st, sw = d / ta, d / wa
-    log_ta = complex(math.log(abs(ta)), th_t)
-    log_wa = complex(math.log(abs(wa)), th_w)
-    c = d * cmath.exp(-0.5 * log_ta - wq * log_wa)
-
-    def f(tau: np.ndarray) -> np.ndarray:
-        zt = 1 + st * tau
-        zw = 1 + sw * tau
-        re = -0.5 * np.log(np.abs(zt)) - wq * np.log(np.abs(zw))
-        im = -0.5 * principal_arg_array(zt) - wq * principal_arg_array(zw)
-        return c * np.exp(re + 1j * im)
-
-    val = _adaptive(f, 0.0, 1.0, tol, depth)
-    return (
-        val,
-        th_t + principal_arg(1 + st),
-        th_w + principal_arg(1 + sw),
+def _zero_image(curve: Curve) -> complex:
+    """Torus image of the first fiber point over t = 0: Gauss's sum for F at 1."""
+    a = 1.0 - curve.w_exponent
+    return e_of(0.5 * a) * gamma_real(1.0 + a) * math.sqrt(math.pi) / (
+        a * gamma_real(0.5 + a) * curve.normalization
     )
 
 
-def _leg_end_zero(
-    curve: Curve,
-    ta: complex,
-    th_t: float,
-    th_w: float,
-    tol: float,
-    depth: int,
-    sigma_lo: float = 0.0,
-) -> complex:
-    # Radial run-in toward t = 0 with t = ta sigma^2; the square-root
-    # singularity cancels against dt and leaves -2 v_a (t - 1)^(-wq) with
-    # v_a the tracked square root of ta.  A nonzero sigma_lo stops the run
-    # partway down the ray instead of at 0.
-    wq = curve.w_exponent
-    va = cmath.exp(complex(0.5 * math.log(abs(ta)), 0.5 * th_t))
-    wa = ta - 1
-    # t - 1 = wa zw, with zw = 1 at sigma = 1; the tracked logarithm of
-    # t - 1 at ta goes into the constant c
-    c = -2.0 * va * cmath.exp(-wq * complex(math.log(abs(wa)), th_w))
-    slope, shift = ta / wa, 1 / wa
-
-    def f(sig: np.ndarray) -> np.ndarray:
-        zw = slope * (sig * sig) - shift
-        return c * np.exp(-wq * (np.log(np.abs(zw)) + 1j * principal_arg_array(zw)))
-
-    return _adaptive(f, sigma_lo, 1.0, tol, depth)
+def _infinity_image(curve: Curve) -> complex:
+    """Torus image of the first fiber point over t = infinity: the leading 1/z term."""
+    a = 1.0 - curve.w_exponent
+    return gamma_real(1.0 + a) * gamma_real(0.5 - a) / (
+        math.sqrt(math.pi) * a * curve.normalization
+    )
 
 
-def _leg_end_infinity(curve: Curve, ta: complex, tol: float, depth: int) -> complex:
-    # Tail along the positive reals; substitute q = t^(-1/4) or t^(-1/3).
-    # Only reachable with ta real > 1, where both tracked arguments are 0.
-    if abs(ta.imag) > 1e-12 or ta.real <= 1:
-        raise PathError("infinity leg requires a real start beyond t = 1")
-    if curve is Curve.C_I:
-        qa = ta.real ** -0.25
-
-        def f(q: np.ndarray) -> np.ndarray:
-            return 4.0 * (1.0 - q ** 4) ** -0.75
-
-    else:
-        qa = ta.real ** (-1.0 / 3.0)
-
-        def f(q: np.ndarray) -> np.ndarray:
-            return 3.0 * (1.0 - q ** 3) ** (-5.0 / 6.0)
-
-    return _adaptive(f, 0.0, qa, tol, depth)
-
-
-# ---------------------------------------------------------------------------
-# Path planning.
-
-_CLEARANCE = 0.05
-
-
-def _seg_dist(a: complex, b: complex, p: complex) -> float:
-    d = b - a
-    if d == 0:
-        return abs(a - p)
-    s = ((p - a).real * d.real + (p - a).imag * d.imag) / abs(d) ** 2
-    s = min(1.0, max(0.0, s))
-    return abs(a + s * d - p)
-
-
-def _plan(t_target: complex) -> list[tuple]:
-    if abs(t_target) < 0.15:
-        # Close to the other ramification value: descend the ray through 0,
-        # where the same sigma^2 substitution as the full zero leg applies,
-        # and stop partway.  The approach waypoint sits at radius 1/2.
-        ray = 0.5 * t_target / abs(t_target)
-        return _plan(ray) + [("pend0", t_target)]
-    w = t_target - 1
-    r = abs(w)
-    if r <= 0.9:
-        # Inside the start disk |t - 1| <= 0.9 we always have |t| >= 0.1,
-        # so a single substituted leg suffices.
-        return [("start", t_target)]
-    mid = 1 + 0.9 * w / r
-    if min(_seg_dist(mid, t_target, 0), _seg_dist(mid, t_target, 1)) >= _CLEARANCE:
-        return [("start", mid), ("plain", t_target)]
-    best_score, best_w = -1.0, None
-    for j in range(24):
-        way = 1 + 0.5 * cmath.exp(2j * math.pi * j / 24)
-        score = min(_seg_dist(way, t_target, 0), _seg_dist(way, t_target, 1))
-        if score > best_score:
-            best_score, best_w = score, way
-    if best_score < _CLEARANCE:
-        raise PathError("no path with clearance 0.05 from the ramification values")
-    return [("start", best_w), ("plain", t_target)]
-
-
-def _integrate_legs(
-    curve: Curve, legs: list[tuple], cfg: QuadratureConfig
-) -> tuple[complex, float, float]:
-    tol = cfg.abs_tol / max(1, len(legs))
-    total = 0j
-    th_t, th_w = 0.0, 0.0
-    t_cur = 1 + 0j
-    # A non-finite panel is never accepted, so it ends in IterationLimitError;
-    # numpy's warnings on the way there are noise.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for leg in legs:
-            kind = leg[0]
-            if kind == "start":
-                t1 = leg[1]
-                th_w = principal_arg(t1 - 1)
-                total += _leg_start(curve, t1, th_w, tol, cfg.max_depth)
-                th_t = principal_arg(t1)
-                t_cur = t1
-            elif kind == "plain":
-                tb = leg[1]
-                val, th_t, th_w = _leg_plain(curve, t_cur, tb, th_t, th_w, tol, cfg.max_depth)
-                total += val
-                t_cur = tb
-            elif kind == "end0":
-                total += _leg_end_zero(curve, t_cur, th_t, th_w, tol, cfg.max_depth)
-                t_cur = 0j
-            elif kind == "pend0":
-                tb = leg[1]
-                sig = math.sqrt(abs(tb) / abs(t_cur))
-                total += _leg_end_zero(curve, t_cur, th_t, th_w, tol, cfg.max_depth, sig)
-                th_t += principal_arg(tb / t_cur)
-                th_w += principal_arg((tb - 1) / (t_cur - 1))
-                t_cur = tb
-            elif kind == "endinf":
-                total += _leg_end_infinity(curve, t_cur, tol, cfg.max_depth)
-            else:
-                raise PathError(f"unknown leg kind {kind!r}")
-    return total, th_t, th_w
-
-
-_SPECIAL_IMAGES: dict[tuple, complex] = {}
-
-
-def _zero_image(curve: Curve, cfg: QuadratureConfig) -> complex:
-    """Torus image of the first fiber point over t = 0, by quadrature."""
-    key = ("zero", curve, cfg.abs_tol, cfg.max_depth)
-    if key not in _SPECIAL_IMAGES:
-        total, _, _ = _integrate_legs(curve, [("start", 0.5 + 0j), ("end0",)], cfg)
-        _SPECIAL_IMAGES[key] = total / curve.normalization
-    return _SPECIAL_IMAGES[key]
-
-
-def _infinity_image(curve: Curve, cfg: QuadratureConfig) -> complex:
-    """Torus image of the first fiber point over t = infinity, by quadrature."""
-    key = ("inf", curve, cfg.abs_tol, cfg.max_depth)
-    if key not in _SPECIAL_IMAGES:
-        total, _, _ = _integrate_legs(curve, [("start", 2.0 + 0j), ("endinf",)], cfg)
-        _SPECIAL_IMAGES[key] = total / curve.normalization
-    return _SPECIAL_IMAGES[key]
-
-
-def abel_jacobi(p: CurvePoint, cfg: QuadratureConfig | None = None) -> TorusPoint:
+def abel_jacobi(p: CurvePoint) -> TorusPoint:
     """Integrate the normalized 1-form from the base point to p.
 
-    The raw integral follows the principal continuation along the planned
-    path; the sheet of the target point then multiplies the result by the
-    matching unit power, since the deck transformation scales the 1-form by
-    exactly that unit.
+    The closed form of the module docstring gives the integral on the
+    principal sheet, u = t^(1/2) (t - 1)^(1/k) on principal branches; on the
+    cut t <= 0 both signs of a zero Im t take the upper side, the convention
+    of `principal_arg`.  The sheet of the target point then multiplies the
+    result by the matching unit power, since the deck transformation scales
+    the 1-form by exactly that unit.
     """
     curve = p.curve
-    cfg = cfg or QuadratureConfig()
     mod = curve.modulus
     k = curve.root_order
     if p.at_infinity:
-        z = curve.unit ** (p.branch % k) * _infinity_image(curve, cfg)
-        return canonical_torus_point(mod, z)
+        return canonical_torus_point(mod, curve.unit ** (p.branch % k) * _infinity_image(curve))
     if abs(p.t - 1) < 1e-12:
         return canonical_torus_point(mod, 0j)
     if abs(p.t) < 1e-12:
-        z = curve.unit ** (p.branch % k) * _zero_image(curve, cfg)
-        return canonical_torus_point(mod, z)
-    legs = _plan(p.t)
-    total, th_t, th_w = _integrate_legs(curve, legs, cfg)
-    z_raw = total / curve.normalization
-    u_ref = cmath.exp(
-        complex(0.5 * math.log(abs(p.t)), 0.5 * th_t)
-        + complex(math.log(abs(p.t - 1)) / k, th_w / k)
-    )
+        return canonical_torus_point(mod, curve.unit ** (p.branch % k) * _zero_image(curve))
+    t = complex(p.t.real, p.t.imag + 0.0)  # -0.0 + 0.0 is +0.0
+    a = 1.0 - curve.w_exponent
+    w = t - 1
+    # F's argument 1 - t and its complement t, each exact; 1 - t on the cut
+    # of F, t < 0, lies on its lower side, the limit from Im t > 0
+    f = gauss_2f1_pair(GaussParams(0.5, a, 1.0 + a), complex(1.0 - t.real, -t.imag), t)
+    z_raw = w ** a / a * f / curve.normalization
+    u_ref = t ** 0.5 * w ** (1.0 / k)
     ratio = p.u / u_ref
     best_m, best_d = 0, abs(ratio - 1)
     for m in range(1, k):

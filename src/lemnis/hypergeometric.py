@@ -1,14 +1,44 @@
-"""Gauss hypergeometric series and the two Schwarz maps.
+"""Gauss hypergeometric function on the cut plane, and the two Schwarz maps.
 
-The series F(alpha, beta, gamma; z) is summed directly inside the unit
-disk.  Arguments the callers push outside the disk (limit formulas feed
-values like 1 - x' with x' in the hundreds) are brought back inside with
-the standard contiguous rewrites before summation; no continuation is
-exposed as API surface.
+F(alpha, beta; gamma; z) is evaluated on the plane cut along real z > 1
+through one route table.  Every route is a power series in a transformed
+argument:
+
+- ``direct``: the series in z;
+- ``near-one``: the connection in 1 - z (DLMF 15.8.4), two series;
+- ``1/z``: the connection in 1/z (DLMF 15.8.2), two series;
+- ``z/(z-1)``, ``1/(1-z)`` and ``1-1/z``: the same three after the Pfaff map
+  w = z/(z - 1) (DLMF 15.8.1).
+
+The route with the fewest estimated terms (its series count times the terms
+its modulus needs) is summed.  Within 0.45 of e^{+-i pi/3}, where the
+moduli of all six routes approach 1, the value is a Taylor re-expansion of
+the hypergeometric ODE about that point instead (Johansson, "Computing
+hypergeometric functions rigorously", ACM TOMS 45, 2019, sec. 5); F and F'
+there are computed once per parameter triple.  On the unit circle, where
+nothing else converges, the direct series is summed to its algebraic tail
+when gamma - alpha - beta > 0.
+
+Every transformed argument is built from the pair (z, 1 - z), never by
+subtracting from 1: `gauss_2f1_pair` takes 1 - z from a caller that knows
+it more precisely than the rounded difference, and on the cut the sign of
+a zero imaginary part of z picks the side.
+
+DomainError remains where no route converges:
+
+- real z > 1, the cut of `gauss_2f1`;
+- z = 1 when gamma - alpha - beta <= 0;
+- the logarithmic cases, where gamma - alpha - beta or alpha - beta lies
+  within 0.05 of an integer and the connection formulas that need it are
+  not used: with both, |z| >= 1 and Re z >= 1/2 outside the two balls;
+  with the first alone, the unit circle arc Re z > 1/2; with the second
+  alone, the line Re z = 1/2 (the boundary sum covers the unit circle
+  when gamma - alpha - beta > 0).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -27,6 +57,9 @@ from .numerics import (
 )
 
 _MAX_TERMS = 100_000
+_LOG_GAP = 0.05  # how far from Z a connection formula needs its exponent difference
+_BALL_RADIUS = 0.45  # of the re-expansion balls around e^{+-i pi/3}; their radius of convergence is 1
+_ANCHOR_TOL = 1e-16
 
 
 @dataclass(frozen=True)
@@ -96,62 +129,165 @@ def _series(
     raise IterationLimitError("2F1 series did not meet tolerance within the term cap")
 
 
-def _connection_near_one(
-    alpha: float, beta: float, gamma: float, z: complex, abs_tol: float
-) -> complex:
-    # Rewrite around z = 1; both sub-series see the small argument 1 - z.
-    # Requires gamma - alpha - beta away from the integers (checked by caller).
-    s = gamma - alpha - beta
-    w = 1.0 - z
-    ca = (
-        gamma_real(gamma)
-        * _gamma_signed(s)
-        / (_gamma_signed(gamma - alpha) * _gamma_signed(gamma - beta))
+def _rgamma(x: float) -> float:
+    # 1 / Gamma(x), which vanishes at the poles 0, -1, -2, ...
+    if x <= 0.0 and x == math.floor(x):
+        return 0.0
+    return 1.0 / _gamma_signed(x)
+
+
+@functools.lru_cache(maxsize=64)
+def _near_one_coeffs(a: float, b: float, c: float) -> tuple[float, float]:
+    s = c - a - b
+    g = _gamma_signed(c)
+    return (
+        g * _gamma_signed(s) * _rgamma(c - a) * _rgamma(c - b),
+        g * _gamma_signed(-s) * _rgamma(a) * _rgamma(b),
     )
-    cb = _gamma_signed(gamma) * _gamma_signed(-s) / (_gamma_signed(alpha) * _gamma_signed(beta))
-    f_a = _series(alpha, beta, alpha + beta - gamma + 1.0, w, abs_tol)
-    f_b = _series(gamma - alpha, gamma - beta, s + 1.0, w, abs_tol)
-    return ca * f_a + cb * complex(w) ** s * f_b
 
 
-def gauss_2f1(
-    p: GaussParams, z: complex, tol: Tolerance = DEFAULT_TOLERANCE, _depth: int = 0
+@functools.lru_cache(maxsize=64)
+def _inverse_coeffs(a: float, b: float, c: float) -> tuple[float, float]:
+    g = _gamma_signed(c)
+    return (
+        g * _gamma_signed(b - a) * _rgamma(b) * _rgamma(c - a),
+        g * _gamma_signed(a - b) * _rgamma(a) * _rgamma(c - b),
+    )
+
+
+def _base_route(
+    kind: int, a: float, b: float, c: float, x: complex, xc: complex, abs_tol: float
 ) -> complex:
-    """F(alpha, beta, gamma; z) by truncated series.
+    # kind 0: direct in x; 1: near-one, in xc = 1 - x; 2: in 1/x.  The
+    # powers take principal branches, so a signed zero on the cut counts.
+    if kind == 0:
+        return _series(a, b, c, x, abs_tol)
+    if kind == 1:
+        s = c - a - b
+        ca, cb = _near_one_coeffs(a, b, c)
+        return ca * _series(a, b, 1.0 - s, xc, abs_tol) + cb * xc ** s * _series(
+            c - a, c - b, s + 1.0, xc, abs_tol
+        )
+    ca, cb = _inverse_coeffs(a, b, c)
+    y = 1.0 / x
+    return ca * (-x) ** -a * _series(a, a - c + 1.0, a - b + 1.0, y, abs_tol) + cb * (
+        -x
+    ) ** -b * _series(b, b - c + 1.0, b - a + 1.0, y, abs_tol)
 
-    Inside the disk the direct sum is used, switching to the z -> 1 - z
-    rewrite when z is close to 1 so the truncation stays cheap.  Arguments
-    with Re(z) < 1/2, the unit circle included, go through the z/(z-1)
-    rewrite; the remaining circle arc falls back to the slow boundary sum.
+
+def _taylor(
+    a: float, b: float, c: float, z0: complex, f0: complex, df0: complex, h: complex, abs_tol: float
+) -> tuple[complex, complex]:
+    # F and F' at z0 + h from F and F' at the regular point z0, summing
+    # e_n = F^(n)(z0) h^n / n!; the hypergeometric ODE gives the recurrence
+    # z0 (1 - z0) (n+1)(n+2) e_{n+2}
+    #   = (n+a)(n+b) h^2 e_n - (n+1) ((1 - 2 z0) n + c - (a+b+1) z0) h e_{n+1}.
+    # The series converges for |h| below the distance rho from z0 to 0 and 1.
+    if h == 0:
+        return f0, df0
+    p0 = z0 * (1.0 - z0)
+    p1 = (1.0 - 2.0 * z0) * h
+    q0 = (c - (a + b + 1.0) * z0) * h
+    hh = h * h
+    ratio = abs(h) / min(abs(z0), abs(1.0 - z0))
+    e0, e1 = complex(f0), df0 * h
+    f, d = e0 + e1, e1
+    for n in range(_MAX_TERMS):
+        e2 = ((n + a) * (n + b) * hh * e0 - (n + 1) * (p1 * n + q0) * e1) / (p0 * ((n + 1) * (n + 2)))
+        f += e2
+        d += (n + 2) * e2
+        if (n + 2) * (abs(e1) + abs(e2)) < abs_tol * (1.0 - ratio):
+            return f, d / h
+        e0, e1 = e1, e2
+    raise IterationLimitError("2F1 re-expansion did not meet tolerance within the term cap")
+
+
+@functools.lru_cache(maxsize=64)
+def _anchor(a: float, b: float, c: float) -> tuple[complex, complex]:
+    # F and F' at e^{i pi/3}: the series at 0.6 e^{i pi/3}, then one Taylor
+    # step of ratio 2/3 (0 is at distance 0.6 from there, 1 farther).
+    z0 = 0.6 * ZETA
+    f0 = _series(a, b, c, z0, _ANCHOR_TOL)
+    df0 = a * b / c * _series(a + 1.0, b + 1.0, c + 1.0, z0, _ANCHOR_TOL)
+    return _taylor(a, b, c, z0, f0, df0, 0.4 * ZETA, _ANCHOR_TOL)
+
+
+def gauss_2f1_pair(
+    p: GaussParams, z: complex, zc: complex, tol: Tolerance = DEFAULT_TOLERANCE
+) -> complex:
+    """F(alpha, beta; gamma; z), given z and zc = 1 - z with Im zc = -Im z.
+
+    zc is taken as exact, so a caller that holds 1 - z more precisely than
+    the rounded difference keeps that precision.  On the cut, real z > 1,
+    the signed zero Im z = -0.0 gives the lower side (the limit from
+    Im z < 0) and +0.0 the upper side.  See the module docstring for the
+    routes and the DomainErrors.
     """
-    z = complex(z)
-    a, b, g = p.alpha, p.beta, p.gamma
+    z, zc = complex(z), complex(zc)
+    a, b, c = p.alpha, p.beta, p.gamma
     # Terms cost next to nothing, so sum well past the requested tolerance.
     abs_tol = min(tol.abs_tol, 1e-14)
-    if a == 0.0 or b == 0.0:
+    if a == 0.0 or b == 0.0 or z == 0:
         return 1.0 + 0.0j
-    if abs(1.0 - z) < 1e-13:
-        if g - a - b > 0.0:
+    s = c - a - b
+    ok_s = _dist_to_int(s) > _LOG_GAP
+    # within 1e-13 of z = 1 the near-one route takes over where it applies;
+    # where it does not, the value at z = 1 stands in for F
+    if zc == 0 or (abs(zc) < 1e-13 and not ok_s):
+        if s > 0.0:
             return complex(gauss_kummer_value(p))
         raise DomainError("2F1 diverges at z = 1 when gamma - alpha - beta <= 0")
-    az = abs(z)
-    if az < 1.0 - 1e-12:
-        if abs(1.0 - z) < 0.25 and _dist_to_int(g - a - b) > 0.05:
-            return _connection_near_one(a, b, g, z, abs_tol)
-        return _series(a, b, g, z, abs_tol)
-    if z.real < 0.5 - 1e-9:
-        # z/(z-1) lands strictly inside the disk whenever Re(z) < 1/2.
-        if _depth >= 3:
-            raise DomainError(f"2F1 rewrite did not reach the disk interior at {z}")
-        w = z / (z - 1.0)
-        return (1.0 - z) ** (-a) * gauss_2f1(GaussParams(a, g - b, g), w, tol, _depth + 1)
-    if az <= 1.0 + 1e-12:
-        if abs(1.0 - z) < 1.0 - 1e-9 and _dist_to_int(g - a - b) > 0.05:
-            return _connection_near_one(a, b, g, z, abs_tol)
-        if g - a - b > 0.0:
-            return _series(a, b, g, z, tol.abs_tol, g - a - b)
-        raise DomainError("2F1 series diverges on |z| = 1 for these parameters")
-    raise DomainError(f"2F1 argument outside the admitted domain: {z}")
+    # the balls stay 0.4 clear of the real axis, so Im z picks the one to test
+    upper = z.imag >= 0.0
+    centre = ZETA if upper else ZETA.conjugate()
+    if abs(z - centre) <= _BALL_RADIUS:
+        f0, df0 = _anchor(a, b, c)
+        if not upper:
+            f0, df0 = f0.conjugate(), df0.conjugate()
+        return _taylor(a, b, c, centre, f0, df0, z - centre, abs_tol)[0]
+    az, azc = abs(z), abs(zc)
+    ok_d = _dist_to_int(a - b) > _LOG_GAP
+    # (series count, modulus, usable); the last three are the first three
+    # after the Pfaff map
+    table = (
+        (1, az, True),  # direct
+        (2, azc, ok_s),  # near-one
+        (2, 1.0 / az, ok_d),  # 1/z
+        (1, az / azc, True),  # z/(z-1)
+        (2, 1.0 / azc, ok_d),  # 1/(1-z)
+        (2, azc / az, ok_s),  # 1-1/z
+    )
+    # a route whose estimate exceeds the term cap does not converge in practice
+    best, best_terms = -1, float(_MAX_TERMS)
+    for i, (count, r, usable) in enumerate(table):
+        if usable and r < 1.0:
+            terms = count * math.log(abs_tol) / math.log(r) if r > 0.0 else count
+            if terms < best_terms:
+                best, best_terms = i, terms
+    if best >= 3:
+        # Pfaff: F(a, b; c; z) = (1 - z)^(-a) F(a, c - b; c; w), w = -z / zc,
+        # 1 - w = 1 / zc, and Im w = -Im z / |zc|^2 carries the side of the cut
+        q, v = -z / zc, 1.0 / zc
+        w = complex(q.real, math.copysign(q.imag, -z.imag))
+        wc = complex(v.real, math.copysign(v.imag, z.imag))
+        return zc ** -a * _base_route(best - 3, a, c - b, c, w, wc, abs_tol)
+    if best >= 0:
+        return _base_route(best, a, b, c, z, zc, abs_tol)
+    if abs(az - 1.0) <= 1e-12 and s > 0.0:
+        return _series(a, b, c, z, tol.abs_tol, s)
+    raise DomainError(f"no 2F1 route converges at {z} for these parameters")
+
+
+def gauss_2f1(p: GaussParams, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> complex:
+    """F(alpha, beta; gamma; z) on the plane cut along real z > 1.
+
+    The route table of the module docstring picks the series; real z > 1
+    raises DomainError.
+    """
+    z = complex(z)
+    if z.imag == 0.0 and z.real > 1.0:
+        raise DomainError(f"2F1 argument {z.real} lies on the cut z > 1")
+    return gauss_2f1_pair(p, z, complex(1.0 - z.real, -z.imag), tol)
 
 
 def gauss_kummer_value(p: GaussParams) -> float:

@@ -195,7 +195,11 @@ def cubic_preimage_x0(p: MeanPair) -> float:
     """
     if not p.a < p.b:
         raise DomainError("cubic preimage needs a < b")
-    s = math.sqrt(p.b * p.b - p.a * p.a)
-    r1 = _real_root(p.b + s, 3)
-    r2 = _real_root(p.b - s, 3)
-    return 0.375 * ((_real_root(p.a, 3, 2) / s) * (r1 - r2) + 2.0)
+    # x0 depends on b/a alone, so scale both by the power of two that puts b
+    # in [1/2, 1): no square below can overflow, and s cannot underflow
+    e = math.frexp(p.b)[1]
+    a, b = math.ldexp(p.a, -e), math.ldexp(p.b, -e)
+    s = math.sqrt((b - a) * (b + a))
+    r1 = _real_root(b + s, 3)
+    r2 = _real_root(a * a / (b + s), 3)  # b - s without the cancellation
+    return 0.375 * ((_real_root(a, 3, 2) / s) * (r1 - r2) + 2.0)

@@ -2,8 +2,7 @@
 
 Real gamma and beta, the unit-circle map ``e_of`` and windowed k-th roots,
 plus the one home of sqrt(3), zeta and omega.  Everything here is a pure
-function of binary64 inputs; ``principal_arg_array`` is the one elementwise
-form, for quadrature integrands.
+function of binary64 inputs.
 """
 
 from __future__ import annotations
@@ -12,8 +11,6 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
 
 TWO_PI = 2.0 * math.pi
 SQRT3 = math.sqrt(3.0)
@@ -31,7 +28,11 @@ class IterationLimitError(RuntimeError):
 
 
 class PathError(ValueError):
-    """An integration path cannot be routed safely."""
+    """An integration path cannot be routed safely.
+
+    Nothing in the package raises it at present; it stays exported because
+    the error contract names it beside DomainError and IterationLimitError.
+    """
 
 
 class BranchBoundaryWarning(UserWarning):
@@ -141,13 +142,6 @@ def principal_arg(w: complex) -> float:
     if a <= -math.pi:
         a = math.pi  # signed-zero underside of the cut maps to +pi
     return a
-
-
-def principal_arg_array(w: np.ndarray) -> np.ndarray:
-    """Elementwise principal_arg of a complex array, same (-pi, pi] convention."""
-    # adding +0.0 turns a -0.0 imaginary part into +0.0, so the underside
-    # of the cut lands on +pi as in the scalar form
-    return np.arctan2(w.imag + 0.0, w.real)
 
 
 def branch_root(w: complex, k: int, arg_center: float) -> complex:

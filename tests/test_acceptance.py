@@ -190,7 +190,7 @@ def test_criterion_3_special_point_images():
     for curve, name, target in cases:
         zp = abel_jacobi(special_point(curve, name))
         worst = max(worst, lattice_distance(curve.modulus, zp.z, target))
-    _verdict(3, worst < 1e-8, f"four special-point images by quadrature, worst {worst:.2e} < 1e-8")
+    _verdict(3, worst < 1e-8, f"four special-point images in closed form, worst {worst:.2e} < 1e-8")
 
 
 def test_criterion_4_inverse_roundtrips():

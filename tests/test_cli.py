@@ -226,6 +226,14 @@ def test_curve_mul_image_next_to_t_one(capsys):
     assert 1e-8 < byname["mul_group_equivalence"]["value"] < 1e-6
 
 
+def test_curve_at_large_t(capsys):
+    # the quadrature once failed to converge here; argparse reads a bare
+    # "-1e9" as an option, hence the --t= form
+    for curve, t in (("i", "1e9"), ("zeta", "-1e9")):
+        code, rep, _ = run_cli(capsys, ["curve", "--curve", curve, f"--t={t}"])
+        assert code == 0 and rep["pass"] is True, rep
+
+
 def test_curve_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["curve", "--curve", "i", "--t", "0"])

@@ -8,13 +8,12 @@ import math
 import random
 import warnings
 
-import numpy as np
+import mpmath
 import pytest
 
 from lemnis.curves import (
     Curve,
     CurvePoint,
-    QuadratureConfig,
     abel_jacobi,
     equivalent_mod_group,
     hgf_theta_roundtrip,
@@ -31,16 +30,9 @@ from lemnis.curves import (
     special_point,
 )
 from lemnis import curves as curves_mod
-from lemnis.curves import _G7_W, _K15_W, _K15_X, _adaptive, _curve_residual, _integrate_legs
+from lemnis.curves import _curve_residual
 from lemnis.hypergeometric import SchwarzVariant, schwarz_map
-from lemnis.numerics import (
-    DomainError,
-    IterationLimitError,
-    PathError,
-    beta,
-    principal_arg,
-    principal_arg_array,
-)
+from lemnis.numerics import DomainError, beta
 from lemnis.theta import (
     TAU_I,
     TAU_ZETA,
@@ -140,14 +132,6 @@ def test_lift_branch_rejects_ramification():
         lift_branch(Curve.C_ZETA, 1.0)
 
 
-def test_quadrature_config_validation():
-    QuadratureConfig()
-    with pytest.raises(DomainError):
-        QuadratureConfig(abs_tol=1e-3)
-    with pytest.raises(DomainError):
-        QuadratureConfig(max_depth=0)
-
-
 # ---------------------------------------------------------------------------
 # Abel-Jacobi map.
 
@@ -211,6 +195,36 @@ def test_roundtrip_sextic():
         n += 1
 
 
+def _one_form_along(vertices: list[complex]) -> complex:
+    # mpmath.quad of the quartic 1-form s^(-1/2) (s - 1)^(-3/4) ds along the
+    # polyline from the base point 1 through the vertices.  The first leg
+    # leaves t = 1 on a ray, s = 1 + d x^4, which flattens the (s - 1)-power
+    # to 4 d^(1/4) with arg(s - 1) = arg d; after that the logarithms of s
+    # and s - 1 are carried across each straight leg as Log(s / A) and
+    # Log((s - 1) / (A - 1)), which stay continuous because a segment from
+    # ratio 1 reaches the negative axis only through 0.
+    with mpmath.workdps(20):
+        d = mpmath.mpc(vertices[0]) - 1
+        arg_w = mpmath.arg(d)
+        root = mpmath.exp((mpmath.log(abs(d)) + 1j * arg_w) / 4)
+        total = 4 * root * mpmath.quad(lambda x: (1 + d * x ** 4) ** -0.5, [0, 1])
+        a = 1 + d
+        log_t, log_w = mpmath.log(a), mpmath.log(abs(d)) + 1j * arg_w
+        for b in vertices[1:]:
+            step = mpmath.mpc(b) - a
+
+            def f(x, a=a, step=step, log_t=log_t, log_w=log_w):
+                lt = log_t + mpmath.log(1 + x * step / a)
+                lw = log_w + mpmath.log(1 + x * step / (a - 1))
+                return mpmath.exp(-0.5 * lt - 0.75 * lw) * step
+
+            total += mpmath.quad(f, [0, 1])
+            log_t += mpmath.log(1 + step / a)
+            log_w += mpmath.log(1 + step / (a - 1))
+            a = a + step
+        return complex(total)
+
+
 def test_period_normalization_by_quadrature():
     # Two homotopy classes of path from the base point to t = -2, plus a
     # third with an extra turn around t = 0.  Each pair is related by an
@@ -218,64 +232,17 @@ def test_period_normalization_by_quadrature():
     # The elementary loop gives s = i, the vertical period; composing the
     # two measured maps leaves the pure translation by the horizontal
     # period, recovering the lattice {1, i} numerically.
-    curve = Curve.C_I
-    cfg = QuadratureConfig()
-    norm = curve.normalization
-    below = [("start", 1 - 0.9j), ("plain", -2 + 0j)]
-    above = [("start", 1 + 0.9j), ("plain", -2 + 0j)]
-    extra = [
-        ("start", 1 + 0.9j),
-        ("plain", -0.6 + 0.9j),
-        ("plain", -0.6 - 0.9j),
-        ("plain", 0.6 - 0.9j),
-        ("plain", 0.6 + 0.9j),
-        ("plain", -2 + 0.9j),
-        ("plain", -2 + 0j),
-    ]
-    zd = _integrate_legs(curve, below, cfg)[0] / norm
-    zu = _integrate_legs(curve, above, cfg)[0] / norm
-    zx = _integrate_legs(curve, extra, cfg)[0] / norm
+    norm = Curve.C_I.normalization
+    zd = _one_form_along([1 - 0.9j, -2 + 0j]) / norm
+    zu = _one_form_along([1 + 0.9j, -2 + 0j]) / norm
+    zx = _one_form_along(
+        [1 + 0.9j, -0.6 + 0.9j, -0.6 - 0.9j, 0.6 - 0.9j, 0.6 + 0.9j, -2 + 0.9j, -2 + 0j]
+    ) / norm
     s1 = zu + 1j * zd
     s2 = zx - 1j * zd
     assert abs(s1 - 1j) < 1e-9
     assert abs(s2) < 1e-9
     assert abs(1j * s1 + s2 + 1) < 1e-9
-
-
-# ---------------------------------------------------------------------------
-# Gauss-Kronrod panels and the vectorised integrands.
-
-
-def test_kronrod_rule_is_exact_to_degree_22():
-    for d in range(23):
-        exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
-        assert abs(_K15_W @ _K15_X ** d - exact) < 1e-15, d
-
-
-def test_gauss_subset_is_the_7_point_legendre_rule():
-    x7, w7 = np.polynomial.legendre.leggauss(7)
-    assert np.max(np.abs(_K15_X[1::2] - x7)) < 1e-15
-    assert np.max(np.abs(_G7_W - w7)) < 1e-15
-
-
-def test_principal_arg_array_matches_scalar():
-    rng = random.Random(303)
-    pts = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(200)]
-    pts += [
-        complex(-1.0, -0.0),
-        complex(-1.0, 0.0),
-        complex(-0.0, -0.0),
-        complex(0.0, 0.0),
-        complex(0.0, -1.0),
-        complex(1.0, -0.0),
-    ]
-    got = principal_arg_array(np.array(pts))
-    want = np.array([principal_arg(w) for w in pts])
-    # numpy's arctan2 may round differently from cmath.phase in the last bit
-    assert np.max(np.abs(got - want)) < 1e-15
-    # the cut and the signed zeros land on the same side exactly
-    assert got[200:].tolist() == want[200:].tolist()
-    assert got[200] == math.pi
 
 
 def test_roundtrip_grid_every_sheet():
@@ -293,118 +260,71 @@ def test_roundtrip_grid_every_sheet():
                         assert abs(q.u - p.u) <= 1e-8 * abs(p.u), (curve, k, r, arg)
 
 
-_K15_MINUS_G7_W = _K15_W.copy()
-_K15_MINUS_G7_W[1::2] -= _G7_W
+# The images the adaptive Gauss-Kronrod quadrature gave for the first fiber
+# points over t = 0 and t = infinity, before the closed form replaced it.
+_QUADRATURE_IMAGES = {
+    (Curve.C_I, "P01"): 0.49999999999999983j,
+    (Curve.C_I, "Pinf"): 0.4999999999999999 + 0.4999999999999999j,
+    (Curve.C_ZETA, "P01"): 0.24999999999999994 + 0.43301270189221913j,
+    (Curve.C_ZETA, "Pinf1"): 0.4999999999999999 + 0.2886751345948128j,
+}
 
 
-def _depth_first(f, a, b, tol, depth, panels):
-    # Depth-first bisection, one integrand call per G7/K15 panel: the rule
-    # that _adaptive runs level by level.
-    half = 0.5 * (b - a)
-    fx = f(0.5 * (a + b) + half * _K15_X)
-    panels[0] += 1
-    val = half * complex(_K15_W @ fx)
-    err = abs(half * complex(_K15_MINUS_G7_W @ fx))
-    if err <= max(tol, 1e-15 * max(1.0, abs(val))):
-        return val
-    if depth <= 0:
-        raise IterationLimitError("quadrature failed to converge within max_depth")
-    mid = 0.5 * (a + b)
-    return _depth_first(f, a, mid, 0.5 * tol, depth - 1, panels) + _depth_first(
-        f, mid, b, 0.5 * tol, depth - 1, panels
-    )
+def test_special_images_keep_the_quadrature_values():
+    for (curve, name), z in _QUADRATURE_IMAGES.items():
+        got = abel_jacobi(special_point(curve, name)).z
+        assert lattice_distance(curve.modulus, got, z) <= 1e-15, (curve, name)
 
 
-def _outcome(run):
-    try:
-        return run()
-    except IterationLimitError:
-        return IterationLimitError
-
-
-def test_level_loop_matches_depth_first_bisection(monkeypatch):
-    # every leg of the roundtrip grid, plus |t| = 1e8 and 1e10 where some
-    # legs fail, integrated both ways: same outcome, same value to roundoff,
-    # the same panels apart from acceptance ties
-    legs = []
-
-    def recorded(f, a, b, tol, depth):
-        rows = [0]
-
-        def counted(x):
-            rows[0] += x.size // 15
-            return f(x)
-
-        got = _outcome(lambda: _adaptive(counted, a, b, tol, depth))
-        ref_rows = [0]
-        want = _outcome(lambda: _depth_first(f, a, b, tol, depth, ref_rows))
-        legs.append((got, want, rows[0], ref_rows[0]))
-        if got is IterationLimitError:
-            raise IterationLimitError("quadrature failed to converge within max_depth")
-        return got
-
-    monkeypatch.setattr(curves_mod, "_adaptive", recorded)
-    with np.errstate(all="ignore"):
-        for curve in Curve:
+def _assert_roundtrips(ts):
+    for curve, inverse in ((Curve.C_I, inverse_quartic), (Curve.C_ZETA, inverse_sextic)):
+        for t in ts:
             for k in range(curve.root_order):
-                for r in (1e-3, 0.1, 0.9, 1.1, 10.0, 1e3, 1e6, 1e8, 1e10):
-                    for arg in (0.0, 2.0, math.pi, -1.2):
-                        try:
-                            abel_jacobi(lift_branch(curve, cmath.rect(r, arg), k))
-                        except IterationLimitError:
-                            pass
-    failed = [leg for leg in legs if leg[1] is IterationLimitError]
-    assert len(legs) > 500 and 0 < len(failed) < len(legs)
-    panels = ref_panels = 0
-    for got, want, rows, ref_rows in legs:
-        if want is IterationLimitError:
-            assert got is IterationLimitError
-            continue
-        assert got is not IterationLimitError
-        assert abs(got - want) <= 2e-15 * max(1.0, abs(want))
-        panels, ref_panels = panels + rows, ref_panels + ref_rows
-    assert abs(panels - ref_panels) <= 1e-3 * ref_panels
+                p = lift_branch(curve, t, k)
+                q = inverse(abel_jacobi(p))
+                assert abs(q.t - p.t) <= 1e-8 * abs(p.t), (curve, t, k)
+                assert abs(q.u - p.u) <= 1e-8 * abs(p.u), (curve, t, k)
 
 
-def test_all_nan_integrand_raises_after_one_call():
-    calls = []
-
-    def f(x):
-        calls.append(x.shape)
-        return np.full(x.shape, complex(math.nan, math.nan))
-
-    with pytest.raises(IterationLimitError):
-        _adaptive(f, 0.0, 1.0, 1e-12, 30)
-    assert calls == [(1, 15)]
+def test_roundtrip_on_both_sides_of_the_cuts():
+    # t = +-x +- 0.0 puts t on the cut of t^(1/2) (x < 0 side) or of
+    # (t - 1)^(1/k) (0 < t < 1); the two signed zeros lift to different
+    # sheets, and each must come back as it went in
+    xs = [10.0 ** e for e in (-12, -9, -6, -3, -0.5, 0.5, 3, 6, 9, 12)]
+    _assert_roundtrips([complex(sx * x, sy * 0.0) for x in xs for sx in (1, -1) for sy in (1, -1)])
+    _assert_roundtrips([complex(1 + x, sy * 0.0) for x in xs for sy in (1, -1)])
 
 
-def test_endpoint_singularity_keeps_the_frontier_small():
-    # 1/sigma never converges next to 0; only the panels beside it stay open
-    rows = []
-
-    def f(x):
-        rows.append(x.shape[0])
-        return 1.0 / x
-
-    with pytest.raises(IterationLimitError):
-        _adaptive(f, 0.0, 1.0, 1e-12, 30)
-    assert len(rows) == 31
-    assert max(rows) <= 8
+def test_roundtrip_next_to_the_reexpansion_points():
+    # t = e^{+-i pi/3} is where 1 - t sits at e^{-+i pi/3}, inside the 2F1
+    # re-expansion balls
+    ts = [
+        cmath.exp(s * 1j * math.pi / 3) + cmath.rect(r, phi)
+        for s in (1, -1)
+        for r in (0.0, 0.1, 0.3)
+        for phi in (0.0, 1.6, 3.2, 4.8)
+    ]
+    _assert_roundtrips(ts)
 
 
-def test_non_finite_panels_raise_without_numpy_warnings():
-    cfg = QuadratureConfig()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        # a leg through t = 0 puts a node on log 0; a NaN endpoint makes
-        # every node NaN.  Neither panel is ever accepted.
-        through_zero = [("start", 0.5 + 0j), ("plain", -0.5 + 0j)]
-        for legs in (through_zero, [("start", complex(math.nan, 0))]):
-            with pytest.raises(IterationLimitError):
-                _integrate_legs(Curve.C_I, legs, cfg)
-        for t in (complex(math.nan, 0), complex(math.inf, 0)):
-            with pytest.raises((DomainError, IterationLimitError, PathError)):
-                abel_jacobi(CurvePoint(Curve.C_I, t, t))
+def test_roundtrip_at_large_t():
+    _assert_roundtrips([1e6, 1e9, 1e12, -1e9, 1e12j])
+
+
+def test_abel_jacobi_matches_the_mpmath_closed_form_at_huge_t():
+    # Past |t| ~ 1e24 the theta inverse puts the image at infinity in
+    # binary64, so compare with (t - 1)^a / a F(1/2, a; 1 + a; 1 - t) / norm
+    # directly.  mpmath takes F on the cut t < 0 from a point just above it.
+    for curve in Curve:
+        a = 1 - curve.w_exponent
+        for t in (1e100, 1e300, -1e300, 1e300j):
+            with mpmath.workdps(30):
+                tm = mpmath.mpc(t) + (1j * abs(t) * mpmath.mpf(10) ** -25 if t.real < 0 else 0)
+                ref = (tm - 1) ** a / a * mpmath.hyp2f1(0.5, a, 1 + a, 1 - tm) / curve.normalization
+                ref = complex(ref)
+            for k in range(curve.root_order):
+                got = abel_jacobi(lift_branch(curve, t, k)).z
+                assert lattice_distance(curve.modulus, got, curve.unit ** k * ref) <= 1e-14, (curve, t, k)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from lemnis import (
     beta,
     gamma_real,
     gauss_2f1,
+    gauss_2f1_pair,
     gauss_kummer_value,
     euler_f1_f2,
     pochhammer,
@@ -60,9 +61,10 @@ def test_log_closed_form():
 
 
 def test_binomial_closed_form():
-    # F(a, b; b; z) = (1 - z)^(-a) regardless of b
+    # F(a, b; b; z) = (1 - z)^(-a) regardless of b; off the disk a
+    # connection coefficient has 1 / Gamma(0) = 0
     p = GaussParams(0.75, 1.5, 1.5)
-    for z in (0.4, -0.3, 0.1 + 0.2j):
+    for z in (0.4, -0.3, 0.1 + 0.2j, -2 + 1j, 3 + 1j):
         assert gauss_2f1(p, z) == pytest.approx((1 - z) ** -0.75, rel=1e-13)
 
 
@@ -86,7 +88,7 @@ def test_against_mpmath_inside_disk():
 
 def test_against_mpmath_near_one_and_negative_axis():
     p = QP
-    for z in (0.95, 0.99, 0.99 + 0.1j, -2.0, -40.0, -675.0, -1.0):
+    for z in (0.95, 0.99, 0.99 + 0.1j, 1 - 5e-14, -2.0, -40.0, -675.0, -1.0):
         assert gauss_2f1(p, z) == pytest.approx(mp_2f1(p, z), rel=1e-12)
 
 
@@ -112,17 +114,82 @@ def test_boundary_value_requires_convergence():
 
 
 def test_rejects_outside_closed_disk():
+    # real z > 1 is the cut; 0.8 + 0.9i, once outside the admitted domain,
+    # is reached by the 1/z route now
     with pytest.raises(DomainError):
         gauss_2f1(QP, 1.5)
-    with pytest.raises(DomainError):
-        gauss_2f1(QP, complex(0.8, 0.9))
+    z = complex(0.8, 0.9)
+    assert abs(gauss_2f1(QP, z) - mp_2f1(QP, z)) <= 1e-12 * max(1.0, abs(mp_2f1(QP, z)))
 
 
 def test_rejects_divergent_circle_point():
-    # on the unit circle the sum needs gamma - alpha - beta > 0, which
-    # fails for the logarithmic parameters
+    # the series diverges on the unit circle for the logarithmic parameters
+    # (1, 1, 2), but 0.6 + 0.8i lies in the re-expansion ball around e^{i pi/3}
+    p = GaussParams(1.0, 1.0, 2.0)
+    z = complex(0.6, 0.8)
+    assert abs(gauss_2f1(p, z) - mp_2f1(p, z)) <= 1e-12 * max(1.0, abs(mp_2f1(p, z)))
+
+
+# the six parameter families of the benchmark's series workload
+FAMILIES = (
+    (0.25, 0.5, 1.25),
+    (1.0 / 6.0, 0.5, 7.0 / 6.0),
+    (0.3, 0.2, 0.7),
+    (0.5, 0.5, 1.0),  # gamma - alpha - beta = alpha - beta = 0: logarithmic
+    (1.5, 0.7, 2.9),
+    (-0.3, 0.55, 1.35),
+)
+
+
+def _grid() -> list[complex]:
+    # angles avoid the cut, real z > 1
+    ring = [cmath.exp(2j * math.pi * (k + 0.5) / 16) for k in range(16)]
+    pts = [r * e for r in (0.3, 0.7, 0.95, 0.999, 1.0) for e in ring]
+    pts += [r * e for r in (1.001, 1.5, 4.0, 1e3, 1e8, 1e100, 1e300) for e in ring]
+    for centre in (cmath.exp(1j * math.pi / 3), cmath.exp(-1j * math.pi / 3)):
+        pts += [centre + cmath.rect(r, 0.3 + k * math.pi / 4) for r in (0.0, 0.2, 0.44) for k in range(8)]
+    return pts
+
+
+def test_route_table_matches_mpmath_on_the_cut_plane():
+    # every route, the re-expansion balls and |z| up to 1e300; only the
+    # logarithmic family may raise, and only off the disk
+    raised = 0
+    for params in FAMILIES:
+        p = GaussParams(*params)
+        for z in _grid():
+            ref = complex(mpmath.hyp2f1(*params, z))
+            try:
+                got = gauss_2f1(p, z)
+            except DomainError:
+                assert params == (0.5, 0.5, 1.0) and abs(z) >= 1.0 - 1e-12, (params, z)
+                raised += 1
+                continue
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (params, z)
+    assert raised < 100
+
+
+def test_pair_takes_the_side_of_the_cut_from_the_signed_zero():
+    # z on the cut: Im z = -0.0 (with Im(1 - z) = +0.0) is the limit from
+    # below, +0.0 the limit from above.  z = 3 takes the 1/z route, z = 1.5
+    # the 1 - 1/z route, whose Pfaff argument w = 3 sits on the cut as well.
+    for params in FAMILIES[:3]:
+        p = GaussParams(*params)
+        for x in (3.0, 1.5):
+            below = complex(mpmath.hyp2f1(*params, mpmath.mpc(x, -1e-30)))
+            above = complex(mpmath.hyp2f1(*params, mpmath.mpc(x, 1e-30)))
+            assert abs(below - above) > 0.1
+            got_below = gauss_2f1_pair(p, complex(x, -0.0), complex(1 - x, 0.0))
+            got_above = gauss_2f1_pair(p, complex(x, 0.0), complex(1 - x, -0.0))
+            assert abs(got_below - below) <= 1e-12 * abs(below), (params, x)
+            assert abs(got_above - above) <= 1e-12 * abs(above), (params, x)
+
+
+def test_domain_errors_that_remain():
     with pytest.raises(DomainError):
-        gauss_2f1(GaussParams(1.0, 1.0, 2.0), complex(0.6, 0.8))
+        gauss_2f1(QP, 1.5)
+    with pytest.raises(DomainError):
+        gauss_2f1(GaussParams(0.5, 0.5, 1.0), complex(2.0, 0.5))
 
 
 def test_unit_circle_points():

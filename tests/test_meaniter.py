@@ -298,6 +298,20 @@ def test_cubic_preimage_value_and_identity():
         assert image == pytest.approx((b / a) ** 2, rel=1e-11)
 
 
+def test_cubic_preimage_at_extreme_magnitudes():
+    # b * b under- or overflowed here before the pair was scaled
+    def reference(a, b):
+        with mpmath.workdps(450):
+            a, b = mpmath.mpf(a), mpmath.mpf(b)
+            s = mpmath.sqrt(b * b - a * a)
+            return float(0.375 * (a ** (mpmath.mpf(2) / 3) / s * (mpmath.cbrt(b + s) - mpmath.cbrt(b - s)) + 2))
+
+    for a, b in ((1e-300, 1e-200), (1.0, 1e200), (1.0, 1e5), (3e-250, 5e-250), (3e250, 5e250)):
+        x0 = cubic_preimage_x0(MeanPair(a, b))
+        assert math.isfinite(x0)
+        assert abs(x0 - reference(a, b)) <= 1e-14 * reference(a, b), (a, b)
+
+
 def test_cubic_preimage_requires_ordered_pair():
     with pytest.raises(DomainError):
         cubic_preimage_x0(MeanPair(5.0, 3.0))
