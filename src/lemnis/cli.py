@@ -3,8 +3,8 @@
 Every subcommand writes one JSON report to stdout and, when stderr is a
 terminal, a short human-readable summary to stderr.  Exit status: 0 when all
 reported residuals are within tolerance, 1 on a numerical failure, 2 on a
-usage error.  The environment variable LEMNIS_TOL overrides the default
-pass tolerance.
+usage error.  `--tol` sets the pass tolerance.  A value that starts with a
+minus sign needs no `=`: `--t -1e9` and `--z -0.3+0.1i` read as values.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import argparse
 import cmath
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -126,19 +125,6 @@ def format_rational(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _env_tol() -> float:
-    raw = os.environ.get("LEMNIS_TOL")
-    if raw is None:
-        return _DEFAULT_TOL
-    try:
-        val = float(raw)
-    except ValueError as exc:
-        raise DomainError(f"LEMNIS_TOL={raw!r} is not a number") from exc
-    if not 0.0 < val < 1.0:
-        raise DomainError("LEMNIS_TOL must lie in (0, 1)")
-    return val
-
-
 def _tol_arg(text: str) -> float:
     val = float(text)
     if not 0.0 < val < math.inf:
@@ -182,7 +168,7 @@ def _finish(command: str, inputs: dict, outputs: dict, residuals: list, seed: in
 
 def _cmd_theta(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     started = time.perf_counter()
-    tol = args.tol if args.tol is not None else _env_tol()
+    tol = args.tol
     try:
         a = Fraction(args.a)
         b = Fraction(args.b)
@@ -223,13 +209,9 @@ def _cmd_theta(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 def _cmd_agm(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     started = time.perf_counter()
     variant = SchwarzVariant.QUARTIC if args.variant == "quartic" else SchwarzVariant.SEXTIC
-    default_tol = 1e-11 if variant is SchwarzVariant.QUARTIC else 1e-10
-    if args.tol is not None:
-        tol = args.tol
-    elif os.environ.get("LEMNIS_TOL") is not None:
-        tol = _env_tol()
-    else:
-        tol = default_tol
+    tol = args.tol
+    if tol is None:
+        tol = 1e-11 if variant is SchwarzVariant.QUARTIC else 1e-10
     try:
         pair = MeanPair(args.a, args.b)
     except DomainError as exc:
@@ -255,7 +237,7 @@ def _cmd_agm(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 def _cmd_curve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     started = time.perf_counter()
-    tol = args.tol if args.tol is not None else _env_tol()
+    tol = args.tol
     curve = Curve.C_I if args.curve == "i" else Curve.C_ZETA
     try:
         if args.point is not None:
@@ -568,7 +550,7 @@ _SUITES = {
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     started = time.perf_counter()
-    tol = args.tol if args.tol is not None else _env_tol()
+    tol = args.tol
     if not 1 <= args.samples <= 10000:
         parser.error("--samples must lie in [1, 10000]")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
@@ -602,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_theta.add_argument(
         "--tau", required=True, help="modulus: 'i', 'zeta', or a complex re+imi (generic)"
     )
-    p_theta.add_argument("--tol", type=_tol_arg, default=None)
+    p_theta.add_argument("--tol", type=_tol_arg, default=_DEFAULT_TOL)
     p_theta.set_defaults(func=_cmd_theta)
 
     p_verify = sub.add_parser("verify", help="run seeded identity sweeps")
@@ -612,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(_SUITES) + ["all"],
     )
     p_verify.add_argument("--samples", type=int, default=50)
-    p_verify.add_argument("--tol", type=_tol_arg, default=None)
+    p_verify.add_argument("--tol", type=_tol_arg, default=_DEFAULT_TOL)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=_cmd_verify)
 
@@ -629,14 +611,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--branch", type=int, default=0)
     p_curve.add_argument("--point", default=None, help="named special point, e.g. P1, P01, Pinf1")
     p_curve.add_argument("--mul", action="store_true", help="also apply the unit multiplication map")
-    p_curve.add_argument("--tol", type=_tol_arg, default=None)
+    p_curve.add_argument("--tol", type=_tol_arg, default=_DEFAULT_TOL)
     p_curve.set_defaults(func=_cmd_curve)
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    # argparse takes "-1e9", "-1-2i" or "-1/2" after an option for another
+    # option, since only plain decimals read as negative numbers; joined as
+    # "--t=-1e9" it is a value.  Every lemnis option is long, so a word with
+    # one leading "-", other than "-h", is always meant as a value.
+    out: list[str] = []
+    for word in argv:
+        value_like = word[:1] == "-" and word[1:2] != "-" and word != "-h"
+        if value_like and out and out[-1].startswith("--") and "=" not in out[-1]:
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args, parser)
     except (DomainError, PathError) as exc:

@@ -26,16 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .hypergeometric import GaussParams, SchwarzVariant, gauss_2f1, gauss_2f1_pair
-from .numerics import (
-    DEFAULT_TOLERANCE,
-    SQRT3,
-    ZETA,
-    DomainError,
-    Tolerance,
-    beta,
-    e_of,
-    gamma_real,
-)
+from .numerics import SQRT3, ZETA, DomainError, beta, e_of, gamma_real
 from .theta import (
     HALF_CHARS,
     Modulus,
@@ -226,40 +217,48 @@ _POLE_ZETA_1 = (ZETA + 1) / 3
 _POLE_ZETA_2 = 2 * (ZETA + 1) / 3
 
 
-def inverse_quartic_t_routes(zp: TorusPoint, tol: Tolerance | None = None) -> tuple[complex, complex]:
+def inverse_quartic_t_routes(zp: TorusPoint) -> tuple[complex, complex]:
     """Both displayed t-expressions; they agree up to roundoff."""
-    tol = tol or DEFAULT_TOLERANCE
-    th00, th01, th10, th11 = _theta_four(zp.z, TAU_I, tol)
+    th00, th01, th10, th11 = _theta_four(zp.z, TAU_I)
     t_prod = 2 * th01 ** 2 * th10 ** 2 / th00 ** 4
     t_quot = 1 - th11 ** 4 / th00 ** 4
     return t_prod, t_quot
 
 
-def inverse_quartic(zp: TorusPoint, tol: Tolerance | None = None) -> CurvePoint:
+def inverse_quartic(zp: TorusPoint) -> CurvePoint:
     """Theta-quotient inverse of the quartic Abel-Jacobi map."""
-    tol = tol or DEFAULT_TOLERANCE
+    return _quartic_with_thetas(zp)[0]
+
+
+def inverse_sextic(zp: TorusPoint) -> CurvePoint:
+    """Theta-quotient inverse of the sextic Abel-Jacobi map."""
+    return _sextic_with_thetas(zp)[0]
+
+
+# The inverses with the four half-characteristic thetas at z that they are
+# built from, None over t = infinity; the ratio identities reuse the thetas.
+
+def _quartic_with_thetas(zp: TorusPoint) -> tuple[CurvePoint, tuple | None]:
     _require_modulus(zp, TAU_I)
     if lattice_distance(TAU_I, zp.z, _POLE_I) < 1e-9:
-        return CurvePoint(Curve.C_I, 0.0, 0.0, at_infinity=True)
-    th00, th01, th10, th11 = _theta_four(zp.z, TAU_I, tol)
+        return CurvePoint(Curve.C_I, 0.0, 0.0, at_infinity=True), None
+    th = th00, th01, th10, th11 = _theta_four(zp.z, TAU_I)
     t = 2 * th01 ** 2 * th10 ** 2 / th00 ** 4
     u = -(1 - 1j) * th01 * th10 * th11 / th00 ** 3
-    return CurvePoint(Curve.C_I, t, u)
+    return CurvePoint(Curve.C_I, t, u), th
 
 
-def inverse_sextic(zp: TorusPoint, tol: Tolerance | None = None) -> CurvePoint:
-    """Theta-quotient inverse of the sextic Abel-Jacobi map."""
-    tol = tol or DEFAULT_TOLERANCE
+def _sextic_with_thetas(zp: TorusPoint) -> tuple[CurvePoint, tuple | None]:
     _require_modulus(zp, TAU_ZETA)
     if lattice_distance(TAU_ZETA, zp.z, _POLE_ZETA_1) < 1e-9:
-        return CurvePoint(Curve.C_ZETA, 0.0, 0.0, at_infinity=True, branch=0)
+        return CurvePoint(Curve.C_ZETA, 0.0, 0.0, at_infinity=True, branch=0), None
     if lattice_distance(TAU_ZETA, zp.z, _POLE_ZETA_2) < 1e-9:
-        return CurvePoint(Curve.C_ZETA, 0.0, 0.0, at_infinity=True, branch=1)
-    th00, th01, th10, th11 = _theta_four(zp.z, TAU_ZETA, tol)
+        return CurvePoint(Curve.C_ZETA, 0.0, 0.0, at_infinity=True, branch=1), None
+    th = th00, th01, th10, th11 = _theta_four(zp.z, TAU_ZETA)
     den = SQRT3 * 1j * th00 ** 2 - th11 ** 2
     t = -3 * SQRT3 * 1j * th00 ** 2 * th01 ** 2 * th10 ** 2 / den ** 3
     u = e_of(-0.125) * 27 ** 0.25 * th00 * th01 * th10 * th11 / den ** 2
-    return CurvePoint(Curve.C_ZETA, t, u)
+    return CurvePoint(Curve.C_ZETA, t, u), th
 
 
 def _require_modulus(zp: TorusPoint, mod: Modulus) -> None:
@@ -270,18 +269,16 @@ def _require_modulus(zp: TorusPoint, mod: Modulus) -> None:
 # ---------------------------------------------------------------------------
 # Ratio identities.
 
-def ratio_identities_quartic(zp: TorusPoint, tol: Tolerance | None = None) -> list[IdentityPair]:
+def ratio_identities_quartic(zp: TorusPoint) -> list[IdentityPair]:
     """The three square-torus identities for r = i u^2 / t.
 
     Where t vanishes (one of the even thetas has a zero) r is replaced by
     its documented limit -1 or +1; at z = i/2 that limit is -1.
     """
-    tol = tol or DEFAULT_TOLERANCE
-    _require_modulus(zp, TAU_I)
-    p = inverse_quartic(zp, tol)
+    p, th = _quartic_with_thetas(zp)
     if p.at_infinity:
         raise DomainError("ratio identities blow up over t = infinity")
-    th00, th01, th10, th11 = _theta_four(zp.z, TAU_I, tol)
+    th00, th01, th10, th11 = th
     scale = max(abs(th00), abs(th01), abs(th10), abs(th11))
     if abs(th01) < 1e-8 * scale:
         r = complex(-1.0)
@@ -297,7 +294,7 @@ def ratio_identities_quartic(zp: TorusPoint, tol: Tolerance | None = None) -> li
     ]
 
 
-def ratio_identities_sextic(zp: TorusPoint, tol: Tolerance | None = None) -> list[IdentityPair]:
+def ratio_identities_sextic(zp: TorusPoint) -> list[IdentityPair]:
     """Hexagonal-torus identities for r = t / u^2 plus the cubed-root product.
 
     At theta zeros other than the base point the documented limits are
@@ -305,12 +302,10 @@ def ratio_identities_sextic(zp: TorusPoint, tol: Tolerance | None = None) -> lis
     The last pair is the internal consistency of the three linear factors
     with 1 + 1/(t - 1).
     """
-    tol = tol or DEFAULT_TOLERANCE
-    _require_modulus(zp, TAU_ZETA)
-    p = inverse_sextic(zp, tol)
+    p, th = _sextic_with_thetas(zp)
     if p.at_infinity:
         raise DomainError("ratio identities blow up over t = infinity")
-    th00, th01, th10, th11 = _theta_four(zp.z, TAU_ZETA, tol)
+    th00, th01, th10, th11 = th
     scale = max(abs(th00), abs(th01), abs(th10), abs(th11))
     if abs(th11) < 1e-8 * scale:
         raise DomainError("identities degenerate at the base point z = 0")
@@ -410,17 +405,16 @@ def equivalent_mod_group(zp1: TorusPoint, zp2: TorusPoint, tol: float = 1e-8) ->
     return GroupWitness(False, None, None, best[0])
 
 
-def one_form_constant_routes(curve: Curve, tol: Tolerance | None = None) -> tuple[complex, complex]:
+def one_form_constant_routes(curve: Curve) -> tuple[complex, complex]:
     """The pullback constant of the 1-form, via theta and via beta."""
-    tol = tol or DEFAULT_TOLERANCE
-    th = theta(HALF_CHARS[0], 0j, curve.modulus, tol)
+    th = theta(HALF_CHARS[0], 0j, curve.modulus)
     if curve is Curve.C_I:
         return 2 * (1 - 1j) * math.pi * th ** 2, curve.normalization
     return e_of(-0.125) * 2 * math.pi * 27 ** 0.25 * th ** 2, curve.normalization
 
 
-def one_form_constant(curve: Curve, tol: Tolerance | None = None) -> complex:
-    via_theta, via_beta = one_form_constant_routes(curve, tol)
+def one_form_constant(curve: Curve) -> complex:
+    via_theta, via_beta = one_form_constant_routes(curve)
     if abs(via_theta - via_beta) > 1e-9 * abs(via_beta):
         raise DomainError("1-form constant routes disagree; theta evaluation suspect")
     return via_theta
@@ -429,7 +423,7 @@ def one_form_constant(curve: Curve, tol: Tolerance | None = None) -> complex:
 # ---------------------------------------------------------------------------
 # Round trip between the hypergeometric series and the theta quotients.
 
-def hgf_theta_roundtrip(z: complex, curve: Curve, tol: Tolerance | None = None) -> float:
+def hgf_theta_roundtrip(z: complex, curve: Curve) -> float:
     """|LHS(z) - z| for the closed inversion formula near the origin.
 
     Quartic: a theta-quotient prefactor times F(1/4, 1/2, 5/4; .) recovers
@@ -437,17 +431,16 @@ def hgf_theta_roundtrip(z: complex, curve: Curve, tol: Tolerance | None = None) 
     by the anchor value zeta at z = zeta/2, equivalently by matching the
     leading linear behavior at the origin.
     """
-    tol = tol or DEFAULT_TOLERANCE
     z = complex(z)
     if abs(z) >= 0.3:
         raise DomainError("round trip is stated for |z| < 0.3")
     if z == 0:
         return 0.0
-    th00 = theta(HALF_CHARS[0], z, curve.modulus, tol)
-    th11 = theta(HALF_CHARS[3], z, curve.modulus, tol)
+    th00 = theta(HALF_CHARS[0], z, curve.modulus)
+    th11 = theta(HALF_CHARS[3], z, curve.modulus)
     if curve is Curve.C_I:
         ratio = th11 / th00
-        f = gauss_2f1(SchwarzVariant.QUARTIC.series_params, ratio ** 4, tol)
+        f = gauss_2f1(SchwarzVariant.QUARTIC.series_params, ratio ** 4)
         lhs = -2 * math.sqrt(2 * math.pi) / gamma_real(0.25) ** 2 * ratio * f
         return abs(lhs - z)
     w = 1 - SQRT3 * 1j * th00 ** 2 / th11 ** 2
@@ -455,6 +448,6 @@ def hgf_theta_roundtrip(z: complex, curve: Curve, tol: Tolerance | None = None) 
     root = cmath.sqrt(w)
     if (z * root * pref.conjugate()).real < 0:
         root = -root
-    f = gauss_2f1(SchwarzVariant.SEXTIC.series_params, 1 / w ** 3, tol)
+    f = gauss_2f1(SchwarzVariant.SEXTIC.series_params, 1 / w ** 3)
     lhs = pref / root * f
     return abs(lhs - z)

@@ -44,12 +44,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .numerics import (
-    DEFAULT_TOLERANCE,
     SQRT3,
     ZETA,
     DomainError,
     IterationLimitError,
-    Tolerance,
     _dist_to_int,
     _gamma_signed,
     beta as beta_fn,
@@ -57,6 +55,11 @@ from .numerics import (
 )
 
 _MAX_TERMS = 100_000
+# Terms cost next to nothing, so every route sums to well below the 1e-10 the
+# package reports against; the boundary sum, whose tail decays only
+# algebraically, stops at 1e-10.
+_ABS_TOL = 1e-14
+_BOUNDARY_TOL = 1e-10
 _LOG_GAP = 0.05  # how far from Z a connection formula needs its exponent difference
 _BALL_RADIUS = 0.45  # of the re-expansion balls around e^{+-i pi/3}; their radius of convergence is 1
 _ANCHOR_TOL = 1e-16
@@ -155,24 +158,22 @@ def _inverse_coeffs(a: float, b: float, c: float) -> tuple[float, float]:
     )
 
 
-def _base_route(
-    kind: int, a: float, b: float, c: float, x: complex, xc: complex, abs_tol: float
-) -> complex:
+def _base_route(kind: int, a: float, b: float, c: float, x: complex, xc: complex) -> complex:
     # kind 0: direct in x; 1: near-one, in xc = 1 - x; 2: in 1/x.  The
     # powers take principal branches, so a signed zero on the cut counts.
     if kind == 0:
-        return _series(a, b, c, x, abs_tol)
+        return _series(a, b, c, x, _ABS_TOL)
     if kind == 1:
         s = c - a - b
         ca, cb = _near_one_coeffs(a, b, c)
-        return ca * _series(a, b, 1.0 - s, xc, abs_tol) + cb * xc ** s * _series(
-            c - a, c - b, s + 1.0, xc, abs_tol
+        return ca * _series(a, b, 1.0 - s, xc, _ABS_TOL) + cb * xc ** s * _series(
+            c - a, c - b, s + 1.0, xc, _ABS_TOL
         )
     ca, cb = _inverse_coeffs(a, b, c)
     y = 1.0 / x
-    return ca * (-x) ** -a * _series(a, a - c + 1.0, a - b + 1.0, y, abs_tol) + cb * (
+    return ca * (-x) ** -a * _series(a, a - c + 1.0, a - b + 1.0, y, _ABS_TOL) + cb * (
         -x
-    ) ** -b * _series(b, b - c + 1.0, b - a + 1.0, y, abs_tol)
+    ) ** -b * _series(b, b - c + 1.0, b - a + 1.0, y, _ABS_TOL)
 
 
 def _taylor(
@@ -212,9 +213,7 @@ def _anchor(a: float, b: float, c: float) -> tuple[complex, complex]:
     return _taylor(a, b, c, z0, f0, df0, 0.4 * ZETA, _ANCHOR_TOL)
 
 
-def gauss_2f1_pair(
-    p: GaussParams, z: complex, zc: complex, tol: Tolerance = DEFAULT_TOLERANCE
-) -> complex:
+def gauss_2f1_pair(p: GaussParams, z: complex, zc: complex) -> complex:
     """F(alpha, beta; gamma; z), given z and zc = 1 - z with Im zc = -Im z.
 
     zc is taken as exact, so a caller that holds 1 - z more precisely than
@@ -225,8 +224,6 @@ def gauss_2f1_pair(
     """
     z, zc = complex(z), complex(zc)
     a, b, c = p.alpha, p.beta, p.gamma
-    # Terms cost next to nothing, so sum well past the requested tolerance.
-    abs_tol = min(tol.abs_tol, 1e-14)
     if a == 0.0 or b == 0.0 or z == 0:
         return 1.0 + 0.0j
     s = c - a - b
@@ -244,7 +241,7 @@ def gauss_2f1_pair(
         f0, df0 = _anchor(a, b, c)
         if not upper:
             f0, df0 = f0.conjugate(), df0.conjugate()
-        return _taylor(a, b, c, centre, f0, df0, z - centre, abs_tol)[0]
+        return _taylor(a, b, c, centre, f0, df0, z - centre, _ABS_TOL)[0]
     az, azc = abs(z), abs(zc)
     ok_d = _dist_to_int(a - b) > _LOG_GAP
     # (series count, modulus, usable); the last three are the first three
@@ -261,7 +258,7 @@ def gauss_2f1_pair(
     best, best_terms = -1, float(_MAX_TERMS)
     for i, (count, r, usable) in enumerate(table):
         if usable and r < 1.0:
-            terms = count * math.log(abs_tol) / math.log(r) if r > 0.0 else count
+            terms = count * math.log(_ABS_TOL) / math.log(r) if r > 0.0 else count
             if terms < best_terms:
                 best, best_terms = i, terms
     if best >= 3:
@@ -270,15 +267,15 @@ def gauss_2f1_pair(
         q, v = -z / zc, 1.0 / zc
         w = complex(q.real, math.copysign(q.imag, -z.imag))
         wc = complex(v.real, math.copysign(v.imag, z.imag))
-        return zc ** -a * _base_route(best - 3, a, c - b, c, w, wc, abs_tol)
+        return zc ** -a * _base_route(best - 3, a, c - b, c, w, wc)
     if best >= 0:
-        return _base_route(best, a, b, c, z, zc, abs_tol)
+        return _base_route(best, a, b, c, z, zc)
     if abs(az - 1.0) <= 1e-12 and s > 0.0:
-        return _series(a, b, c, z, tol.abs_tol, s)
+        return _series(a, b, c, z, _BOUNDARY_TOL, s)
     raise DomainError(f"no 2F1 route converges at {z} for these parameters")
 
 
-def gauss_2f1(p: GaussParams, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> complex:
+def gauss_2f1(p: GaussParams, z: complex) -> complex:
     """F(alpha, beta; gamma; z) on the plane cut along real z > 1.
 
     The route table of the module docstring picks the series; real z > 1
@@ -287,7 +284,7 @@ def gauss_2f1(p: GaussParams, z: complex, tol: Tolerance = DEFAULT_TOLERANCE) ->
     z = complex(z)
     if z.imag == 0.0 and z.real > 1.0:
         raise DomainError(f"2F1 argument {z.real} lies on the cut z > 1")
-    return gauss_2f1_pair(p, z, complex(1.0 - z.real, -z.imag), tol)
+    return gauss_2f1_pair(p, z, complex(1.0 - z.real, -z.imag))
 
 
 def gauss_kummer_value(p: GaussParams) -> float:
@@ -301,7 +298,7 @@ def gauss_kummer_value(p: GaussParams) -> float:
     return gamma_real(g) * gamma_real(g - a - b) / (gamma_real(g - a) * gamma_real(g - b))
 
 
-def euler_f1_f2(v: SchwarzVariant, x: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[complex, complex]:
+def euler_f1_f2(v: SchwarzVariant, x: complex) -> tuple[complex, complex]:
     """The solution pair (f1, f2) at the singular point x = 1.
 
     f1 = exp(pi*i*(gamma-alpha)) / (gamma-alpha) * (1-x)^(gamma-alpha)
@@ -318,7 +315,7 @@ def euler_f1_f2(v: SchwarzVariant, x: complex, tol: Tolerance = DEFAULT_TOLERANC
     if w == 0:
         f1 = 0.0 + 0.0j
     else:
-        f = gauss_2f1(GaussParams(d, p.gamma, d + 1.0), w, tol)
+        f = gauss_2f1(GaussParams(d, p.gamma, d + 1.0), w)
         f1 = phase / d * w**d * f
     f2 = complex(beta_fn(d, p.alpha))
     return f1, f2
@@ -330,7 +327,7 @@ _SCHWARZ_SCALE = {
 }
 
 
-def schwarz_map(v: SchwarzVariant, x: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> complex:
+def schwarz_map(v: SchwarzVariant, x: complex) -> complex:
     """Ratio of the two solutions, normalized onto the period lattice.
 
     QUARTIC: (2*sqrt(2)*i / B(1/4,1/4)) * (1-x)^(1/4) * F(1/4,1/2,5/4; 1-x)
@@ -344,6 +341,6 @@ def schwarz_map(v: SchwarzVariant, x: complex, tol: Tolerance = DEFAULT_TOLERANC
     if w == 0:
         return 0.0 + 0.0j
     sp = v.series_params
-    f = gauss_2f1(sp, w, tol)
+    f = gauss_2f1(sp, w)
     # B(1/4, 1/4) or B(1/3, 1/6)
     return _SCHWARZ_SCALE[v] / beta_fn(v.params.alpha, sp.alpha) * w**sp.alpha * f

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .hypergeometric import SchwarzVariant, gauss_2f1
-from .numerics import DEFAULT_TOLERANCE, SQRT3, DomainError, Tolerance, _real_root, branch_root
+from .numerics import SQRT3, DomainError, _real_root, branch_root
 
 # 1 - (b/a)^2 lies in (-0.8, 0.8) exactly when b/a lies in this window
 _RATIO_LO, _RATIO_HI = math.sqrt(0.2), math.sqrt(1.8)
@@ -112,24 +112,22 @@ def _precondition(p: MeanPair, variant: SchwarzVariant) -> MeanPair:
     return p
 
 
-def limit_quartic(p: MeanPair, tol: Tolerance | None = None) -> float:
-    tol = tol or DEFAULT_TOLERANCE
+def limit_quartic(p: MeanPair) -> float:
     p = _precondition(p, SchwarzVariant.QUARTIC)
-    f = gauss_2f1(SchwarzVariant.QUARTIC.series_params, 1.0 - (p.b / p.a) ** 2, tol)
+    f = gauss_2f1(SchwarzVariant.QUARTIC.series_params, 1.0 - (p.b / p.a) ** 2)
     return p.a / (f.real * f.real)
 
 
-def limit_sextic(p: MeanPair, tol: Tolerance | None = None) -> float:
-    tol = tol or DEFAULT_TOLERANCE
+def limit_sextic(p: MeanPair) -> float:
     p = _precondition(p, SchwarzVariant.SEXTIC)
-    f = gauss_2f1(SchwarzVariant.SEXTIC.series_params, 1.0 - (p.b / p.a) ** 2, tol)
+    f = gauss_2f1(SchwarzVariant.SEXTIC.series_params, 1.0 - (p.b / p.a) ** 2)
     return p.a / f.real
 
 
-def closed_form_limit(p: MeanPair, variant: SchwarzVariant, tol: Tolerance | None = None) -> float:
+def closed_form_limit(p: MeanPair, variant: SchwarzVariant) -> float:
     if variant is SchwarzVariant.QUARTIC:
-        return limit_quartic(p, tol)
-    return limit_sextic(p, tol)
+        return limit_quartic(p)
+    return limit_sextic(p)
 
 
 def _accelerated_limit(mids: list[float]) -> float:

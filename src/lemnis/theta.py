@@ -283,7 +283,9 @@ HALF_CHARS = (
 _C00, _C01, _C10, _C11 = HALF_CHARS
 
 
-def _theta_four(z: complex, m: Modulus, tol: Tolerance) -> tuple[complex, complex, complex, complex]:
+def _theta_four(
+    z: complex, m: Modulus, tol: Tolerance = DEFAULT_TOLERANCE
+) -> tuple[complex, complex, complex, complex]:
     """theta00, theta01, theta10, theta11 at z, in that order."""
     return tuple(theta(c, z, m, tol) for c in HALF_CHARS)
 

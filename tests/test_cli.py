@@ -284,6 +284,21 @@ def test_non_finite_tol_is_a_usage_error(capsys):
         assert exc.value.code == 2
 
 
+def test_negative_values_need_no_equals_sign(capsys):
+    # exponent and complex forms, which argparse alone reads as options
+    for argv, key, text in (
+        (["curve", "--curve", "zeta", "--t", "-1e9"], "t", "-1e9"),
+        (["curve", "--curve", "zeta", "--t", "-1-2i"], "t", "-1-2i"),
+        (["theta", "--a", "0", "--b", "0", "--z", "-0.3+0.1i", "--tau", "i"], "z", "-0.3+0.1i"),
+    ):
+        code, rep, _ = run_cli(capsys, argv)
+        assert code == 0 and rep["pass"] and rep["inputs"][key] == text, argv
+    with pytest.raises(SystemExit) as exc:
+        main(["agm", "--variant", "quartic", "--a", "1", "--b", "-1e-3"])
+    assert exc.value.code == 2
+    assert "mean iteration needs finite positive entries" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify subcommand.
 
@@ -329,24 +344,7 @@ def test_verify_usage_errors(capsys):
 
 
 # ---------------------------------------------------------------------------
-# Environment tolerance and failure exit code.
-
-
-def test_env_tol_override(capsys, monkeypatch):
-    monkeypatch.setenv("LEMNIS_TOL", "1e-2")
-    code, rep, _ = run_cli(
-        capsys, ["theta", "--a", "0", "--b", "1/2", "--z", "0.3+0.1i", "--tau", "i"]
-    )
-    assert code == 0
-    assert rep["residuals"][0]["tol"] == 1e-2
-
-
-def test_env_tol_rejected(capsys, monkeypatch):
-    for bad in ("abc", "5"):
-        monkeypatch.setenv("LEMNIS_TOL", bad)
-        with pytest.raises(SystemExit) as exc:
-            main(["theta", "--a", "0", "--b", "0", "--z", "0", "--tau", "i"])
-        assert exc.value.code == 2
+# Failure exit code.
 
 
 def test_exit_1_when_residual_exceeds_tolerance(capsys):

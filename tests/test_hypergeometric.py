@@ -13,7 +13,6 @@ from lemnis import (
     DomainError,
     GaussParams,
     SchwarzVariant,
-    Tolerance,
     beta,
     gamma_real,
     gauss_2f1,
@@ -185,6 +184,17 @@ def test_pair_takes_the_side_of_the_cut_from_the_signed_zero():
             assert abs(got_above - above) <= 1e-12 * abs(above), (params, x)
 
 
+def test_boundary_sum_on_the_unit_circle():
+    # integer gamma - alpha - beta > 0 rules out both connections in 1 - z,
+    # and these points lie outside the re-expansion balls, so only the
+    # direct series summed to its algebraic tail reaches them
+    for params in ((0.5, 0.5, 3.0), (0.5, 0.5, 4.0), (0.25, 0.75, 3.0)):
+        p = GaussParams(*params)
+        for z in (cmath.exp(0.3j), cmath.exp(-0.5j)):
+            ref = mp_2f1(p, z)
+            assert abs(gauss_2f1(p, z) - ref) <= 1e-10 * abs(ref), (params, z)
+
+
 def test_domain_errors_that_remain():
     with pytest.raises(DomainError):
         gauss_2f1(QP, 1.5)
@@ -310,12 +320,3 @@ def test_cubic_argument_rewrite_sextic():
         xp = x * (9.0 - 8.0 * x) ** 2 / (4.0 * x - 3.0) ** 3
         rhs = gauss_2f1(p, 1.0 - xp) / math.sqrt(4.0 * x - 3.0)
         assert abs(lhs - rhs) < 1e-10
-
-
-def test_tight_tolerance_is_honoured():
-    p = QP
-    tight = Tolerance(1e-14)
-    loose = Tolerance(1e-6)
-    # the working tolerance is floored well below either request, so both
-    # land on the same full-accuracy value
-    assert gauss_2f1(p, 0.37, tight) == gauss_2f1(p, 0.37, loose)
