@@ -318,13 +318,9 @@ class _Worst:
 
 def _jacobi_derivative(mod: Modulus, tol: Tolerance) -> _Worst:
     # Jacobi's derivative identity theta11'(0) = -pi theta00(0) theta01(0) theta10(0)
-    c00, c01, c10, c11 = HALF_CHARS
-    lhs = theta_dz(c11, 0j, mod, tol)
-    rhs = -math.pi * (
-        theta(c00, 0j, mod, tol)
-        * theta(c01, 0j, mod, tol)
-        * theta(c10, 0j, mod, tol)
-    )
+    k00, k01, k10, _ = _theta_four(0j, mod, tol)
+    lhs = theta_dz(HALF_CHARS[3], 0j, mod, tol)
+    rhs = -math.pi * (k00 * k01 * k10)
     worst = _Worst()
     worst.push(_scaled_residual(lhs, rhs), "z=0")
     return worst
@@ -585,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tau", required=True, help="modulus: 'i', 'zeta', or a complex re+imi (generic)"
     )
     p_theta.add_argument("--tol", type=_tol_arg, default=_DEFAULT_TOL)
-    p_theta.set_defaults(func=_cmd_theta)
+    p_theta.set_defaults(func=_cmd_theta, subparser=p_theta)
 
     p_verify = sub.add_parser("verify", help="run seeded identity sweeps")
     p_verify.add_argument(
@@ -596,14 +592,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=int, default=50)
     p_verify.add_argument("--tol", type=_tol_arg, default=_DEFAULT_TOL)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.set_defaults(func=_cmd_verify, subparser=p_verify)
 
     p_agm = sub.add_parser("agm", help="run a mean iteration against its closed form")
     p_agm.add_argument("--variant", required=True, choices=["quartic", "sextic"])
     p_agm.add_argument("--a", type=float, required=True)
     p_agm.add_argument("--b", type=float, required=True)
     p_agm.add_argument("--tol", type=_tol_arg, default=None)
-    p_agm.set_defaults(func=_cmd_agm)
+    p_agm.set_defaults(func=_cmd_agm, subparser=p_agm)
 
     p_curve = sub.add_parser("curve", help="map a curve point to its torus image")
     p_curve.add_argument("--curve", required=True, choices=["i", "zeta"])
@@ -612,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--point", default=None, help="named special point, e.g. P1, P01, Pinf1")
     p_curve.add_argument("--mul", action="store_true", help="also apply the unit multiplication map")
     p_curve.add_argument("--tol", type=_tol_arg, default=_DEFAULT_TOL)
-    p_curve.set_defaults(func=_cmd_curve)
+    p_curve.set_defaults(func=_cmd_curve, subparser=p_curve)
     return parser
 
 
@@ -632,12 +628,13 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+    # usage errors, also those found while a subcommand runs, print that
+    # subcommand's usage line
     try:
-        return args.func(args, parser)
+        return args.func(args, args.subparser)
     except (DomainError, PathError) as exc:
-        parser.error(str(exc))
+        args.subparser.error(str(exc))
     except IterationLimitError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 1

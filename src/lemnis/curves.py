@@ -58,10 +58,14 @@ class Curve(Enum):
     def modulus(self) -> Modulus:
         return TAU_I if self is Curve.C_I else TAU_ZETA
 
-    @property
-    def w_exponent(self) -> float:
-        # Exponent of (t - 1) in the 1-form denominator.
-        return 0.75 if self is Curve.C_I else 5.0 / 6.0
+    @functools.cached_property
+    def exponent(self) -> float:
+        """a = 1/4 on C_I, 1/6 on C_ZETA: the 1-form is s^(-1/2) (s - 1)^(a - 1) ds.
+
+        It is the first parameter of the variant's series F(a, 1/2; 1 + a).
+        """
+        variant = SchwarzVariant.QUARTIC if self is Curve.C_I else SchwarzVariant.SEXTIC
+        return variant.series_params.alpha
 
     @functools.cached_property
     def normalization(self) -> complex:
@@ -154,7 +158,7 @@ def lift_branch(curve: Curve, t: complex, k: int = 0) -> CurvePoint:
 
 def _zero_image(curve: Curve) -> complex:
     """Torus image of the first fiber point over t = 0: Gauss's sum for F at 1."""
-    a = 1.0 - curve.w_exponent
+    a = curve.exponent
     return e_of(0.5 * a) * gamma_real(1.0 + a) * math.sqrt(math.pi) / (
         a * gamma_real(0.5 + a) * curve.normalization
     )
@@ -162,7 +166,7 @@ def _zero_image(curve: Curve) -> complex:
 
 def _infinity_image(curve: Curve) -> complex:
     """Torus image of the first fiber point over t = infinity: the leading 1/z term."""
-    a = 1.0 - curve.w_exponent
+    a = curve.exponent
     return gamma_real(1.0 + a) * gamma_real(0.5 - a) / (
         math.sqrt(math.pi) * a * curve.normalization
     )
@@ -188,7 +192,7 @@ def abel_jacobi(p: CurvePoint) -> TorusPoint:
     if abs(p.t) < 1e-12:
         return canonical_torus_point(mod, curve.unit ** (p.branch % k) * _zero_image(curve))
     t = complex(p.t.real, p.t.imag + 0.0)  # -0.0 + 0.0 is +0.0
-    a = 1.0 - curve.w_exponent
+    a = curve.exponent
     w = t - 1
     # F's argument 1 - t and its complement t, each exact; 1 - t on the cut
     # of F, t < 0, lies on its lower side, the limit from Im t > 0
@@ -436,8 +440,7 @@ def hgf_theta_roundtrip(z: complex, curve: Curve) -> float:
         raise DomainError("round trip is stated for |z| < 0.3")
     if z == 0:
         return 0.0
-    th00 = theta(HALF_CHARS[0], z, curve.modulus)
-    th11 = theta(HALF_CHARS[3], z, curve.modulus)
+    th00, _, _, th11 = _theta_four(z, curve.modulus)
     if curve is Curve.C_I:
         ratio = th11 / th00
         f = gauss_2f1(SchwarzVariant.QUARTIC.series_params, ratio ** 4)

@@ -4,17 +4,23 @@ The series used everywhere is
 
     theta_{a,b}(z, tau) = sum_n exp(pi i (n+a)^2 tau + 2 pi i (n+a)(z+b)),
 
-with exact rational (a, b).  Beyond the generic transformation laws the
-module carries the specialized multiplication lemmas at tau = i and
-tau = zeta = (1+sqrt(3)i)/2, and closed forms for the theta constants
-at both square moduli.
+with exact rational (a, b), whose floats are taken once per characteristic.
+One kernel sums it, outward from the largest term by term ratios, and keeps
+the even-n and odd-n parts apart.  `theta` and `theta_dz` add the two parts;
+the four half characteristics at one z share the lattices n and n + 1/2,
+where b = 1/2 only flips the sign of the odd part, so `_theta_four` takes
+theta00, theta01, theta10 and theta11 from two sums.  Beyond the generic
+transformation laws the module carries the specialized multiplication
+lemmas at tau = i and tau = zeta = (1+sqrt(3)i)/2, and closed forms for the
+theta constants at both square moduli.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Union
@@ -49,7 +55,7 @@ def _as_fraction(v: RationalLike | float) -> Fraction:
                 f"float {v} is not an exact small rational; pass a Fraction or 'p/q'"
             )
         return f
-    f = Fraction(v)
+    f = v if type(v) is Fraction else Fraction(v)
     if f.denominator > _MAX_CHAR_DENOM:
         raise DomainError(f"characteristic denominator {f.denominator} exceeds {_MAX_CHAR_DENOM}")
     return f
@@ -57,14 +63,27 @@ def _as_fraction(v: RationalLike | float) -> Fraction:
 
 @dataclass(frozen=True)
 class ThetaChar:
-    """Exact rational characteristic pair (a, b)."""
+    """Exact rational characteristic pair (a, b).
+
+    Equality is on the exact Fractions.  Their float values `af` and `bf`,
+    taken once here, feed the series and the hash: equal Fractions have
+    equal floats.
+    """
 
     a: Fraction
     b: Fraction
+    af: float = field(init=False, repr=False, compare=False)
+    bf: float = field(init=False, repr=False, compare=False)
 
     def __init__(self, a: RationalLike | float, b: RationalLike | float) -> None:
-        object.__setattr__(self, "a", _as_fraction(a))
-        object.__setattr__(self, "b", _as_fraction(b))
+        fa, fb = _as_fraction(a), _as_fraction(b)
+        object.__setattr__(self, "a", fa)
+        object.__setattr__(self, "b", fb)
+        object.__setattr__(self, "af", float(fa))
+        object.__setattr__(self, "bf", float(fb))
+
+    def __hash__(self) -> int:
+        return hash((self.af, self.bf))
 
     def reduce(self) -> tuple["ThetaChar", complex]:
         """Canonical representative in [0,1)^2 and the exact reduction factor.
@@ -72,11 +91,22 @@ class ThetaChar:
         theta_{a+p, b+q} = e(a q) theta_{a, b} for integer p, q, so the
         factor carries the whole dependence on the discarded integers.
         """
-        p = self.a.numerator // self.a.denominator
-        q = self.b.numerator // self.b.denominator
-        a0 = self.a - p
-        b0 = self.b - q
-        return ThetaChar(a0, b0), e_of(float(a0 * q))
+        return _reduce(self)
+
+
+# The characteristic laws below take exact Fraction phases and targets.  They
+# depend on the characteristic alone, so each is computed once per
+# characteristic and kept in a bounded memo.
+_LAW_MEMO = 1024
+
+
+@functools.lru_cache(maxsize=_LAW_MEMO)
+def _reduce(c: ThetaChar) -> tuple[ThetaChar, complex]:
+    p = c.a.numerator // c.a.denominator
+    q = c.b.numerator // c.b.denominator
+    a0 = c.a - p
+    b0 = c.b - q
+    return ThetaChar(a0, b0), e_of(float(a0 * q))
 
 
 class ModulusTag(Enum):
@@ -101,6 +131,11 @@ class Modulus:
     @classmethod
     def generic(cls, tau: complex) -> "Modulus":
         return cls(ModulusTag.GENERIC, complex(tau))
+
+    @functools.cached_property
+    def q2(self) -> complex:
+        """e(tau), the factor between consecutive term ratios of the series."""
+        return _e(self.value)
 
 
 TAU_I = Modulus(ModulusTag.TAU_I, 1j)
@@ -157,42 +192,33 @@ def lattice_distance(m: Modulus, z1: complex, z2: complex) -> float:
     return best
 
 
-def _term_range(a: float, z: complex, tau: complex, abs_tol: float, extra: int) -> range:
-    # Summation indices n, with k = n + a in [-n_max, n_max].  Gaussian decay
-    # exp(-pi Im(tau) (n + a + Im z / Im tau)^2) up to a bounded peak factor;
-    # the 2|Im z| term covers the shifted peak.
+def _lattice_sums(
+    a: float, w: complex, z: complex, m: Modulus, abs_tol: float, weighted: bool
+) -> tuple[complex, complex]:
+    # Sums over even and over odd n of T(k) = exp(pi i k^2 tau + 2 pi i k w),
+    # k = n + a (times 2 pi i k when weighted), w = z + b.  The terms decay
+    # like exp(-pi Im(tau) (k + Im z / Im tau)^2) up to a bounded peak factor,
+    # so |k| <= n_max with the 2 |Im z| / Im tau allowance for the shifted
+    # peak.  They are summed outward from the largest term by term ratios
+    # (Deconinck et al., Math. Comp. 73, 2004): R(k) = T(k+1)/T(k) obeys
+    # R(k+1) = R(k) q2 with q2 = e(tau), and so does T(k-1)/T(k) = q2/R(k-1)
+    # stepping down, two products per term.  The seed is the largest term, so
+    # it overflows only when the series leaves binary64; that, or sums that
+    # overflow, is a DomainError.
     if not cmath.isfinite(z):
         raise DomainError(f"theta requires a finite argument, got {z}")
-    tail_tol = abs_tol * 1e-2
-    im_tau = tau.imag
-    n = math.sqrt(math.log(1.0 / tail_tol) / (math.pi * im_tau))
-    n += 2.0 * abs(z.imag) / im_tau
-    n_max = math.ceil(n) + 2 + extra
-    return range(math.ceil(-n_max - a), math.floor(n_max - a) + 1)
-
-
-def _series(c: ThetaChar, z: complex, m: Modulus, tol: Tolerance, weighted: bool) -> complex:
-    # Sum of T(k) = exp(pi i k^2 tau + 2 pi i k w), w = z + b, over k = n + a
-    # for the n of _term_range (times k when weighted), summed outward from
-    # the largest term by term ratios (Deconinck et al., Math. Comp. 73,
-    # 2004).  R(k) = T(k+1)/T(k) obeys R(k+1) = R(k) q2 with q2 = e(tau), and
-    # so does T(k-1)/T(k) = q2/R(k-1) stepping down: three exponentials per
-    # call, two products per term.  The seed is the largest term, so it
-    # overflows only when the series leaves binary64; that, or a sum that
-    # overflows, is a DomainError.
     tau = m.value
-    z = complex(z)
-    a = float(c.a)
-    w = z + float(c.b)
-    ns = _term_range(a, z, tau, tol.abs_tol, 1 if weighted else 0)
-    peak = -w.imag / tau.imag
-    n0 = round(peak - a)  # inside ns, whose half-width exceeds 2 |peak|
+    im_tau = tau.imag
+    n_max = math.sqrt(math.log(100.0 / abs_tol) / (math.pi * im_tau)) + 2.0 * abs(z.imag) / im_tau
+    n_max = math.ceil(n_max) + (3 if weighted else 2)
+    peak = -w.imag / im_tau
+    n0 = round(peak - a)  # inside [-n_max - a, n_max - a], whose half-width exceeds 2 |peak|
     k0 = n0 + a
     try:
         t0 = cmath.exp(1j * math.pi * k0 * (k0 * tau + 2.0 * w))
     except OverflowError:
         raise _overflow(z, tau) from None
-    q2 = _e(tau)
+    q2 = m.q2
     # The two neighbour ratios multiply to q2.  Exponentiate the larger one
     # (modulus at least |q2|^(1/2)) and divide for the other, so a ratio near
     # 1 is never derived from an underflowed one; if even the larger one
@@ -204,19 +230,24 @@ def _series(c: ThetaChar, z: complex, m: Modulus, tol: Tolerance, weighted: bool
     else:
         down = cmath.exp(2j * math.pi * tau - log_up)
         up = q2 / down if down else 0j
-    total = k0 * t0 if weighted else t0
-    for ratio, step, count in ((up, 1.0, ns.stop - n0 - 1), (down, -1.0, n0 - ns.start)):
+    if weighted:
+        t0 *= 2j * math.pi
+    same, other = (k0 * t0 if weighted else t0), 0j  # n0's parity, the other one
+    n_up = math.floor(n_max - a) - n0
+    n_down = n0 - math.ceil(-n_max - a)
+    for ratio, step, count in ((up, 1.0, n_up), (down, -1.0, n_down)):
         t, k = t0, k0
         for _ in range(count):
             t *= ratio
             ratio *= q2
             k += step
-            total += k * t if weighted else t
-    if weighted:
-        total *= 2j * math.pi
-    if not cmath.isfinite(total):
+            same, other = other + (k * t if weighted else t), same
+        if count % 2:
+            same, other = other, same
+    # |E| + |O| bounds E + O, E - O and i (E - O) alike
+    if not math.isfinite(abs(same) + abs(other)):
         raise _overflow(z, tau)
-    return total
+    return (other, same) if n0 % 2 else (same, other)
 
 
 def _overflow(z: complex, tau: complex) -> DomainError:
@@ -225,20 +256,22 @@ def _overflow(z: complex, tau: complex) -> DomainError:
 
 def theta(c: ThetaChar, z: complex, m: Modulus, tol: Tolerance = DEFAULT_TOLERANCE) -> complex:
     """Evaluate the series at z.  Values near a zero are returned as-is."""
-    return _series(c, z, m, tol, False)
+    z = complex(z)
+    even, odd = _lattice_sums(c.af, z + c.bf, z, m, tol.abs_tol, False)
+    return even + odd
 
 
 def theta_dz(c: ThetaChar, z: complex, m: Modulus, tol: Tolerance = DEFAULT_TOLERANCE) -> complex:
     """Term-wise z-derivative of the series."""
-    return _series(c, z, m, tol, True)
+    z = complex(z)
+    even, odd = _lattice_sums(c.af, z + c.bf, z, m, tol.abs_tol, True)
+    return even + odd
 
 
 def quasi_period_factor(c: ThetaChar, p: int, q: int, z: complex, m: Modulus) -> complex:
     """Multiplier relating theta(z + p tau + q) to theta(z)."""
-    a = float(c.a)
-    b = float(c.b)
     tau = m.value
-    return _e(a * q - p * p * tau / 2.0 - p * complex(z) - b * p)
+    return _e(c.af * q - p * p * tau / 2.0 - p * complex(z) - c.bf * p)
 
 
 def zero_locus(c: ThetaChar, m: Modulus) -> TorusPoint:
@@ -286,8 +319,18 @@ _C00, _C01, _C10, _C11 = HALF_CHARS
 def _theta_four(
     z: complex, m: Modulus, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> tuple[complex, complex, complex, complex]:
-    """theta00, theta01, theta10, theta11 at z, in that order."""
-    return tuple(theta(c, z, m, tol) for c in HALF_CHARS)
+    """theta00, theta01, theta10, theta11 at z, in that order.
+
+    The four share two lattices: a = 0 and a = 1/2, both with w = z, and
+    b = 1/2 multiplies the term of index n by e((n + a)/2), that is (-1)^n
+    for a = 0 and i (-1)^n for a = 1/2 (DLMF 20.2).  So from the even and
+    odd sums E, O of each lattice: theta00 = E0 + O0, theta01 = E0 - O0,
+    theta10 = E1 + O1, theta11 = i (E1 - O1).
+    """
+    z = complex(z)
+    e0, o0 = _lattice_sums(0.0, z, z, m, tol.abs_tol, False)
+    e1, o1 = _lattice_sums(0.5, z, z, m, tol.abs_tol, False)
+    return e0 + o0, e0 - o0, e1 + o1, 1j * (e1 - o1)
 
 
 @dataclass(frozen=True)
@@ -310,70 +353,58 @@ def addition_check(
     each) and Jacobi's identity, nine numbers in fixed order."""
     z1 = complex(z1)
     z2 = complex(z2)
-
-    def sq(c: ThetaChar, z: complex) -> complex:
-        v = theta(c, z, m, tol)
-        return v * v
-
-    tp = {c: theta(c, z1 + z2, m, tol) * theta(c, z1 - z2, m, tol) for c in HALF_CHARS}
-    s1 = {c: sq(c, z1) for c in HALF_CHARS}
-    s2 = {c: sq(c, z2) for c in HALF_CHARS}
-    k00 = sq(_C00, 0.0)
-    k01 = sq(_C01, 0.0)
-    k10 = sq(_C10, 0.0)
-
-    res: list[float] = []
-    lhs = tp[_C00] * k00
-    res.append(_scaled_residual(lhs, s1[_C00] * s2[_C00] + s1[_C11] * s2[_C11]))
-    res.append(_scaled_residual(lhs, s1[_C01] * s2[_C01] + s1[_C10] * s2[_C10]))
-    lhs = tp[_C01] * k01
-    res.append(_scaled_residual(lhs, s1[_C00] * s2[_C00] - s1[_C10] * s2[_C10]))
-    res.append(_scaled_residual(lhs, s1[_C01] * s2[_C01] - s1[_C11] * s2[_C11]))
-    lhs = tp[_C10] * k10
-    res.append(_scaled_residual(lhs, s1[_C00] * s2[_C00] - s1[_C01] * s2[_C01]))
-    res.append(_scaled_residual(lhs, s1[_C10] * s2[_C10] - s1[_C11] * s2[_C11]))
-    lhs = tp[_C11] * k00
-    res.append(_scaled_residual(lhs, s1[_C11] * s2[_C00] - s1[_C00] * s2[_C11]))
-    res.append(_scaled_residual(lhs, s1[_C01] * s2[_C10] - s1[_C10] * s2[_C01]))
-    res.append(_scaled_residual(k00 * k00, k01 * k01 + k10 * k10))
-    return res
+    plus = _theta_four(z1 + z2, m, tol)
+    minus = _theta_four(z1 - z2, m, tol)
+    p00, p01, p10, p11 = (u * v for u, v in zip(plus, minus))
+    a00, a01, a10, a11 = (v * v for v in _theta_four(z1, m, tol))
+    b00, b01, b10, b11 = (v * v for v in _theta_four(z2, m, tol))
+    k00, k01, k10, _ = (v * v for v in _theta_four(0j, m, tol))
+    return [
+        _scaled_residual(p00 * k00, a00 * b00 + a11 * b11),
+        _scaled_residual(p00 * k00, a01 * b01 + a10 * b10),
+        _scaled_residual(p01 * k01, a00 * b00 - a10 * b10),
+        _scaled_residual(p01 * k01, a01 * b01 - a11 * b11),
+        _scaled_residual(p10 * k10, a00 * b00 - a01 * b01),
+        _scaled_residual(p10 * k10, a10 * b10 - a11 * b11),
+        _scaled_residual(p11 * k00, a11 * b00 - a00 * b11),
+        _scaled_residual(p11 * k00, a01 * b10 - a10 * b01),
+        _scaled_residual(k00 * k00, k01 * k01 + k10 * k10),
+    ]
 
 
 def i_multiple(c: ThetaChar, z: complex) -> tuple[complex, ThetaChar]:
     """Data for theta_{a,b}(i z, i) = e(ab) exp(pi z^2) theta_{-b,a}(z, i)."""
+    root, target = _i_law(c)
     z = complex(z)
-    pref = e_of(float(c.a * c.b)) * cmath.exp(math.pi * z * z)
-    return pref, ThetaChar(-c.b, c.a)
+    return root * cmath.exp(math.pi * z * z), target
+
+
+@functools.lru_cache(maxsize=_LAW_MEMO)
+def _i_law(c: ThetaChar) -> tuple[complex, ThetaChar]:
+    return e_of(float(c.a * c.b)), ThetaChar(-c.b, c.a)
 
 
 def one_plus_i_multiple(z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> list[IdentityPair]:
     """Both sides of the three (1+i)-multiplication identities at tau = i."""
     z = complex(z)
     m = TAU_I
-    w = (1.0 + 1j) * z
     gauss = cmath.exp(math.pi * 1j * (1.0 + 1j) * z * z)
-    k00 = theta(_C00, 0.0, m, tol)
-    k01 = theta(_C01, 0.0, m, tol)
-    k10 = theta(_C10, 0.0, m, tol)
+    k00, k01, k10, _ = _theta_four(0j, m, tol)
     t00, t01, t10, t11 = _theta_four(z, m, tol)
-    out = [
-        IdentityPair(
-            "theta00",
-            theta(_C00, w, m, tol),
-            k00 * t01 * t10 / (gauss * k01 * k10),
-        ),
+    w00, w01, w10, w11 = _theta_four((1.0 + 1j) * z, m, tol)
+    return [
+        IdentityPair("theta00", w00, k00 * t01 * t10 / (gauss * k01 * k10)),
         IdentityPair(
             "theta_half_half",
-            theta(_C11, w, m, tol),
+            w11,
             e_of(0.125) * k00 * t00 * t11 / (gauss * k01 * k10),
         ),
         IdentityPair(
             "product_01_10",
-            theta(_C01, w, m, tol) * theta(_C10, w, m, tol),
+            w01 * w10,
             (t00**4 - t01**2 * t10**2) / (gauss * gauss * k01 * k10),
         ),
     ]
-    return out
 
 
 class OmegaPower(Enum):
@@ -389,49 +420,35 @@ def omega_multiple(c: ThetaChar, z: complex, power: OmegaPower) -> tuple[complex
     OMEGA_SQ: theta_{a,b}(w^2 z, zeta)
                 = e(ab + (b^2+b)/2 + 1/24) e(z^2/(2 w)) theta_{b, -a-b-1/2}(z, zeta)
     """
+    root, target = _omega_law(c, power)
     z = complex(z)
+    return root * _e(z * z / (2.0 * (ZETA if power is OmegaPower.OMEGA else OMEGA))), target
+
+
+@functools.lru_cache(maxsize=_LAW_MEMO)
+def _omega_law(c: ThetaChar, power: OmegaPower) -> tuple[complex, ThetaChar]:
     a, b = c.a, c.b
     half = Fraction(1, 2)
     if power is OmegaPower.OMEGA:
-        root = e_of(float(a * a / 2 + a * b - Fraction(1, 24)))
-        pref = root * _e(z * z / (2.0 * ZETA))
-        return pref, ThetaChar(-a - b - half, a)
-    root = e_of(float(a * b + (b * b + b) / 2 + Fraction(1, 24)))
-    pref = root * _e(z * z / (2.0 * OMEGA))
-    return pref, ThetaChar(b, -a - b - half)
+        return e_of(float(a * a / 2 + a * b - Fraction(1, 24))), ThetaChar(-a - b - half, a)
+    return e_of(float(a * b + (b * b + b) / 2 + Fraction(1, 24))), ThetaChar(b, -a - b - half)
 
 
 def one_plus_zeta_multiple(z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> list[IdentityPair]:
     """Both sides of the four (1+zeta)-multiplication identities at tau = zeta."""
     z = complex(z)
     m = TAU_ZETA
-    w = (1.0 + ZETA) * z
     gauss = _e((OMEGA_SQ + OMEGA / 2.0) * z * z)
-    k00 = theta(_C00, 0.0, m, tol)
-    k01 = theta(_C01, 0.0, m, tol)
-    k10 = theta(_C10, 0.0, m, tol)
+    k00, k01, k10, _ = _theta_four(0j, m, tol)
     t00, t01, t10, t11 = _theta_four(z, m, tol)
+    w00, w01, w10, w11 = _theta_four((1.0 + ZETA) * z, m, tol)
     e8 = e_of(0.125)
     return [
+        IdentityPair("theta00", w00, e8 * gauss / (k00 * k00) * t10 * (t00 * t00 - 1j * t01 * t01)),
+        IdentityPair("theta01", w01, e8 * gauss / (k01 * k01) * t00 * (t01 * t01 - t10 * t10)),
+        IdentityPair("theta10", w10, gauss / (k10 * k10) * t01 * (t00 * t00 + 1j * t10 * t10)),
         IdentityPair(
-            "theta00",
-            theta(_C00, w, m, tol),
-            e8 * gauss / (k00 * k00) * t10 * (t00 * t00 - 1j * t01 * t01),
-        ),
-        IdentityPair(
-            "theta01",
-            theta(_C01, w, m, tol),
-            e8 * gauss / (k01 * k01) * t00 * (t01 * t01 - t10 * t10),
-        ),
-        IdentityPair(
-            "theta10",
-            theta(_C10, w, m, tol),
-            gauss / (k10 * k10) * t01 * (t00 * t00 + 1j * t10 * t10),
-        ),
-        IdentityPair(
-            "theta_half_half",
-            theta(_C11, w, m, tol),
-            gauss / (k00 * k00) * t11 * (t00 * t00 + 1j * t01 * t01),
+            "theta_half_half", w11, gauss / (k00 * k00) * t11 * (t00 * t00 + 1j * t01 * t01)
         ),
     ]
 

@@ -316,7 +316,7 @@ def test_abel_jacobi_matches_the_mpmath_closed_form_at_huge_t():
     # binary64, so compare with (t - 1)^a / a F(1/2, a; 1 + a; 1 - t) / norm
     # directly.  mpmath takes F on the cut t < 0 from a point just above it.
     for curve in Curve:
-        a = 1 - curve.w_exponent
+        a = curve.exponent
         for t in (1e100, 1e300, -1e300, 1e300j):
             with mpmath.workdps(30):
                 tm = mpmath.mpc(t) + (1j * abs(t) * mpmath.mpf(10) ** -25 if t.real < 0 else 0)

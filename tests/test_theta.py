@@ -34,7 +34,7 @@ from lemnis import (
     transform_tau,
     zero_locus,
 )
-from lemnis.theta import HALF_CHARS, SEXTIC_CHARS, ZETA
+from lemnis.theta import HALF_CHARS, SEXTIC_CHARS, ZETA, _theta_four
 
 C00 = ThetaChar(0, 0)
 C01 = ThetaChar(0, Fraction(1, 2))
@@ -433,3 +433,130 @@ def test_canonical_torus_point_and_distance():
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         shift = rng.randrange(-3, 4) * m.value + rng.randrange(-3, 4)
         assert lattice_distance(m, z + shift, z) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The half-characteristic kernel and the characteristic contract.
+
+KERNEL_MODULI = (
+    TAU_I,
+    TAU_ZETA,
+    Modulus.generic(complex(0.5, 1e-3)),
+    Modulus.generic(complex(-0.37, 0.02)),
+    Modulus.generic(complex(0.21, 0.3)),
+    Modulus.generic(complex(-0.5, 2.0)),
+)
+
+
+def _tau_conditioned_abs_series(c: ThetaChar, z: complex, tau: complex) -> float:
+    """Sum of |T(k)| (1 + pi k^2 |tau|): the error of the series when tau is
+    known to one rounding, as binary64 knows it, is of order eps times this."""
+    a = float(c.a)
+    n_max = int(12.0 / math.sqrt(tau.imag)) + 8
+    total = 0.0
+    for n in range(-n_max, n_max + 1):
+        k = n + a
+        term = math.exp(-math.pi * tau.imag * k * k - 2.0 * math.pi * k * z.imag)
+        total += term * (1.0 + math.pi * k * k * abs(tau))
+    return total
+
+
+def test_four_kernel_matches_theta_and_jtheta():
+    # the four values from two lattice sums against the per-characteristic
+    # series, to 1e-14 of the sum of |terms|, and against mpmath.jtheta,
+    # which takes tau as exact, to 1e-14 of that sum with each term weighted
+    # by its sensitivity to a rounding of tau (1.3 to 59 times the sum of
+    # |terms| on this grid, 260 at Im tau = 1e-3); z lies up to three cells
+    # from the origin
+    rng = random.Random(103)
+    for m in KERNEL_MODULI:
+        tau = m.value
+        points = 3 if tau.imag < 0.1 else 12
+        for _ in range(points):
+            z = rng.uniform(-3.0, 3.0) + rng.uniform(-3.0, 3.0) * tau
+            four = _theta_four(z, m)
+            for c, value in zip(HALF_CHARS, four):
+                scale = _abs_series(c, z, tau, False)
+                assert abs(value - theta(c, z, m)) <= 1e-14 * scale, (c, tau, z)
+                ref = _jtheta_reference(c, z, tau, False)
+                scale = _tau_conditioned_abs_series(c, z, tau)
+                assert abs(value - ref) <= 1e-14 * scale, (c, tau, z)
+
+
+def test_four_kernel_raises_domain_error_on_overflow_and_non_finite_z():
+    nan, inf = float("nan"), float("inf")
+    bad = [complex(0, inf), complex(nan, 0), complex(inf, 1), complex(nan, nan)]
+    # the largest term at tau = i leaves binary64 above Im z = 15.03
+    huge = [30j, -30j, 1e3j, complex(0.3, 1e3), complex(0.2, -1e3)]
+    for m in (TAU_I, TAU_ZETA, GENERIC):
+        for z in bad + huge:
+            with pytest.raises(DomainError):
+                _theta_four(z, m)
+            for c in HALF_CHARS:
+                with pytest.raises(DomainError):
+                    theta(c, z, m)
+    # values that fit are returned, and they are the per-characteristic ones
+    # (15 i is a zero of theta11, left in rounding of terms near 1e307)
+    for value, c in zip(_theta_four(15j, TAU_I), HALF_CHARS):
+        assert cmath.isfinite(value)
+        assert abs(value - theta(c, 15j, TAU_I)) <= 1e-14 * _abs_series(c, 15j, 1j, False)
+
+
+def test_jacobi_derivative_through_the_four_kernel():
+    # theta11'(0) = -pi theta00(0) theta01(0) theta10(0), to 1e-14 of the
+    # sums of |terms| of both sides (near Re tau = 1/2 and small Im tau the
+    # values are tiny and the terms are not)
+    for m in KERNEL_MODULI:
+        tau = m.value
+        k00, k01, k10, k11 = _theta_four(0j, m)
+        sums = [_abs_series(c, 0j, tau, False) for c in HALF_CHARS]
+        assert abs(k11) <= 1e-14 * sums[3]
+        lhs = theta_dz(C11, 0j, m)
+        rhs = -math.pi * k00 * k01 * k10
+        scale = _abs_series(C11, 0j, tau, True) + math.pi * sums[0] * sums[1] * sums[2]
+        assert abs(lhs - rhs) <= 1e-14 * scale, m
+
+
+def test_char_equality_is_exact_and_hash_follows_it():
+    c = ThetaChar(0.5, "1/3")
+    d = ThetaChar(Fraction(1, 2), Fraction(1, 3))
+    assert c == d and hash(c) == hash(d)
+    assert (c.af, c.bf) == (0.5, 1.0 / 3.0)
+    # past 2^53 two characteristics can share their floats, and so their
+    # hash, but they stay different keys
+    big_a, big_b = 10**20 + Fraction(1, 3), 10**20 + Fraction(2, 3)
+    e, f = ThetaChar(big_a, 0), ThetaChar(big_b, 0)
+    assert hash(e) == hash(f) and e != f
+    assert len({e: 1, f: 2}) == 2
+
+
+def test_char_lookups_and_reduction_unchanged():
+    for m in (TAU_I, TAU_ZETA):
+        table = theta_constants(m)
+        for c, value in table.items():
+            fresh = ThetaChar(str(c.a), str(c.b))
+            assert fresh is not c and table[fresh] == value
+    red, factor = ThetaChar(Fraction(-7, 6), Fraction(5, 2)).reduce()
+    assert (red.a, red.b) == (Fraction(5, 6), Fraction(1, 2))
+    assert factor == e_of(float(Fraction(5, 6) * 2))
+
+
+def test_characteristic_law_memo_stays_bounded():
+    from lemnis.theta import _LAW_MEMO, _i_law, _omega_law, _reduce
+
+    base = ThetaChar(Fraction(1, 3), Fraction(1, 6))
+    z = complex(0.1, 0.2)
+    for p in range(100):
+        for q in range(100):
+            c = ThetaChar(base.a + p, base.b + q)
+            red, factor = c.reduce()
+            assert red == base and abs(factor - e_of(float(base.a * q))) < 1e-15
+            i_multiple(c, z)
+            omega_multiple(c, z, OmegaPower.OMEGA)
+    for memo in (_reduce, _i_law, _omega_law):
+        assert memo.cache_info().currsize <= _LAW_MEMO
+    # a law taken from the memo is the law computed afresh
+    c = ThetaChar(base.a + 99, base.b + 99)
+    pref, target = omega_multiple(c, z, OmegaPower.OMEGA_SQ)
+    lhs = theta(c, (ZETA - 1.0) ** 2 * z, TAU_ZETA)
+    assert abs(lhs - pref * theta(target, z, TAU_ZETA)) < 1e-10 * max(1.0, abs(lhs))
