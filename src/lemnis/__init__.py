@@ -49,6 +49,7 @@ from .theta import (
     theta,
     theta_constants,
     theta_dz,
+    theta_four,
     transform_tau,
     zero_locus,
 )

@@ -67,7 +67,6 @@ from .theta import (
     TAU_ZETA,
     ThetaChar,
     TorusPoint,
-    _theta_four,
     addition_check,
     canonical_torus_point,
     i_multiple,
@@ -78,6 +77,7 @@ from .theta import (
     theta,
     theta_constants,
     theta_dz,
+    theta_four,
 )
 
 _DEFAULT_TOL = 1e-10
@@ -318,7 +318,7 @@ class _Worst:
 
 def _jacobi_derivative(mod: Modulus, tol: Tolerance) -> _Worst:
     # Jacobi's derivative identity theta11'(0) = -pi theta00(0) theta01(0) theta10(0)
-    k00, k01, k10, _ = _theta_four(0j, mod, tol)
+    k00, k01, k10, _ = theta_four(0j, mod, tol)
     lhs = theta_dz(HALF_CHARS[3], 0j, mod, tol)
     rhs = -math.pi * (k00 * k01 * k10)
     worst = _Worst()
@@ -370,7 +370,7 @@ def _suite_tau_i(rng: SplitMix64, n: int, tol: Tolerance) -> dict[str, _Worst]:
             )
         for pair in one_plus_i_multiple(z, tol):
             oneplusi.push(pair.residual, tag + f" {pair.name}")
-        th00, th01, th10, th11 = _theta_four(z, mod, tol)
+        th00, th01, th10, th11 = theta_four(z, mod, tol)
         rt2 = math.sqrt(2.0)
         squares.push(_scaled_residual(rt2 * th01 ** 2, th00 ** 2 + th11 ** 2), tag)
         squares.push(_scaled_residual(rt2 * th10 ** 2, th00 ** 2 - th11 ** 2), tag)
@@ -400,7 +400,7 @@ def _suite_tau_zeta(rng: SplitMix64, n: int, tol: Tolerance) -> dict[str, _Worst
                 )
         for pair in one_plus_zeta_multiple(z, tol):
             onepz.push(pair.residual, tag + f" {pair.name}")
-        th00, th01, th10, th11 = _theta_four(z, mod, tol)
+        th00, th01, th10, th11 = theta_four(z, mod, tol)
         e12 = complex(math.cos(math.pi / 6.0), math.sin(math.pi / 6.0))
         lincomb.push(_scaled_residual(th01 ** 2, (th00 ** 2 - OMEGA * OMEGA * th11 ** 2) / e12), tag)
         lincomb.push(_scaled_residual(th10 ** 2, e12 * (th00 ** 2 + OMEGA * th11 ** 2)), tag)

@@ -35,10 +35,10 @@ from .theta import (
     TorusPoint,
     IdentityPair,
     _lattice_coefficients,
-    _theta_four,
     canonical_torus_point,
     lattice_distance,
     theta,
+    theta_four,
 )
 
 
@@ -223,7 +223,7 @@ _POLE_ZETA_2 = 2 * (ZETA + 1) / 3
 
 def inverse_quartic_t_routes(zp: TorusPoint) -> tuple[complex, complex]:
     """Both displayed t-expressions; they agree up to roundoff."""
-    th00, th01, th10, th11 = _theta_four(zp.z, TAU_I)
+    th00, th01, th10, th11 = theta_four(zp.z, TAU_I)
     t_prod = 2 * th01 ** 2 * th10 ** 2 / th00 ** 4
     t_quot = 1 - th11 ** 4 / th00 ** 4
     return t_prod, t_quot
@@ -241,12 +241,19 @@ def inverse_sextic(zp: TorusPoint) -> CurvePoint:
 
 # The inverses with the four half-characteristic thetas at z that they are
 # built from, None over t = infinity; the ratio identities reuse the thetas.
+# They take one `theta` call per characteristic, not `theta_four`: the
+# benchmark harness's self-test (perfbench/selftest.py) pins four theta
+# entries per inverse.
+
+def _four_thetas(z: complex, mod: Modulus) -> tuple[complex, ...]:
+    return tuple(theta(c, z, mod) for c in HALF_CHARS)
+
 
 def _quartic_with_thetas(zp: TorusPoint) -> tuple[CurvePoint, tuple | None]:
     _require_modulus(zp, TAU_I)
     if lattice_distance(TAU_I, zp.z, _POLE_I) < 1e-9:
         return CurvePoint(Curve.C_I, 0.0, 0.0, at_infinity=True), None
-    th = th00, th01, th10, th11 = _theta_four(zp.z, TAU_I)
+    th = th00, th01, th10, th11 = _four_thetas(zp.z, TAU_I)
     t = 2 * th01 ** 2 * th10 ** 2 / th00 ** 4
     u = -(1 - 1j) * th01 * th10 * th11 / th00 ** 3
     return CurvePoint(Curve.C_I, t, u), th
@@ -258,7 +265,7 @@ def _sextic_with_thetas(zp: TorusPoint) -> tuple[CurvePoint, tuple | None]:
         return CurvePoint(Curve.C_ZETA, 0.0, 0.0, at_infinity=True, branch=0), None
     if lattice_distance(TAU_ZETA, zp.z, _POLE_ZETA_2) < 1e-9:
         return CurvePoint(Curve.C_ZETA, 0.0, 0.0, at_infinity=True, branch=1), None
-    th = th00, th01, th10, th11 = _theta_four(zp.z, TAU_ZETA)
+    th = th00, th01, th10, th11 = _four_thetas(zp.z, TAU_ZETA)
     den = SQRT3 * 1j * th00 ** 2 - th11 ** 2
     t = -3 * SQRT3 * 1j * th00 ** 2 * th01 ** 2 * th10 ** 2 / den ** 3
     u = e_of(-0.125) * 27 ** 0.25 * th00 * th01 * th10 * th11 / den ** 2
@@ -440,7 +447,7 @@ def hgf_theta_roundtrip(z: complex, curve: Curve) -> float:
         raise DomainError("round trip is stated for |z| < 0.3")
     if z == 0:
         return 0.0
-    th00, _, _, th11 = _theta_four(z, curve.modulus)
+    th00, _, _, th11 = theta_four(z, curve.modulus)
     if curve is Curve.C_I:
         ratio = th11 / th00
         f = gauss_2f1(SchwarzVariant.QUARTIC.series_params, ratio ** 4)

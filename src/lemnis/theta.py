@@ -8,7 +8,7 @@ with exact rational (a, b), whose floats are taken once per characteristic.
 One kernel sums it, outward from the largest term by term ratios, and keeps
 the even-n and odd-n parts apart.  `theta` and `theta_dz` add the two parts;
 the four half characteristics at one z share the lattices n and n + 1/2,
-where b = 1/2 only flips the sign of the odd part, so `_theta_four` takes
+where b = 1/2 only flips the sign of the odd part, so `theta_four` takes
 theta00, theta01, theta10 and theta11 from two sums.  Beyond the generic
 transformation laws the module carries the specialized multiplication
 lemmas at tau = i and tau = zeta = (1+sqrt(3)i)/2, and closed forms for the
@@ -77,10 +77,14 @@ class ThetaChar:
 
     def __init__(self, a: RationalLike | float, b: RationalLike | float) -> None:
         fa, fb = _as_fraction(a), _as_fraction(b)
+        try:
+            af, bf = float(fa), float(fb)
+        except OverflowError:
+            raise DomainError("characteristic beyond the binary64 range: |a| or |b| above 1.8e308") from None
         object.__setattr__(self, "a", fa)
         object.__setattr__(self, "b", fb)
-        object.__setattr__(self, "af", float(fa))
-        object.__setattr__(self, "bf", float(fb))
+        object.__setattr__(self, "af", af)
+        object.__setattr__(self, "bf", bf)
 
     def __hash__(self) -> int:
         return hash((self.af, self.bf))
@@ -316,7 +320,7 @@ HALF_CHARS = (
 _C00, _C01, _C10, _C11 = HALF_CHARS
 
 
-def _theta_four(
+def theta_four(
     z: complex, m: Modulus, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> tuple[complex, complex, complex, complex]:
     """theta00, theta01, theta10, theta11 at z, in that order.
@@ -353,12 +357,12 @@ def addition_check(
     each) and Jacobi's identity, nine numbers in fixed order."""
     z1 = complex(z1)
     z2 = complex(z2)
-    plus = _theta_four(z1 + z2, m, tol)
-    minus = _theta_four(z1 - z2, m, tol)
+    plus = theta_four(z1 + z2, m, tol)
+    minus = theta_four(z1 - z2, m, tol)
     p00, p01, p10, p11 = (u * v for u, v in zip(plus, minus))
-    a00, a01, a10, a11 = (v * v for v in _theta_four(z1, m, tol))
-    b00, b01, b10, b11 = (v * v for v in _theta_four(z2, m, tol))
-    k00, k01, k10, _ = (v * v for v in _theta_four(0j, m, tol))
+    a00, a01, a10, a11 = (v * v for v in theta_four(z1, m, tol))
+    b00, b01, b10, b11 = (v * v for v in theta_four(z2, m, tol))
+    k00, k01, k10, _ = (v * v for v in theta_four(0j, m, tol))
     return [
         _scaled_residual(p00 * k00, a00 * b00 + a11 * b11),
         _scaled_residual(p00 * k00, a01 * b01 + a10 * b10),
@@ -389,9 +393,9 @@ def one_plus_i_multiple(z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> list[
     z = complex(z)
     m = TAU_I
     gauss = cmath.exp(math.pi * 1j * (1.0 + 1j) * z * z)
-    k00, k01, k10, _ = _theta_four(0j, m, tol)
-    t00, t01, t10, t11 = _theta_four(z, m, tol)
-    w00, w01, w10, w11 = _theta_four((1.0 + 1j) * z, m, tol)
+    k00, k01, k10, _ = theta_four(0j, m, tol)
+    t00, t01, t10, t11 = theta_four(z, m, tol)
+    w00, w01, w10, w11 = theta_four((1.0 + 1j) * z, m, tol)
     return [
         IdentityPair("theta00", w00, k00 * t01 * t10 / (gauss * k01 * k10)),
         IdentityPair(
@@ -439,9 +443,9 @@ def one_plus_zeta_multiple(z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> li
     z = complex(z)
     m = TAU_ZETA
     gauss = _e((OMEGA_SQ + OMEGA / 2.0) * z * z)
-    k00, k01, k10, _ = _theta_four(0j, m, tol)
-    t00, t01, t10, t11 = _theta_four(z, m, tol)
-    w00, w01, w10, w11 = _theta_four((1.0 + ZETA) * z, m, tol)
+    k00, k01, k10, _ = theta_four(0j, m, tol)
+    t00, t01, t10, t11 = theta_four(z, m, tol)
+    w00, w01, w10, w11 = theta_four((1.0 + ZETA) * z, m, tol)
     e8 = e_of(0.125)
     return [
         IdentityPair("theta00", w00, e8 * gauss / (k00 * k00) * t10 * (t00 * t00 - 1j * t01 * t01)),

@@ -347,15 +347,23 @@ def test_verify_usage_errors(capsys):
 # Failure exit code.
 
 
-def test_exit_1_when_residual_exceeds_tolerance(capsys):
-    # at z = 0 the gamma closed form, computed apart from the series, differs
-    # from it by rounding, which a tolerance of 1e-30 does not admit
+def test_exit_1_when_residual_exceeds_tolerance(capsys, monkeypatch):
+    # the mirrored characteristic's value is skewed by 1e-9, so the parity
+    # residual is about 1e-9 whatever the rounding of the series
+    exact = lemnis.cli.theta
+
+    def skewed(c, z, m, tol):
+        value = exact(c, z, m, tol)
+        return value * (1 + 1e-9) if c.b < 0 else value
+
+    monkeypatch.setattr(lemnis.cli, "theta", skewed)
     code, rep, _ = run_cli(
         capsys,
-        ["theta", "--a", "0", "--b", "1/2", "--z", "0", "--tau", "i", "--tol", "1e-30"],
+        ["theta", "--a", "0", "--b", "1/2", "--z", "0.3+0.1i", "--tau", "i", "--tol", "1e-30"],
     )
     assert code == 1
     assert rep["pass"] is False
+    assert rep["residuals"][0]["name"] == "parity" and rep["residuals"][0]["value"] > 1e-10
 
 
 def test_usage_errors_print_the_subcommand_usage(capsys):
@@ -364,6 +372,7 @@ def test_usage_errors_print_the_subcommand_usage(capsys):
     for argv in (
         ["agm", "--variant", "quartic", "--a", "1", "--b", "-1e-3"],
         ["theta", "--a", "1/0", "--b", "0", "--tau", "i"],
+        ["theta", "--a", "1e400", "--b", "0", "--tau", "i"],
         ["theta", "--a", "0", "--b", "0", "--z", "0+40i", "--tau", "i"],
         ["curve", "--curve", "i"],
         ["verify", "--samples", "0"],

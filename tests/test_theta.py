@@ -34,7 +34,7 @@ from lemnis import (
     transform_tau,
     zero_locus,
 )
-from lemnis.theta import HALF_CHARS, SEXTIC_CHARS, ZETA, _theta_four
+from lemnis.theta import HALF_CHARS, SEXTIC_CHARS, ZETA, theta_four
 
 C00 = ThetaChar(0, 0)
 C01 = ThetaChar(0, Fraction(1, 2))
@@ -474,7 +474,7 @@ def test_four_kernel_matches_theta_and_jtheta():
         points = 3 if tau.imag < 0.1 else 12
         for _ in range(points):
             z = rng.uniform(-3.0, 3.0) + rng.uniform(-3.0, 3.0) * tau
-            four = _theta_four(z, m)
+            four = theta_four(z, m)
             for c, value in zip(HALF_CHARS, four):
                 scale = _abs_series(c, z, tau, False)
                 assert abs(value - theta(c, z, m)) <= 1e-14 * scale, (c, tau, z)
@@ -491,13 +491,13 @@ def test_four_kernel_raises_domain_error_on_overflow_and_non_finite_z():
     for m in (TAU_I, TAU_ZETA, GENERIC):
         for z in bad + huge:
             with pytest.raises(DomainError):
-                _theta_four(z, m)
+                theta_four(z, m)
             for c in HALF_CHARS:
                 with pytest.raises(DomainError):
                     theta(c, z, m)
     # values that fit are returned, and they are the per-characteristic ones
     # (15 i is a zero of theta11, left in rounding of terms near 1e307)
-    for value, c in zip(_theta_four(15j, TAU_I), HALF_CHARS):
+    for value, c in zip(theta_four(15j, TAU_I), HALF_CHARS):
         assert cmath.isfinite(value)
         assert abs(value - theta(c, 15j, TAU_I)) <= 1e-14 * _abs_series(c, 15j, 1j, False)
 
@@ -508,7 +508,7 @@ def test_jacobi_derivative_through_the_four_kernel():
     # values are tiny and the terms are not)
     for m in KERNEL_MODULI:
         tau = m.value
-        k00, k01, k10, k11 = _theta_four(0j, m)
+        k00, k01, k10, k11 = theta_four(0j, m)
         sums = [_abs_series(c, 0j, tau, False) for c in HALF_CHARS]
         assert abs(k11) <= 1e-14 * sums[3]
         lhs = theta_dz(C11, 0j, m)
@@ -528,6 +528,12 @@ def test_char_equality_is_exact_and_hash_follows_it():
     e, f = ThetaChar(big_a, 0), ThetaChar(big_b, 0)
     assert hash(e) == hash(f) and e != f
     assert len({e: 1, f: 2}) == 2
+
+
+def test_char_beyond_binary64_is_a_domain_error():
+    for a, b in ((10**400, 0), (0, Fraction("-1e400")), (Fraction("1e400") + Fraction(1, 2), 0)):
+        with pytest.raises(DomainError, match="characteristic"):
+            ThetaChar(a, b)
 
 
 def test_char_lookups_and_reduction_unchanged():
