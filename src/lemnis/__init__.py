@@ -7,11 +7,9 @@ import types
 
 from .numerics import (
     BranchBoundaryWarning,
-    DEFAULT_TOLERANCE,
     DomainError,
     IterationLimitError,
     PathError,
-    Tolerance,
     beta,
     branch_root,
     e_of,

@@ -56,7 +56,6 @@ from .numerics import (
     DomainError,
     IterationLimitError,
     PathError,
-    Tolerance,
     _scaled_residual,
 )
 from .theta import (
@@ -182,10 +181,9 @@ def _cmd_theta(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             mod = Modulus.generic(parse_complex(args.tau))
     except (ValueError, ZeroDivisionError, DomainError) as exc:
         parser.error(str(exc))
-    eval_tol = Tolerance(tol * 1e-2)
-    value = theta(char, z, mod, eval_tol)
-    mirrored = theta(ThetaChar(-a, -b), z, mod, eval_tol)
-    flipped = theta(char, -z, mod, eval_tol)
+    value = theta(char, z, mod)
+    mirrored = theta(ThetaChar(-a, -b), z, mod)
+    flipped = theta(char, -z, mod)
     parity = abs(mirrored - flipped) / max(1.0, abs(flipped))
     residuals = [{"name": "parity", "value": parity, "tol": tol}]
     if z == 0:
@@ -316,10 +314,10 @@ class _Worst:
             self.sample = sample
 
 
-def _jacobi_derivative(mod: Modulus, tol: Tolerance) -> _Worst:
+def _jacobi_derivative(mod: Modulus) -> _Worst:
     # Jacobi's derivative identity theta11'(0) = -pi theta00(0) theta01(0) theta10(0)
-    k00, k01, k10, _ = theta_four(0j, mod, tol)
-    lhs = theta_dz(HALF_CHARS[3], 0j, mod, tol)
+    k00, k01, k10, _ = theta_four(0j, mod)
+    lhs = theta_dz(HALF_CHARS[3], 0j, mod)
     rhs = -math.pi * (k00 * k01 * k10)
     worst = _Worst()
     worst.push(_scaled_residual(lhs, rhs), "z=0")
@@ -331,46 +329,46 @@ def _limit_residual(limit: float, closed: float) -> float:
     return abs(limit - closed) / max(1.0, abs(limit))
 
 
-def _suite_addition(rng: SplitMix64, n: int, tol: Tolerance) -> dict[str, _Worst]:
+def _suite_addition(rng: SplitMix64, n: int) -> dict[str, _Worst]:
     out: dict[str, _Worst] = {}
     for label, mod in (("tau_i", TAU_I), ("tau_zeta", TAU_ZETA)):
         worst = _Worst()
         for _ in range(n):
             z1, z2 = _rand_torus(rng, mod), _rand_torus(rng, mod)
-            res = addition_check(z1.z, z2.z, mod, tol)
+            res = addition_check(z1.z, z2.z, mod)
             worst.push(max(res), f"z1={format_complex(z1.z)} z2={format_complex(z2.z)}")
         out[f"addition.{label}"] = worst
     return out
 
 
-def _suite_tau_i(rng: SplitMix64, n: int, tol: Tolerance) -> dict[str, _Worst]:
+def _suite_tau_i(rng: SplitMix64, n: int) -> dict[str, _Worst]:
     mod = TAU_I
     quasi, parity, shift, itimes, oneplusi, squares = (_Worst() for _ in range(6))
     for _ in range(n):
         z = _rand_torus(rng, mod).z
         tag = f"z={format_complex(z)}"
         for char in HALF_CHARS:
-            base = theta(char, z, mod, tol)
+            base = theta(char, z, mod)
             p, q = rng.int_range(-2, 2), rng.int_range(-2, 2)
-            shifted = theta(char, z + p * mod.value + q, mod, tol)
+            shifted = theta(char, z + p * mod.value + q, mod)
             factor = quasi_period_factor(char, p, q, z, mod)
             quasi.push(_scaled_residual(shifted, factor * base), tag + f" p={p} q={q}")
             parity.push(
-                _scaled_residual(theta(ThetaChar(-char.a, -char.b), z, mod, tol), theta(char, -z, mod, tol)),
+                _scaled_residual(theta(ThetaChar(-char.a, -char.b), z, mod), theta(char, -z, mod)),
                 tag,
             )
             cs = ThetaChar(char.a + p, char.b + q)
             reduced, cf = cs.reduce()
             shift.push(
-                _scaled_residual(theta(cs, z, mod, tol), cf * theta(reduced, z, mod, tol)), tag
+                _scaled_residual(theta(cs, z, mod), cf * theta(reduced, z, mod)), tag
             )
             pref, target = i_multiple(char, z)
             itimes.push(
-                _scaled_residual(theta(char, 1j * z, mod, tol), pref * theta(target, z, mod, tol)), tag
+                _scaled_residual(theta(char, 1j * z, mod), pref * theta(target, z, mod)), tag
             )
-        for pair in one_plus_i_multiple(z, tol):
+        for pair in one_plus_i_multiple(z):
             oneplusi.push(pair.residual, tag + f" {pair.name}")
-        th00, th01, th10, th11 = theta_four(z, mod, tol)
+        th00, th01, th10, th11 = theta_four(z, mod)
         rt2 = math.sqrt(2.0)
         squares.push(_scaled_residual(rt2 * th01 ** 2, th00 ** 2 + th11 ** 2), tag)
         squares.push(_scaled_residual(rt2 * th10 ** 2, th00 ** 2 - th11 ** 2), tag)
@@ -381,11 +379,11 @@ def _suite_tau_i(rng: SplitMix64, n: int, tol: Tolerance) -> dict[str, _Worst]:
         "tau_i.i_times": itimes,
         "tau_i.one_plus_i": oneplusi,
         "tau_i.two_squares": squares,
-        "tau_i.jacobi_derivative": _jacobi_derivative(mod, tol),
+        "tau_i.jacobi_derivative": _jacobi_derivative(mod),
     }
 
 
-def _suite_tau_zeta(rng: SplitMix64, n: int, tol: Tolerance) -> dict[str, _Worst]:
+def _suite_tau_zeta(rng: SplitMix64, n: int) -> dict[str, _Worst]:
     mod = TAU_ZETA
     omega_fam, onepz, lincomb = _Worst(), _Worst(), _Worst()
     for _ in range(n):
@@ -395,25 +393,25 @@ def _suite_tau_zeta(rng: SplitMix64, n: int, tol: Tolerance) -> dict[str, _Worst
             for power, mult in ((OmegaPower.OMEGA, OMEGA), (OmegaPower.OMEGA_SQ, OMEGA * OMEGA)):
                 pref, target = omega_multiple(char, z, power)
                 omega_fam.push(
-                    _scaled_residual(theta(char, mult * z, mod, tol), pref * theta(target, z, mod, tol)),
+                    _scaled_residual(theta(char, mult * z, mod), pref * theta(target, z, mod)),
                     tag + f" {power.name}",
                 )
-        for pair in one_plus_zeta_multiple(z, tol):
+        for pair in one_plus_zeta_multiple(z):
             onepz.push(pair.residual, tag + f" {pair.name}")
-        th00, th01, th10, th11 = theta_four(z, mod, tol)
+        th00, th01, th10, th11 = theta_four(z, mod)
         e12 = complex(math.cos(math.pi / 6.0), math.sin(math.pi / 6.0))
         lincomb.push(_scaled_residual(th01 ** 2, (th00 ** 2 - OMEGA * OMEGA * th11 ** 2) / e12), tag)
         lincomb.push(_scaled_residual(th10 ** 2, e12 * (th00 ** 2 + OMEGA * th11 ** 2)), tag)
     hi = _Worst()
     table = theta_constants(mod)
     for char, closed in table.items():
-        hi.push(abs(theta(char, 0j, mod, tol) - closed), f"char=({char.a},{char.b})")
+        hi.push(abs(theta(char, 0j, mod) - closed), f"char=({char.a},{char.b})")
     return {
         "tau_zeta.omega_times": omega_fam,
         "tau_zeta.one_plus_zeta": onepz,
         "tau_zeta.linear_combination": lincomb,
         "tau_zeta.constants": hi,
-        "tau_zeta.jacobi_derivative": _jacobi_derivative(mod, tol),
+        "tau_zeta.jacobi_derivative": _jacobi_derivative(mod),
     }
 
 
@@ -431,7 +429,7 @@ def _sample_point(rng: SplitMix64, curve: Curve) -> tuple[TorusPoint, CurvePoint
     raise IterationLimitError("failed to sample a well-conditioned curve point")
 
 
-def _suite_inverse(rng: SplitMix64, n: int, tol: Tolerance) -> dict[str, _Worst]:
+def _suite_inverse(rng: SplitMix64, n: int) -> dict[str, _Worst]:
     routes, on_curve, ratios = _Worst(), _Worst(), _Worst()
     for _ in range(n):
         zp, p = _sample_point(rng, Curve.C_I)
@@ -453,7 +451,7 @@ def _suite_inverse(rng: SplitMix64, n: int, tol: Tolerance) -> dict[str, _Worst]
     }
 
 
-def _suite_multiplication(rng: SplitMix64, n: int, tol: Tolerance) -> dict[str, _Worst]:
+def _suite_multiplication(rng: SplitMix64, n: int) -> dict[str, _Worst]:
     quartic, sextic = _Worst(), _Worst()
     for _ in range(n):
         for curve, fam in ((Curve.C_I, quartic), (Curve.C_ZETA, sextic)):
@@ -473,7 +471,7 @@ def _suite_multiplication(rng: SplitMix64, n: int, tol: Tolerance) -> dict[str, 
     return {"multiplication.quartic": quartic, "multiplication.sextic": sextic}
 
 
-def _suite_monodromy(rng: SplitMix64, n: int, tol: Tolerance) -> dict[str, _Worst]:
+def _suite_monodromy(rng: SplitMix64, n: int) -> dict[str, _Worst]:
     orders, hom, special, dual, closure = (_Worst() for _ in range(5))
     for variant, expect in ((SchwarzVariant.QUARTIC, (2, 4, 4)), (SchwarzVariant.SEXTIC, (2, 6, 3))):
         mats = n_matrices(variant)
@@ -511,7 +509,7 @@ def _suite_monodromy(rng: SplitMix64, n: int, tol: Tolerance) -> dict[str, _Wors
     }
 
 
-def _suite_meaniter(rng: SplitMix64, n: int, tol: Tolerance) -> dict[str, _Worst]:
+def _suite_meaniter(rng: SplitMix64, n: int) -> dict[str, _Worst]:
     quartic, sextic, preimage = _Worst(), _Worst(), _Worst()
     for _ in range(n):
         a = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
@@ -551,11 +549,10 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         parser.error("--samples must lie in [1, 10000]")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     rng = SplitMix64(args.seed)
-    eval_tol = Tolerance(min(1e-12, tol * 1e-2))
     residuals = []
     worst_samples = {}
     for name in names:
-        for family, worst in _SUITES[name](rng, args.samples, eval_tol).items():
+        for family, worst in _SUITES[name](rng, args.samples).items():
             residuals.append({"name": family, "value": worst.value, "tol": tol})
             worst_samples[family] = worst.sample
     inputs = {"suite": args.suite, "samples": args.samples, "tol": tol}

@@ -10,7 +10,6 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
 SQRT3 = math.sqrt(3.0)
@@ -38,19 +37,6 @@ class PathError(ValueError):
 class BranchBoundaryWarning(UserWarning):
     """A requested root lies within roundoff of its argument window edge."""
 
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute accuracy target used across the package."""
-
-    abs_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if self.abs_tol <= 0.0:
-            raise DomainError("tolerances must be positive")
-
-
-DEFAULT_TOLERANCE = Tolerance()
 
 # Lanczos, g = 7, nine terms.  Relative error stays below 1e-13 on the
 # positive real axis, which is the only place public callers may evaluate.

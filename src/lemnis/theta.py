@@ -26,12 +26,10 @@ from fractions import Fraction
 from typing import Union
 
 from .numerics import (
-    DEFAULT_TOLERANCE,
     OMEGA,
     OMEGA_SQ,
     ZETA,
     DomainError,
-    Tolerance,
     _scaled_residual,
     e_of,
     gamma_real,
@@ -196,27 +194,31 @@ def lattice_distance(m: Modulus, z1: complex, z2: complex) -> float:
     return best
 
 
-def _lattice_sums(
-    a: float, w: complex, z: complex, m: Modulus, abs_tol: float, weighted: bool
-) -> tuple[complex, complex]:
+# The series is summed over k within h of its peak, h = ceil(s) + 2 (+ 3 for
+# the z-derivative) with exp(-pi Im(tau) s^2) = 1e-12: the window depends on
+# tau alone.
+_WINDOW_LOG = math.log(1e12)
+
+
+def _lattice_sums(a: float, w: complex, z: complex, m: Modulus, weighted: bool) -> tuple[complex, complex]:
     # Sums over even and over odd n of T(k) = exp(pi i k^2 tau + 2 pi i k w),
-    # k = n + a (times 2 pi i k when weighted), w = z + b.  The terms decay
-    # like exp(-pi Im(tau) (k + Im z / Im tau)^2) up to a bounded peak factor,
-    # so |k| <= n_max with the 2 |Im z| / Im tau allowance for the shifted
-    # peak.  They are summed outward from the largest term by term ratios
-    # (Deconinck et al., Math. Comp. 73, 2004): R(k) = T(k+1)/T(k) obeys
-    # R(k+1) = R(k) q2 with q2 = e(tau), and so does T(k-1)/T(k) = q2/R(k-1)
-    # stepping down, two products per term.  The seed is the largest term, so
-    # it overflows only when the series leaves binary64; that, or sums that
-    # overflow, is a DomainError.
+    # k = n + a (times 2 pi i k when weighted), w = z + b.  |T(k)| is the
+    # largest term times exp(-pi Im(tau) (k - p)^2), p = -Im w / Im tau, so
+    # the window is k in [p - h, p + h], symmetric about the real p; centred
+    # on the nearest index it would be lopsided by one term, and theta11(0)
+    # would no longer vanish.  The terms are summed outward from the largest
+    # by term ratios (Deconinck et al., Math. Comp. 73, 2004): R(k) =
+    # T(k+1)/T(k) obeys R(k+1) = R(k) q2 with q2 = e(tau), and so does
+    # T(k-1)/T(k) = q2/R(k-1) stepping down, two products per term.  The seed
+    # is the largest term, so it overflows only when the series leaves
+    # binary64; that, or sums that overflow, is a DomainError.
     if not cmath.isfinite(z):
         raise DomainError(f"theta requires a finite argument, got {z}")
     tau = m.value
     im_tau = tau.imag
-    n_max = math.sqrt(math.log(100.0 / abs_tol) / (math.pi * im_tau)) + 2.0 * abs(z.imag) / im_tau
-    n_max = math.ceil(n_max) + (3 if weighted else 2)
+    h = math.ceil(math.sqrt(_WINDOW_LOG / (math.pi * im_tau))) + (3 if weighted else 2)
     peak = -w.imag / im_tau
-    n0 = round(peak - a)  # inside [-n_max - a, n_max - a], whose half-width exceeds 2 |peak|
+    n0 = round(peak - a)
     k0 = n0 + a
     try:
         t0 = cmath.exp(1j * math.pi * k0 * (k0 * tau + 2.0 * w))
@@ -237,8 +239,8 @@ def _lattice_sums(
     if weighted:
         t0 *= 2j * math.pi
     same, other = (k0 * t0 if weighted else t0), 0j  # n0's parity, the other one
-    n_up = math.floor(n_max - a) - n0
-    n_down = n0 - math.ceil(-n_max - a)
+    n_up = math.floor(peak + h - a) - n0
+    n_down = n0 - math.ceil(peak - h - a)
     for ratio, step, count in ((up, 1.0, n_up), (down, -1.0, n_down)):
         t, k = t0, k0
         for _ in range(count):
@@ -258,17 +260,17 @@ def _overflow(z: complex, tau: complex) -> DomainError:
     return DomainError(f"theta overflows binary64 at z = {z}, tau = {tau}")
 
 
-def theta(c: ThetaChar, z: complex, m: Modulus, tol: Tolerance = DEFAULT_TOLERANCE) -> complex:
+def theta(c: ThetaChar, z: complex, m: Modulus) -> complex:
     """Evaluate the series at z.  Values near a zero are returned as-is."""
     z = complex(z)
-    even, odd = _lattice_sums(c.af, z + c.bf, z, m, tol.abs_tol, False)
+    even, odd = _lattice_sums(c.af, z + c.bf, z, m, False)
     return even + odd
 
 
-def theta_dz(c: ThetaChar, z: complex, m: Modulus, tol: Tolerance = DEFAULT_TOLERANCE) -> complex:
+def theta_dz(c: ThetaChar, z: complex, m: Modulus) -> complex:
     """Term-wise z-derivative of the series."""
     z = complex(z)
-    even, odd = _lattice_sums(c.af, z + c.bf, z, m, tol.abs_tol, True)
+    even, odd = _lattice_sums(c.af, z + c.bf, z, m, True)
     return even + odd
 
 
@@ -320,9 +322,7 @@ HALF_CHARS = (
 _C00, _C01, _C10, _C11 = HALF_CHARS
 
 
-def theta_four(
-    z: complex, m: Modulus, tol: Tolerance = DEFAULT_TOLERANCE
-) -> tuple[complex, complex, complex, complex]:
+def theta_four(z: complex, m: Modulus) -> tuple[complex, complex, complex, complex]:
     """theta00, theta01, theta10, theta11 at z, in that order.
 
     The four share two lattices: a = 0 and a = 1/2, both with w = z, and
@@ -332,8 +332,8 @@ def theta_four(
     theta10 = E1 + O1, theta11 = i (E1 - O1).
     """
     z = complex(z)
-    e0, o0 = _lattice_sums(0.0, z, z, m, tol.abs_tol, False)
-    e1, o1 = _lattice_sums(0.5, z, z, m, tol.abs_tol, False)
+    e0, o0 = _lattice_sums(0.0, z, z, m, False)
+    e1, o1 = _lattice_sums(0.5, z, z, m, False)
     return e0 + o0, e0 - o0, e1 + o1, 1j * (e1 - o1)
 
 
@@ -350,19 +350,17 @@ class IdentityPair:
         return _scaled_residual(self.lhs, self.rhs)
 
 
-def addition_check(
-    z1: complex, z2: complex, m: Modulus, tol: Tolerance = DEFAULT_TOLERANCE
-) -> list[float]:
+def addition_check(z1: complex, z2: complex, m: Modulus) -> list[float]:
     """Scaled residuals of the four addition formulas (both right-hand sides
     each) and Jacobi's identity, nine numbers in fixed order."""
     z1 = complex(z1)
     z2 = complex(z2)
-    plus = theta_four(z1 + z2, m, tol)
-    minus = theta_four(z1 - z2, m, tol)
+    plus = theta_four(z1 + z2, m)
+    minus = theta_four(z1 - z2, m)
     p00, p01, p10, p11 = (u * v for u, v in zip(plus, minus))
-    a00, a01, a10, a11 = (v * v for v in theta_four(z1, m, tol))
-    b00, b01, b10, b11 = (v * v for v in theta_four(z2, m, tol))
-    k00, k01, k10, _ = (v * v for v in theta_four(0j, m, tol))
+    a00, a01, a10, a11 = (v * v for v in theta_four(z1, m))
+    b00, b01, b10, b11 = (v * v for v in theta_four(z2, m))
+    k00, k01, k10, _ = (v * v for v in theta_four(0j, m))
     return [
         _scaled_residual(p00 * k00, a00 * b00 + a11 * b11),
         _scaled_residual(p00 * k00, a01 * b01 + a10 * b10),
@@ -388,14 +386,14 @@ def _i_law(c: ThetaChar) -> tuple[complex, ThetaChar]:
     return e_of(float(c.a * c.b)), ThetaChar(-c.b, c.a)
 
 
-def one_plus_i_multiple(z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> list[IdentityPair]:
+def one_plus_i_multiple(z: complex) -> list[IdentityPair]:
     """Both sides of the three (1+i)-multiplication identities at tau = i."""
     z = complex(z)
     m = TAU_I
     gauss = cmath.exp(math.pi * 1j * (1.0 + 1j) * z * z)
-    k00, k01, k10, _ = theta_four(0j, m, tol)
-    t00, t01, t10, t11 = theta_four(z, m, tol)
-    w00, w01, w10, w11 = theta_four((1.0 + 1j) * z, m, tol)
+    k00, k01, k10, _ = theta_four(0j, m)
+    t00, t01, t10, t11 = theta_four(z, m)
+    w00, w01, w10, w11 = theta_four((1.0 + 1j) * z, m)
     return [
         IdentityPair("theta00", w00, k00 * t01 * t10 / (gauss * k01 * k10)),
         IdentityPair(
@@ -438,14 +436,14 @@ def _omega_law(c: ThetaChar, power: OmegaPower) -> tuple[complex, ThetaChar]:
     return e_of(float(a * b + (b * b + b) / 2 + Fraction(1, 24))), ThetaChar(b, -a - b - half)
 
 
-def one_plus_zeta_multiple(z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> list[IdentityPair]:
+def one_plus_zeta_multiple(z: complex) -> list[IdentityPair]:
     """Both sides of the four (1+zeta)-multiplication identities at tau = zeta."""
     z = complex(z)
     m = TAU_ZETA
     gauss = _e((OMEGA_SQ + OMEGA / 2.0) * z * z)
-    k00, k01, k10, _ = theta_four(0j, m, tol)
-    t00, t01, t10, t11 = theta_four(z, m, tol)
-    w00, w01, w10, w11 = theta_four((1.0 + ZETA) * z, m, tol)
+    k00, k01, k10, _ = theta_four(0j, m)
+    t00, t01, t10, t11 = theta_four(z, m)
+    w00, w01, w10, w11 = theta_four((1.0 + ZETA) * z, m)
     e8 = e_of(0.125)
     return [
         IdentityPair("theta00", w00, e8 * gauss / (k00 * k00) * t10 * (t00 * t00 - 1j * t01 * t01)),

@@ -352,8 +352,8 @@ def test_exit_1_when_residual_exceeds_tolerance(capsys, monkeypatch):
     # residual is about 1e-9 whatever the rounding of the series
     exact = lemnis.cli.theta
 
-    def skewed(c, z, m, tol):
-        value = exact(c, z, m, tol)
+    def skewed(c, z, m):
+        value = exact(c, z, m)
         return value * (1 + 1e-9) if c.b < 0 else value
 
     monkeypatch.setattr(lemnis.cli, "theta", skewed)

@@ -11,7 +11,6 @@ import pytest
 from lemnis import (
     BranchBoundaryWarning,
     DomainError,
-    Tolerance,
     beta,
     branch_root,
     e_of,
@@ -158,9 +157,3 @@ def test_branch_root_boundary_warns():
 def test_branch_root_rejects_small_k():
     with pytest.raises(DomainError):
         branch_root(1.0, 1, 0.0)
-
-
-def test_tolerance_validation():
-    Tolerance(1e-9)
-    with pytest.raises(DomainError):
-        Tolerance(abs_tol=0.0)
