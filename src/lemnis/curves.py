@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .hypergeometric import GaussParams, SchwarzVariant, gauss_2f1, gauss_2f1_pair
-from .numerics import SQRT3, ZETA, DomainError, beta, e_of, gamma_real
+from .numerics import SQRT3, ZETA, DomainError, e_of, gamma_real
 from .theta import (
     HALF_CHARS,
     Modulus,
@@ -58,20 +58,21 @@ class Curve(Enum):
     def modulus(self) -> Modulus:
         return TAU_I if self is Curve.C_I else TAU_ZETA
 
+    @property
+    def variant(self) -> SchwarzVariant:
+        return SchwarzVariant.QUARTIC if self is Curve.C_I else SchwarzVariant.SEXTIC
+
     @functools.cached_property
     def exponent(self) -> float:
         """a = 1/4 on C_I, 1/6 on C_ZETA: the 1-form is s^(-1/2) (s - 1)^(a - 1) ds.
 
         It is the first parameter of the variant's series F(a, 1/2; 1 + a).
         """
-        variant = SchwarzVariant.QUARTIC if self is Curve.C_I else SchwarzVariant.SEXTIC
-        return variant.series_params.alpha
+        return self.variant.series_params.alpha
 
     @functools.cached_property
     def normalization(self) -> complex:
-        if self is Curve.C_I:
-            return (1 - 1j) * beta(0.25, 0.25)
-        return (1 - ZETA * ZETA) * beta(1.0 / 3.0, 1.0 / 6.0)
+        return self.variant.normalization
 
 
 @dataclass(frozen=True)
@@ -363,9 +364,10 @@ def mul_one_plus_i(p: CurvePoint) -> CurvePoint:
     if abs(p.t) < 1e-12:
         return CurvePoint(Curve.C_I, 0.0, 0.0, at_infinity=True)
     t, u = p.t, p.u
-    t_new = ((t - 2) / t) ** 2
-    u_new = (1 + 1j) * u * (2 - t) / t ** 2
-    return CurvePoint(Curve.C_I, t_new, u_new)
+    # through r = (t - 2) / t, so no power of t overflows at large |t|
+    r = (t - 2) / t
+    u_new = -(1 + 1j) * u / t * r
+    return CurvePoint(Curve.C_I, r ** 2, u_new)
 
 
 def mul_one_plus_zeta(p: CurvePoint) -> CurvePoint:
@@ -377,9 +379,11 @@ def mul_one_plus_zeta(p: CurvePoint) -> CurvePoint:
     if abs(4 * p.t - 3) < 1e-12:
         return CurvePoint(Curve.C_ZETA, 0.0, 0.0, at_infinity=True)
     t, u = p.t, p.u
-    den = (4 * t - 3)
-    t_new = t * (9 - 8 * t) ** 2 / den ** 3
-    u_new = e_of(1.0 / 12.0) * SQRT3 * u * (9 - 8 * t) / den ** 2
+    # through r = (9 - 8t) / (4t - 3), so no power of t overflows at large |t|
+    den = 4 * t - 3
+    r = (9 - 8 * t) / den
+    t_new = t / den * r ** 2
+    u_new = e_of(1.0 / 12.0) * SQRT3 * u / den * r
     return CurvePoint(Curve.C_ZETA, t_new, u_new)
 
 
@@ -448,13 +452,14 @@ def hgf_theta_roundtrip(z: complex, curve: Curve) -> float:
     if z == 0:
         return 0.0
     th00, _, _, th11 = theta_four(z, curve.modulus)
+    a_n = curve.exponent * curve.normalization
     if curve is Curve.C_I:
         ratio = th11 / th00
         f = gauss_2f1(SchwarzVariant.QUARTIC.series_params, ratio ** 4)
-        lhs = -2 * math.sqrt(2 * math.pi) / gamma_real(0.25) ** 2 * ratio * f
+        lhs = e_of(0.375) / a_n * ratio * f
         return abs(lhs - z)
     w = 1 - SQRT3 * 1j * th00 ** 2 / th11 ** 2
-    pref = 16 ** (1.0 / 3.0) * math.pi * ZETA ** 2 / gamma_real(1.0 / 3.0) ** 3
+    pref = e_of(0.25) / a_n
     root = cmath.sqrt(w)
     if (z * root * pref.conjugate()).real < 0:
         root = -root

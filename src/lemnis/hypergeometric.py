@@ -44,17 +44,17 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .numerics import (
-    SQRT3,
     ZETA,
     DomainError,
     IterationLimitError,
+    _MAX_TERMS,
     _dist_to_int,
     _gamma_signed,
     beta as beta_fn,
+    e_of,
     gamma_real,
 )
 
-_MAX_TERMS = 100_000
 # Terms cost next to nothing, so every route sums to well below the 1e-10 the
 # package reports against; the boundary sum, whose tail decays only
 # algebraically, stops at 1e-10.
@@ -74,6 +74,8 @@ class GaussParams:
     gamma: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.alpha, self.beta, self.gamma))):
+            raise DomainError(f"parameters must be finite, got {self}")
         g = self.gamma
         if g <= 0.0 and abs(g - round(g)) < 1e-12:
             raise DomainError(f"gamma must avoid 0, -1, -2, ..., got {g}")
@@ -85,13 +87,13 @@ class SchwarzVariant(Enum):
     QUARTIC = 4
     SEXTIC = 6
 
-    @property
+    @functools.cached_property
     def params(self) -> GaussParams:
         if self is SchwarzVariant.QUARTIC:
             return GaussParams(0.25, 0.0, 0.5)
         return GaussParams(1.0 / 3.0, 0.0, 0.5)
 
-    @property
+    @functools.cached_property
     def series_params(self) -> GaussParams:
         """F(1/4, 1/2, 5/4) or F(1/6, 1/2, 7/6): the Schwarz map and mean-limit series."""
         a = 0.25 if self is SchwarzVariant.QUARTIC else 1.0 / 6.0
@@ -100,6 +102,13 @@ class SchwarzVariant(Enum):
     @property
     def root_order(self) -> int:
         return self.value
+
+    @functools.cached_property
+    def normalization(self) -> complex:
+        """N: the curve's 1-form over N has the lattice Z + Z i or Z + Z zeta as periods."""
+        if self is SchwarzVariant.QUARTIC:
+            return (1 - 1j) * beta_fn(0.25, 0.25)
+        return (1 - ZETA * ZETA) * beta_fn(1.0 / 3.0, 1.0 / 6.0)
 
 
 def pochhammer(a: float, n: int) -> float:
@@ -321,18 +330,13 @@ def euler_f1_f2(v: SchwarzVariant, x: complex) -> tuple[complex, complex]:
     return f1, f2
 
 
-_SCHWARZ_SCALE = {
-    SchwarzVariant.QUARTIC: 2.0 * math.sqrt(2.0) * 1j,
-    SchwarzVariant.SEXTIC: 2.0 * SQRT3 * ZETA,
-}
-
-
 def schwarz_map(v: SchwarzVariant, x: complex) -> complex:
     """Ratio of the two solutions, normalized onto the period lattice.
 
-    QUARTIC: (2*sqrt(2)*i / B(1/4,1/4)) * (1-x)^(1/4) * F(1/4,1/2,5/4; 1-x)
-    SEXTIC:  (2*sqrt(3)*zeta / B(1/3,1/6)) * (1-x)^(1/6) * F(1/6,1/2,7/6; 1-x)
-    with the principal branch of the root.
+    e(a/2) (1-x)^a F(a, 1/2; 1 + a; 1-x) / (a N) with a = 1/4 (QUARTIC) or
+    1/6 (SEXTIC), N the variant's `normalization` and the principal branch
+    of the root; the prefactor is 2 sqrt(2) i / B(1/4, 1/4) or
+    2 sqrt(3) zeta / B(1/3, 1/6).
     """
     x = complex(x)
     w = 1.0 - x
@@ -341,6 +345,5 @@ def schwarz_map(v: SchwarzVariant, x: complex) -> complex:
     if w == 0:
         return 0.0 + 0.0j
     sp = v.series_params
-    f = gauss_2f1(sp, w)
-    # B(1/4, 1/4) or B(1/3, 1/6)
-    return _SCHWARZ_SCALE[v] / beta_fn(v.params.alpha, sp.alpha) * w**sp.alpha * f
+    a = sp.alpha
+    return e_of(a / 2) * w**a * gauss_2f1(sp, w) / (a * v.normalization)

@@ -38,6 +38,9 @@ class BranchBoundaryWarning(UserWarning):
     """A requested root lies within roundoff of its argument window edge."""
 
 
+# The most terms any series of the package sums before IterationLimitError.
+_MAX_TERMS = 100_000
+
 # Lanczos, g = 7, nine terms.  Relative error stays below 1e-13 on the
 # positive real axis, which is the only place public callers may evaluate.
 # Gamma overflows binary64 just above 171.62.
@@ -62,8 +65,12 @@ def gamma_real(x: float) -> float:
     if not 0.0 < x <= _GAMMA_MAX_X:
         raise DomainError(f"gamma_real requires 0 < x <= {_GAMMA_MAX_X}, got {x}")
     if x < 0.5:
-        # reflect once so the rational core only sees arguments >= 0.5
-        return math.pi / (math.sin(math.pi * x) * gamma_real(1.0 - x))
+        # reflect once so the rational core only sees arguments >= 0.5;
+        # gamma(x) ~ 1/x passes the binary64 range below about 5.6e-309
+        g = math.pi / (math.sin(math.pi * x) * gamma_real(1.0 - x))
+        if math.isinf(g):
+            raise DomainError(f"gamma_real({x}) overflows binary64")
+        return g
     z = x - 1.0
     acc = _LANCZOS_COEFFS[0]
     for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
@@ -112,12 +119,17 @@ def beta(x: float, y: float) -> float:
     """Euler beta B(x, y) = Gamma(x) Gamma(y) / Gamma(x + y) for x, y > 0."""
     if x <= 0.0 or y <= 0.0:
         raise DomainError(f"beta requires positive arguments, got ({x}, {y})")
-    return gamma_real(x) * gamma_real(y) / gamma_real(x + y)
+    b = gamma_real(x) * gamma_real(y) / gamma_real(x + y)
+    if math.isinf(b):
+        raise DomainError(f"beta({x}, {y}) overflows binary64")
+    return b
 
 
 def e_of(x: float) -> complex:
     """exp(2*pi*i*x) for real x.  The result always has modulus 1."""
     y = float(x)
+    if not math.isfinite(y):
+        raise DomainError(f"e_of requires a finite argument, got {x}")
     y -= round(y)  # 1-periodic; reduce to [-1/2, 1/2] before cos/sin
     return complex(math.cos(TWO_PI * y), math.sin(TWO_PI * y))
 
@@ -140,7 +152,10 @@ def branch_root(w: complex, k: int, arg_center: float) -> complex:
     if k < 2:
         raise DomainError(f"branch_root requires k >= 2, got {k}")
     w = complex(w)
-    if w == 0:
+    size = abs(w)  # inf or nan for a non-finite w
+    if not (size < math.inf and -math.inf < arg_center < math.inf):
+        raise DomainError(f"branch_root requires finite w and arg_center, got {w}, {arg_center}")
+    if size == 0:
         return 0j
     base = principal_arg(w) / k
     half = math.pi / k
@@ -160,4 +175,4 @@ def branch_root(w: complex, k: int, arg_center: float) -> complex:
             BranchBoundaryWarning,
             stacklevel=2,
         )
-    return _real_root(abs(w), k) * complex(math.cos(psi), math.sin(psi))
+    return _real_root(size, k) * complex(math.cos(psi), math.sin(psi))

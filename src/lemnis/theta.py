@@ -5,14 +5,17 @@ The series used everywhere is
     theta_{a,b}(z, tau) = sum_n exp(pi i (n+a)^2 tau + 2 pi i (n+a)(z+b)),
 
 with exact rational (a, b), whose floats are taken once per characteristic.
-One kernel sums it, outward from the largest term by term ratios, and keeps
-the even-n and odd-n parts apart.  `theta` and `theta_dz` add the two parts;
-the four half characteristics at one z share the lattices n and n + 1/2,
-where b = 1/2 only flips the sign of the odd part, so `theta_four` takes
-theta00, theta01, theta10 and theta11 from two sums.  Beyond the generic
-transformation laws the module carries the specialized multiplication
-lemmas at tau = i and tau = zeta = (1+sqrt(3)i)/2, and closed forms for the
-theta constants at both square moduli.
+One kernel sums it, outward from the largest term by term ratios over a
+window centred on that term whose width depends on tau alone (past 100,000
+terms, IterationLimitError), and keeps the even-n and odd-n parts apart.
+`theta` and `theta_dz` add the two parts; the four half characteristics at
+one z share the lattices n and n + 1/2, where b = 1/2 only flips the sign
+of the odd part, so `theta_four` takes theta00, theta01, theta10 and
+theta11 from two sums.  Beyond the generic transformation laws the module
+carries the specialized multiplication lemmas at tau = i and tau = zeta =
+(1+sqrt(3)i)/2, and closed forms for the theta constants at both square
+moduli.  Every prefactor goes through one checked exponential, so a value
+outside binary64 is a DomainError.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from .numerics import (
     OMEGA_SQ,
     ZETA,
     DomainError,
+    IterationLimitError,
+    _MAX_TERMS,
     _scaled_residual,
     e_of,
     gamma_real,
@@ -40,20 +45,30 @@ _MAX_CHAR_DENOM = 144
 RationalLike = Union[int, str, Fraction]
 
 
+def _exp(x: complex) -> complex:
+    # The one exponential of the prefactors: a value outside binary64, or a
+    # NaN exponent, is a DomainError.
+    try:
+        v = cmath.exp(x)
+    except (OverflowError, ValueError):
+        v = complex(math.nan)
+    if not cmath.isfinite(v):
+        raise DomainError(f"exp({x}) is outside binary64")
+    return v
+
+
 def _e(w: complex) -> complex:
     # exp(2 pi i w) for complex exponents; e_of stays real-argument only.
-    return cmath.exp(2j * math.pi * w)
+    return _exp(2j * math.pi * w)
 
 
 def _as_fraction(v: RationalLike | float) -> Fraction:
-    if isinstance(v, float):
-        f = Fraction(v)
-        if f.denominator > _MAX_CHAR_DENOM:
-            raise DomainError(
-                f"float {v} is not an exact small rational; pass a Fraction or 'p/q'"
-            )
-        return f
-    f = v if type(v) is Fraction else Fraction(v)
+    try:
+        f = v if type(v) is Fraction else Fraction(v)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        raise DomainError(f"characteristic {v!r} is not a finite rational") from None
+    if isinstance(v, float) and f.denominator > _MAX_CHAR_DENOM:
+        raise DomainError(f"float {v} is not an exact small rational; pass a Fraction or 'p/q'")
     if f.denominator > _MAX_CHAR_DENOM:
         raise DomainError(f"characteristic denominator {f.denominator} exceeds {_MAX_CHAR_DENOM}")
     return f
@@ -165,6 +180,8 @@ class TorusPoint:
 def _lattice_coefficients(tau: complex, z: complex) -> tuple[float, float]:
     alpha = z.imag / tau.imag
     beta = z.real - alpha * tau.real
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise DomainError(f"{z} has no finite lattice coordinates on tau = {tau}")
     return alpha, beta
 
 
@@ -211,18 +228,22 @@ def _lattice_sums(a: float, w: complex, z: complex, m: Modulus, weighted: bool) 
     # T(k+1)/T(k) obeys R(k+1) = R(k) q2 with q2 = e(tau), and so does
     # T(k-1)/T(k) = q2/R(k-1) stepping down, two products per term.  The seed
     # is the largest term, so it overflows only when the series leaves
-    # binary64; that, or sums that overflow, is a DomainError.
+    # binary64; that, or sums that overflow, is a DomainError.  A window of
+    # more than _MAX_TERMS terms is an IterationLimitError before any is summed.
     if not cmath.isfinite(z):
         raise DomainError(f"theta requires a finite argument, got {z}")
     tau = m.value
     im_tau = tau.imag
-    h = math.ceil(math.sqrt(_WINDOW_LOG / (math.pi * im_tau))) + (3 if weighted else 2)
+    s = math.sqrt(_WINDOW_LOG / (math.pi * im_tau))
+    if 2.0 * s > _MAX_TERMS:  # the window holds about 2 s terms; s may be inf
+        raise IterationLimitError(f"theta at tau = {tau} needs more than {_MAX_TERMS} terms")
+    h = math.ceil(s) + (3 if weighted else 2)
     peak = -w.imag / im_tau
-    n0 = round(peak - a)
-    k0 = n0 + a
-    try:
+    try:  # an infinite peak, or an exponent with infinite parts, raises here
+        n0 = round(peak - a)
+        k0 = n0 + a
         t0 = cmath.exp(1j * math.pi * k0 * (k0 * tau + 2.0 * w))
-    except OverflowError:
+    except (OverflowError, ValueError):
         raise _overflow(z, tau) from None
     q2 = m.q2
     # The two neighbour ratios multiply to q2.  Exponentiate the larger one
@@ -378,7 +399,7 @@ def i_multiple(c: ThetaChar, z: complex) -> tuple[complex, ThetaChar]:
     """Data for theta_{a,b}(i z, i) = e(ab) exp(pi z^2) theta_{-b,a}(z, i)."""
     root, target = _i_law(c)
     z = complex(z)
-    return root * cmath.exp(math.pi * z * z), target
+    return root * _exp(math.pi * z * z), target
 
 
 @functools.lru_cache(maxsize=_LAW_MEMO)
@@ -390,7 +411,7 @@ def one_plus_i_multiple(z: complex) -> list[IdentityPair]:
     """Both sides of the three (1+i)-multiplication identities at tau = i."""
     z = complex(z)
     m = TAU_I
-    gauss = cmath.exp(math.pi * 1j * (1.0 + 1j) * z * z)
+    gauss = _exp(math.pi * 1j * (1.0 + 1j) * z * z)
     k00, k01, k10, _ = theta_four(0j, m)
     t00, t01, t10, t11 = theta_four(z, m)
     w00, w01, w10, w11 = theta_four((1.0 + 1j) * z, m)

@@ -142,6 +142,14 @@ def test_theta_overflow_exits_2_without_traceback(capsys):
     assert "overflows" in err and "Traceback" not in err
 
 
+def test_theta_window_cap_exits_1_without_traceback(capsys):
+    # at Im tau = 1e-300 the window would hold about 6e150 terms
+    code = main(["theta", "--a", "0", "--b", "0", "--tau", "0.3+1e-300i"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "tau" in err and "100000 terms" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # agm subcommand.
 
@@ -212,6 +220,19 @@ def test_curve_multiplication_flag(capsys):
     byname = {r["name"]: r for r in rep["residuals"]}
     assert byname["mul_group_equivalence"]["value"] < 1e-8
     assert byname["on_curve"]["value"] < 1e-12
+
+
+def test_curve_multiplication_at_huge_t(capsys):
+    # no power of t is taken, so the maps do not overflow far out
+    for argv in (
+        ["--curve", "i", "--t", "1e200"],
+        ["--curve", "zeta", "--t", "1e300"],
+        ["--curve", "i", "--t", "-1e300+1e300i", "--branch", "2"],
+    ):
+        code, rep, _ = run_cli(capsys, ["curve", *argv, "--mul"])
+        assert code == 0 and rep["pass"], argv
+        byname = {r["name"]: r for r in rep["residuals"]}
+        assert byname["mul_group_equivalence"]["value"] < 1e-15
 
 
 def test_curve_mul_image_next_to_t_one(capsys):

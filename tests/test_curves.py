@@ -490,6 +490,24 @@ def test_mul_image_stays_on_curve():
         mul_one_plus_zeta(lift_branch(Curve.C_ZETA, t, 2))
 
 
+def test_mul_maps_at_huge_t():
+    # both maps go through a ratio r of two linear forms in t, so no power
+    # of t overflows: at |t| = 1e200 and 1e300 the image sits at t = 1 to
+    # binary64, the point that (1 + unit) z, near the image of infinity,
+    # lands on modulo the group
+    for curve, mul in ((Curve.C_I, mul_one_plus_i), (Curve.C_ZETA, mul_one_plus_zeta)):
+        for size in (1e200, 1e300):
+            for j in range(4):
+                t = cmath.rect(size, -math.pi + 2 * math.pi * (j + 0.5) / 4)
+                for k in range(curve.root_order):
+                    p = lift_branch(curve, t, k)
+                    image = mul(p)
+                    assert image.t == 1 and not image.at_infinity
+                    target = _cpt(curve.modulus, (1 + curve.unit) * abel_jacobi(p).z)
+                    w = equivalent_mod_group(abel_jacobi(image), target)
+                    assert w.equivalent and w.distance < 1e-14, (curve, t, k)
+
+
 def test_abel_jacobi_on_mul_images_next_to_t_one():
     # (1 + zeta) maps |t| = 3.6e5 to within about 3e-12 of t = 1, where the
     # stored t - 1 is only good to about 1e-4 relative; the sheet match

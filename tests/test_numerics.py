@@ -9,13 +9,28 @@ import warnings
 import pytest
 
 from lemnis import (
+    TAU_I,
+    TAU_ZETA,
     BranchBoundaryWarning,
     DomainError,
+    GaussParams,
+    OmegaPower,
+    TauTransform,
+    ThetaChar,
     beta,
     branch_root,
+    canonical_torus_point,
     e_of,
     gamma_real,
+    gauss_2f1,
+    i_multiple,
+    lattice_distance,
+    omega_multiple,
+    one_plus_i_multiple,
+    one_plus_zeta_multiple,
     principal_arg,
+    quasi_period_factor,
+    transform_tau,
 )
 
 
@@ -157,3 +172,49 @@ def test_branch_root_boundary_warns():
 def test_branch_root_rejects_small_k():
     with pytest.raises(DomainError):
         branch_root(1.0, 1, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# The error contract of the scalar helpers: a value outside binary64, or a
+# non-finite argument, is a DomainError, never a raw OverflowError or
+# ValueError, an inf or a NaN.
+
+_nan, _inf = float("nan"), float("inf")
+_C00 = ThetaChar(0, 0)
+
+SCALAR_DOMAIN_ERRORS = {
+    "quasi_period_factor overflows": lambda: quasi_period_factor(_C00, 100, 0, 0.1, TAU_I),
+    "i_multiple overflows": lambda: i_multiple(_C00, 30),
+    "omega_multiple overflows": lambda: omega_multiple(_C00, 40, OmegaPower.OMEGA),
+    "one_plus_zeta_multiple overflows": lambda: one_plus_zeta_multiple(20),
+    "one_plus_i_multiple overflows": lambda: one_plus_i_multiple(20),
+    "transform_tau prefactor is nan": lambda: transform_tau(_C00, 1e200, TAU_I, TauTransform.INVERT),
+    "e_of nan": lambda: e_of(_nan),
+    "e_of inf": lambda: e_of(_inf),
+    "branch_root nan": lambda: branch_root(_nan, 3, 0.0),
+    "branch_root inf": lambda: branch_root(_inf, 3, 0.0),
+    "branch_root nan centre": lambda: branch_root(1.0, 3, _nan),
+    "canonical_torus_point nan": lambda: canonical_torus_point(TAU_I, complex(_nan, 0.0)),
+    "canonical_torus_point inf": lambda: canonical_torus_point(TAU_ZETA, complex(0.0, _inf)),
+    "lattice_distance nan": lambda: lattice_distance(TAU_I, _nan, 0.0),
+    "lattice_distance inf": lambda: lattice_distance(TAU_I, _inf, 0.0),
+    "ThetaChar nan": lambda: ThetaChar(_nan, 0),
+    "ThetaChar inf": lambda: ThetaChar(_inf, 0),
+    "ThetaChar 1/0": lambda: ThetaChar("1/0", 0),
+    "GaussParams nan": lambda: gauss_2f1(GaussParams(_nan, 0.5, 1.25), 0.3),
+    "gamma_real below 5.6e-309": lambda: gamma_real(5e-309),
+    "gamma_real subnormal": lambda: gamma_real(5e-324),
+    "beta below 5.6e-309": lambda: beta(5e-309, 1.0),
+}
+
+
+@pytest.mark.parametrize("call", SCALAR_DOMAIN_ERRORS.values(), ids=SCALAR_DOMAIN_ERRORS.keys())
+def test_scalar_helpers_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_gamma_and_beta_stay_finite_next_to_the_overflow():
+    # gamma(x) ~ 1/x is still inside binary64 at x = 6e-309
+    assert gamma_real(6e-309) == pytest.approx(1.0 / 6e-309, rel=1e-12)
+    assert beta(6e-309, 1.0) == pytest.approx(1.0 / 6e-309, rel=1e-12)

@@ -12,6 +12,7 @@ import pytest
 
 from lemnis import (
     DomainError,
+    IterationLimitError,
     Modulus,
     OmegaPower,
     TAU_I,
@@ -486,8 +487,9 @@ def test_four_kernel_matches_theta_and_jtheta():
 def test_four_kernel_raises_domain_error_on_overflow_and_non_finite_z():
     nan, inf = float("nan"), float("inf")
     bad = [complex(0, inf), complex(nan, 0), complex(inf, 1), complex(nan, nan)]
-    # the largest term at tau = i leaves binary64 above Im z = 15.03
-    huge = [30j, -30j, 1e3j, complex(0.3, 1e3), complex(0.2, -1e3)]
+    # the largest term at tau = i leaves binary64 above Im z = 15.03; from
+    # about |z| = 1e154 on the exponent of the largest term does too
+    huge = [30j, -30j, 1e3j, complex(0.3, 1e3), complex(0.2, -1e3), 1e200j, complex(1e200, 1e200), -1e300j]
     for m in (TAU_I, TAU_ZETA, GENERIC):
         for z in bad + huge:
             with pytest.raises(DomainError):
@@ -566,3 +568,67 @@ def test_characteristic_law_memo_stays_bounded():
     pref, target = omega_multiple(c, z, OmegaPower.OMEGA_SQ)
     lhs = theta(c, (ZETA - 1.0) ** 2 * z, TAU_ZETA)
     assert abs(lhs - pref * theta(target, z, TAU_ZETA)) < 1e-10 * max(1.0, abs(lhs))
+
+
+# ---------------------------------------------------------------------------
+# The summation window: centred on the peak, its width set by tau alone.
+
+FAR_PEAK_MODULI = (
+    (TAU_I, (-12.0, -7.5, -3.3, 3.3, 7.5, 12.0)),
+    (TAU_ZETA, (-12.0, -7.5, -3.3, 3.3, 7.5, 12.0)),
+    (Modulus.generic(complex(0.2, 0.05)), (-40.0, -25.5, 17.3, 40.0)),
+)
+
+
+def test_window_follows_far_peaks():
+    # p = -Im z / Im tau is where the terms peak; theta and theta_dz there
+    # against mpmath.jtheta, to 1e-12 of the sum of |terms|
+    for m, peaks in FAR_PEAK_MODULI:
+        tau = m.value
+        for p in peaks:
+            for u in (-0.35, 0.8):
+                z = u - p * tau
+                for c in HALF_CHARS + SEXTIC_CHARS[:2]:
+                    for f, derivative in ((theta, False), (theta_dz, True)):
+                        err = abs(f(c, z, m) - _jtheta_reference(c, z, tau, derivative))
+                        assert err <= 1e-12 * _abs_series(c, z, tau, derivative), (f.__name__, c, tau, z)
+
+
+def test_theta11_vanishes_at_zero_on_a_symmetric_window():
+    # the terms of theta11(0) cancel in pairs k, -k, so a window symmetric
+    # about the real peak leaves rounding only (2.7e-16 of the sum of
+    # |terms| at worst here); one centred on the peak's nearest index keeps
+    # an unpaired term of about 6e-15 of that sum at Im tau <= 1e-3
+    moduli = [Modulus.generic(complex(x, y)) for x in (0.0, 0.13, -0.5, 0.5) for y in (1e-4, 1e-3, 0.01, 0.1, 1.0)]
+    for m in list(KERNEL_MODULI) + moduli:
+        k11 = theta_four(0j, m)[3]
+        assert abs(k11) <= 2e-15 * _abs_series(C11, 0j, m.value, False), m
+
+
+def test_quasi_periodicity_out_to_ten_cells():
+    # theta(z + p tau + q) = factor theta(z) for |p| <= 10: the left side
+    # sums a window around the peak near p, the right side one near 0
+    rng = random.Random(104)
+    for m in (TAU_I, TAU_ZETA, GENERIC):
+        for p in range(-10, 11):
+            c = ThetaChar(Fraction(rng.randrange(0, 6), 6), Fraction(rng.randrange(0, 6), 6))
+            z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+            q = rng.randrange(-2, 3)
+            factor = quasi_period_factor(c, p, q, z, m)
+            lhs = theta(c, z + p * m.value + q, m)
+            rhs = factor * theta(c, z, m)
+            assert abs(lhs - rhs) <= 1e-12 * abs(factor) * _abs_series(c, z, m.value, False), (m, p)
+
+
+def test_window_cap_is_an_iteration_limit_error():
+    # the window grows as 1/sqrt(Im tau); past 100,000 terms the sum stops
+    # before it starts, naming tau, and a window of 59,000 terms still runs
+    m = Modulus.generic(complex(0.3, 1e-300))
+    for call in (
+        lambda: theta(C00, 0.0, m),
+        lambda: theta_dz(C11, 0.0, m),
+        lambda: theta_four(0.1j, m),
+    ):
+        with pytest.raises(IterationLimitError, match="tau"):
+            call()
+    assert cmath.isfinite(theta(C00, 0.0, Modulus.generic(complex(0.3, 1e-8))))
