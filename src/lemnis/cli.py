@@ -348,28 +348,22 @@ def _suite_tau_i(rng: SplitMix64, n: int) -> dict[str, _Worst]:
     for _ in range(n):
         z = _rand_torus(rng, mod).z
         tag = f"z={format_complex(z)}"
-        for char in HALF_CHARS:
-            base = theta(char, z, mod)
+        # one kernel call per point; each identity's other side is its own theta call
+        at_z, at_neg, at_iz = (theta_four(w, mod) for w in (z, -z, 1j * z))
+        for k, char in enumerate(HALF_CHARS):
             p, q = rng.int_range(-2, 2), rng.int_range(-2, 2)
             shifted = theta(char, z + p * mod.value + q, mod)
             factor = quasi_period_factor(char, p, q, z, mod)
-            quasi.push(_scaled_residual(shifted, factor * base), tag + f" p={p} q={q}")
-            parity.push(
-                _scaled_residual(theta(ThetaChar(-char.a, -char.b), z, mod), theta(char, -z, mod)),
-                tag,
-            )
+            quasi.push(_scaled_residual(shifted, factor * at_z[k]), tag + f" p={p} q={q}")
+            parity.push(_scaled_residual(theta(ThetaChar(-char.a, -char.b), z, mod), at_neg[k]), tag)
             cs = ThetaChar(char.a + p, char.b + q)
-            reduced, cf = cs.reduce()
-            shift.push(
-                _scaled_residual(theta(cs, z, mod), cf * theta(reduced, z, mod)), tag
-            )
+            _, cf = cs.reduce()  # reduces to char itself
+            shift.push(_scaled_residual(theta(cs, z, mod), cf * at_z[k]), tag)
             pref, target = i_multiple(char, z)
-            itimes.push(
-                _scaled_residual(theta(char, 1j * z, mod), pref * theta(target, z, mod)), tag
-            )
+            itimes.push(_scaled_residual(at_iz[k], pref * theta(target, z, mod)), tag)
         for pair in one_plus_i_multiple(z):
             oneplusi.push(pair.residual, tag + f" {pair.name}")
-        th00, th01, th10, th11 = theta_four(z, mod)
+        th00, th01, th10, th11 = at_z
         rt2 = math.sqrt(2.0)
         squares.push(_scaled_residual(rt2 * th01 ** 2, th00 ** 2 + th11 ** 2), tag)
         squares.push(_scaled_residual(rt2 * th10 ** 2, th00 ** 2 - th11 ** 2), tag)
@@ -390,12 +384,13 @@ def _suite_tau_zeta(rng: SplitMix64, n: int) -> dict[str, _Worst]:
     for _ in range(n):
         z = _rand_torus(rng, mod).z
         tag = f"z={format_complex(z)}"
-        for char in HALF_CHARS:
-            for power, mult in ((OmegaPower.OMEGA, OMEGA), (OmegaPower.OMEGA_SQ, OMEGA * OMEGA)):
+        # one kernel call per point; each law's target side is its own theta call
+        at_w, at_w2 = theta_four(OMEGA * z, mod), theta_four(OMEGA * OMEGA * z, mod)
+        for k, char in enumerate(HALF_CHARS):
+            for power, lhs in ((OmegaPower.OMEGA, at_w[k]), (OmegaPower.OMEGA_SQ, at_w2[k])):
                 pref, target = omega_multiple(char, z, power)
                 omega_fam.push(
-                    _scaled_residual(theta(char, mult * z, mod), pref * theta(target, z, mod)),
-                    tag + f" {power.name}",
+                    _scaled_residual(lhs, pref * theta(target, z, mod)), tag + f" {power.name}"
                 )
         for pair in one_plus_zeta_multiple(z):
             onepz.push(pair.residual, tag + f" {pair.name}")

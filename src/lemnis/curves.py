@@ -378,10 +378,12 @@ def mul_one_plus_zeta(p: CurvePoint) -> CurvePoint:
         return CurvePoint(Curve.C_ZETA, 1.0, 0.0)
     if abs(4 * p.t - 3) < 1e-12:
         return CurvePoint(Curve.C_ZETA, 0.0, 0.0, at_infinity=True)
-    t, u = p.t, p.u
-    # through r = (9 - 8t) / (4t - 3), so no power of t overflows at large |t|
-    den = 4 * t - 3
-    r = (9 - 8 * t) / den
+    # through r = (9 - 8t) / (4t - 3), so no power of t overflows; t, u are
+    # scaled exactly by 2^-j, j = 0 for |t| < 1, so that 8t cannot overflow
+    one = math.ldexp(1.0, -max(0, _binary_exponent(p.t)))
+    t, u = p.t * one, p.u * one
+    den = 4 * t - 3 * one
+    r = (9 * one - 8 * t) / den
     t_new = t / den * r ** 2
     u_new = e_of(1.0 / 12.0) * SQRT3 * u / den * r
     return CurvePoint(Curve.C_ZETA, t_new, u_new)

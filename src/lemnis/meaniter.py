@@ -1,9 +1,10 @@
 """Two-term mean iterations attached to the quartic and sextic curves.
 
 Each step replaces a positive pair by a pair of means; the common limit is a
-hypergeometric value of the starting pair.  The sextic step goes through a
-conjugate pair of auxiliary numbers and conjugate cube roots, so the means
-are real by construction even when the discriminant is negative.
+hypergeometric value of the starting pair.  The sextic step takes conjugate
+cube roots of eta = b +/- sqrt(b^2 - a^2) in real arithmetic: for b <= a,
+eta = a e^(+/- i theta) with cos theta = b/a, and the means come from the
+angle trisection that solves a cubic (DLMF 1.11(iii)).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .hypergeometric import SchwarzVariant, gauss_2f1
-from .numerics import SQRT3, DomainError, _real_root, branch_root
+from .numerics import SQRT3, DomainError, _real_root
 
 # 1 - (b/a)^2 lies in (-0.8, 0.8) exactly when b/a lies in this window
 _RATIO_LO, _RATIO_HI = math.sqrt(0.2), math.sqrt(1.8)
@@ -66,28 +67,29 @@ def eta_pair(p: MeanPair) -> tuple[complex, complex]:
     return eta1, p.a * (p.a / eta1)
 
 
-def sextic_means_complex(p: MeanPair) -> tuple[complex, complex]:
-    """The two sextic means before the real parts are taken.
-
-    Cube roots are the ones with argument in (-pi/6, pi/6); for a conjugate
-    pair that makes the two roots conjugate, so both combinations below are
-    real up to roundoff.
-    """
-    eta1, eta2 = eta_pair(p)
-    r1 = branch_root(eta1, 3, 0.0)
-    r2 = branch_root(eta2, 3, 0.0)
-    a23 = _real_root(p.a, 3, 2)
-    m1 = a23 * cmath.sqrt(r1 * r1 + r1 * r2 + r2 * r2) / SQRT3
-    m2 = a23 * (r1 + r2) / 2.0
-    return m1, m2
+def _eta_cube_roots(a: float, b: float) -> tuple[float, float, float]:
+    """s = sqrt(b^2 - a^2) and the real cube roots of b + s and b - s, for a <= b."""
+    # as in eta_pair: no square to overflow, and no cancellation in b - s
+    s = math.sqrt(b - a) * math.sqrt(b + a)
+    eta1 = b + s
+    return s, _real_root(eta1, 3), _real_root(a * (a / eta1), 3)
 
 
 def step_sextic(p: MeanPair) -> MeanPair:
-    m1, m2 = sextic_means_complex(p)
-    scale = max(abs(m1), abs(m2), 1.0)
-    if max(abs(m1.imag), abs(m2.imag)) > 1e-9 * scale:
-        raise DomainError("sextic means came out non-real; inputs out of range")
-    return MeanPair(m1.real, m2.real)
+    a, b = p.a, p.b
+    if b <= a:
+        # the cube roots are a^(1/3) e^(+/- it), t = theta / 3; b/a may
+        # underflow to 0, and acos(0) = pi/2 is then right to roundoff
+        t = math.acos(b / a) / 3.0
+        return MeanPair(a * math.sqrt((1.0 + 2.0 * math.cos(2.0 * t)) / 3.0), a * math.cos(t))
+    if b > 2.0 ** 1020:
+        # b + a and b + s overflow up here; 1/8 scales every cube root by
+        # exactly 1/2, so the means come out bit for bit as if unscaled
+        q = step_sextic(MeanPair(a / 8.0, b / 8.0))
+        return MeanPair(8.0 * q.a, 8.0 * q.b)
+    _, r1, r2 = _eta_cube_roots(a, b)
+    a23 = _real_root(a, 3, 2)
+    return MeanPair(a23 * math.sqrt(r1 * r1 + r1 * r2 + r2 * r2) / SQRT3, a23 * (r1 + r2) / 2.0)
 
 
 def _step(variant: SchwarzVariant):
@@ -138,15 +140,15 @@ def _accelerated_limit(mids: list[float]) -> float:
     best_err = abs(mids[-1] - mids[-2])
     cur = mids
     while len(cur) >= 3:
+        # a sliding window: c1 = cur[k + 1] and d1 = cur[k + 1] - cur[k]
         nxt = []
-        for k in range(len(cur) - 2):
-            d1 = cur[k + 1] - cur[k]
-            d2 = cur[k + 2] - cur[k + 1]
+        c1 = cur[1]
+        d1 = c1 - cur[0]
+        for c2 in cur[2:]:
+            d2 = c2 - c1
             den = d2 - d1
-            if den == 0.0:
-                nxt.append(cur[k + 2])
-            else:
-                nxt.append(cur[k + 2] - d2 / den * d2)
+            nxt.append(c2 if den == 0.0 else c2 - d2 / den * d2)
+            c1, d1 = c2, d2
         cur = nxt
         if len(cur) >= 2:
             err = abs(cur[-1] - cur[-2])
@@ -194,10 +196,8 @@ def cubic_preimage_x0(p: MeanPair) -> float:
     if not p.a < p.b:
         raise DomainError("cubic preimage needs a < b")
     # x0 depends on b/a alone, so scale both by the power of two that puts b
-    # in [1/2, 1): no square below can overflow, and s cannot underflow
+    # in [1/2, 1): b + a cannot overflow, and s cannot underflow
     e = math.frexp(p.b)[1]
     a, b = math.ldexp(p.a, -e), math.ldexp(p.b, -e)
-    s = math.sqrt((b - a) * (b + a))
-    r1 = _real_root(b + s, 3)
-    r2 = _real_root(a * a / (b + s), 3)  # b - s without the cancellation
+    s, r1, r2 = _eta_cube_roots(a, b)
     return 0.375 * ((_real_root(a, 3, 2) / s) * (r1 - r2) + 2.0)

@@ -119,7 +119,8 @@ def beta(x: float, y: float) -> float:
     """Euler beta B(x, y) = Gamma(x) Gamma(y) / Gamma(x + y) for x, y > 0."""
     if x <= 0.0 or y <= 0.0:
         raise DomainError(f"beta requires positive arguments, got ({x}, {y})")
-    b = gamma_real(x) * gamma_real(y) / gamma_real(x + y)
+    # divided first: Gamma(x) Gamma(y) overflows at beta(1e-200, 1e-200) ~ 2e200
+    b = gamma_real(x) / gamma_real(x + y) * gamma_real(y)
     if math.isinf(b):
         raise DomainError(f"beta({x}, {y}) overflows binary64")
     return b

@@ -228,6 +228,9 @@ def test_curve_multiplication_at_huge_t(capsys):
         ["--curve", "i", "--t", "1e200"],
         ["--curve", "zeta", "--t", "1e300"],
         ["--curve", "i", "--t", "-1e300+1e300i", "--branch", "2"],
+        ["--curve", "zeta", "--t", "1e308"],
+        ["--curve", "zeta", "--t", "-1e308", "--branch", "5"],
+        ["--curve", "zeta", "--t", "1e308i", "--branch", "3"],
     ):
         code, rep, _ = run_cli(capsys, ["curve", *argv, "--mul"])
         assert code == 0 and rep["pass"], argv

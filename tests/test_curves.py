@@ -508,6 +508,19 @@ def test_mul_maps_at_huge_t():
                     assert w.equivalent and w.distance < 1e-14, (curve, t, k)
 
 
+def test_mul_one_plus_zeta_at_the_top_of_the_range():
+    # 8t and 4t - 3 overflow above |t| ~ 2.2e307, so the map scales t and u
+    # by a power of two first
+    for t in (1e308, -1e308, 1e308j):
+        for k in range(6):
+            p = lift_branch(Curve.C_ZETA, t, k)
+            image = mul_one_plus_zeta(p)
+            assert abs(image.t - 1) < 1e-300 and not image.at_infinity
+            target = _cpt(TAU_ZETA, (1 + ZETA) * abel_jacobi(p).z)
+            w = equivalent_mod_group(abel_jacobi(image), target)
+            assert w.equivalent and w.distance < 1e-14, (t, k)
+
+
 def test_abel_jacobi_on_mul_images_next_to_t_one():
     # (1 + zeta) maps |t| = 3.6e5 to within about 3e-12 of t = 1, where the
     # stored t - 1 is only good to about 1e-4 relative; the sheet match

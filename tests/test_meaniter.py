@@ -24,7 +24,7 @@ from lemnis import (
     step_quartic,
     step_sextic,
 )
-from lemnis.meaniter import sextic_means_complex
+from lemnis.meaniter import _accelerated_limit
 
 QUARTIC = SchwarzVariant.QUARTIC
 SEXTIC = SchwarzVariant.SEXTIC
@@ -85,20 +85,6 @@ def test_sextic_step_values():
     assert q.a == pytest.approx(3.2684095580975043, rel=1e-13)
 
 
-def test_sextic_step_stays_real():
-    rng = random.Random(122)
-    for _ in range(100):
-        a = rng.uniform(0.1, 10.0)
-        b = rng.uniform(0.1, 10.0)
-        m1, m2 = sextic_means_complex(MeanPair(a, b))
-        scale = max(abs(m1), abs(m2), 1.0)
-        assert abs(m1.imag) < 1e-10 * scale
-        assert abs(m2.imag) < 1e-10 * scale
-        q = step_sextic(MeanPair(a, b))
-        assert q.a > 0.0
-        assert q.b > 0.0
-
-
 def test_steps_contract_the_gap():
     rng = random.Random(123)
     for variant, step in ((QUARTIC, step_quartic), (SEXTIC, step_sextic)):
@@ -139,6 +125,43 @@ def test_linear_rate_takes_many_iterations():
     ]
     for r in ratios:
         assert 0.15 < r < 0.35
+
+
+def test_quartic_limits_are_pinned_to_the_bit():
+    # the extrapolation and the quartic step are float-for-float fixed, so
+    # both limits keep their exact binary64 values
+    trace = iterate_until_converged(MeanPair(2.0, 1.0), QUARTIC)
+    assert repr(trace.limit) == "1.5923590781396393"
+    assert repr(limit_quartic(MeanPair(2.0, 1.0))) == "1.5923590781396375"
+
+
+def test_extrapolation_is_pinned_to_the_bit():
+    # on a list that does not converge every rounding of the difference
+    # scheme reaches the result
+    rng = random.Random(129)
+    mids = [rng.uniform(-1.0, 1.0) for _ in range(12)]
+    assert repr(_accelerated_limit(mids)) == "0.0622639912252303"
+
+
+SEXTIC_ITERATIONS = {
+    (2.0, 1.0): 9,
+    (1.0, 2.0): 9,
+    (3.0, 5.0): 9,
+    (5.0, 3.0): 9,
+    (1.0, 10.0): 9,
+    (10.0, 1.0): 9,
+    (1e-300, 1.0): 9,
+    (1.0, 1e-300): 9,
+    (1e300, 1e-300): 9,
+    (1e-300, 1e300): 9,
+    (1.0, 1.0000001): 4,
+    (7.0, 6.9999999): 3,
+}
+
+
+def test_sextic_iteration_counts_are_pinned():
+    for (a, b), count in SEXTIC_ITERATIONS.items():
+        assert iterate_until_converged(MeanPair(a, b), SEXTIC).iterations == count, (a, b)
 
 
 def test_sextic_rate_is_much_faster():
@@ -255,12 +278,47 @@ def test_sextic_step_at_extreme_magnitudes_matches_mpmath():
         assert abs(q.b - m2) <= 4e-16 * m2, (a, b)
 
 
+def test_sextic_step_matches_mpmath_on_a_seeded_sweep():
+    # both branches: the trisection for b <= a and real cube roots for b > a,
+    # over magnitudes 1e-300 to 1e300, ratios up to 1e+-300 and next to 1;
+    # both means stay real and positive
+    rng = random.Random(128)
+    for k in range(2000):
+        a = 10.0 ** rng.uniform(-300.0, 300.0)
+        if k % 3 == 0:
+            b = a * 10.0 ** rng.uniform(-300.0, 300.0)
+        elif k % 3 == 1:
+            b = a * (1.0 + rng.uniform(-1e-6, 1e-6) * 10.0 ** rng.uniform(-10.0, 0.0))
+        else:
+            b = a * 10.0 ** rng.uniform(-2.0, 2.0)
+        b = min(max(b, 1e-300), 1e300)
+        q = step_sextic(MeanPair(a, b))
+        assert q.a > 0.0 and q.b > 0.0
+        m1, m2 = _sextic_step_mpmath(a, b)
+        assert abs(q.a - m1) <= 6e-16 * m1, (a, b)
+        assert abs(q.b - m2) <= 6e-16 * m2, (a, b)
+
+
 def test_sextic_orbit_and_closed_form_agree_at_extreme_magnitudes():
     for a, b in EXTREME_SEXTIC_PAIRS:
         p = MeanPair(a, b)
         lim = closed_form_limit(p, SEXTIC)
         trace = iterate_until_converged(p, SEXTIC)
         assert abs(trace.limit - lim) <= 1e-15 * lim, (a, b)
+
+
+def test_sextic_mean_at_the_top_of_the_range():
+    # b + a and b + sqrt(b^2 - a^2) overflow here unless the step scales
+    # the pair first; the last pair reaches such a pair after one step
+    for a, b in ((1e308, 1.7e308), (1e-300, 1.7e308), (1.7e308, 1e308)):
+        m1, m2 = _sextic_step_mpmath(a, b)
+        q = step_sextic(MeanPair(a, b))
+        assert abs(q.a - m1) <= 4e-16 * m1, (a, b)
+        assert abs(q.b - m2) <= 4e-16 * m2, (a, b)
+        lim = closed_form_limit(MeanPair(a, b), SEXTIC)
+        trace = iterate_until_converged(MeanPair(a, b), SEXTIC)
+        assert trace.converged
+        assert abs(trace.limit - lim) <= 2e-15 * lim, (a, b)
 
 
 def test_limit_is_homogeneous():

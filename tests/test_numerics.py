@@ -6,6 +6,7 @@ import math
 import random
 import warnings
 
+import mpmath
 import pytest
 
 from lemnis import (
@@ -103,6 +104,15 @@ def test_beta_symmetry_and_identity():
         assert beta(x, y) == pytest.approx(
             gamma_real(x) * gamma_real(y) / gamma_real(x + y), rel=1e-13
         )
+
+
+def test_beta_matches_mpmath_where_the_gamma_product_overflows():
+    # Gamma(x) Gamma(y) leaves binary64 for all but the last pair; their
+    # quotient by Gamma(x + y) does not
+    for x, y in ((1e-200, 1e-200), (1e-300, 60.0), (170.0, 1e-5), (100.0, 1e-160),
+                 (1e-160, 3e-161), (0.3, 0.4)):
+        ref = float(mpmath.beta(x, y))
+        assert abs(beta(x, y) - ref) <= 1e-13 * ref, (x, y)
 
 
 def test_beta_rejects_nonpositive():
