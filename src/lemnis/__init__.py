@@ -6,24 +6,19 @@ compatible mean iterations.
 import types
 
 from .numerics import (
-    BranchBoundaryWarning,
     DomainError,
     IterationLimitError,
     PathError,
     beta,
-    branch_root,
     e_of,
     gamma_real,
-    principal_arg,
 )
 from .hypergeometric import (
     GaussParams,
     SchwarzVariant,
-    euler_f1_f2,
     gauss_2f1,
     gauss_2f1_pair,
     gauss_kummer_value,
-    pochhammer,
     schwarz_map,
 )
 from .theta import (
@@ -49,7 +44,6 @@ from .theta import (
     theta_dz,
     theta_four,
     transform_tau,
-    zero_locus,
 )
 from .curves import (
     Curve,
@@ -92,7 +86,6 @@ from .meaniter import (
     MeanPair,
     closed_form_limit,
     cubic_preimage_x0,
-    eta_pair,
     iterate_until_converged,
     limit_quartic,
     limit_sextic,

@@ -166,22 +166,18 @@ def _finish(command: str, inputs: dict, outputs: dict, residuals: list, seed: in
 # ---------------------------------------------------------------------------
 # theta subcommand.
 
-def _cmd_theta(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_theta(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     tol = args.tol
-    try:
-        a = Fraction(args.a)
-        b = Fraction(args.b)
-        char = ThetaChar(a, b)
-        z = parse_complex(args.z)
-        if args.tau == "i":
-            mod = TAU_I
-        elif args.tau == "zeta":
-            mod = TAU_ZETA
-        else:
-            mod = Modulus.generic(parse_complex(args.tau))
-    except (ValueError, ZeroDivisionError, DomainError) as exc:
-        parser.error(str(exc))
+    char = ThetaChar(args.a, args.b)
+    a, b = char.a, char.b
+    z = parse_complex(args.z)
+    if args.tau == "i":
+        mod = TAU_I
+    elif args.tau == "zeta":
+        mod = TAU_ZETA
+    else:
+        mod = Modulus.generic(parse_complex(args.tau))
     value = theta(char, z, mod)
     mirrored = theta(ThetaChar(-a, -b), z, mod)
     flipped = theta(char, -z, mod)
@@ -205,16 +201,13 @@ def _cmd_theta(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 # ---------------------------------------------------------------------------
 # agm subcommand.
 
-def _cmd_agm(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_agm(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     variant = SchwarzVariant.QUARTIC if args.variant == "quartic" else SchwarzVariant.SEXTIC
     tol = args.tol
     if tol is None:
         tol = 1e-11 if variant is SchwarzVariant.QUARTIC else 1e-10
-    try:
-        pair = MeanPair(args.a, args.b)
-    except DomainError as exc:
-        parser.error(str(exc))
+    pair = MeanPair(args.a, args.b)
     trace = iterate_until_converged(pair, variant, tol=1e-12, max_iter=60)
     closed = closed_form_limit(pair, variant)
     diff = abs(trace.limit - closed)
@@ -234,22 +227,19 @@ def _cmd_agm(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 # ---------------------------------------------------------------------------
 # curve subcommand.
 
-def _cmd_curve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_curve(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     tol = args.tol
     curve = Curve.C_I if args.curve == "i" else Curve.C_ZETA
-    try:
-        if args.point is not None:
-            point = special_point(curve, args.point)
-        else:
-            if args.t is None:
-                raise DomainError("either --t or --point is required")
-            t = parse_complex(args.t)
-            if abs(t) < 1e-12 or abs(t - 1) < 1e-12:
-                raise DomainError("ramification value; select the fiber point with --point")
-            point = lift_branch(curve, t, args.branch)
-    except (DomainError, ValueError) as exc:
-        parser.error(str(exc))
+    if args.point is not None:
+        point = special_point(curve, args.point)
+    else:
+        if args.t is None:
+            raise DomainError("either --t or --point is required")
+        t = parse_complex(args.t)
+        if abs(t) < 1e-12 or abs(t - 1) < 1e-12:
+            raise DomainError("ramification value; select the fiber point with --point")
+        point = lift_branch(curve, t, args.branch)
     inputs = {
         "curve": args.curve,
         "t": args.t if args.t is not None else "",
@@ -538,11 +528,11 @@ _SUITES = {
 }
 
 
-def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     tol = args.tol
     if not 1 <= args.samples <= 10000:
-        parser.error("--samples must lie in [1, 10000]")
+        raise DomainError("--samples must lie in [1, 10000]")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     rng = SplitMix64(args.seed)
     residuals = []
@@ -625,7 +615,7 @@ def main(argv: list[str] | None = None) -> int:
     # usage errors, also those found while a subcommand runs, print that
     # subcommand's usage line
     try:
-        return args.func(args, args.subparser)
+        return args.func(args)
     except (DomainError, PathError) as exc:
         args.subparser.error(str(exc))
     except IterationLimitError as exc:

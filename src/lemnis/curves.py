@@ -178,8 +178,8 @@ def abel_jacobi(p: CurvePoint) -> TorusPoint:
 
     The closed form of the module docstring gives the integral on the
     principal sheet, u = t^(1/2) (t - 1)^(1/k) on principal branches; on the
-    cut t <= 0 both signs of a zero Im t take the upper side, the convention
-    of `principal_arg`.  The sheet of the target point then multiplies the
+    cut t <= 0 a zero Im t of either sign takes the upper side, the limit
+    from Im t > 0.  The sheet of the target point then multiplies the
     result by the matching unit power, since the deck transformation scales
     the 1-form by exactly that unit.
     """

@@ -34,6 +34,8 @@ DomainError remains where no route converges:
   with the first alone, the unit circle arc Re z > 1/2; with the second
   alone, the line Re z = 1/2 (the boundary sum covers the unit circle
   when gamma - alpha - beta > 0).
+
+It is raised as well where a route's value of F lies outside binary64.
 """
 
 from __future__ import annotations
@@ -109,16 +111,6 @@ class SchwarzVariant(Enum):
         if self is SchwarzVariant.QUARTIC:
             return (1 - 1j) * beta_fn(0.25, 0.25)
         return (1 - ZETA * ZETA) * beta_fn(1.0 / 3.0, 1.0 / 6.0)
-
-
-def pochhammer(a: float, n: int) -> float:
-    """Rising factorial a (a+1) ... (a+n-1), with the empty product 1."""
-    if n < 0:
-        raise DomainError(f"pochhammer requires n >= 0, got {n}")
-    acc = 1.0
-    for k in range(n):
-        acc *= a + k
-    return acc
 
 
 def _series(
@@ -270,15 +262,19 @@ def gauss_2f1_pair(p: GaussParams, z: complex, zc: complex) -> complex:
             terms = count * math.log(_ABS_TOL) / math.log(r) if r > 0.0 else count
             if terms < best_terms:
                 best, best_terms = i, terms
-    if best >= 3:
-        # Pfaff: F(a, b; c; z) = (1 - z)^(-a) F(a, c - b; c; w), w = -z / zc,
-        # 1 - w = 1 / zc, and Im w = -Im z / |zc|^2 carries the side of the cut
-        q, v = -z / zc, 1.0 / zc
-        w = complex(q.real, math.copysign(q.imag, -z.imag))
-        wc = complex(v.real, math.copysign(v.imag, z.imag))
-        return zc ** -a * _base_route(best - 3, a, c - b, c, w, wc)
-    if best >= 0:
-        return _base_route(best, a, b, c, z, zc)
+    try:
+        if best >= 3:
+            # Pfaff: F(a, b; c; z) = (1 - z)^(-a) F(a, c - b; c; w), w = -z / zc,
+            # 1 - w = 1 / zc, and Im w = -Im z / |zc|^2 carries the side of the cut
+            q, v = -z / zc, 1.0 / zc
+            w = complex(q.real, math.copysign(q.imag, -z.imag))
+            wc = complex(v.real, math.copysign(v.imag, z.imag))
+            return zc ** -a * _base_route(best - 3, a, c - b, c, w, wc)
+        if best >= 0:
+            return _base_route(best, a, b, c, z, zc)
+    except OverflowError:
+        # complex powers raise where a float product would give inf
+        raise DomainError(f"2F1 overflows binary64 at {z} for these parameters") from None
     if abs(az - 1.0) <= 1e-12 and s > 0.0:
         return _series(a, b, c, z, _BOUNDARY_TOL, s)
     raise DomainError(f"no 2F1 route converges at {z} for these parameters")
@@ -305,29 +301,6 @@ def gauss_kummer_value(p: GaussParams) -> float:
         if arg <= 0.0:
             raise DomainError(f"gamma-function argument {arg} <= 0 in the closed form")
     return gamma_real(g) * gamma_real(g - a - b) / (gamma_real(g - a) * gamma_real(g - b))
-
-
-def euler_f1_f2(v: SchwarzVariant, x: complex) -> tuple[complex, complex]:
-    """The solution pair (f1, f2) at the singular point x = 1.
-
-    f1 = exp(pi*i*(gamma-alpha)) / (gamma-alpha) * (1-x)^(gamma-alpha)
-         * F(gamma-alpha, gamma, gamma-alpha+1; 1-x),
-    f2 = B(gamma-alpha, alpha), a constant.
-    """
-    x = complex(x)
-    w = 1.0 - x
-    if abs(w) >= 1.0:
-        raise DomainError(f"euler_f1_f2 requires |1 - x| < 1, got {abs(w)}")
-    p = v.params
-    d = p.gamma - p.alpha
-    phase = complex(math.cos(math.pi * d), math.sin(math.pi * d))
-    if w == 0:
-        f1 = 0.0 + 0.0j
-    else:
-        f = gauss_2f1(GaussParams(d, p.gamma, d + 1.0), w)
-        f1 = phase / d * w**d * f
-    f2 = complex(beta_fn(d, p.alpha))
-    return f1, f2
 
 
 def schwarz_map(v: SchwarzVariant, x: complex) -> complex:

@@ -9,7 +9,6 @@ angle trisection that solves a cubic (DLMF 1.11(iii)).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -57,19 +56,10 @@ def step_quartic(p: MeanPair) -> MeanPair:
     return MeanPair(a1, math.sqrt(p.a) * math.sqrt(a1))
 
 
-def eta_pair(p: MeanPair) -> tuple[complex, complex]:
-    """b +/- sqrt(b^2 - a^2), a conjugate pair when a > b."""
-    # sqrt(b - a) sqrt(b + a) cannot overflow or underflow where b^2 - a^2
-    # would, and eta1 eta2 = a^2 gives eta2 without the cancellation in
-    # b - sqrt(...) when a << b
-    s = cmath.sqrt(complex(p.b - p.a, 0.0)) * math.sqrt(p.b + p.a)
-    eta1 = p.b + s
-    return eta1, p.a * (p.a / eta1)
-
-
 def _eta_cube_roots(a: float, b: float) -> tuple[float, float, float]:
     """s = sqrt(b^2 - a^2) and the real cube roots of b + s and b - s, for a <= b."""
-    # as in eta_pair: no square to overflow, and no cancellation in b - s
+    # no b^2 - a^2 to overflow or underflow, and eta2 = a^2 / eta1 avoids
+    # the cancellation in b - s when a << b
     s = math.sqrt(b - a) * math.sqrt(b + a)
     eta1 = b + s
     return s, _real_root(eta1, 3), _real_root(a * (a / eta1), 3)

@@ -1,15 +1,13 @@
 """Scalar helpers and constants shared by every other module.
 
-Real gamma and beta, the unit-circle map ``e_of`` and windowed k-th roots,
-plus the one home of sqrt(3), zeta and omega.  Everything here is a pure
-function of binary64 inputs.
+Real gamma and beta and the unit-circle map ``e_of``, plus the one home of
+sqrt(3), zeta and omega.  Everything here is a pure function of binary64
+inputs.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-import warnings
 
 TWO_PI = 2.0 * math.pi
 SQRT3 = math.sqrt(3.0)
@@ -32,10 +30,6 @@ class PathError(ValueError):
     Nothing in the package raises it at present; it stays exported because
     the error contract names it beside DomainError and IterationLimitError.
     """
-
-
-class BranchBoundaryWarning(UserWarning):
-    """A requested root lies within roundoff of its argument window edge."""
 
 
 # The most terms any series of the package sums before IterationLimitError.
@@ -134,46 +128,3 @@ def e_of(x: float) -> complex:
     y -= round(y)  # 1-periodic; reduce to [-1/2, 1/2] before cos/sin
     return complex(math.cos(TWO_PI * y), math.sin(TWO_PI * y))
 
-
-def principal_arg(w: complex) -> float:
-    """Argument of w in the package-wide convention (-pi, pi]."""
-    a = cmath.phase(complex(w))
-    if a <= -math.pi:
-        a = math.pi  # signed-zero underside of the cut maps to +pi
-    return a
-
-
-def branch_root(w: complex, k: int, arg_center: float) -> complex:
-    """k-th root of w whose argument lies in (arg_center - pi/k, arg_center + pi/k].
-
-    The window has width 2*pi/k, so exactly one of the k roots qualifies.
-    w = 0 returns 0 exactly.  A root within roundoff of the window edge
-    raises BranchBoundaryWarning because the choice is no longer stable.
-    """
-    if k < 2:
-        raise DomainError(f"branch_root requires k >= 2, got {k}")
-    w = complex(w)
-    size = abs(w)  # inf or nan for a non-finite w
-    if not (size < math.inf and -math.inf < arg_center < math.inf):
-        raise DomainError(f"branch_root requires finite w and arg_center, got {w}, {arg_center}")
-    if size == 0:
-        return 0j
-    base = principal_arg(w) / k
-    half = math.pi / k
-    step = TWO_PI / k
-    j = round((arg_center - base) / step)
-    psi = base + j * step
-    delta = psi - arg_center
-    if delta <= -half:
-        psi += step
-        delta += step
-    elif delta > half:
-        psi -= step
-        delta -= step
-    if min(abs(delta - half), abs(delta + half)) < 1e-12:
-        warnings.warn(
-            "k-th root argument within roundoff of the window boundary",
-            BranchBoundaryWarning,
-            stacklevel=2,
-        )
-    return _real_root(size, k) * complex(math.cos(psi), math.sin(psi))

@@ -301,13 +301,6 @@ def quasi_period_factor(c: ThetaChar, p: int, q: int, z: complex, m: Modulus) ->
     return _e(c.af * q - p * p * tau / 2.0 - p * complex(z) - c.bf * p)
 
 
-def zero_locus(c: ThetaChar, m: Modulus) -> TorusPoint:
-    """The simple-zero class (1/2 - a) tau + (1/2 - b) modulo the lattice."""
-    alpha = Fraction(1, 2) - c.a
-    beta = Fraction(1, 2) - c.b
-    return TorusPoint(m, _fold(float(alpha)), _fold(float(beta)))
-
-
 class TauTransform(Enum):
     SHIFT = "shift"
     INVERT = "invert"

@@ -396,13 +396,17 @@ def test_usage_errors_print_the_subcommand_usage(capsys):
     for argv in (
         ["agm", "--variant", "quartic", "--a", "1", "--b", "-1e-3"],
         ["theta", "--a", "1/0", "--b", "0", "--tau", "i"],
+        ["theta", "--a", "one", "--b", "0", "--tau", "i"],
         ["theta", "--a", "1e400", "--b", "0", "--tau", "i"],
+        ["theta", "--a", "0", "--b", "0", "--tau", "nan+1i"],
         ["theta", "--a", "0", "--b", "0", "--z", "0+40i", "--tau", "i"],
         ["curve", "--curve", "i"],
+        ["curve", "--curve", "i", "--t", "0"],
         ["verify", "--samples", "0"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        first = capsys.readouterr().err.splitlines()[0]
-        assert first.startswith(f"usage: lemnis {argv[0]} "), (argv, first)
+        err = capsys.readouterr().err
+        assert err.splitlines()[0].startswith(f"usage: lemnis {argv[0]} "), (argv, err)
+        assert "Traceback" not in err, argv

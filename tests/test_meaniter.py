@@ -16,7 +16,6 @@ from lemnis import (
     SchwarzVariant,
     closed_form_limit,
     cubic_preimage_x0,
-    eta_pair,
     gauss_2f1,
     iterate_until_converged,
     limit_quartic,
@@ -65,16 +64,6 @@ def test_quartic_step_argument_identity():
         b = rng.uniform(0.1, 10.0)
         x = 2.0 * a / (a + b)
         assert (2.0 - x) / x == pytest.approx(b / a, rel=1e-14)
-
-
-def test_eta_pair():
-    e1, e2 = eta_pair(MeanPair(3.0, 5.0))
-    assert e1 == pytest.approx(9.0)
-    assert e2 == pytest.approx(1.0)
-    # conjugate regime: a > b
-    e1, e2 = eta_pair(MeanPair(5.0, 3.0))
-    assert e1 == pytest.approx(e2.conjugate())
-    assert abs(e1) == pytest.approx(5.0)  # |b + i sqrt(a^2-b^2)| = a
 
 
 def test_sextic_step_values():

@@ -1,10 +1,9 @@
-"""Scalar building blocks: gamma, beta, the unit-circle map, windowed roots."""
+"""Scalar building blocks: gamma, beta, the unit-circle map."""
 
 from __future__ import annotations
 
 import math
 import random
-import warnings
 
 import mpmath
 import pytest
@@ -12,14 +11,12 @@ import pytest
 from lemnis import (
     TAU_I,
     TAU_ZETA,
-    BranchBoundaryWarning,
     DomainError,
     GaussParams,
     OmegaPower,
     TauTransform,
     ThetaChar,
     beta,
-    branch_root,
     canonical_torus_point,
     e_of,
     gamma_real,
@@ -29,7 +26,6 @@ from lemnis import (
     omega_multiple,
     one_plus_i_multiple,
     one_plus_zeta_multiple,
-    principal_arg,
     quasi_period_factor,
     transform_tau,
 )
@@ -140,50 +136,6 @@ def test_e_of_is_homomorphism():
         assert abs(e_of(x + 1.0) - e_of(x)) < 1e-14
 
 
-def test_principal_arg_window():
-    assert principal_arg(1.0) == 0.0
-    assert principal_arg(-1.0) == pytest.approx(math.pi)
-    # the underside of the cut folds onto +pi, keeping the window half open
-    assert principal_arg(complex(-1.0, -0.0)) == pytest.approx(math.pi)
-    assert principal_arg(1j) == pytest.approx(math.pi / 2)
-
-
-def test_branch_root_examples():
-    assert branch_root(1.0, 4, 0.0) == pytest.approx(1.0)
-    r = branch_root(-8.0, 3, math.pi / 3)
-    assert r == pytest.approx(complex(1.0, math.sqrt(3.0)), abs=1e-12)
-    assert branch_root(0.0, 5, 1.0) == 0j
-
-
-def test_branch_root_window_and_power():
-    rng = random.Random(75)
-    for _ in range(300):
-        w = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        if abs(w) < 1e-3:
-            continue
-        k = rng.choice((2, 3, 4, 6))
-        center = rng.uniform(-3.0, 3.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BranchBoundaryWarning)
-            r = branch_root(w, k, center)
-        assert abs(r**k - w) < 1e-12 * max(1.0, abs(w))
-        d = principal_arg(r * e_of(-center / (2 * math.pi)))
-        assert d <= math.pi / k + 1e-9
-        assert d > -math.pi / k - 1e-9
-
-
-def test_branch_root_boundary_warns():
-    # -1 has square roots at +/- i, both sitting on the edge of the
-    # window centered at 0
-    with pytest.warns(BranchBoundaryWarning):
-        branch_root(-1.0, 2, 0.0)
-
-
-def test_branch_root_rejects_small_k():
-    with pytest.raises(DomainError):
-        branch_root(1.0, 1, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # The error contract of the scalar helpers: a value outside binary64, or a
 # non-finite argument, is a DomainError, never a raw OverflowError or
@@ -201,9 +153,6 @@ SCALAR_DOMAIN_ERRORS = {
     "transform_tau prefactor is nan": lambda: transform_tau(_C00, 1e200, TAU_I, TauTransform.INVERT),
     "e_of nan": lambda: e_of(_nan),
     "e_of inf": lambda: e_of(_inf),
-    "branch_root nan": lambda: branch_root(_nan, 3, 0.0),
-    "branch_root inf": lambda: branch_root(_inf, 3, 0.0),
-    "branch_root nan centre": lambda: branch_root(1.0, 3, _nan),
     "canonical_torus_point nan": lambda: canonical_torus_point(TAU_I, complex(_nan, 0.0)),
     "canonical_torus_point inf": lambda: canonical_torus_point(TAU_ZETA, complex(0.0, _inf)),
     "lattice_distance nan": lambda: lattice_distance(TAU_I, _nan, 0.0),
