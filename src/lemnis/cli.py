@@ -22,16 +22,16 @@ from .curves import (
     Curve,
     CurvePoint,
     _curve_residual,
+    _quartic_ratios,
+    _quartic_with_thetas,
+    _sextic_ratios,
+    _sextic_with_thetas,
     abel_jacobi,
     equivalent_mod_group,
-    inverse_quartic,
     inverse_quartic_t_routes,
-    inverse_sextic,
     lift_branch,
     mul_one_plus_i,
     mul_one_plus_zeta,
-    ratio_identities_quartic,
-    ratio_identities_sextic,
     special_point,
 )
 from .hypergeometric import SchwarzVariant
@@ -82,6 +82,12 @@ from .theta import (
 
 _DEFAULT_TOL = 1e-10
 _MASK64 = (1 << 64) - 1
+
+# Per curve: the theta inverse with its thetas, the ratio identities, the unit multiplication.
+_PER_CURVE = {
+    Curve.C_I: (_quartic_with_thetas, _quartic_ratios, mul_one_plus_i),
+    Curve.C_ZETA: (_sextic_with_thetas, _sextic_ratios, mul_one_plus_zeta),
+}
 
 
 class SplitMix64:
@@ -208,7 +214,7 @@ def _cmd_agm(args: argparse.Namespace) -> int:
     if tol is None:
         tol = 1e-11 if variant is SchwarzVariant.QUARTIC else 1e-10
     pair = MeanPair(args.a, args.b)
-    trace = iterate_until_converged(pair, variant, tol=1e-12, max_iter=60)
+    trace = iterate_until_converged(pair, variant)
     closed = closed_form_limit(pair, variant)
     diff = abs(trace.limit - closed)
     inputs = {"variant": args.variant, "a": repr(args.a), "b": repr(args.b)}
@@ -268,7 +274,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     }
     residuals = [{"name": "on_curve", "value": _curve_residual(point), "tol": tol}]
     if args.mul:
-        image = mul_one_plus_i(point) if curve is Curve.C_I else mul_one_plus_zeta(point)
+        image = _PER_CURVE[curve][2](point)
         z_img = abel_jacobi(image)
         target = canonical_torus_point(curve.modulus, (1 + curve.unit) * z.z)
         witness = equivalent_mod_group(z_img, target, tol=max(tol, 1e-8))
@@ -401,35 +407,31 @@ def _suite_tau_zeta(rng: SplitMix64, n: int) -> dict[str, _Worst]:
     }
 
 
-def _sample_point(rng: SplitMix64, curve: Curve) -> tuple[TorusPoint, CurvePoint]:
+def _sample_point(rng: SplitMix64, curve: Curve) -> tuple[TorusPoint, CurvePoint, tuple]:
     mod = curve.modulus
-    inverse = inverse_quartic if curve is Curve.C_I else inverse_sextic
+    with_thetas = _PER_CURVE[curve][0]
     for _ in range(200):
         zp = _rand_torus(rng, mod)
-        p = inverse(zp)
+        p, th = with_thetas(zp)
         if p.at_infinity:
             continue
         if abs(p.t) < 0.05 or abs(p.t - 1) < 0.05 or abs(p.t) > 40.0:
             continue
-        return zp, p
+        return zp, p, th
     raise IterationLimitError("failed to sample a well-conditioned curve point")
 
 
 def _suite_inverse(rng: SplitMix64, n: int) -> dict[str, _Worst]:
     routes, on_curve, ratios = _Worst(), _Worst(), _Worst()
     for _ in range(n):
-        zp, p = _sample_point(rng, Curve.C_I)
-        tag = f"z={format_complex(zp.z)}"
-        t1, t2 = inverse_quartic_t_routes(zp)
-        routes.push(_scaled_residual(t1, t2), tag)
-        on_curve.push(_curve_residual(p), tag)
-        for pair in ratio_identities_quartic(zp):
-            ratios.push(pair.residual, tag + f" {pair.name}")
-        zp, p = _sample_point(rng, Curve.C_ZETA)
-        tag = f"z={format_complex(zp.z)}"
-        on_curve.push(_curve_residual(p), tag)
-        for pair in ratio_identities_sextic(zp):
-            ratios.push(pair.residual, tag + f" {pair.name}")
+        for curve, (_, identities, _) in _PER_CURVE.items():
+            zp, p, th = _sample_point(rng, curve)
+            tag = f"z={format_complex(zp.z)}"
+            if curve is Curve.C_I:
+                routes.push(_scaled_residual(*inverse_quartic_t_routes(zp)), tag)
+            on_curve.push(_curve_residual(p), tag)
+            for pair in identities(p, th):
+                ratios.push(pair.residual, tag + f" {pair.name}")
     return {
         "inverse.t_routes": routes,
         "inverse.on_curve": on_curve,
@@ -441,14 +443,13 @@ def _suite_multiplication(rng: SplitMix64, n: int) -> dict[str, _Worst]:
     quartic, sextic = _Worst(), _Worst()
     for _ in range(n):
         for curve, fam in ((Curve.C_I, quartic), (Curve.C_ZETA, sextic)):
-            zp, p = _sample_point(rng, curve)
-            mul = mul_one_plus_i if curve is Curve.C_I else mul_one_plus_zeta
+            zp, p, _ = _sample_point(rng, curve)
+            with_thetas, _, mul = _PER_CURVE[curve]
             if curve is Curve.C_ZETA and abs(4 * p.t - 3) < 0.05:
                 continue
             image = mul(p)
             z2 = canonical_torus_point(curve.modulus, (1 + curve.unit) * zp.z)
-            inverse = inverse_quartic if curve is Curve.C_I else inverse_sextic
-            direct = inverse(z2)
+            direct, _ = with_thetas(z2)
             if image.at_infinity or direct.at_infinity:
                 continue
             tag = f"z={format_complex(zp.z)}"
@@ -473,7 +474,7 @@ def _suite_monodromy(rng: SplitMix64, n: int) -> dict[str, _Worst]:
             hom.push(0.0 if lhs == rhs else 1.0, variant.name)
         alpha = variant.params.alpha
         m0, m1 = general_m0_m1(alpha, 0.0, 0.5)
-        for got_m, ref in zip((m0, m1), (n_matrices(variant)[0], n_matrices(variant)[1])):
+        for got_m, ref in zip((m0, m1), (n0, n1)):
             diff = abs(base_change_affine(got_m, alpha) - ref.as_complex()).max()
             special.push(float(diff), f"{variant.name}")
         summary = group_closure([as_affine(m) for m in mats], cap=2000)
@@ -502,9 +503,9 @@ def _suite_meaniter(rng: SplitMix64, n: int) -> dict[str, _Worst]:
         ratio = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
         pair = MeanPair(a, a * ratio)
         tag = f"a={a:.6f} b={a * ratio:.6f}"
-        tq = iterate_until_converged(pair, SchwarzVariant.QUARTIC, tol=1e-12, max_iter=60)
+        tq = iterate_until_converged(pair, SchwarzVariant.QUARTIC)
         quartic.push(_limit_residual(tq.limit, closed_form_limit(pair, SchwarzVariant.QUARTIC)), tag)
-        ts = iterate_until_converged(pair, SchwarzVariant.SEXTIC, tol=1e-12, max_iter=60)
+        ts = iterate_until_converged(pair, SchwarzVariant.SEXTIC)
         sextic.push(_limit_residual(ts.limit, closed_form_limit(pair, SchwarzVariant.SEXTIC)), tag)
         if pair.a < pair.b:
             x0 = cubic_preimage_x0(pair)

@@ -8,7 +8,7 @@ point t = 1, in closed form: with a = 1/4 on C_I and 1/6 on C_ZETA,
     z = (t - 1)^a / a * F(1/2, a; 1 + a; 1 - t) / normalization
 
 on principal branches, with F from `hypergeometric.gauss_2f1_pair`; the
-fiber points over t = 0 and t = infinity have gamma-function images.
+fiber points over t = 0 and t = infinity have Gauss-sum images.
 Branch bookkeeping is stateless: the sheet of a point is read off u.
 
 The inverse maps are ratios of theta values on the corresponding square or
@@ -25,8 +25,8 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .hypergeometric import GaussParams, SchwarzVariant, gauss_2f1, gauss_2f1_pair
-from .numerics import SQRT3, ZETA, DomainError, e_of, gamma_real
+from .hypergeometric import GaussParams, SchwarzVariant, gauss_2f1, gauss_2f1_pair, gauss_kummer_value
+from .numerics import SQRT3, ZETA, DomainError, e_of
 from .theta import (
     HALF_CHARS,
     Modulus,
@@ -158,19 +158,19 @@ def lift_branch(curve: Curve, t: complex, k: int = 0) -> CurvePoint:
 # Abel-Jacobi map.
 
 def _zero_image(curve: Curve) -> complex:
-    """Torus image of the first fiber point over t = 0: Gauss's sum for F at 1."""
+    """Torus image of the first fiber point over t = 0: e(a/2) F(1/2, a; 1 + a; 1) / (a N)."""
     a = curve.exponent
-    return e_of(0.5 * a) * gamma_real(1.0 + a) * math.sqrt(math.pi) / (
-        a * gamma_real(0.5 + a) * curve.normalization
-    )
+    return e_of(0.5 * a) * gauss_kummer_value(GaussParams(0.5, a, 1.0 + a)) / (a * curve.normalization)
 
 
 def _infinity_image(curve: Curve) -> complex:
-    """Torus image of the first fiber point over t = infinity: the leading 1/z term."""
+    """Torus image of the first fiber point over t = infinity: F(1/2 + a, a; 1 + a; 1) / (a N).
+
+    That Gauss sum is the coefficient of (t - 1)^(-a) in the 1/z connection
+    of F(1/2, a; 1 + a; 1 - t); the prefactor (t - 1)^a cancels the power.
+    """
     a = curve.exponent
-    return gamma_real(1.0 + a) * gamma_real(0.5 - a) / (
-        math.sqrt(math.pi) * a * curve.normalization
-    )
+    return gauss_kummer_value(GaussParams(0.5 + a, a, 1.0 + a)) / (a * curve.normalization)
 
 
 def abel_jacobi(p: CurvePoint) -> TorusPoint:
@@ -287,7 +287,10 @@ def ratio_identities_quartic(zp: TorusPoint) -> list[IdentityPair]:
     Where t vanishes (one of the even thetas has a zero) r is replaced by
     its documented limit -1 or +1; at z = i/2 that limit is -1.
     """
-    p, th = _quartic_with_thetas(zp)
+    return _quartic_ratios(*_quartic_with_thetas(zp))
+
+
+def _quartic_ratios(p: CurvePoint, th: tuple | None) -> list[IdentityPair]:
     if p.at_infinity:
         raise DomainError("ratio identities blow up over t = infinity")
     th00, th01, th10, th11 = th
@@ -314,7 +317,10 @@ def ratio_identities_sextic(zp: TorusPoint) -> list[IdentityPair]:
     The last pair is the internal consistency of the three linear factors
     with 1 + 1/(t - 1).
     """
-    p, th = _sextic_with_thetas(zp)
+    return _sextic_ratios(*_sextic_with_thetas(zp))
+
+
+def _sextic_ratios(p: CurvePoint, th: tuple | None) -> list[IdentityPair]:
     if p.at_infinity:
         raise DomainError("ratio identities blow up over t = infinity")
     th00, th01, th10, th11 = th
@@ -333,7 +339,7 @@ def ratio_identities_sextic(zp: TorusPoint) -> list[IdentityPair]:
         r = p.t / p.u ** 2
         degenerate = False
     cube = 0j if degenerate else p.u ** 3 / (p.t * (p.t - 1))
-    pairs = [
+    return [
         IdentityPair("one_plus_r", 1 + r, SQRT3 * 1j * th00 ** 2 / th11 ** 2),
         IdentityPair("one_plus_z2_r", 1 + z2 * r, -SQRT3 * th10 ** 2 / th11 ** 2),
         IdentityPair("one_plus_z4_r", 1 + z4 * r, SQRT3 * th01 ** 2 / th11 ** 2),
@@ -348,7 +354,6 @@ def ratio_identities_sextic(zp: TorusPoint) -> list[IdentityPair]:
             1 + 1 / (p.t - 1),
         ),
     ]
-    return pairs
 
 
 # ---------------------------------------------------------------------------

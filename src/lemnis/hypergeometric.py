@@ -54,7 +54,6 @@ from .numerics import (
     _gamma_signed,
     beta as beta_fn,
     e_of,
-    gamma_real,
 )
 
 # Terms cost next to nothing, so every route sums to well below the 1e-10 the
@@ -140,23 +139,12 @@ def _rgamma(x: float) -> float:
     return 1.0 / _gamma_signed(x)
 
 
-@functools.lru_cache(maxsize=64)
-def _near_one_coeffs(a: float, b: float, c: float) -> tuple[float, float]:
-    s = c - a - b
-    g = _gamma_signed(c)
-    return (
-        g * _gamma_signed(s) * _rgamma(c - a) * _rgamma(c - b),
-        g * _gamma_signed(-s) * _rgamma(a) * _rgamma(b),
-    )
-
-
-@functools.lru_cache(maxsize=64)
-def _inverse_coeffs(a: float, b: float, c: float) -> tuple[float, float]:
-    g = _gamma_signed(c)
-    return (
-        g * _gamma_signed(b - a) * _rgamma(b) * _rgamma(c - a),
-        g * _gamma_signed(a - b) * _rgamma(a) * _rgamma(c - b),
-    )
+@functools.lru_cache(maxsize=256)
+def _gauss_sum(c: float, s: float, x: float, y: float) -> float:
+    # Gamma(c) Gamma(s) / (Gamma(x) Gamma(y)), which is Gauss's sum
+    # F(c - x, c - y; c; 1) when s = x + y - c (DLMF 15.4.20); every
+    # connection coefficient of DLMF 15.8.2 and 15.8.4 has this shape.
+    return _gamma_signed(c) * _gamma_signed(s) * _rgamma(x) * _rgamma(y)
 
 
 def _base_route(kind: int, a: float, b: float, c: float, x: complex, xc: complex) -> complex:
@@ -166,11 +154,11 @@ def _base_route(kind: int, a: float, b: float, c: float, x: complex, xc: complex
         return _series(a, b, c, x, _ABS_TOL)
     if kind == 1:
         s = c - a - b
-        ca, cb = _near_one_coeffs(a, b, c)
+        ca, cb = _gauss_sum(c, s, c - a, c - b), _gauss_sum(c, -s, a, b)
         return ca * _series(a, b, 1.0 - s, xc, _ABS_TOL) + cb * xc ** s * _series(
             c - a, c - b, s + 1.0, xc, _ABS_TOL
         )
-    ca, cb = _inverse_coeffs(a, b, c)
+    ca, cb = _gauss_sum(c, b - a, b, c - a), _gauss_sum(c, a - b, a, c - b)
     y = 1.0 / x
     return ca * (-x) ** -a * _series(a, a - c + 1.0, a - b + 1.0, y, _ABS_TOL) + cb * (
         -x
@@ -293,14 +281,14 @@ def gauss_2f1(p: GaussParams, z: complex) -> complex:
 
 
 def gauss_kummer_value(p: GaussParams) -> float:
-    """Closed-form F(alpha, beta, gamma; 1) when gamma - alpha - beta > 0."""
+    """Gauss's sum F(alpha, beta; gamma; 1) when gamma - alpha - beta > 0."""
     a, b, g = p.alpha, p.beta, p.gamma
     if a == 0.0 or b == 0.0:
         return 1.0
-    for arg in (g, g - a - b, g - a, g - b):
-        if arg <= 0.0:
-            raise DomainError(f"gamma-function argument {arg} <= 0 in the closed form")
-    return gamma_real(g) * gamma_real(g - a - b) / (gamma_real(g - a) * gamma_real(g - b))
+    s = g - a - b
+    if not s > 0.0:
+        raise DomainError(f"F at z = 1 diverges when gamma - alpha - beta = {s} <= 0")
+    return _gauss_sum(g, s, g - a, g - b)
 
 
 def schwarz_map(v: SchwarzVariant, x: complex) -> complex:

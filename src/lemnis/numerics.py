@@ -1,8 +1,10 @@
 """Scalar helpers and constants shared by every other module.
 
 Real gamma and beta and the unit-circle map ``e_of``, plus the one home of
-sqrt(3), zeta and omega.  Everything here is a pure function of binary64
-inputs.
+sqrt(3), zeta and omega.  Gamma is the standard library's ``math.gamma``
+behind one guard: `gamma_real` takes 0 < x up to where Gamma leaves
+binary64 (x ~ 171.624), and `beta` takes x, y > 0 with Gamma(x + y)
+finite.  Everything here is a pure function of binary64 inputs.
 """
 
 from __future__ import annotations
@@ -35,57 +37,24 @@ class PathError(ValueError):
 # The most terms any series of the package sums before IterationLimitError.
 _MAX_TERMS = 100_000
 
-# Lanczos, g = 7, nine terms.  Relative error stays below 1e-13 on the
-# positive real axis, which is the only place public callers may evaluate.
-# Gamma overflows binary64 just above 171.62.
-_GAMMA_MAX_X = 171.62
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
+
+def _gamma_signed(x: float) -> float:
+    # Internal: gamma off the poles, negative arguments included, for the 2F1
+    # connection coefficients; a value or reciprocal outside binary64 is a DomainError.
+    try:
+        g = math.gamma(x)
+    except (ValueError, OverflowError):
+        g = math.nan
+    if not 0.0 < abs(g) < math.inf or math.isinf(1.0 / g):
+        raise DomainError(f"gamma({x}) is a pole or lies outside binary64")
+    return g
 
 
 def gamma_real(x: float) -> float:
-    """Gamma function on the positive real axis."""
-    x = float(x)
-    if not 0.0 < x <= _GAMMA_MAX_X:
-        raise DomainError(f"gamma_real requires 0 < x <= {_GAMMA_MAX_X}, got {x}")
-    if x < 0.5:
-        # reflect once so the rational core only sees arguments >= 0.5;
-        # gamma(x) ~ 1/x passes the binary64 range below about 5.6e-309
-        g = math.pi / (math.sin(math.pi * x) * gamma_real(1.0 - x))
-        if math.isinf(g):
-            raise DomainError(f"gamma_real({x}) overflows binary64")
-        return g
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    if x < 142.0:
-        return math.sqrt(TWO_PI) * t ** (z + 0.5) * math.exp(-t) * acc
-    # t ** (z + 0.5) alone overflows from x ~ 142.4, so take it in halves
-    half = t ** (0.5 * (z + 0.5))
-    return math.sqrt(TWO_PI) * half * math.exp(-t) * half * acc
-
-
-def _gamma_signed(x: float) -> float:
-    # Internal: gamma at negative non-integer arguments via reflection.
-    # Needed for series connection coefficients, not part of the public API.
-    x = float(x)
-    if x > 0.0:
-        return gamma_real(x)
-    if x == math.floor(x):
-        raise DomainError(f"gamma pole at {x}")
-    return math.pi / (math.sin(math.pi * x) * gamma_real(1.0 - x))
+    """Gamma function on the positive real axis, up to where it leaves binary64."""
+    if not x > 0.0:
+        raise DomainError(f"gamma_real requires x > 0, got {x}")
+    return _gamma_signed(x)
 
 
 def _dist_to_int(x: float) -> float:

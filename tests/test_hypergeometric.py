@@ -98,6 +98,17 @@ def test_boundary_value_at_one():
     assert gauss_kummer_value(QP) == pytest.approx(closed, rel=1e-13)
 
 
+@pytest.mark.parametrize("abc", [(3.5, -2.2, 1.7), (2.0, -1.5, 1.5), (-3.0, 0.5, 0.7)])
+def test_gauss_sum_wherever_gamma_minus_alpha_minus_beta_is_positive(abc):
+    # gamma - alpha or gamma - beta may be negative: only their sum matters
+    p = GaussParams(*abc)
+    with mpmath.workdps(30):
+        ref = float(mpmath.hyp2f1(*abc, 1))
+    assert abs(gauss_kummer_value(p) - ref) <= 1e-13 * abs(ref)
+    v = gauss_2f1(p, 1.0)
+    assert v.imag == 0.0 and abs(v.real - ref) <= 1e-13 * abs(ref)
+
+
 def test_boundary_value_requires_convergence():
     # at z = 1 the series converges only when gamma - alpha - beta > 0
     with pytest.raises(DomainError):

@@ -29,6 +29,7 @@ from lemnis import (
     quasi_period_factor,
     transform_tau,
 )
+from lemnis.numerics import _gamma_signed
 
 
 def test_gamma_small_integers_and_half():
@@ -48,13 +49,40 @@ def test_gamma_sixth():
 
 
 def test_gamma_near_the_binary64_limit():
-    # t ** (z + 0.5) of the Lanczos form overflows from x ~ 142.4 on;
-    # Gamma itself stays finite up to x ~ 171.62
+    # Gamma stays finite up to x ~ 171.624
     for x in (150.0, 171.5):
-        assert gamma_real(x) == pytest.approx(math.gamma(x), rel=1e-12)
+        assert gamma_real(x) == pytest.approx(float(mpmath.gamma(x)), rel=1e-12)
     for x in (172.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             gamma_real(x)
+
+
+def test_gamma_matches_mpmath_on_both_axes():
+    # seeded points of (1e-300, 171.6), log-uniform below 1, and of (-170, 0);
+    # the reference is 40-digit mpmath
+    rng = random.Random(75)
+    positive = [10.0 ** rng.uniform(-300.0, 0.0) for _ in range(300)]
+    positive += [rng.uniform(1.0, 171.6) for _ in range(300)]
+    negative = [rng.uniform(-170.0, 0.0) for _ in range(400)]
+    worst = 0.0
+    with mpmath.workdps(40):
+        for x in positive + negative:
+            ref = mpmath.gamma(x)
+            got = _gamma_signed(x)
+            if x > 0.0:
+                assert gamma_real(x) == got
+            worst = max(worst, float(abs((got - ref) / ref)))
+    assert worst <= 2e-15
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, -1.0, -3.0, -170.0, math.nan, math.inf, -math.inf,
+                               5e-309, 5e-324, 171.7, 172.0, 1e300, -180.5, -1e300])
+def test_gamma_outside_its_domain_is_a_domain_error(x):
+    # poles, non-finite arguments, and values or reciprocals outside binary64
+    with pytest.raises(DomainError):
+        _gamma_signed(x)
+    with pytest.raises(DomainError):
+        gamma_real(x)
 
 
 def test_gamma_recursion():
