@@ -87,8 +87,6 @@ from .meaniter import (
     closed_form_limit,
     cubic_preimage_x0,
     iterate_until_converged,
-    limit_quartic,
-    limit_sextic,
     step_quartic,
     step_sextic,
 )

@@ -209,7 +209,7 @@ def _cmd_theta(args: argparse.Namespace) -> int:
 
 def _cmd_agm(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    variant = SchwarzVariant.QUARTIC if args.variant == "quartic" else SchwarzVariant.SEXTIC
+    variant = SchwarzVariant[args.variant.upper()]
     tol = args.tol
     if tol is None:
         tol = 1e-11 if variant is SchwarzVariant.QUARTIC else 1e-10
@@ -236,7 +236,7 @@ def _cmd_agm(args: argparse.Namespace) -> int:
 def _cmd_curve(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     tol = args.tol
-    curve = Curve.C_I if args.curve == "i" else Curve.C_ZETA
+    curve = Curve(args.curve)
     if args.point is not None:
         point = special_point(curve, args.point)
     else:

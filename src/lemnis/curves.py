@@ -46,9 +46,9 @@ class Curve(Enum):
     C_I = "i"
     C_ZETA = "zeta"
 
-    @property
+    @functools.cached_property
     def root_order(self) -> int:
-        return 4 if self is Curve.C_I else 6
+        return self.variant.root_order
 
     @property
     def unit(self) -> complex:
@@ -220,6 +220,7 @@ def abel_jacobi(p: CurvePoint) -> TorusPoint:
 _POLE_I = (1 + 1j) / 2
 _POLE_ZETA_1 = (ZETA + 1) / 3
 _POLE_ZETA_2 = 2 * (ZETA + 1) / 3
+_SEXTIC_PREFACTOR = e_of(-0.125) * 27 ** 0.25  # e(-1/8) 27^(1/4)
 
 
 def inverse_quartic_t_routes(zp: TorusPoint) -> tuple[complex, complex]:
@@ -269,7 +270,7 @@ def _sextic_with_thetas(zp: TorusPoint) -> tuple[CurvePoint, tuple | None]:
     th = th00, th01, th10, th11 = _four_thetas(zp.z, TAU_ZETA)
     den = SQRT3 * 1j * th00 ** 2 - th11 ** 2
     t = -3 * SQRT3 * 1j * th00 ** 2 * th01 ** 2 * th10 ** 2 / den ** 3
-    u = e_of(-0.125) * 27 ** 0.25 * th00 * th01 * th10 * th11 / den ** 2
+    u = _SEXTIC_PREFACTOR * th00 * th01 * th10 * th11 / den ** 2
     return CurvePoint(Curve.C_ZETA, t, u), th
 
 
@@ -346,7 +347,7 @@ def _sextic_ratios(p: CurvePoint, th: tuple | None) -> list[IdentityPair]:
         IdentityPair(
             "cube_over_t_tm1",
             cube,
-            e_of(-0.125) * 27 ** 0.25 * th00 * th01 * th10 / th11 ** 3,
+            _SEXTIC_PREFACTOR * th00 * th01 * th10 / th11 ** 3,
         ),
         IdentityPair(
             "triple_product",
@@ -432,7 +433,7 @@ def one_form_constant_routes(curve: Curve) -> tuple[complex, complex]:
     th = theta(HALF_CHARS[0], 0j, curve.modulus)
     if curve is Curve.C_I:
         return 2 * (1 - 1j) * math.pi * th ** 2, curve.normalization
-    return e_of(-0.125) * 2 * math.pi * 27 ** 0.25 * th ** 2, curve.normalization
+    return _SEXTIC_PREFACTOR * 2 * math.pi * th ** 2, curve.normalization
 
 
 def one_form_constant(curve: Curve) -> complex:

@@ -144,7 +144,15 @@ def _gauss_sum(c: float, s: float, x: float, y: float) -> float:
     # Gamma(c) Gamma(s) / (Gamma(x) Gamma(y)), which is Gauss's sum
     # F(c - x, c - y; c; 1) when s = x + y - c (DLMF 15.4.20); every
     # connection coefficient of DLMF 15.8.2 and 15.8.4 has this shape.
-    return _gamma_signed(c) * _gamma_signed(s) * _rgamma(x) * _rgamma(y)
+    # Exponents summed apart: the plain product's roundings, but no partial overflow.
+    q, e = 1.0, 0
+    for v in (_gamma_signed(c), _gamma_signed(s), _rgamma(x), _rgamma(y)):
+        m, k = math.frexp(v)
+        q, e = q * m, e + k
+    try:
+        return math.ldexp(q, e)
+    except OverflowError:
+        raise DomainError(f"Gauss sum of {(c, s, x, y)} lies outside binary64") from None
 
 
 def _base_route(kind: int, a: float, b: float, c: float, x: complex, xc: complex) -> complex:

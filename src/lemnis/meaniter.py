@@ -1,8 +1,9 @@
 """Two-term mean iterations attached to the quartic and sextic curves.
 
-Each step replaces a positive pair by a pair of means; the common limit is a
-hypergeometric value of the starting pair.  The sextic step takes conjugate
-cube roots of eta = b +/- sqrt(b^2 - a^2) in real arithmetic: for b <= a,
+Each step replaces a positive pair by a pair of means; the common limit,
+`closed_form_limit`, is a / F^2 (quartic) or a / F (sextic) with F a 2F1
+value at 1 - (b/a)^2.  The sextic step takes conjugate cube roots of
+eta = b +/- sqrt(b^2 - a^2) in real arithmetic: for b <= a,
 eta = a e^(+/- i theta) with cos theta = b/a, and the means come from the
 angle trisection that solves a cubic (DLMF 1.11(iii)).
 """
@@ -104,22 +105,11 @@ def _precondition(p: MeanPair, variant: SchwarzVariant) -> MeanPair:
     return p
 
 
-def limit_quartic(p: MeanPair) -> float:
-    p = _precondition(p, SchwarzVariant.QUARTIC)
-    f = gauss_2f1(SchwarzVariant.QUARTIC.series_params, 1.0 - (p.b / p.a) ** 2)
-    return p.a / (f.real * f.real)
-
-
-def limit_sextic(p: MeanPair) -> float:
-    p = _precondition(p, SchwarzVariant.SEXTIC)
-    f = gauss_2f1(SchwarzVariant.SEXTIC.series_params, 1.0 - (p.b / p.a) ** 2)
-    return p.a / f.real
-
-
 def closed_form_limit(p: MeanPair, variant: SchwarzVariant) -> float:
-    if variant is SchwarzVariant.QUARTIC:
-        return limit_quartic(p)
-    return limit_sextic(p)
+    """a / F^2 (quartic) or a / F (sextic), F the variant's series at 1 - (b/a)^2."""
+    p = _precondition(p, variant)
+    f = gauss_2f1(variant.series_params, 1.0 - (p.b / p.a) ** 2).real
+    return p.a / (f * f if variant is SchwarzVariant.QUARTIC else f)
 
 
 def _accelerated_limit(mids: list[float]) -> float:

@@ -5,16 +5,21 @@ Two layers live here.  The floating layer (`general_m0_m1`,
 generic parameter triple as complex 2x2 arrays.  The exact layer (`CycInt`,
 `CircuitMatrix`, `AffineMap`) works over Z[i] or Z[zeta] with no floats at
 all, so group-theoretic statements (orders, closures) are decided exactly.
+Its arithmetic follows from the one relation g^2 = e*g - 1 of the ring
+generator g, with e = `Ring.trace`, and the units are the powers of g.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
 import numpy as np
 
+from .hypergeometric import SchwarzVariant
 from .numerics import ZETA, DomainError, IterationLimitError, _dist_to_int, e_of
 
 
@@ -22,7 +27,7 @@ class Ring(Enum):
     """Coefficient ring for the exact layer.
 
     GAUSS is Z[i] with basis (1, i).  EISENSTEIN6 is Z[zeta] with basis
-    (1, zeta) where zeta = (1 + sqrt(3) i)/2, so zeta^2 = zeta - 1.
+    (1, zeta) where zeta = (1 + sqrt(3) i)/2.
     """
 
     GAUSS = "gauss"
@@ -31,6 +36,11 @@ class Ring(Enum):
     @property
     def generator(self) -> complex:
         return 1j if self is Ring.GAUSS else ZETA
+
+    @functools.cached_property
+    def trace(self) -> int:
+        """e = g + conj(g), 0 over Z[i] and 1 over Z[zeta], so that g^2 = e*g - 1."""
+        return 0 if self is Ring.GAUSS else 1
 
 
 @dataclass(frozen=True)
@@ -62,15 +72,8 @@ class CycInt:
 
     def __mul__(self, other: "CycInt") -> "CycInt":
         self._same_ring(other)
-        # g^2 = -1 for GAUSS, g^2 = g - 1 for EISENSTEIN6.
-        cross = self.x * other.y + self.y * other.x
-        if self.ring is Ring.GAUSS:
-            return CycInt(self.x * other.x - self.y * other.y, cross, self.ring)
-        return CycInt(
-            self.x * other.x - self.y * other.y,
-            cross + self.y * other.y,
-            self.ring,
-        )
+        x1, y1, x2, y2 = self.x, self.y, other.x, other.y
+        return CycInt(x1 * x2 - y1 * y2, x1 * y2 + y1 * x2 + self.ring.trace * y1 * y2, self.ring)
 
     def _same_ring(self, other: "CycInt") -> None:
         if self.ring is not other.ring:
@@ -83,15 +86,14 @@ class CycInt:
         return self.x == 1 and self.y == 0
 
     def is_unit(self) -> bool:
-        # the norm |x + y g|^2 is x^2 + y^2 over Z[i] and x^2 + xy + y^2 over Z[zeta]
-        cross = self.x * self.y if self.ring is Ring.EISENSTEIN6 else 0
-        return self.x * self.x + cross + self.y * self.y == 1
+        # the norm |x + y g|^2 = x^2 + e x y + y^2
+        return self.x * self.x + self.ring.trace * self.x * self.y + self.y * self.y == 1
 
     def unit_inverse(self) -> "CycInt":
-        for u in units(self.ring):
-            if (self * u).is_one():
-                return u
-        raise DomainError(f"{self} is not a unit")
+        us = units(self.ring)
+        if self not in us:
+            raise DomainError(f"{self} is not a unit")
+        return us[-us.index(self)]
 
 
 def ring_one(ring: Ring) -> CycInt:
@@ -102,23 +104,13 @@ def ring_gen(ring: Ring) -> CycInt:
     return CycInt(0, 1, ring)
 
 
+@functools.cache
 def units(ring: Ring) -> tuple[CycInt, ...]:
     """All units, listed as consecutive powers of the generator."""
-    if ring is Ring.GAUSS:
-        return (
-            CycInt(1, 0, ring),
-            CycInt(0, 1, ring),
-            CycInt(-1, 0, ring),
-            CycInt(0, -1, ring),
-        )
-    return (
-        CycInt(1, 0, ring),
-        CycInt(0, 1, ring),
-        CycInt(-1, 1, ring),
-        CycInt(-1, 0, ring),
-        CycInt(0, -1, ring),
-        CycInt(1, -1, ring),
-    )
+    us = [ring_one(ring)]
+    while not (u := us[-1] * ring_gen(ring)).is_one():
+        us.append(u)
+    return tuple(us)
 
 
 @dataclass(frozen=True)
@@ -286,8 +278,6 @@ def n_matrices(variant) -> tuple[CircuitMatrix, CircuitMatrix, CircuitMatrix]:
 
     Orders are (2, 4, 4) over Z[i] and (2, 6, 3) over Z[zeta].
     """
-    from .hypergeometric import SchwarzVariant
-
     if variant is SchwarzVariant.QUARTIC:
         ring = Ring.GAUSS
     elif variant is SchwarzVariant.SEXTIC:
@@ -311,15 +301,10 @@ class ClosureSummary:
 
 
 def _unit_subgroup(gen_units: Iterable[CycInt], ring: Ring) -> tuple[CycInt, ...]:
-    group = {ring_one(ring)}
-    frontier = set(group)
-    gens = set(gen_units) | {u.unit_inverse() for u in gen_units}
-    while frontier:
-        nxt = {f * g for f in frontier for g in gens} - group
-        group |= nxt
-        frontier = nxt
-    order = units(ring)
-    return tuple(sorted(group, key=order.index))
+    # the units g^k1, g^k2, ... of the cyclic group of order n generate the
+    # powers of g^d, d = gcd(n, k1, k2, ...)
+    us = units(ring)
+    return us[:: math.gcd(len(us), *map(us.index, gen_units))]
 
 
 def group_closure(generators: list[AffineMap], cap: int = 10000) -> ClosureSummary:
@@ -342,8 +327,8 @@ def group_closure(generators: list[AffineMap], cap: int = 10000) -> ClosureSumma
             raise DomainError("generators must share one ring")
     target_units = _unit_subgroup((g.unit for g in generators), ring)
     # The search runs on (unit.x, unit.y, shift.x, shift.y) tuples with the
-    # ring product inlined: g^2 = -1 + e*g, e = 0 over Z[i] and 1 over Z[zeta].
-    e = 1 if ring is Ring.EISENSTEIN6 else 0
+    # product of `CycInt.__mul__` inlined, e = `Ring.trace`.
+    e = ring.trace
     gens = [
         (h.unit.x, h.unit.y, h.shift.x, h.shift.y)
         for h in list(generators) + [g.inverse() for g in generators]

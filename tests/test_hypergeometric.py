@@ -20,6 +20,7 @@ from lemnis import (
     gauss_kummer_value,
     schwarz_map,
 )
+from lemnis.hypergeometric import _gauss_sum
 
 QUARTIC = SchwarzVariant.QUARTIC
 SEXTIC = SchwarzVariant.SEXTIC
@@ -107,6 +108,37 @@ def test_gauss_sum_wherever_gamma_minus_alpha_minus_beta_is_positive(abc):
     assert abs(gauss_kummer_value(p) - ref) <= 1e-13 * abs(ref)
     v = gauss_2f1(p, 1.0)
     assert v.imag == 0.0 and abs(v.real - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize(
+    "abc, z",
+    [
+        ((1.0, 1.0, 100.5), None),  # Gauss's sum itself
+        ((1.0, 1.0, 100.5), 0.999999),
+        ((0.5, 0.5, 150.2), 0.9999 + 0.001j),
+        ((2.5, 1.5, 120.3), -50.0),
+        ((2.5, 1.5, 120.3), 3.0 + 1.0j),
+    ],
+)
+def test_gamma_quotients_stay_finite_at_large_gamma(abc, z):
+    # Gamma(gamma) Gamma(gamma - alpha - beta) alone overflows here, while
+    # every connection coefficient and F itself are of order one
+    p = GaussParams(*abc)
+    v = gauss_kummer_value(p) if z is None else gauss_2f1(p, z)
+    with mpmath.workdps(30):
+        ref = complex(mpmath.hyp2f1(*abc, 1.0 if z is None else z))
+    assert cmath.isfinite(v) and abs(v - ref) <= 1e-13 * abs(ref)
+
+
+def test_gauss_sum_outside_binary64_is_a_domain_error():
+    # four factors in binary64 each: the quotient is either returned finite,
+    # although Gamma(170.5) Gamma(170.4) alone overflows, or, at ~1e608,
+    # raised as a DomainError
+    with mpmath.workdps(30):
+        ref = float(mpmath.gamma(170.5) * mpmath.gamma(170.4) / (mpmath.gamma(170.3) * mpmath.gamma(1e-300)))
+    assert abs(_gauss_sum(170.5, 170.4, 170.3, 1e-300) - ref) <= 1e-13 * ref
+    with pytest.raises(DomainError):
+        _gauss_sum(170.5, 170.4, 0.001, 0.002)
 
 
 def test_boundary_value_requires_convergence():

@@ -18,8 +18,6 @@ from lemnis import (
     cubic_preimage_x0,
     gauss_2f1,
     iterate_until_converged,
-    limit_quartic,
-    limit_sextic,
     step_quartic,
     step_sextic,
 )
@@ -121,7 +119,7 @@ def test_quartic_limits_are_pinned_to_the_bit():
     # both limits keep their exact binary64 values
     trace = iterate_until_converged(MeanPair(2.0, 1.0), QUARTIC)
     assert repr(trace.limit) == "1.5923590781396393"
-    closed = limit_quartic(MeanPair(2.0, 1.0))
+    closed = closed_form_limit(MeanPair(2.0, 1.0), QUARTIC)
     assert repr(closed) == "1.59235907813964"
     with mpmath.workdps(50):
         ref = 2 / mpmath.hyp2f1(0.25, 0.5, 1.25, 0.75) ** 2
@@ -168,18 +166,18 @@ def test_sextic_rate_is_much_faster():
 
 def test_frozen_quartic_limits():
     for (a, b), ref in QUARTIC_LIMITS.items():
-        assert limit_quartic(MeanPair(a, b)) == pytest.approx(ref, rel=1e-13)
+        assert closed_form_limit(MeanPair(a, b), QUARTIC) == pytest.approx(ref, rel=1e-13)
 
 
 def test_frozen_sextic_limits():
     for (a, b), ref in SEXTIC_LIMITS.items():
-        assert limit_sextic(MeanPair(a, b)) == pytest.approx(ref, rel=1e-13)
+        assert closed_form_limit(MeanPair(a, b), SEXTIC) == pytest.approx(ref, rel=1e-13)
 
 
-def test_closed_form_limit_dispatch():
-    p = MeanPair(2.0, 1.0)
-    assert closed_form_limit(p, QUARTIC) == limit_quartic(p)
-    assert closed_form_limit(p, SEXTIC) == limit_sextic(p)
+def test_closed_form_limit_rejects_a_non_variant():
+    # a variant name is not a variant, and no limit is silently returned for it
+    with pytest.raises(DomainError):
+        closed_form_limit(MeanPair(2.0, 1.0), "quartic")
 
 
 def test_closed_form_is_series_quotient():
@@ -188,8 +186,8 @@ def test_closed_form_is_series_quotient():
     x = 1.0 - (p.b / p.a) ** 2
     fq = gauss_2f1(GaussParams(0.25, 0.5, 1.25), x).real
     fs = gauss_2f1(GaussParams(1.0 / 6.0, 0.5, 7.0 / 6.0), x).real
-    assert limit_quartic(p) == pytest.approx(p.a / fq**2, rel=1e-13)
-    assert limit_sextic(p) == pytest.approx(p.a / fs, rel=1e-13)
+    assert closed_form_limit(p, QUARTIC) == pytest.approx(p.a / fq**2, rel=1e-13)
+    assert closed_form_limit(p, SEXTIC) == pytest.approx(p.a / fs, rel=1e-13)
 
 
 def test_orbit_limit_matches_closed_form():
@@ -199,9 +197,11 @@ def test_orbit_limit_matches_closed_form():
         b = rng.uniform(0.1, 10.0)
         p = MeanPair(a, b)
         tq = iterate_until_converged(p, QUARTIC, tol=1e-6, max_iter=12)
-        assert abs(tq.limit - limit_quartic(p)) < 1e-11 * max(1.0, limit_quartic(p))
+        lq = closed_form_limit(p, QUARTIC)
+        assert abs(tq.limit - lq) < 1e-11 * max(1.0, lq)
         ts = iterate_until_converged(p, SEXTIC, tol=1e-12, max_iter=12)
-        assert abs(ts.limit - limit_sextic(p)) < 1e-10 * max(1.0, limit_sextic(p))
+        ls = closed_form_limit(p, SEXTIC)
+        assert abs(ts.limit - ls) < 1e-10 * max(1.0, ls)
 
 
 def test_limits_at_extreme_ratios():
@@ -320,8 +320,8 @@ def test_limit_is_homogeneous():
         a = rng.uniform(0.5, 5.0)
         b = rng.uniform(0.5, 5.0)
         lam = rng.uniform(0.2, 4.0)
-        base = limit_quartic(MeanPair(a, b))
-        assert limit_quartic(MeanPair(lam * a, lam * b)) == pytest.approx(
+        base = closed_form_limit(MeanPair(a, b), QUARTIC)
+        assert closed_form_limit(MeanPair(lam * a, lam * b), QUARTIC) == pytest.approx(
             lam * base, rel=1e-11
         )
 

@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lemnis import (
     AffineMap,
@@ -28,6 +29,7 @@ from lemnis import (
     ring_one,
     units,
 )
+from lemnis.monodromy import _unit_subgroup
 
 G = Ring.GAUSS
 E = Ring.EISENSTEIN6
@@ -265,3 +267,44 @@ def test_group_closure_validation():
         group_closure([AffineMap.identity(G)], cap=20000)
     with pytest.raises(DomainError):
         group_closure([AffineMap.identity(G), AffineMap.identity(E)])
+
+
+# Properties of the ring rule g^2 = e*g - 1, on a fixed, bounded set of examples.
+_RING_RULE = settings(derandomize=True, max_examples=100, deadline=None, database=None)
+_coord = st.integers(-1000, 1000)
+
+
+@_RING_RULE
+@given(st.sampled_from(list(Ring)), _coord, _coord, _coord, _coord)
+def test_ring_product_is_the_complex_product(ring, x1, y1, x2, y2):
+    a, b = CycInt(x1, y1, ring), CycInt(x2, y2, ring)
+    assert abs((a * b).value - a.value * b.value) <= 1e-12 * (1.0 + abs(a.value) * abs(b.value))
+
+
+@_RING_RULE
+@given(st.sampled_from(list(Ring)), _coord, _coord)
+def test_is_unit_holds_exactly_on_the_units(ring, x, y):
+    u = CycInt(x, y, ring)
+    assert u.is_unit() == (u in units(ring))
+
+
+def _unit_subgroup_by_closure(gen_units, ring):
+    # the set closure `_unit_subgroup` replaced, kept here as its reference
+    group = {ring_one(ring)}
+    frontier = set(group)
+    gens = set(gen_units) | {u.unit_inverse() for u in gen_units}
+    while frontier:
+        nxt = {f * g for f in frontier for g in gens} - group
+        group |= nxt
+        frontier = nxt
+    order = units(ring)
+    return tuple(sorted(group, key=order.index))
+
+
+@_RING_RULE
+@given(st.sampled_from(list(Ring)), st.lists(st.integers(0, 5), min_size=1, max_size=4))
+def test_unit_subgroup_matches_the_set_closure(ring, powers):
+    us = units(ring)
+    gens = [us[k % len(us)] for k in powers]
+    assert all((u * u.unit_inverse()).is_one() for u in gens)
+    assert _unit_subgroup(gens, ring) == _unit_subgroup_by_closure(gens, ring)
