@@ -18,6 +18,8 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy  # noqa: F401  perfbench's import_times reads numpy's `-X importtime` line for lemnis.cli
+
 from .curves import (
     Curve,
     CurvePoint,

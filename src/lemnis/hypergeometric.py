@@ -35,7 +35,9 @@ DomainError remains where no route converges:
   alone, the line Re z = 1/2 (the boundary sum covers the unit circle
   when gamma - alpha - beta > 0).
 
-It is raised as well where a route's value of F lies outside binary64.
+It is raised as well where a route's value of F lies outside binary64, and
+where a connection coefficient needs Gamma at an argument beyond 10^4 in
+modulus.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ _BOUNDARY_TOL = 1e-10
 _LOG_GAP = 0.05  # how far from Z a connection formula needs its exponent difference
 _BALL_RADIUS = 0.45  # of the re-expansion balls around e^{+-i pi/3}; their radius of convergence is 1
 _ANCHOR_TOL = 1e-16
+_SHIFT_CAP = 10_000.0  # the largest |v| whose Gamma `_gamma_parts` reaches by recurrence
 
 
 @dataclass(frozen=True)
@@ -132,11 +135,34 @@ def _series(
     raise IterationLimitError("2F1 series did not meet tolerance within the term cap")
 
 
-def _rgamma(x: float) -> float:
-    # 1 / Gamma(x), which vanishes at the poles 0, -1, -2, ...
-    if x <= 0.0 and x == math.floor(x):
-        return 0.0
-    return 1.0 / _gamma_signed(x)
+def _gamma_parts(v: float) -> tuple[float, int]:
+    # Gamma(v) = m 2^k, also where Gamma(v) leaves binary64: the recurrence
+    # Gamma(v + 1) = v Gamma(v) reaches the range of math.gamma, with the
+    # exponents summed apart, one rounding per step.  (exp(lgamma(v))
+    # would carry lgamma's rounding, ~1e-16 |lgamma(v)|: 2e-13 at v = 500.)
+    # A pole or |v| beyond _SHIFT_CAP is a DomainError.
+    try:
+        return math.frexp(_gamma_signed(v))
+    except DomainError:
+        if v <= 0.0 and v == math.floor(v) or not abs(v) <= _SHIFT_CAP:
+            raise
+    if v > 150.0:
+        n = math.ceil(v - 150.0)
+        w = v - n
+    else:  # negative, or so small that Gamma(v) ~ 1/v overflows
+        n = max(1, math.ceil(-v - 150.0))
+        w = v
+    # the Pochhammer product (w)_n = w (w + 1) ... (w + n - 1) = Gamma(w + n) / Gamma(w)
+    p, k = 1.0, 0
+    for i in range(n):
+        f, fk = math.frexp(w + i)
+        p, pk = math.frexp(p * f)
+        k += fk + pk
+    if w == v:
+        m, mk = math.frexp(_gamma_signed(v + n) / p)
+        return m, mk - k
+    m, mk = math.frexp(_gamma_signed(w) * p)
+    return m, mk + k
 
 
 @functools.lru_cache(maxsize=256)
@@ -144,10 +170,15 @@ def _gauss_sum(c: float, s: float, x: float, y: float) -> float:
     # Gamma(c) Gamma(s) / (Gamma(x) Gamma(y)), which is Gauss's sum
     # F(c - x, c - y; c; 1) when s = x + y - c (DLMF 15.4.20); every
     # connection coefficient of DLMF 15.8.2 and 15.8.4 has this shape.
-    # Exponents summed apart: the plain product's roundings, but no partial overflow.
+    # Exponents summed apart: the plain product's roundings, but no partial
+    # overflow, and a factor outside binary64 is no obstacle.
     q, e = 1.0, 0
-    for v in (_gamma_signed(c), _gamma_signed(s), _rgamma(x), _rgamma(y)):
-        m, k = math.frexp(v)
+    for v, reciprocal in ((c, False), (s, False), (x, True), (y, True)):
+        if reciprocal and v <= 0.0 and v == math.floor(v):
+            return 0.0  # 1 / Gamma vanishes at the poles 0, -1, -2, ...
+        m, k = _gamma_parts(v)
+        if reciprocal:
+            m, k = 1.0 / m, -k
         q, e = q * m, e + k
     try:
         return math.ldexp(q, e)

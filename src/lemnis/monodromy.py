@@ -7,6 +7,8 @@ generic parameter triple as complex 2x2 arrays.  The exact layer (`CycInt`,
 all, so group-theoretic statements (orders, closures) are decided exactly.
 Its arithmetic follows from the one relation g^2 = e*g - 1 of the ring
 generator g, with e = `Ring.trace`, and the units are the powers of g.
+Only the floating layer needs numpy, so it imports numpy where it builds
+arrays: `import lemnis` does not load it.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
-
-import numpy as np
 
 from .hypergeometric import SchwarzVariant
 from .numerics import ZETA, DomainError, IterationLimitError, _dist_to_int, e_of
@@ -167,6 +167,8 @@ class CircuitMatrix:
         raise IterationLimitError(f"order exceeds {cap}")
 
     def as_complex(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(
             [
                 [self.e11.value, self.e12.value],
@@ -222,6 +224,10 @@ def invariant_hermitian_form(alpha: float, beta: float, gamma: float) -> np.ndar
     Requires alpha, alpha - gamma, beta - gamma all non-integral; the
     denominators below vanish otherwise.
     """
+    import numpy as np
+
+    if not all(map(math.isfinite, (alpha, beta, gamma))):
+        raise DomainError(f"parameters must be finite, got {(alpha, beta, gamma)}")
     for label, v in (("alpha", alpha), ("alpha-gamma", alpha - gamma), ("beta-gamma", beta - gamma)):
         if _dist_to_int(v) < 1e-9:
             raise DomainError(f"{label} must not be an integer")
@@ -241,6 +247,8 @@ def general_m0_m1(alpha: float, beta: float, gamma: float) -> tuple[np.ndarray, 
     vector, M1 the corresponding update of I along the first; both come out
     upper/lower triangular with unit second eigenvalue.
     """
+    import numpy as np
+
     h = invariant_hermitian_form(alpha, beta, gamma)
     ident = np.eye(2, dtype=complex)
     lam0 = e_of(-gamma)
@@ -254,6 +262,8 @@ def general_m0_m1(alpha: float, beta: float, gamma: float) -> tuple[np.ndarray, 
 
 def m0_m1_closed_form(alpha: float, beta: float, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Same two matrices written out entrywise; the dual route for checks."""
+    import numpy as np
+
     m0 = np.array([[e_of(-gamma), 1.0 - e_of(-alpha)], [0.0, 1.0]], dtype=complex)
     m1 = np.array(
         [[e_of(gamma - alpha - beta), 0.0], [e_of(-beta) - 1.0, 1.0]], dtype=complex
@@ -265,9 +275,13 @@ def base_change_affine(m: np.ndarray, alpha: float) -> np.ndarray:
     """Conjugate by diag(1, 1 - e_of(alpha)).
 
     At beta = 0 this takes the circuit pair to the exact normal forms of
-    `n_matrices`.
+    `n_matrices`.  Alpha must not be an integer, where the conjugator is singular.
     """
+    import numpy as np
+
     s = 1.0 - e_of(alpha)
+    if s == 0 or math.isinf(abs(1.0 / s)):
+        raise DomainError(f"base_change_affine requires a non-integer alpha, got {alpha}")
     t = np.array([[1.0, 0.0], [0.0, s]], dtype=complex)
     tinv = np.array([[1.0, 0.0], [0.0, 1.0 / s]], dtype=complex)
     return t @ np.asarray(m, dtype=complex) @ tinv

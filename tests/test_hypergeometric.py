@@ -118,6 +118,14 @@ def test_gauss_sum_wherever_gamma_minus_alpha_minus_beta_is_positive(abc):
         ((0.5, 0.5, 150.2), 0.9999 + 0.001j),
         ((2.5, 1.5, 120.3), -50.0),
         ((2.5, 1.5, 120.3), 3.0 + 1.0j),
+        # Gamma(gamma) itself leaves binary64 past gamma ~ 171.6
+        ((1.0, 1.0, 200.5), None),
+        ((1.0, 1.0, 200.5), 0.999999),
+        ((0.25, 0.5, 200.5), 1.0 - 1e-12),
+        ((0.25, 0.5, 500.25), None),
+        ((0.25, 0.5, 500.25), 0.999999),
+        ((-1.5, 2.25, 500.25), None),
+        ((-1.5, 2.25, 500.25), 0.9999 + 0.001j),
     ],
 )
 def test_gamma_quotients_stay_finite_at_large_gamma(abc, z):
@@ -139,6 +147,13 @@ def test_gauss_sum_outside_binary64_is_a_domain_error():
     assert abs(_gauss_sum(170.5, 170.4, 170.3, 1e-300) - ref) <= 1e-13 * ref
     with pytest.raises(DomainError):
         _gauss_sum(170.5, 170.4, 0.001, 0.002)
+    # Gamma(v) ~ 1/v overflows for a tiny v
+    assert _gauss_sum(3e-310, 2.5, 1e-310, 2.5) == pytest.approx(1.0 / 3.0, rel=1e-15)
+    # a Gamma factor beyond the reach of the recurrence, |v| > 1e4
+    with pytest.raises(DomainError):
+        gauss_kummer_value(GaussParams(1.0, 1.0, 20000.5))
+    with pytest.raises(DomainError):
+        _gauss_sum(1e308, 0.5, 1e308, 0.5)
 
 
 def test_boundary_value_requires_convergence():

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ from lemnis import (
     ring_one,
     units,
 )
+import lemnis
 from lemnis.monodromy import _unit_subgroup
 
 G = Ring.GAUSS
@@ -215,6 +220,27 @@ def test_form_rejects_integral_parameters():
         invariant_hermitian_form(0.7, 0.2, 1.7)  # alpha - gamma = -1
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_non_finite_parameters_are_domain_errors(bad, slot):
+    # round() in the integer-distance test raised ValueError (NaN) or
+    # OverflowError (inf) before the parameters were checked
+    params = [0.25, 0.3, 0.7]
+    params[slot] = bad
+    with pytest.raises(DomainError, match="finite"):
+        general_m0_m1(*params)
+    with pytest.raises(DomainError, match="finite"):
+        invariant_hermitian_form(*params)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -3.0, 1e-320])
+def test_base_change_rejects_integer_alpha(alpha):
+    # 1 - e(alpha) is 0 at an integer, and 1 / (1 - e(alpha)) overflows next to one
+    m0, _ = m0_m1_closed_form(0.3, 0.2, 0.7)
+    with pytest.raises(DomainError, match="alpha"):
+        base_change_affine(m0, alpha)
+
+
 def test_specialization_matches_exact_generators():
     for variant, alpha in (
         (SchwarzVariant.QUARTIC, 0.25),
@@ -308,3 +334,46 @@ def test_unit_subgroup_matches_the_set_closure(ring, powers):
     gens = [us[k % len(us)] for k in powers]
     assert all((u * u.unit_inverse()).is_one() for u in gens)
     assert _unit_subgroup(gens, ring) == _unit_subgroup_by_closure(gens, ring)
+
+
+_FRESH_IMPORT = """
+import sys
+
+import lemnis as L
+
+assert "numpy" not in sys.modules, "import lemnis loaded numpy"
+L.theta(L.ThetaChar(0, 0), 0.1, L.TAU_I)
+L.theta_four(0.1 + 0.2j, L.TAU_ZETA)
+L.gauss_2f1(L.GaussParams(0.25, 0.5, 1.25), 0.5)
+for v in L.SchwarzVariant:
+    L.iterate_until_converged(L.MeanPair(2.0, 1.0), v)
+    L.closed_form_limit(L.MeanPair(2.0, 1.0), v)
+L.inverse_quartic(L.abel_jacobi(L.lift_branch(L.Curve.C_I, 2.0)))
+L.inverse_sextic(L.abel_jacobi(L.lift_branch(L.Curve.C_ZETA, -3.0 + 2.0j)))
+assert "numpy" not in sys.modules, "the math/cmath layers loaded numpy"
+
+m0, m1 = L.general_m0_m1(0.3, 0.2, 0.7)
+assert "numpy" in sys.modules
+import numpy as np
+
+arrays = [
+    m0,
+    m1,
+    *L.m0_m1_closed_form(0.3, 0.2, 0.7),
+    L.invariant_hermitian_form(0.3, 0.2, 0.7),
+    L.base_change_affine(m0, 0.3),
+    L.n_matrices(L.SchwarzVariant.QUARTIC)[0].as_complex(),
+]
+assert all(type(a) is np.ndarray for a in arrays)
+"""
+
+
+def test_numpy_loads_on_first_use_of_the_floating_layer():
+    # a fresh interpreter, since this one has numpy loaded already
+    path = [str(Path(lemnis.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_IMPORT],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
