@@ -6,8 +6,6 @@ quotient tori.  This script lifts points, integrates the normalized 1-form,
 inverts through theta quotients, and applies the unit multiplication map.
 """
 
-import cmath
-
 from lemnis.curves import (
     Curve,
     abel_jacobi,
@@ -19,8 +17,6 @@ from lemnis.curves import (
     special_point,
 )
 from lemnis.theta import TAU_I, canonical_torus_point
-
-ZETA = cmath.exp(1j * cmath.pi / 3)
 
 # named fiber points over t = 0, 1, infinity land on lattice-rational images
 print("special point images:")

@@ -11,11 +11,14 @@ terms, IterationLimitError), and keeps the even-n and odd-n parts apart.
 `theta` and `theta_dz` add the two parts; the four half characteristics at
 one z share the lattices n and n + 1/2, where b = 1/2 only flips the sign
 of the odd part, so `theta_four` takes theta00, theta01, theta10 and
-theta11 from two sums.  Beyond the generic transformation laws the module
-carries the specialized multiplication lemmas at tau = i and tau = zeta =
-(1+sqrt(3)i)/2, and closed forms for the theta constants at both square
-moduli.  Every prefactor goes through one checked exponential, so a value
-outside binary64 is a DomainError.
+theta11 from two sums.  Every law on tau is a word in S: (z, tau) ->
+(z/tau, -1/tau), T: tau -> tau + 1 and t = T^-1, letters acting left to
+right, applied by one composer (Mumford, Tata Lectures on Theta I, ch.
+I-II): SHIFT is T, INVERT is S, and the words SSS, STSS and tS, which fix
+i and zeta = (1+sqrt(3)i)/2, give theta(i z, i), theta(omega z, zeta) and
+theta(omega^2 z, zeta).  Closed forms give the theta constants at both
+square moduli.  Every prefactor goes through one checked exponential, so a
+value outside binary64 is a DomainError.
 """
 
 from __future__ import annotations
@@ -112,8 +115,8 @@ class ThetaChar:
 
 
 # The characteristic laws below take exact Fraction phases and targets.  They
-# depend on the characteristic alone, so each is computed once per
-# characteristic and kept in a bounded memo.
+# depend on the characteristic (and word) alone, so each is computed once and
+# kept in a bounded memo.
 _LAW_MEMO = 1024
 
 
@@ -153,6 +156,16 @@ class Modulus:
     def q2(self) -> complex:
         """e(tau), the factor between consecutive term ratios of the series."""
         return _e(self.value)
+
+    @functools.cached_property
+    def _reduced_basis(self) -> tuple[complex, complex]:
+        # (u, t) with Z tau + Z = u (Z t + Z) and t Lagrange-Gauss reduced,
+        # |Re t| <= 1/2 and |t| >= 1 - 1e-9; tau = i and tau = zeta keep u = 1.
+        u, t = 1.0, self.value - round(self.value.real)
+        while abs(t) < 1.0 - 1e-9:
+            u, t = u * t, -1.0 / t
+            t -= round(t.real)
+        return u, t
 
 
 TAU_I = Modulus(ModulusTag.TAU_I, 1j)
@@ -200,15 +213,16 @@ def canonical_torus_point(m: Modulus, z: complex) -> TorusPoint:
 
 def lattice_distance(m: Modulus, z1: complex, z2: complex) -> float:
     """Distance from z1 - z2 to the nearest lattice point of Z tau + Z."""
-    d = complex(z1) - complex(z2)
-    alpha, beta = _lattice_coefficients(m.value, d)
+    u, t = m._reduced_basis
+    d = (complex(z1) - complex(z2)) / u  # on the reduced lattice Z t + Z
+    alpha, beta = _lattice_coefficients(t, d)
     best = math.inf
     # the nearest lattice point has coefficients within 1 of the rounded pair
     pa, pb = round(alpha), round(beta)
     for da in (-1, 0, 1):
         for db in (-1, 0, 1):
-            best = min(best, abs(d - ((pa + da) * m.value + (pb + db))))
-    return best
+            best = min(best, abs(d - ((pa + da) * t + (pb + db))))
+    return abs(u) * best
 
 
 # The series is summed over k within h of its peak, h = ceil(s) + 2 (+ 3 for
@@ -301,6 +315,43 @@ def quasi_period_factor(c: ThetaChar, p: int, q: int, z: complex, m: Modulus) ->
     return _e(c.af * q - p * p * tau / 2.0 - p * complex(z) - c.bf * p)
 
 
+@functools.lru_cache(maxsize=_LAW_MEMO)
+def _word_law(c: ThetaChar, word: str) -> tuple[ThetaChar, complex, int, tuple[int, int, int, int]]:
+    # Left to right the letters build the word's matrix as sign (p, q; r, s),
+    # with (r, s) > (0, 0) so that J = r tau + s lies in the upper half plane.
+    # The factors sqrt(tau/i) of its S letters multiply to e(n/8) sqrt(J/i):
+    # n = 1 for the empty word, and each S subtracts 1 if it keeps the sign and
+    # adds 1 if it flips it.  Right to left the letters map the characteristic,
+    # S (a, b) -> (b, -a) with phase ab, T and t (a, b) -> (a, b +- (a - 1/2))
+    # with phase +-a(1 - a)/2, all phases exact.
+    p, q, r, s, sign, n = 1, 0, 0, 1, 1, 1
+    for g in word:
+        if g != "S":
+            k = 1 if g == "T" else -1
+            p, q = p + k * r, q + k * s
+        elif (p, q) > (0, 0):
+            p, q, r, s, n = -r, -s, p, q, n - 1
+        else:
+            p, q, r, s, sign, n = r, s, -p, -q, -sign, n + 1
+    a, b, phase = c.a, c.b, Fraction(n, 8)
+    for g in reversed(word):
+        if g == "S":
+            phase, a, b = phase + a * b, b, -a
+        else:
+            k = 1 if g == "T" else -1
+            phase, b = phase + k * a * (1 - a) / 2, b + k * (a - Fraction(1, 2))
+    return ThetaChar(a, b), e_of(float(phase % 1)), sign, (p, q, r, s)
+
+
+def _transform(c: ThetaChar, z: complex, tau: complex, word: str) -> tuple[ThetaChar, complex, complex, complex]:
+    # (c', prefactor, z', tau'), theta(c, z', tau') = prefactor theta(c', z, tau):
+    # z' = z/(sign J), and one exponential e(r z^2/(2 J)) carries z.
+    target, root, sign, (p, q, r, s) = _word_law(c, word)
+    z, j = complex(z), r * tau + s
+    pref = root * cmath.sqrt(j / 1j) * _e(r * z * z / (2.0 * j))
+    return target, pref, sign * z / j, (p * tau + q) / j
+
+
 class TauTransform(Enum):
     SHIFT = "shift"
     INVERT = "invert"
@@ -311,20 +362,14 @@ def transform_tau(
 ) -> tuple[ThetaChar, complex, complex, Modulus]:
     """Data (c', prefactor, z', m') with theta(c, z', m') = prefactor * theta(c', z, m).
 
-    SHIFT:  theta_{a,b}(z, tau+1) = e(a(1-a)/2) theta_{a, a+b-1/2}(z, tau)
-    INVERT: theta_{a,b}(z/tau, -1/tau)
+    SHIFT, the word T:  theta_{a,b}(z, tau+1) = e(a(1-a)/2) theta_{a, a+b-1/2}(z, tau)
+    INVERT, the word S: theta_{a,b}(z/tau, -1/tau)
               = e(ab) sqrt(tau/i) e(z^2/(2 tau)) theta_{b,-a}(z, tau)
     with sqrt(tau/i) principal, positive on the imaginary axis.
     """
-    z = complex(z)
-    tau = m.value
-    if which is TauTransform.SHIFT:
-        c_new = ThetaChar(c.a, c.a + c.b - Fraction(1, 2))
-        pref = e_of(float(c.a * (1 - c.a) / 2))
-        return c_new, pref, z, Modulus.generic(tau + 1.0)
-    c_new = ThetaChar(c.b, -c.a)
-    pref = e_of(float(c.a * c.b)) * cmath.sqrt(tau / 1j) * _e(z * z / (2.0 * tau))
-    return c_new, pref, z / tau, Modulus.generic(-1.0 / tau)
+    word = "T" if which is TauTransform.SHIFT else "S"
+    c_new, pref, z_new, tau_new = _transform(c, z, m.value, word)
+    return c_new, pref, z_new, Modulus.generic(tau_new)
 
 
 HALF_CHARS = (
@@ -389,15 +434,9 @@ def addition_check(z1: complex, z2: complex, m: Modulus) -> list[float]:
 
 
 def i_multiple(c: ThetaChar, z: complex) -> tuple[complex, ThetaChar]:
-    """Data for theta_{a,b}(i z, i) = e(ab) exp(pi z^2) theta_{-b,a}(z, i)."""
-    root, target = _i_law(c)
-    z = complex(z)
-    return root * _exp(math.pi * z * z), target
-
-
-@functools.lru_cache(maxsize=_LAW_MEMO)
-def _i_law(c: ThetaChar) -> tuple[complex, ThetaChar]:
-    return e_of(float(c.a * c.b)), ThetaChar(-c.b, c.a)
+    """Data for theta_{a,b}(i z, i) = e(ab) exp(pi z^2) theta_{-b,a}(z, i), the word SSS."""
+    target, pref, _, _ = _transform(c, z, TAU_I.value, "SSS")
+    return pref, target
 
 
 def one_plus_i_multiple(z: complex) -> list[IdentityPair]:
@@ -431,23 +470,14 @@ class OmegaPower(Enum):
 def omega_multiple(c: ThetaChar, z: complex, power: OmegaPower) -> tuple[complex, ThetaChar]:
     """Data for the omega- and omega^2-multiple laws at tau = zeta.
 
-    OMEGA:    theta_{a,b}(w z, zeta)
+    OMEGA, the word STSS:  theta_{a,b}(w z, zeta)
                 = e(a^2/2 + ab - 1/24) e(z^2/(2 zeta)) theta_{-a-b-1/2, a}(z, zeta)
-    OMEGA_SQ: theta_{a,b}(w^2 z, zeta)
-                = e(ab + (b^2+b)/2 + 1/24) e(z^2/(2 w)) theta_{b, -a-b-1/2}(z, zeta)
+    OMEGA_SQ, the word tS: theta_{a,b}(w^2 z, zeta)
+                = e(ab + (b^2-b)/2 + 1/24) e(z^2/(2 w)) theta_{b, 1/2-a-b}(z, zeta)
     """
-    root, target = _omega_law(c, power)
-    z = complex(z)
-    return root * _e(z * z / (2.0 * (ZETA if power is OmegaPower.OMEGA else OMEGA))), target
-
-
-@functools.lru_cache(maxsize=_LAW_MEMO)
-def _omega_law(c: ThetaChar, power: OmegaPower) -> tuple[complex, ThetaChar]:
-    a, b = c.a, c.b
-    half = Fraction(1, 2)
-    if power is OmegaPower.OMEGA:
-        return e_of(float(a * a / 2 + a * b - Fraction(1, 24))), ThetaChar(-a - b - half, a)
-    return e_of(float(a * b + (b * b + b) / 2 + Fraction(1, 24))), ThetaChar(b, -a - b - half)
+    word = "STSS" if power is OmegaPower.OMEGA else "tS"
+    target, pref, _, _ = _transform(c, z, TAU_ZETA.value, word)
+    return pref, target
 
 
 def one_plus_zeta_multiple(z: complex) -> list[IdentityPair]:

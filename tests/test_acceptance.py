@@ -29,8 +29,9 @@ from lemnis.hypergeometric import (
 )
 from lemnis.meaniter import MeanPair, closed_form_limit, iterate_until_converged
 from lemnis.monodromy import base_change_affine, general_m0_m1, n_matrices
-from lemnis.numerics import e_of, gamma_real
+from lemnis.numerics import OMEGA, ZETA, e_of, gamma_real
 from lemnis.theta import (
+    HALF_CHARS,
     Modulus,
     OmegaPower,
     TAU_I,
@@ -49,9 +50,7 @@ from lemnis.theta import (
     theta_dz,
 )
 
-ZETA = cmath.exp(1j * cmath.pi / 3)
-C00 = ThetaChar(0, 0)
-C11 = ThetaChar("1/2", "1/2")
+C00, C01, C10, C11 = HALF_CHARS
 
 QUARTIC_SERIES = GaussParams(0.25, 0.5, 1.25)
 SEXTIC_SERIES = GaussParams(1.0 / 6.0, 0.5, 7.0 / 6.0)
@@ -127,8 +126,8 @@ def test_criterion_2_identity_suites():
         lhs = theta_dz(C11, 0j, m)
         rhs = -math.pi * (
             theta(C00, 0j, m)
-            * theta(ThetaChar(0, "1/2"), 0j, m)
-            * theta(ThetaChar("1/2", 0), 0j, m)
+            * theta(C01, 0j, m)
+            * theta(C10, 0j, m)
         )
         push("jacobi_derivative", abs(lhs - rhs) / max(1.0, abs(rhs)))
 
@@ -141,7 +140,7 @@ def test_criterion_2_identity_suites():
         push("i_times", abs(lhs - pref * theta(c2, z, TAU_I)) / max(1.0, abs(lhs)))
 
     # omega-times lemma, both powers
-    w = ZETA - 1.0
+    w = OMEGA
     for _ in range(100):
         c = ThetaChar(Fraction(rng.randrange(6), 6), Fraction(rng.randrange(6), 6))
         z = _rand_z(rng)
@@ -161,7 +160,7 @@ def test_criterion_2_identity_suites():
     table = theta_constants(TAU_ZETA)
     push(
         "hi_theta",
-        abs(table[ThetaChar("1/2", 0)] - e_of(Fraction(1, 24)) * table[C00]),
+        abs(table[C10] - e_of(Fraction(1, 24)) * table[C00]),
     )
     for _ in range(100):
         z = _rand_z(rng)

@@ -11,7 +11,7 @@ import pytest
 
 import lemnis.cli
 from lemnis.cli import SplitMix64, format_complex, main, parse_complex
-from lemnis.numerics import DomainError, IterationLimitError
+from lemnis.numerics import ZETA, DomainError, IterationLimitError
 
 REPORT_KEYS = {"command", "inputs", "outputs", "residuals", "pass", "seed", "elapsed_ms"}
 
@@ -208,8 +208,7 @@ def test_curve_named_point_sextic(capsys):
     code, rep, _ = run_cli(capsys, ["curve", "--curve", "zeta", "--point", "Pinf1"])
     assert code == 0
     z = parse_complex(rep["outputs"]["z"])
-    zeta = cmath.exp(1j * cmath.pi / 3)
-    assert abs(z - (zeta + 1) / 3) < 1e-9
+    assert abs(z - (ZETA + 1) / 3) < 1e-9
     assert rep["outputs"]["at_infinity"] is True
 
 

@@ -32,7 +32,7 @@ from lemnis.curves import (
 from lemnis import curves as curves_mod
 from lemnis.curves import _curve_residual
 from lemnis.hypergeometric import SchwarzVariant, schwarz_map
-from lemnis.numerics import DomainError, beta
+from lemnis.numerics import ZETA, DomainError, beta
 from lemnis.theta import (
     TAU_I,
     TAU_ZETA,
@@ -40,7 +40,6 @@ from lemnis.theta import (
     lattice_distance,
 )
 
-ZETA = cmath.exp(1j * cmath.pi / 3)
 SQRT2 = math.sqrt(2.0)
 
 

@@ -339,6 +339,44 @@ def test_transform_invert():
         assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
 
 
+_INVERSE_LETTERS = {"S": "SSS", "T": "t", "t": "T"}
+
+
+def test_law_words_undone_by_their_inverses():
+    # each law's word followed by its inverse is the identity on (c, z, tau)
+    from lemnis.theta import _transform
+
+    rng = random.Random(103)
+    for tau in (TAU_I.value, TAU_ZETA.value, GENERIC.value):
+        for word in ("T", "S", "SSS", "STSS", "tS"):
+            inverse = "".join(_INVERSE_LETTERS[g] for g in reversed(word))
+            for _ in range(10):
+                c = ThetaChar(Fraction(rng.randrange(-24, 24), 12), Fraction(rng.randrange(-24, 24), 12))
+                z = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
+                c2, pref, z2, tau2 = _transform(c, z, tau, word + inverse)
+                assert (c2, z2, tau2) == (c, z, tau), (word, c)
+                assert abs(pref - 1.0) < 1e-15, (word, c)
+
+
+def test_word_ss_is_parity_and_t_inverse_is_a_law():
+    from lemnis.theta import _transform
+
+    rng = random.Random(104)
+    for _ in range(30):
+        c = ThetaChar(Fraction(rng.randrange(0, 6), 6), Fraction(rng.randrange(0, 6), 6))
+        z = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
+        for tau in (TAU_I.value, TAU_ZETA.value, GENERIC.value):
+            c2, pref, z2, tau2 = _transform(c, z, tau, "SS")
+            assert (c2, z2, tau2) == (ThetaChar(-c.a, -c.b), -z, tau)
+            assert abs(pref - 1.0) < 1e-15
+        # no public name reaches T^-1 alone
+        c2, pref, z2, tau2 = _transform(c, z, GENERIC.value, "t")
+        assert z2 == z and tau2 == pytest.approx(GENERIC.value - 1.0)
+        lhs = theta(c, z2, Modulus.generic(tau2))
+        rhs = pref * theta(c2, z, GENERIC)
+        assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
+
+
 def test_i_multiple():
     rng = random.Random(98)
     for _ in range(30):
@@ -439,6 +477,25 @@ def test_canonical_torus_point_and_distance():
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         shift = rng.randrange(-3, 4) * m.value + rng.randrange(-3, 4)
         assert lattice_distance(m, z + shift, z) < 1e-12
+
+
+def test_lattice_distance_on_skewed_moduli():
+    # rounding to +-1 around the coordinates is exact only in a reduced basis:
+    # on tau = 10 + 0.1i the point 5 + 0.05i is 0.05 from the lattice point 5
+    assert lattice_distance(Modulus.generic(10 + 0.1j), 5 + 0.05j, 0) == pytest.approx(0.05, rel=1e-12)
+    # the two square moduli are reduced as they stand
+    assert TAU_I._reduced_basis == (1.0, TAU_I.value) and TAU_ZETA._reduced_basis == (1.0, TAU_ZETA.value)
+    rng = random.Random(105)
+    for _ in range(40):
+        tau = complex(rng.uniform(-20.0, 20.0), 10 ** rng.uniform(-2.0, 0.5))
+        d = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+        got = lattice_distance(Modulus.generic(tau), d, 0)
+        # every lattice point a tau + b within got + 1 of d, by brute force
+        best = math.inf
+        for a in range(math.floor((d.imag - got - 1) / tau.imag), math.ceil((d.imag + got + 1) / tau.imag) + 1):
+            b0 = round(d.real - a * tau.real)
+            best = min(best, *(abs(d - (a * tau + b)) for b in (b0 - 1, b0, b0 + 1)))
+        assert got == pytest.approx(best, rel=1e-9, abs=1e-12), tau
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +612,7 @@ def test_char_lookups_and_reduction_unchanged():
 
 
 def test_characteristic_law_memo_stays_bounded():
-    from lemnis.theta import _LAW_MEMO, _i_law, _omega_law, _reduce
+    from lemnis.theta import _LAW_MEMO, _reduce, _word_law
 
     base = ThetaChar(Fraction(1, 3), Fraction(1, 6))
     z = complex(0.1, 0.2)
@@ -566,7 +623,7 @@ def test_characteristic_law_memo_stays_bounded():
             assert red == base and abs(factor - e_of(float(base.a * q))) < 1e-15
             i_multiple(c, z)
             omega_multiple(c, z, OmegaPower.OMEGA)
-    for memo in (_reduce, _i_law, _omega_law):
+    for memo in (_reduce, _word_law):
         assert memo.cache_info().currsize <= _LAW_MEMO
     # a law taken from the memo is the law computed afresh
     c = ThetaChar(base.a + 99, base.b + 99)
