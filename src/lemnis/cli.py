@@ -460,6 +460,11 @@ def _suite_multiplication(rng: SplitMix64, n: int) -> dict[str, _Worst]:
     return {"multiplication.quartic": quartic, "multiplication.sextic": sextic}
 
 
+def _max_abs_diff(a, b) -> float:
+    # the largest entry of |a - b| for two row-major 2x2 complex matrices
+    return max(abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
 def _suite_monodromy(rng: SplitMix64, n: int) -> dict[str, _Worst]:
     orders, hom, special, dual, closure = (_Worst() for _ in range(5))
     for variant, expect in ((SchwarzVariant.QUARTIC, (2, 4, 4)), (SchwarzVariant.SEXTIC, (2, 6, 3))):
@@ -477,14 +482,13 @@ def _suite_monodromy(rng: SplitMix64, n: int) -> dict[str, _Worst]:
         alpha = variant.params.alpha
         m0, m1 = general_m0_m1(alpha, 0.0, 0.5)
         for got_m, ref in zip((m0, m1), (n0, n1)):
-            diff = abs(base_change_affine(got_m, alpha) - ref.as_complex()).max()
-            special.push(float(diff), f"{variant.name}")
+            special.push(_max_abs_diff(base_change_affine(got_m, alpha), ref.as_complex()), variant.name)
         summary = group_closure([as_affine(m) for m in mats], cap=2000)
         ok = len(summary.units) == variant.root_order
         closure.push(0.0 if ok and summary.has_translation_basis else 1.0, variant.name)
     ga, gb = general_m0_m1(0.3, 0.2, 0.7)
     ca, cb = m0_m1_closed_form(0.3, 0.2, 0.7)
-    dual.push(float(max(abs(ga - ca).max(), abs(gb - cb).max())), "(0.3,0.2,0.7)")
+    dual.push(max(_max_abs_diff(ga, ca), _max_abs_diff(gb, cb)), "(0.3,0.2,0.7)")
     ring = Ring.GAUSS
     trans = AffineMap(ring_one(ring), ring_one(ring))
     summary = group_closure([trans], cap=300)

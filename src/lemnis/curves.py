@@ -34,7 +34,7 @@ from .theta import (
     TAU_ZETA,
     TorusPoint,
     IdentityPair,
-    _lattice_coefficients,
+    _nearest_lattice_point,
     canonical_torus_point,
     lattice_distance,
     theta,
@@ -413,14 +413,10 @@ def equivalent_mod_group(zp1: TorusPoint, zp2: TorusPoint, tol: float = 1e-8) ->
     curve = next((c for c in Curve if c.modulus.tag is zp1.modulus.tag), None)
     if curve is None:
         raise DomainError("group equivalence needs the square or hexagonal torus")
-    tau = zp1.modulus.value
     best = None
     for k in range(curve.root_order):
         eps = curve.unit ** k
-        d = zp1.z - eps * zp2.z
-        alpha, bcoef = _lattice_coefficients(tau, d)
-        lam = round(alpha) * tau + round(bcoef)
-        dist = abs(d - lam)
+        lam, dist = _nearest_lattice_point(zp1.modulus, zp1.z - eps * zp2.z)
         if best is None or dist < best[0]:
             best = (dist, eps, lam)
         if dist < tol:

@@ -1,14 +1,14 @@
 """Circuit matrices of the Gauss family and their exact unit-ring normal forms.
 
-Two layers live here.  The floating layer (`general_m0_m1`,
-`m0_m1_closed_form`, `base_change_affine`) carries the circuit matrices of a
-generic parameter triple as complex 2x2 arrays.  The exact layer (`CycInt`,
-`CircuitMatrix`, `AffineMap`) works over Z[i] or Z[zeta] with no floats at
-all, so group-theoretic statements (orders, closures) are decided exactly.
-Its arithmetic follows from the one relation g^2 = e*g - 1 of the ring
-generator g, with e = `Ring.trace`, and the units are the powers of g.
-Only the floating layer needs numpy, so it imports numpy where it builds
-arrays: `import lemnis` does not load it.
+Two layers live here.  The floating layer (`invariant_hermitian_form`,
+`general_m0_m1`, `m0_m1_closed_form`, `base_change_affine`) carries the
+circuit matrices of a generic parameter triple as 2x2 complex matrices,
+written entry by entry and returned as row-major nested tuples
+((a, b), (c, d)).  The exact layer (`CycInt`, `CircuitMatrix`, `AffineMap`)
+works over Z[i] or Z[zeta] with no floats at all, so group-theoretic
+statements (orders, closures) are decided exactly.  Its arithmetic follows
+from the one relation g^2 = e*g - 1 of the ring generator g, with
+e = `Ring.trace`, and the units are the powers of g.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ from typing import Iterable
 
 from .hypergeometric import SchwarzVariant
 from .numerics import ZETA, DomainError, IterationLimitError, _dist_to_int, e_of
+
+# A 2x2 complex matrix of the floating layer, row-major: ((a, b), (c, d)).
+Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 
 class Ring(Enum):
@@ -166,16 +169,8 @@ class CircuitMatrix:
             acc = acc @ self
         raise IterationLimitError(f"order exceeds {cap}")
 
-    def as_complex(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(
-            [
-                [self.e11.value, self.e12.value],
-                [self.e21.value, self.e22.value],
-            ],
-            dtype=complex,
-        )
+    def as_complex(self) -> Matrix2:
+        return (self.e11.value, self.e12.value), (self.e21.value, self.e22.value)
 
 
 @dataclass(frozen=True)
@@ -218,14 +213,12 @@ def as_affine(m: CircuitMatrix) -> AffineMap:
     return AffineMap(m.e11, m.e12)
 
 
-def invariant_hermitian_form(alpha: float, beta: float, gamma: float) -> np.ndarray:
+def invariant_hermitian_form(alpha: float, beta: float, gamma: float) -> Matrix2:
     """The invariant hermitian matrix of the local-solution basis.
 
     Requires alpha, alpha - gamma, beta - gamma all non-integral; the
     denominators below vanish otherwise.
     """
-    import numpy as np
-
     if not all(map(math.isfinite, (alpha, beta, gamma))):
         raise DomainError(f"parameters must be finite, got {(alpha, beta, gamma)}")
     for label, v in (("alpha", alpha), ("alpha-gamma", alpha - gamma), ("beta-gamma", beta - gamma)):
@@ -237,54 +230,49 @@ def invariant_hermitian_form(alpha: float, beta: float, gamma: float) -> np.ndar
     h12 = -ega / d
     h21 = (1.0 - e_of(beta)) / d
     h22 = (1.0 - e_of(gamma)) / (d * (e_of(alpha) - 1.0))
-    return np.array([[h11, h12], [h21, h22]], dtype=complex)
+    return (h11, h12), (h21, h22)
 
 
-def general_m0_m1(alpha: float, beta: float, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+def general_m0_m1(alpha: float, beta: float, gamma: float) -> tuple[Matrix2, Matrix2]:
     """Circuit matrices around 0 and 1 via the invariant-form route.
 
-    M0 is the reflection-like update of lambda0*I along the second basis
-    vector, M1 the corresponding update of I along the first; both come out
-    upper/lower triangular with unit second eigenvalue.
+    M0 = lambda0*I - (lambda0 - 1)/h22 * h e2 e2^T updates the second column
+    of lambda0*I, M1 = I - (1 - lambda1)/h11 * h e1 e1^T the first column of
+    I; both keep the unit second eigenvalue.  The pivot h22 vanishes at an
+    integer gamma and h11 at an integer gamma - alpha - beta, where this
+    route has no unipotent circuit: both are a DomainError.
     """
-    import numpy as np
-
-    h = invariant_hermitian_form(alpha, beta, gamma)
-    ident = np.eye(2, dtype=complex)
+    (h11, h12), (h21, h22) = invariant_hermitian_form(alpha, beta, gamma)
+    for label, v in (("gamma", gamma), ("gamma-alpha-beta", gamma - alpha - beta)):
+        if _dist_to_int(v) < 1e-9:
+            raise DomainError(f"{label} must not be an integer")
     lam0 = e_of(-gamma)
     lam1 = e_of(gamma - alpha - beta)
-    e1 = np.array([[1.0, 0.0]], dtype=complex)
-    e2 = np.array([[0.0, 1.0]], dtype=complex)
-    m0 = lam0 * ident - (lam0 - 1.0) / (e2 @ h @ e2.conj().T)[0, 0] * (h @ e2.conj().T @ e2)
-    m1 = ident - (1.0 - lam1) / (e1 @ h @ e1.conj().T)[0, 0] * (h @ e1.conj().T @ e1)
+    c0 = (lam0 - 1.0) / h22
+    c1 = (1.0 - lam1) / h11
+    m0 = (lam0, -c0 * h12), (0j, lam0 - c0 * h22)
+    m1 = (1.0 - c1 * h11, 0j), (-c1 * h21, 1 + 0j)
     return m0, m1
 
 
-def m0_m1_closed_form(alpha: float, beta: float, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+def m0_m1_closed_form(alpha: float, beta: float, gamma: float) -> tuple[Matrix2, Matrix2]:
     """Same two matrices written out entrywise; the dual route for checks."""
-    import numpy as np
-
-    m0 = np.array([[e_of(-gamma), 1.0 - e_of(-alpha)], [0.0, 1.0]], dtype=complex)
-    m1 = np.array(
-        [[e_of(gamma - alpha - beta), 0.0], [e_of(-beta) - 1.0, 1.0]], dtype=complex
-    )
+    m0 = (e_of(-gamma), 1.0 - e_of(-alpha)), (0j, 1 + 0j)
+    m1 = (e_of(gamma - alpha - beta), 0j), (e_of(-beta) - 1.0, 1 + 0j)
     return m0, m1
 
 
-def base_change_affine(m: np.ndarray, alpha: float) -> np.ndarray:
+def base_change_affine(m: Matrix2, alpha: float) -> Matrix2:
     """Conjugate by diag(1, 1 - e_of(alpha)).
 
     At beta = 0 this takes the circuit pair to the exact normal forms of
     `n_matrices`.  Alpha must not be an integer, where the conjugator is singular.
     """
-    import numpy as np
-
     s = 1.0 - e_of(alpha)
     if s == 0 or math.isinf(abs(1.0 / s)):
         raise DomainError(f"base_change_affine requires a non-integer alpha, got {alpha}")
-    t = np.array([[1.0, 0.0], [0.0, s]], dtype=complex)
-    tinv = np.array([[1.0, 0.0], [0.0, 1.0 / s]], dtype=complex)
-    return t @ np.asarray(m, dtype=complex) @ tinv
+    (a, b), (c, d) = m
+    return (a, b / s), (s * c, d)
 
 
 def n_matrices(variant) -> tuple[CircuitMatrix, CircuitMatrix, CircuitMatrix]:

@@ -211,18 +211,26 @@ def canonical_torus_point(m: Modulus, z: complex) -> TorusPoint:
     return TorusPoint(m, _fold(alpha), _fold(beta))
 
 
-def lattice_distance(m: Modulus, z1: complex, z2: complex) -> float:
-    """Distance from z1 - z2 to the nearest lattice point of Z tau + Z."""
+def _nearest_lattice_point(m: Modulus, d: complex) -> tuple[complex, float]:
+    # The point of Z tau + Z nearest to d, and its distance from d, found in
+    # the reduced basis (u = 1 at tau = i and zeta, so no bit moves there).
     u, t = m._reduced_basis
-    d = (complex(z1) - complex(z2)) / u  # on the reduced lattice Z t + Z
-    alpha, beta = _lattice_coefficients(t, d)
-    best = math.inf
+    w = d / u  # on the reduced lattice Z t + Z
+    alpha, beta = _lattice_coefficients(t, w)
+    best, p = math.inf, 0j
     # the nearest lattice point has coefficients within 1 of the rounded pair
     pa, pb = round(alpha), round(beta)
     for da in (-1, 0, 1):
         for db in (-1, 0, 1):
-            best = min(best, abs(d - ((pa + da) * t + (pb + db))))
-    return abs(u) * best
+            q = (pa + da) * t + (pb + db)
+            if (r := abs(w - q)) < best:
+                best, p = r, q
+    return u * p, abs(u) * best
+
+
+def lattice_distance(m: Modulus, z1: complex, z2: complex) -> float:
+    """Distance from z1 - z2 to the nearest lattice point of Z tau + Z."""
+    return _nearest_lattice_point(m, complex(z1) - complex(z2))[1]
 
 
 # The series is summed over k within h of its peak, h = ceil(s) + 2 (+ 3 for

@@ -8,8 +8,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
-
 from lemnis.curves import (
     Curve,
     abel_jacobi,
@@ -27,6 +25,7 @@ from lemnis.hypergeometric import (
     SchwarzVariant,
     gauss_2f1,
 )
+from lemnis.cli import _max_abs_diff
 from lemnis.meaniter import MeanPair, closed_form_limit, iterate_until_converged
 from lemnis.monodromy import base_change_affine, general_m0_m1, n_matrices
 from lemnis.numerics import OMEGA, ZETA, e_of, gamma_real
@@ -240,8 +239,8 @@ def test_criterion_6_monodromy():
     for variant, alpha in ((SchwarzVariant.QUARTIC, 0.25), (SchwarzVariant.SEXTIC, 1.0 / 3.0)):
         m0, m1 = general_m0_m1(alpha, 0.0, 0.5)
         n0, n1, _ = n_matrices(variant)
-        worst = max(worst, float(np.max(np.abs(base_change_affine(m0, alpha) - n0.as_complex()))))
-        worst = max(worst, float(np.max(np.abs(base_change_affine(m1, alpha) - n1.as_complex()))))
+        worst = max(worst, _max_abs_diff(base_change_affine(m0, alpha), n0.as_complex()))
+        worst = max(worst, _max_abs_diff(base_change_affine(m1, alpha), n1.as_complex()))
     ok = ok and worst < 1e-12
     _verdict(
         6,

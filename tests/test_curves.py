@@ -597,6 +597,17 @@ def test_equivalent_mod_group_witnesses():
         equivalent_mod_group(_cpt(TAU_I, 0.1 + 0.1j), _cpt(TAU_ZETA, 0.1 + 0.1j))
 
 
+def test_equivalent_mod_group_reports_the_true_distance():
+    # rounding the lattice coefficients of 0.45 zeta + 0.45 gives zeta + 0, at
+    # 0.7794; the nearest point over every unit is 1, at 0.5074
+    z1, z2 = _cpt(TAU_ZETA, 0.45 * ZETA + 0.45), _cpt(TAU_ZETA, 0j)
+    w = equivalent_mod_group(z1, z2)
+    assert not w.equivalent
+    nearest = min(lattice_distance(TAU_ZETA, z1.z, ZETA ** k * z2.z) for k in range(6))
+    assert w.distance == nearest
+    assert abs(w.distance - 0.5074) < 1e-4
+
+
 def test_equivalent_mod_group_hexagonal_units():
     rng = random.Random(113)
     for _ in range(12):

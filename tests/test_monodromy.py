@@ -34,6 +34,7 @@ from lemnis import (
     units,
 )
 import lemnis
+from lemnis.cli import _max_abs_diff
 from lemnis.monodromy import _unit_subgroup
 
 G = Ring.GAUSS
@@ -184,8 +185,8 @@ def test_affine_composition_and_inverse():
 def test_circuit_routes_agree():
     m0a, m1a = general_m0_m1(0.3, 0.2, 0.7)
     m0b, m1b = m0_m1_closed_form(0.3, 0.2, 0.7)
-    assert np.max(np.abs(m0a - m0b)) < 1e-12
-    assert np.max(np.abs(m1a - m1b)) < 1e-12
+    assert _max_abs_diff(m0a, m0b) < 1e-12
+    assert _max_abs_diff(m1a, m1b) < 1e-12
 
 
 def test_circuit_routes_agree_random():
@@ -198,15 +199,15 @@ def test_circuit_routes_agree_random():
             continue
         m0a, m1a = general_m0_m1(a, b, g)
         m0b, m1b = m0_m1_closed_form(a, b, g)
-        assert np.max(np.abs(m0a - m0b)) < 1e-11
-        assert np.max(np.abs(m1a - m1b)) < 1e-11
+        assert _max_abs_diff(m0a, m0b) < 1e-11
+        assert _max_abs_diff(m1a, m1b) < 1e-11
 
 
 def test_circuit_eigenvalues():
     a, b, g = 0.3, 0.2, 0.7
     m0, m1 = general_m0_m1(a, b, g)
     for m, lam in ((m0, e_of(-g)), (m1, e_of(g - a - b))):
-        eig = sorted(np.linalg.eigvals(m), key=lambda w: abs(w - 1.0))
+        eig = sorted(np.linalg.eigvals(np.array(m)), key=lambda w: abs(w - 1.0))
         assert abs(eig[0] - 1.0) < 1e-10
         assert abs(eig[1] - lam) < 1e-10
 
@@ -233,6 +234,14 @@ def test_non_finite_parameters_are_domain_errors(bad, slot):
         invariant_hermitian_form(*params)
 
 
+@pytest.mark.parametrize("params", [(0.3, 0.2, 1.0), (0.3, 0.2, 0.5), (0.3, 0.2, 1.5), (0.3, 0.2, 0.0)])
+def test_invariant_form_route_rejects_integer_pivots(params):
+    # h22 vanishes at an integer gamma and h11 at an integer gamma - alpha - beta;
+    # the route returned an all-NaN circuit there, or the identity for M1
+    with pytest.raises(DomainError, match="integer"):
+        general_m0_m1(*params)
+
+
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -3.0, 1e-320])
 def test_base_change_rejects_integer_alpha(alpha):
     # 1 - e(alpha) is 0 at an integer, and 1 / (1 - e(alpha)) overflows next to one
@@ -248,8 +257,8 @@ def test_specialization_matches_exact_generators():
     ):
         m0, m1 = general_m0_m1(alpha, 0.0, 0.5)
         n0, n1, _ = n_matrices(variant)
-        assert np.max(np.abs(base_change_affine(m0, alpha) - n0.as_complex())) < 1e-12
-        assert np.max(np.abs(base_change_affine(m1, alpha) - n1.as_complex())) < 1e-12
+        assert _max_abs_diff(base_change_affine(m0, alpha), n0.as_complex()) < 1e-12
+        assert _max_abs_diff(base_change_affine(m1, alpha), n1.as_complex()) < 1e-12
 
 
 def test_group_closure_saturates_units():
@@ -336,43 +345,92 @@ def test_unit_subgroup_matches_the_set_closure(ring, powers):
     assert _unit_subgroup(gens, ring) == _unit_subgroup_by_closure(gens, ring)
 
 
-_FRESH_IMPORT = """
+_NO_NUMPY = """
+import inspect
 import sys
 
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+
 import lemnis as L
+from lemnis import curves, hypergeometric, meaniter, monodromy, numerics, theta
 
-assert "numpy" not in sys.modules, "import lemnis loaded numpy"
-L.theta(L.ThetaChar(0, 0), 0.1, L.TAU_I)
-L.theta_four(0.1 + 0.2j, L.TAU_ZETA)
-L.gauss_2f1(L.GaussParams(0.25, 0.5, 1.25), 0.5)
-for v in L.SchwarzVariant:
-    L.iterate_until_converged(L.MeanPair(2.0, 1.0), v)
-    L.closed_form_limit(L.MeanPair(2.0, 1.0), v)
-L.inverse_quartic(L.abel_jacobi(L.lift_branch(L.Curve.C_I, 2.0)))
-L.inverse_sextic(L.abel_jacobi(L.lift_branch(L.Curve.C_ZETA, -3.0 + 2.0j)))
-assert "numpy" not in sys.modules, "the math/cmath layers loaded numpy"
-
+zp = L.abel_jacobi(L.lift_branch(L.Curve.C_I, 2.0))
+zs = L.abel_jacobi(L.lift_branch(L.Curve.C_ZETA, -3.0 + 2.0j))
 m0, m1 = L.general_m0_m1(0.3, 0.2, 0.7)
-assert "numpy" in sys.modules
-import numpy as np
-
-arrays = [
-    m0,
-    m1,
-    *L.m0_m1_closed_form(0.3, 0.2, 0.7),
-    L.invariant_hermitian_form(0.3, 0.2, 0.7),
-    L.base_change_affine(m0, 0.3),
-    L.n_matrices(L.SchwarzVariant.QUARTIC)[0].as_complex(),
-]
-assert all(type(a) is np.ndarray for a in arrays)
+pair = L.MeanPair(2.0, 1.0)
+CALLS = {
+    "gamma_real": lambda: L.gamma_real(0.25),
+    "beta": lambda: L.beta(0.25, 0.5),
+    "e_of": lambda: L.e_of(0.125),
+    "canonical_torus_point": lambda: L.canonical_torus_point(L.TAU_I, 2.3 + 1.1j),
+    "lattice_distance": lambda: L.lattice_distance(L.TAU_ZETA, 0.4 + 0.1j, 0),
+    "theta": lambda: L.theta(L.ThetaChar(0, 0), 0.1, L.TAU_I),
+    "theta_dz": lambda: L.theta_dz(L.ThetaChar(1, 1), 0.1, L.TAU_I),
+    "theta_four": lambda: L.theta_four(0.1 + 0.2j, L.TAU_ZETA),
+    "quasi_period_factor": lambda: L.quasi_period_factor(L.ThetaChar(0, 0), 1, 1, 0.1, L.TAU_I),
+    "transform_tau": lambda: L.transform_tau(L.ThetaChar(0, 0), 0.1, L.TAU_I, L.TauTransform.INVERT),
+    "addition_check": lambda: L.addition_check(0.1, 0.2j, L.TAU_I),
+    "i_multiple": lambda: L.i_multiple(L.ThetaChar(0, 0), 0.1),
+    "one_plus_i_multiple": lambda: L.one_plus_i_multiple(0.1),
+    "omega_multiple": lambda: L.omega_multiple(L.ThetaChar(0, 0), 0.1, L.OmegaPower.OMEGA),
+    "one_plus_zeta_multiple": lambda: L.one_plus_zeta_multiple(0.1),
+    "theta_constants": lambda: L.theta_constants(L.TAU_ZETA),
+    "gauss_2f1_pair": lambda: L.gauss_2f1_pair(L.GaussParams(0.25, 0.5, 1.25), 0.5, 0.5),
+    "gauss_2f1": lambda: L.gauss_2f1(L.GaussParams(0.25, 0.5, 1.25), 2 + 1j),
+    "gauss_kummer_value": lambda: L.gauss_kummer_value(L.GaussParams(0.25, 0.5, 1.25)),
+    "schwarz_map": lambda: L.schwarz_map(L.SchwarzVariant.SEXTIC, 0.3),
+    "special_point": lambda: L.special_point(L.Curve.C_ZETA, "Pinf1"),
+    "lift_branch": lambda: L.lift_branch(L.Curve.C_I, 2.0),
+    "abel_jacobi": lambda: L.abel_jacobi(L.lift_branch(L.Curve.C_ZETA, 0.5j)),
+    "inverse_quartic_t_routes": lambda: L.inverse_quartic_t_routes(zp),
+    "inverse_quartic": lambda: L.inverse_quartic(zp),
+    "inverse_sextic": lambda: L.inverse_sextic(zs),
+    "ratio_identities_quartic": lambda: L.ratio_identities_quartic(zp),
+    "ratio_identities_sextic": lambda: L.ratio_identities_sextic(zs),
+    "mul_one_plus_i": lambda: L.mul_one_plus_i(L.lift_branch(L.Curve.C_I, 2.0)),
+    "mul_one_plus_zeta": lambda: L.mul_one_plus_zeta(L.lift_branch(L.Curve.C_ZETA, -3.0 + 2.0j)),
+    "equivalent_mod_group": lambda: L.equivalent_mod_group(zs, zs),
+    "one_form_constant_routes": lambda: L.one_form_constant_routes(L.Curve.C_I),
+    "one_form_constant": lambda: L.one_form_constant(L.Curve.C_ZETA),
+    "hgf_theta_roundtrip": lambda: L.hgf_theta_roundtrip(0.1 + 0.05j, L.Curve.C_I),
+    "ring_one": lambda: L.ring_one(L.Ring.GAUSS),
+    "ring_gen": lambda: L.ring_gen(L.Ring.EISENSTEIN6),
+    "units": lambda: L.units(L.Ring.EISENSTEIN6),
+    "as_affine": lambda: L.as_affine(L.n_matrices(L.SchwarzVariant.QUARTIC)[1]),
+    "invariant_hermitian_form": lambda: L.invariant_hermitian_form(0.3, 0.2, 0.7),
+    "general_m0_m1": lambda: L.general_m0_m1(0.3, 0.2, 0.7),
+    "m0_m1_closed_form": lambda: L.m0_m1_closed_form(0.3, 0.2, 0.7),
+    "base_change_affine": lambda: L.base_change_affine(m0, 0.3),
+    "n_matrices": lambda: L.n_matrices(L.SchwarzVariant.SEXTIC),
+    "group_closure": lambda: L.group_closure([L.as_affine(m) for m in L.n_matrices(L.SchwarzVariant.QUARTIC)]),
+    "step_quartic": lambda: L.step_quartic(pair),
+    "step_sextic": lambda: L.step_sextic(pair),
+    "closed_form_limit": lambda: L.closed_form_limit(pair, L.SchwarzVariant.QUARTIC),
+    "iterate_until_converged": lambda: L.iterate_until_converged(pair, L.SchwarzVariant.SEXTIC),
+    "cubic_preimage_x0": lambda: L.cubic_preimage_x0(L.MeanPair(1.0, 2.0)),
+    "CircuitMatrix.as_complex": lambda: L.n_matrices(L.SchwarzVariant.QUARTIC)[0].as_complex(),
+}
+public = {
+    name
+    for module in (numerics, theta, hypergeometric, curves, monodromy, meaniter)
+    for name, obj in vars(module).items()
+    if not name.startswith("_") and callable(obj) and not inspect.isclass(obj)
+    and getattr(obj, "__module__", None) == module.__name__
+}
+assert public <= CALLS.keys(), f"no call for {sorted(public - CALLS.keys())}"
+results = {name: call() for name, call in CALLS.items()}
+for name in ("invariant_hermitian_form", "base_change_affine", "CircuitMatrix.as_complex"):
+    assert all(type(x) is complex for row in results[name] for x in row), name
+for name in ("general_m0_m1", "m0_m1_closed_form"):
+    assert all(type(x) is complex for m in results[name] for row in m for x in row), name
 """
 
 
-def test_numpy_loads_on_first_use_of_the_floating_layer():
+def test_the_library_runs_with_numpy_blocked():
     # a fresh interpreter, since this one has numpy loaded already
     path = [str(Path(lemnis.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
-        [sys.executable, "-c", _FRESH_IMPORT],
+        [sys.executable, "-c", _NO_NUMPY],
         env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
         capture_output=True, text=True, timeout=60,
     )
