@@ -315,7 +315,7 @@ class _Worst:
 
 def _jacobi_derivative(mod: Modulus) -> _Worst:
     # Jacobi's derivative identity theta11'(0) = -pi theta00(0) theta01(0) theta10(0)
-    k00, k01, k10, _ = theta_four(0j, mod)
+    k00, k01, k10, _ = mod.theta_nulls
     lhs = theta_dz(HALF_CHARS[3], 0j, mod)
     rhs = -math.pi * (k00 * k01 * k10)
     worst = _Worst()

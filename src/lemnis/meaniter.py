@@ -6,10 +6,14 @@ value at 1 - (b/a)^2.  The sextic step takes conjugate cube roots of
 eta = b +/- sqrt(b^2 - a^2) in real arithmetic: for b <= a,
 eta = a e^(+/- i theta) with cos theta = b/a, and the means come from the
 angle trisection that solves a cubic (DLMF 1.11(iii)).
+
+Both steps run as float kernels (a, b) -> (a', b'), and an orbit is kept
+as float pairs; its MeanPairs are built when `IterationTrace.pairs` is read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,6 +22,10 @@ from .numerics import SQRT3, DomainError, _real_root
 
 # 1 - (b/a)^2 lies in (-0.8, 0.8) exactly when b/a lies in this window
 _RATIO_LO, _RATIO_HI = math.sqrt(0.2), math.sqrt(1.8)
+
+# midpoints the extrapolation reads (earlier ones add no accuracy): below 5 a
+# loose-tolerance quartic limit loses a digit; an even count picks by spread
+_TAIL = 6
 
 
 @dataclass(frozen=True)
@@ -36,25 +44,31 @@ class MeanPair:
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """A full orbit: every pair visited, plus the extracted limit.
+    """A full orbit as float pairs, plus the extracted limit.
 
-    `limit` is the common limit estimated from the orbit itself by repeated
-    difference extrapolation of the midpoints (a_n + b_n)/2.  The raw final
-    midpoint is available as pairs[-1]; the extrapolated value is what the
-    closed-form comparisons use, since the plain midpoint converges only
-    linearly for the quartic step.
+    `limit` extrapolates the last _TAIL midpoints (a_n + b_n)/2 by repeated
+    differences, as the plain midpoint converges only linearly for the
+    quartic step.  `pairs` builds the orbit's MeanPairs on first read.
     """
 
-    pairs: tuple[MeanPair, ...]
+    orbit: tuple[tuple[float, float], ...]
     converged: bool
     limit: float
     iterations: int
 
+    @functools.cached_property
+    def pairs(self) -> tuple[MeanPair, ...]:
+        return tuple(MeanPair(a, b) for a, b in self.orbit)
+
+
+def _quartic(a: float, b: float) -> tuple[float, float]:
+    # halves and square roots taken apart so no intermediate leaves the range
+    a1 = 0.5 * a + 0.5 * b
+    return a1, math.sqrt(a) * math.sqrt(a1)
+
 
 def step_quartic(p: MeanPair) -> MeanPair:
-    # halves and square roots taken apart so no intermediate leaves the range
-    a1 = 0.5 * p.a + 0.5 * p.b
-    return MeanPair(a1, math.sqrt(p.a) * math.sqrt(a1))
+    return MeanPair(*_quartic(p.a, p.b))
 
 
 def _eta_cube_roots(a: float, b: float) -> tuple[float, float, float]:
@@ -66,50 +80,49 @@ def _eta_cube_roots(a: float, b: float) -> tuple[float, float, float]:
     return s, _real_root(eta1, 3), _real_root(a * (a / eta1), 3)
 
 
-def step_sextic(p: MeanPair) -> MeanPair:
-    a, b = p.a, p.b
+def _sextic(a: float, b: float) -> tuple[float, float]:
     if b <= a:
         # the cube roots are a^(1/3) e^(+/- it), t = theta / 3; b/a may
         # underflow to 0, and acos(0) = pi/2 is then right to roundoff
         t = math.acos(b / a) / 3.0
-        return MeanPair(a * math.sqrt((1.0 + 2.0 * math.cos(2.0 * t)) / 3.0), a * math.cos(t))
+        return a * math.sqrt((1.0 + 2.0 * math.cos(2.0 * t)) / 3.0), a * math.cos(t)
     if b > 2.0 ** 1020:
         # b + a and b + s overflow up here; 1/8 scales every cube root by
         # exactly 1/2, so the means come out bit for bit as if unscaled
-        q = step_sextic(MeanPair(a / 8.0, b / 8.0))
-        return MeanPair(8.0 * q.a, 8.0 * q.b)
+        qa, qb = _sextic(a / 8.0, b / 8.0)
+        return 8.0 * qa, 8.0 * qb
     _, r1, r2 = _eta_cube_roots(a, b)
     a23 = _real_root(a, 3, 2)
-    return MeanPair(a23 * math.sqrt(r1 * r1 + r1 * r2 + r2 * r2) / SQRT3, a23 * (r1 + r2) / 2.0)
+    return a23 * math.sqrt(r1 * r1 + r1 * r2 + r2 * r2) / SQRT3, a23 * (r1 + r2) / 2.0
+
+
+def step_sextic(p: MeanPair) -> MeanPair:
+    return MeanPair(*_sextic(p.a, p.b))
 
 
 def _step(variant: SchwarzVariant):
     if variant is SchwarzVariant.QUARTIC:
-        return step_quartic
+        return _quartic
     if variant is SchwarzVariant.SEXTIC:
-        return step_sextic
+        return _sextic
     raise DomainError("unknown variant")
-
-
-def _precondition(p: MeanPair, variant: SchwarzVariant) -> MeanPair:
-    # Each step preserves the limit, so stepping until the series argument
-    # 1 - (b/a)^2 is small is free.  The test reads b/a unsquared, since
-    # the square overflows for ratios beyond about 1e154.
-    step = _step(variant)
-    guard = 0
-    while not _RATIO_LO < p.b / p.a < _RATIO_HI:
-        p = step(p)
-        guard += 1
-        if guard > 64:
-            raise DomainError("preconditioning failed to contract the pair")
-    return p
 
 
 def closed_form_limit(p: MeanPair, variant: SchwarzVariant) -> float:
     """a / F^2 (quartic) or a / F (sextic), F the variant's series at 1 - (b/a)^2."""
-    p = _precondition(p, variant)
-    f = gauss_2f1(variant.series_params, 1.0 - (p.b / p.a) ** 2).real
-    return p.a / (f * f if variant is SchwarzVariant.QUARTIC else f)
+    # Each step preserves the limit, so stepping until the series argument
+    # 1 - (b/a)^2 is small is free.  The test reads b/a unsquared, since
+    # the square overflows for ratios beyond about 1e154.
+    step = _step(variant)
+    a, b = p.a, p.b
+    for _ in range(65):
+        if _RATIO_LO < b / a < _RATIO_HI:
+            break
+        a, b = step(a, b)
+    else:
+        raise DomainError("preconditioning failed to contract the pair")
+    f = gauss_2f1(variant.series_params, 1.0 - (b / a) ** 2).real
+    return a / (f * f if variant is SchwarzVariant.QUARTIC else f)
 
 
 def _accelerated_limit(mids: list[float]) -> float:
@@ -154,16 +167,16 @@ def iterate_until_converged(
     if not 1 <= max_iter <= 200:
         raise DomainError("max_iter must lie in [1, 200]")
     step = _step(variant)
-    pairs = [p]
-    while pairs[-1].gap() >= tol * pairs[-1].a and len(pairs) <= max_iter:
-        pairs.append(step(pairs[-1]))
-    last = pairs[-1]
-    mids = [0.5 * q.a + 0.5 * q.b for q in pairs]
+    a, b = p.a, p.b
+    orbit = [(a, b)]
+    while abs(a - b) >= tol * a and len(orbit) <= max_iter:
+        a, b = step(a, b)
+        orbit.append((a, b))
     return IterationTrace(
-        pairs=tuple(pairs),
-        converged=last.gap() < tol * last.a,
-        limit=_accelerated_limit(mids),
-        iterations=len(pairs) - 1,
+        orbit=tuple(orbit),
+        converged=abs(a - b) < tol * a,
+        limit=_accelerated_limit([0.5 * x + 0.5 * y for x, y in orbit[-_TAIL:]]),
+        iterations=len(orbit) - 1,
     )
 
 

@@ -158,6 +158,11 @@ class Modulus:
         return _e(self.value)
 
     @functools.cached_property
+    def theta_nulls(self) -> tuple[complex, complex, complex, complex]:
+        """theta_four(0, tau): the four theta constants, summed once per modulus."""
+        return theta_four(0j, self)
+
+    @functools.cached_property
     def _reduced_basis(self) -> tuple[complex, complex]:
         # (u, t) with Z tau + Z = u (Z t + Z) and t Lagrange-Gauss reduced,
         # |Re t| <= 1/2 and |t| >= 1 - 1e-9; tau = i and tau = zeta keep u = 1.
@@ -427,7 +432,7 @@ def addition_check(z1: complex, z2: complex, m: Modulus) -> list[float]:
     p00, p01, p10, p11 = (u * v for u, v in zip(plus, minus))
     a00, a01, a10, a11 = (v * v for v in theta_four(z1, m))
     b00, b01, b10, b11 = (v * v for v in theta_four(z2, m))
-    k00, k01, k10, _ = (v * v for v in theta_four(0j, m))
+    k00, k01, k10, _ = (v * v for v in m.theta_nulls)
     return [
         _scaled_residual(p00 * k00, a00 * b00 + a11 * b11),
         _scaled_residual(p00 * k00, a01 * b01 + a10 * b10),
@@ -452,7 +457,7 @@ def one_plus_i_multiple(z: complex) -> list[IdentityPair]:
     z = complex(z)
     m = TAU_I
     gauss = _exp(math.pi * 1j * (1.0 + 1j) * z * z)
-    k00, k01, k10, _ = theta_four(0j, m)
+    k00, k01, k10, _ = m.theta_nulls
     t00, t01, t10, t11 = theta_four(z, m)
     w00, w01, w10, w11 = theta_four((1.0 + 1j) * z, m)
     return [
@@ -493,7 +498,7 @@ def one_plus_zeta_multiple(z: complex) -> list[IdentityPair]:
     z = complex(z)
     m = TAU_ZETA
     gauss = _e((OMEGA_SQ + OMEGA / 2.0) * z * z)
-    k00, k01, k10, _ = theta_four(0j, m)
+    k00, k01, k10, _ = m.theta_nulls
     t00, t01, t10, t11 = theta_four(z, m)
     w00, w01, w10, w11 = theta_four((1.0 + ZETA) * z, m)
     e8 = e_of(0.125)

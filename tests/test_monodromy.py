@@ -234,12 +234,26 @@ def test_non_finite_parameters_are_domain_errors(bad, slot):
         invariant_hermitian_form(*params)
 
 
-@pytest.mark.parametrize("params", [(0.3, 0.2, 1.0), (0.3, 0.2, 0.5), (0.3, 0.2, 1.5), (0.3, 0.2, 0.0)])
+@pytest.mark.parametrize(
+    "params",
+    [(0.3, 0.2, 1.0), (0.3, 0.2, 0.5), (0.3, 0.2, 1.5), (0.3, 0.2, 0.0)]
+    + [(0.3, 0.2, g) for g in (1.0 + 1e-7, 1.0 - 1e-7, 1.5 + 1e-7, 1.5 - 1e-7)],
+)
 def test_invariant_form_route_rejects_integer_pivots(params):
     # h22 vanishes at an integer gamma and h11 at an integer gamma - alpha - beta;
-    # the route returned an all-NaN circuit there, or the identity for M1
+    # the route returned an all-NaN circuit there, or the identity for M1, and
+    # 1e-7 away it was off by 6.4e-10 (about 7e-17 over the distance)
     with pytest.raises(DomainError, match="integer"):
         general_m0_m1(*params)
+
+
+@pytest.mark.parametrize("gamma", [1.0 + 2e-6, 1.0 - 2e-6, 1.5 + 2e-6, 1.5 - 2e-6])
+def test_invariant_form_route_is_accurate_just_outside_the_guard(gamma):
+    # gamma next to 1 puts h22 next to zero, gamma next to 1.5 puts h11 there
+    m0a, m1a = general_m0_m1(0.3, 0.2, gamma)
+    m0b, m1b = m0_m1_closed_form(0.3, 0.2, gamma)
+    assert _max_abs_diff(m0a, m0b) <= 1e-10
+    assert _max_abs_diff(m1a, m1b) <= 1e-10
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -3.0, 1e-320])
