@@ -6,13 +6,15 @@ The series used everywhere is
 
 with exact rational (a, b), whose floats are taken once per characteristic.
 One kernel sums it, outward from the largest term by term ratios over a
-window centred on that term whose width depends on tau alone (past 100,000
-terms, IterationLimitError), and keeps the even-n and odd-n parts apart.
-`theta` and `theta_dz` add the two parts; the four half characteristics at
-one z share the lattices n and n + 1/2, where b = 1/2 only flips the sign
-of the odd part, so `theta_four` takes theta00, theta01, theta10 and
-theta11 from two sums.  Every law on tau is a word in S: (z, tau) ->
-(z/tau, -1/tau), T: tau -> tau + 1 and t = T^-1, letters acting left to
+window centred on that term that ends at 2^-56 of it, and keeps the even-n
+and odd-n parts apart.  At tau = i and zeta the series is summed as it
+stands, and `theta_four` takes the four half characteristics from the two
+lattices n and n + 1/2, where b = 1/2 only flips the sign of the odd part.
+Any other tau is first reduced to the fundamental domain (|Re tau| <= 1/2,
+|tau| >= 1) by the steps `lattice_distance` also takes: z goes into the
+characteristic, each step moves the theta constant, and the kernel sums at
+most 9 terms (11 for `theta_dz`).  Every law on tau is a word in S: (z, tau)
+-> (z/tau, -1/tau), T: tau -> tau + 1 and t = T^-1, letters acting left to
 right, applied by one composer (Mumford, Tata Lectures on Theta I, ch.
 I-II): SHIFT is T, INVERT is S, and the words SSS, STSS and tS, which fix
 i and zeta = (1+sqrt(3)i)/2, give theta(i z, i), theta(omega z, zeta) and
@@ -36,8 +38,6 @@ from .numerics import (
     OMEGA_SQ,
     ZETA,
     DomainError,
-    IterationLimitError,
-    _MAX_TERMS,
     _scaled_residual,
     e_of,
     gamma_real,
@@ -164,13 +164,25 @@ class Modulus:
 
     @functools.cached_property
     def _reduced_basis(self) -> tuple[complex, complex]:
-        # (u, t) with Z tau + Z = u (Z t + Z) and t Lagrange-Gauss reduced,
-        # |Re t| <= 1/2 and |t| >= 1 - 1e-9; tau = i and tau = zeta keep u = 1.
-        u, t = 1.0, self.value - round(self.value.real)
-        while abs(t) < 1.0 - 1e-9:
-            u, t = u * t, -1.0 / t
-            t -= round(t.real)
-        return u, t
+        # (u, t) with Z tau + Z = u (Z t + Z) and t in F, u the product of the
+        # reduction's steps' t; tau = i and tau = zeta keep u = 1.
+        _, steps, t, _ = _reduction(self.value)
+        return math.prod((s for s, _ in steps), start=1.0), t
+
+
+def _reduction(tau: complex) -> tuple[int, list[tuple[complex, int]], complex, complex]:
+    # The one reduction loop: tau = t + k0, |Re t| <= 1/2, then while |t| < 1
+    # - 1e-9 a step t = S T^k (t'), s = -1/t, k = round(Re s), t' = s - k.
+    # Returns k0, each step's (t, k), the t in F and prod sqrt(s/i).
+    k0 = round(tau.real)
+    t, steps, root = tau - k0, [], 1.0
+    while abs(t) < 1.0 - 1e-9:
+        s = -1.0 / t
+        k = round(s.real)
+        steps.append((t, k))
+        root *= cmath.sqrt(s / 1j)
+        t = s - k
+    return k0, steps, t, root
 
 
 TAU_I = Modulus(ModulusTag.TAU_I, 1j)
@@ -238,13 +250,18 @@ def lattice_distance(m: Modulus, z1: complex, z2: complex) -> float:
     return _nearest_lattice_point(m, complex(z1) - complex(z2))[1]
 
 
-# The series is summed over k within h of its peak, h = ceil(s) + 2 (+ 3 for
-# the z-derivative) with exp(-pi Im(tau) s^2) = 1e-12: the window depends on
-# tau alone.
-_WINDOW_LOG = math.log(1e12)
+# The series is summed over k within h of its peak, h = ceil(s) (+ 1 for the
+# z-derivative) with exp(-pi Im(tau) s^2) = 2^-56: the window depends on tau
+# alone, and in F, where Im(tau) >= sqrt(3)/2, it holds at most 9 terms.
+_CUT = 56.0 * math.log(2.0) / math.pi
+# From |Re z| = 16 on, the phases 2 pi k Re(w) of a sum would lose more than 4
+# bits to Re z, so its integer part leaves as an exact phase (in _reduced).
+_FOLD = 16.0
 
 
-def _lattice_sums(a: float, w: complex, z: complex, m: Modulus, weighted: bool) -> tuple[complex, complex]:
+def _lattice_sums(
+    a: float, w: complex, z: complex, tau: complex, q2: complex, weighted: bool
+) -> tuple[complex, complex]:
     # Sums over even and over odd n of T(k) = exp(pi i k^2 tau + 2 pi i k w),
     # k = n + a (times 2 pi i k when weighted), w = z + b.  |T(k)| is the
     # largest term times exp(-pi Im(tau) (k - p)^2), p = -Im w / Im tau, so
@@ -255,16 +272,11 @@ def _lattice_sums(a: float, w: complex, z: complex, m: Modulus, weighted: bool) 
     # T(k+1)/T(k) obeys R(k+1) = R(k) q2 with q2 = e(tau), and so does
     # T(k-1)/T(k) = q2/R(k-1) stepping down, two products per term.  The seed
     # is the largest term, so it overflows only when the series leaves
-    # binary64; that, or sums that overflow, is a DomainError.  A window of
-    # more than _MAX_TERMS terms is an IterationLimitError before any is summed.
+    # binary64; that, or sums that overflow, is a DomainError.
     if not cmath.isfinite(z):
         raise DomainError(f"theta requires a finite argument, got {z}")
-    tau = m.value
     im_tau = tau.imag
-    s = math.sqrt(_WINDOW_LOG / (math.pi * im_tau))
-    if 2.0 * s > _MAX_TERMS:  # the window holds about 2 s terms; s may be inf
-        raise IterationLimitError(f"theta at tau = {tau} needs more than {_MAX_TERMS} terms")
-    h = math.ceil(s) + (3 if weighted else 2)
+    h = math.ceil(math.sqrt(_CUT / im_tau)) + weighted
     peak = -w.imag / im_tau
     try:  # an infinite peak, or an exponent with infinite parts, raises here
         n0 = round(peak - a)
@@ -272,7 +284,6 @@ def _lattice_sums(a: float, w: complex, z: complex, m: Modulus, weighted: bool) 
         t0 = cmath.exp(1j * math.pi * k0 * (k0 * tau + 2.0 * w))
     except (OverflowError, ValueError):
         raise _overflow(z, tau) from None
-    q2 = m.q2
     # The two neighbour ratios multiply to q2.  Exponentiate the larger one
     # (modulus at least |q2|^(1/2)) and divide for the other, so a ratio near
     # 1 is never derived from an underflowed one; if even the larger one
@@ -308,18 +319,72 @@ def _overflow(z: complex, tau: complex) -> DomainError:
     return DomainError(f"theta overflows binary64 at z = {z}, tau = {tau}")
 
 
+def _turns(p: Fraction, n: int) -> float:
+    # p n mod 1, exact in integers before its one rounding
+    num, den = p.as_integer_ratio()
+    return num * n % den / den
+
+
+def _value(c: ThetaChar, z: complex, m: Modulus, weighted: bool) -> complex:
+    if m.tag is ModulusTag.GENERIC or not abs(z.real) < _FOLD:
+        return _reduced(c, z, m.value, _reduction(m.value), weighted)
+    even, odd = _lattice_sums(c.af, z + c.bf, z, m.value, m.q2, weighted)
+    return even + odd
+
+
+def _reduced(c: ThetaChar, z: complex, tau: complex, red: tuple, weighted: bool) -> complex:
+    # theta (theta' if weighted) summed once in F.  T^k0 moves (a, b) exactly;
+    # b -> b - j costs e(a j), and so does z -> z - j past |Re z| = _FOLD.
+    # Before S steps z = alpha t + beta, alpha = p + alpha', beta = n + beta'
+    # (p, n integers), goes into the characteristic:
+    #   theta_{a,b}(z, t) = e(-alpha^2 t/2 - alpha beta' - alpha' b - p b + a n)
+    #   theta_{A,B}(0, t), (A, B) = (a + alpha', b + beta'), and theta'(z) is
+    # that factor times theta'_{A,B}(0) - 2 pi i alpha theta_{A,B}(0).  A step
+    # S T^k moves theta_{A,B}(0) by its letter laws and sqrt(s/i), theta'_{A,B}(0)
+    # by s sqrt(s/i) (the S law's z-derivative at 0); the s multiply to i^n root^2.
+    k0, steps, reduced, root = red
+    a, b, bf, turns, n = c.a, c.b, c.bf, 0.0, 0
+    if k0:
+        a, b, phase = _letter(a, b, k0)
+        j, b = divmod(b, 1)
+        bf, turns = float(b), float((phase + a * j) % 1)
+    q = round(z.real) if _FOLD <= abs(z.real) < math.inf else 0  # the kernel refuses a non-finite z
+    w, big_a, big_b, log = z - q, c.af, bf, 0j
+    if steps:
+        t = steps[0][0]
+        alpha, beta = _lattice_coefficients(t, w)
+        p, n = round(alpha), round(beta)
+        log = -alpha * (alpha * t / 2.0 + (beta - n)) - (alpha - p) * bf - _turns(b, p)
+        big_a, big_b, w = big_a + (alpha - p), big_b + (beta - n), 0j
+        for _, k in steps:
+            big_a, big_b, phase_s = _letter(big_a, big_b)
+            big_a, big_b, phase_t = _letter(big_a, big_b, k)
+            j = round(big_b)
+            big_b -= j
+            turns = (turns + phase_s + phase_t + big_a * j) % 1.0  # each step mod 1
+    q2 = cmath.exp(2j * math.pi * reduced)  # e(t) in F: no overflow
+    even, odd = _lattice_sums(big_a, w + big_b, w, reduced, q2, weighted)
+    value = even + odd
+    if weighted and steps:
+        even, odd = _lattice_sums(big_a, complex(big_b), 0j, reduced, q2, False)
+        value = value * 1j ** len(steps) * root * root - 2j * math.pi * alpha * (even + odd)
+    try:
+        value *= _exp(2j * math.pi * (turns + _turns(a, q + n) + log)) * root
+    except DomainError:
+        value = math.inf
+    if not cmath.isfinite(value):
+        raise _overflow(z, tau)
+    return value
+
+
 def theta(c: ThetaChar, z: complex, m: Modulus) -> complex:
     """Evaluate the series at z.  Values near a zero are returned as-is."""
-    z = complex(z)
-    even, odd = _lattice_sums(c.af, z + c.bf, z, m, False)
-    return even + odd
+    return _value(c, complex(z), m, False)
 
 
 def theta_dz(c: ThetaChar, z: complex, m: Modulus) -> complex:
     """Term-wise z-derivative of the series."""
-    z = complex(z)
-    even, odd = _lattice_sums(c.af, z + c.bf, z, m, True)
-    return even + odd
+    return _value(c, complex(z), m, True)
 
 
 def quasi_period_factor(c: ThetaChar, p: int, q: int, z: complex, m: Modulus) -> complex:
@@ -328,15 +393,21 @@ def quasi_period_factor(c: ThetaChar, p: int, q: int, z: complex, m: Modulus) ->
     return _e(c.af * q - p * p * tau / 2.0 - p * complex(z) - c.bf * p)
 
 
+def _letter(a, b, k=None):
+    # (a', b', phase) of one letter, exact on Fractions and rounded on floats:
+    # S (k None) (a, b) -> (b, -a), phase ab; T^k -> (a, b + k(a - 1/2)), phase k a(1 - a)/2.
+    if k is None:
+        return b, -a, a * b
+    return a, b + k * (2 * a - 1) / 2, k * a * (1 - a) / 2
+
+
 @functools.lru_cache(maxsize=_LAW_MEMO)
 def _word_law(c: ThetaChar, word: str) -> tuple[ThetaChar, complex, int, tuple[int, int, int, int]]:
     # Left to right the letters build the word's matrix as sign (p, q; r, s),
     # with (r, s) > (0, 0) so that J = r tau + s lies in the upper half plane.
     # The factors sqrt(tau/i) of its S letters multiply to e(n/8) sqrt(J/i):
     # n = 1 for the empty word, and each S subtracts 1 if it keeps the sign and
-    # adds 1 if it flips it.  Right to left the letters map the characteristic,
-    # S (a, b) -> (b, -a) with phase ab, T and t (a, b) -> (a, b +- (a - 1/2))
-    # with phase +-a(1 - a)/2, all phases exact.
+    # adds 1 if it flips it.  Right to left `_letter` maps the characteristic.
     p, q, r, s, sign, n = 1, 0, 0, 1, 1, 1
     for g in word:
         if g != "S":
@@ -348,11 +419,8 @@ def _word_law(c: ThetaChar, word: str) -> tuple[ThetaChar, complex, int, tuple[i
             p, q, r, s, sign, n = r, s, -p, -q, -sign, n + 1
     a, b, phase = c.a, c.b, Fraction(n, 8)
     for g in reversed(word):
-        if g == "S":
-            phase, a, b = phase + a * b, b, -a
-        else:
-            k = 1 if g == "T" else -1
-            phase, b = phase + k * a * (1 - a) / 2, b + k * (a - Fraction(1, 2))
+        a, b, step = _letter(a, b, None if g == "S" else 1 if g == "T" else -1)
+        phase += step
     return ThetaChar(a, b), e_of(float(phase % 1)), sign, (p, q, r, s)
 
 
@@ -404,8 +472,11 @@ def theta_four(z: complex, m: Modulus) -> tuple[complex, complex, complex, compl
     theta10 = E1 + O1, theta11 = i (E1 - O1).
     """
     z = complex(z)
-    e0, o0 = _lattice_sums(0.0, z, z, m, False)
-    e1, o1 = _lattice_sums(0.5, z, z, m, False)
+    if m.tag is ModulusTag.GENERIC or not abs(z.real) < _FOLD:  # one reduction, four characteristics
+        red = _reduction(m.value)
+        return tuple(_reduced(c, z, m.value, red, False) for c in HALF_CHARS)
+    e0, o0 = _lattice_sums(0.0, z, z, m.value, m.q2, False)
+    e1, o1 = _lattice_sums(0.5, z, z, m.value, m.q2, False)
     return e0 + o0, e0 - o0, e1 + o1, 1j * (e1 - o1)
 
 

@@ -142,12 +142,16 @@ def test_theta_overflow_exits_2_without_traceback(capsys):
     assert "overflows" in err and "Traceback" not in err
 
 
-def test_theta_window_cap_exits_1_without_traceback(capsys):
-    # at Im tau = 1e-300 the window would hold about 6e150 terms
-    code = main(["theta", "--a", "0", "--b", "0", "--tau", "0.3+1e-300i"])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "tau" in err and "100000 terms" in err and "Traceback" not in err
+def test_theta_at_tiny_im_tau_and_far_re_tau_exits_0(capsys):
+    # tau is reduced to the fundamental domain before any sum, so Im tau =
+    # 1e-300 gives a finite value (about 3e78), and Re tau = 1e300, an even
+    # integer, gives theta00(0, i) itself
+    code, rep, _ = run_cli(capsys, ["theta", "--a", "0", "--b", "0", "--tau", "0.3+1e-300i"])
+    assert code == 0 and rep["pass"]
+    assert 1e78 < abs(parse_complex(rep["outputs"]["value"])) < 1e79
+    code, rep, _ = run_cli(capsys, ["theta", "--a", "0", "--b", "0", "--tau", "1e300+1i"])
+    assert code == 0 and rep["pass"]
+    assert abs(parse_complex(rep["outputs"]["value"]) - 1.0864348112133081) < 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import pytest
 
 from lemnis import (
     DomainError,
-    IterationLimitError,
     Modulus,
     OmegaPower,
     TAU_I,
@@ -682,15 +681,77 @@ def test_quasi_periodicity_out_to_ten_cells():
             assert abs(lhs - rhs) <= 1e-12 * abs(factor) * _abs_series(c, z, m.value, False), (m, p)
 
 
-def test_window_cap_is_an_iteration_limit_error():
-    # the window grows as 1/sqrt(Im tau); past 100,000 terms the sum stops
-    # before it starts, naming tau, and a window of 59,000 terms still runs
-    m = Modulus.generic(complex(0.3, 1e-300))
-    for call in (
-        lambda: theta(C00, 0.0, m),
-        lambda: theta_dz(C11, 0.0, m),
-        lambda: theta_four(0.1j, m),
-    ):
-        with pytest.raises(IterationLimitError, match="tau"):
-            call()
-    assert cmath.isfinite(theta(C00, 0.0, Modulus.generic(complex(0.3, 1e-8))))
+def test_tiny_im_tau_is_finite_and_keeps_the_laws():
+    # tau is reduced to the fundamental domain, so no window grows with
+    # 1/sqrt(Im tau): at Im tau = 1e-300 a value is finite, or a DomainError
+    # where it leaves binary64 (|theta(0.1i)| is at least its largest term,
+    # exp(pi 0.01 / Im tau)).  There theta is too ill-conditioned in z and
+    # tau for any rounding of them to be checked, so the laws are checked at
+    # points that binary64 holds exactly, where both sides share the steps:
+    # T at tau + 1 against (tau + 1) - 1, S at -1/tau, and z + p tau + q.
+    for tau in (complex(0.3, 1e-300), complex(0.3, 1e-9), complex(-0.41, 1e-12)):
+        m = Modulus.generic(tau)
+        values = [theta(c, 0j, m) for c in HALF_CHARS]
+        assert all(cmath.isfinite(v) for v in values + list(theta_four(0j, m)) + [theta_dz(C11, 0j, m)])
+        scale = max(map(abs, values))
+        assert scale > 1e70 if tau.imag < 1e-200 else scale > 1e3
+        shifted, back = Modulus.generic(tau + 1.0), Modulus.generic((tau + 1.0) - 1.0)
+        for c in HALF_CHARS:
+            law = e_of(float(c.a * (1 - c.a) / 2)) * theta(ThetaChar(c.a, c.a + c.b - Fraction(1, 2)), 0j, back)
+            assert abs(theta(c, 0j, shifted) - law) <= 2e-15 * scale, (tau, c)
+            law = e_of(float(c.a * c.b)) * cmath.sqrt(tau / 1j) * theta(ThetaChar(c.b, -c.a), 0j, m)
+            assert abs(theta(c, 0j, Modulus.generic(-1.0 / tau)) - law) <= 2e-15 * abs(cmath.sqrt(tau)) * scale
+            for p, q, z in ((-1, 0, 0j), (1, 0, 0j), (2, 0, 0j), (0, 3, 0.25), (0, -2, 0.25), (0, int(1e300), 0j)):
+                factor = quasi_period_factor(c, p, q, z, m) if q < 2**53 else e_of(float(c.a * q % 1))
+                lhs = theta(c, z + p * tau + q, m)
+                assert abs(lhs - factor * theta(c, z, m)) <= 2e-15 * abs(factor) * scale, (tau, c, p, q)
+    with pytest.raises(DomainError, match="tau"):
+        theta_four(0.1j, Modulus.generic(complex(0.3, 1e-300)))
+
+
+def test_far_integer_arguments_and_moduli_fold_exactly():
+    # the integer parts of Re z and of Re tau leave as exact phases:
+    # theta(q) = e(a q) theta(0) and theta00(0, 2m + i) = theta00(0, i)
+    for m in (TAU_I, TAU_ZETA):
+        for c, ref in zip(HALF_CHARS, theta_four(0j, m)):
+            scale = _abs_series(c, 0j, m.value, False)
+            for q in (2**60, int(1e300), int(-3e200)):  # integers that binary64 holds exactly
+                phase = e_of(float(c.a * q % 1))
+                assert abs(theta(c, float(q), m) - phase * ref) <= 1e-15 * scale, (m, c, q)
+                assert abs(theta_four(float(q), m)[HALF_CHARS.index(c)] - phase * ref) <= 1e-15 * scale
+    ref = theta(C00, 0j, TAU_I)
+    for re_tau in (2.0, 2.0**40, 1e16, 2.0**60 + 2.0**8, 1e300, -1e300):
+        assert abs(theta(C00, 0j, Modulus.generic(complex(re_tau, 1.0))) - ref) <= 1e-15 * abs(ref), re_tau
+
+
+def test_reduced_theta_dz_matches_jtheta():
+    # theta' through the reduction, with its -2 pi i alpha theta term and one
+    # factor s per step, against mpmath.jtheta(derivative=1)
+    rng = random.Random(106)
+    for tau in (complex(0.3, 1e-3), complex(-0.45, 1e-2)):
+        m = Modulus.generic(tau)
+        for c in (C00, C11, SEXTIC_CHARS[3]):
+            z = rng.uniform(-2.0, 2.0) + rng.uniform(-3.0, 3.0) * tau
+            err = abs(theta_dz(c, z, m) - _jtheta_reference(c, z, tau, True))
+            assert err <= 1e-12 * _abs_series(c, z, tau, True), (c, tau, z)
+
+
+def test_reduced_theta_at_im_tau_1e6_against_a_direct_sum():
+    # mpmath.jtheta takes over a second a point at Im tau = 1e-6 (and
+    # refuses 1e-9), so the oracle is one 30-digit direct sum by term ratios
+    # over +-5,000 terms; the bound is the four-kernel test's, of the sum of
+    # |terms| weighted by their sensitivity to a rounding of tau
+    tau, c = complex(-0.37, 1e-6), C00
+    z = 0.4 + 0.3 * tau
+    with mpmath.workdps(30):
+        tt, w = mpmath.mpc(tau), mpmath.mpc(z)
+        h = math.ceil(math.sqrt(math.log(1e34) / (math.pi * tau.imag)))
+        k = -h - round(z.imag / tau.imag)
+        term = mpmath.exp(1j * mpmath.pi * k * (k * tt + 2 * w))
+        ratio = mpmath.exp(1j * mpmath.pi * ((2 * k + 1) * tt + 2 * w))
+        q2, total = mpmath.exp(2j * mpmath.pi * tt), mpmath.mpc(0)
+        for _ in range(2 * h + 1):
+            total, term, ratio = total + term, term * ratio, ratio * q2
+        ref = complex(total)
+    err = abs(theta(c, z, Modulus.generic(tau)) - ref)
+    assert err <= 1e-14 * _tau_conditioned_abs_series(c, z, tau)
