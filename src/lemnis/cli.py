@@ -22,94 +22,21 @@ import numpy  # noqa: F401  perfbench's import_times reads numpy's `-X importtim
 
 from .curves import (
     Curve,
-    CurvePoint,
     _curve_residual,
-    _quartic_ratios,
-    _quartic_with_thetas,
-    _sextic_ratios,
-    _sextic_with_thetas,
     abel_jacobi,
     equivalent_mod_group,
-    inverse_quartic_t_routes,
     lift_branch,
     mul_one_plus_i,
     mul_one_plus_zeta,
     special_point,
 )
 from .hypergeometric import SchwarzVariant
-from .meaniter import (
-    MeanPair,
-    closed_form_limit,
-    cubic_preimage_x0,
-    iterate_until_converged,
-)
-from .monodromy import (
-    AffineMap,
-    Ring,
-    as_affine,
-    base_change_affine,
-    general_m0_m1,
-    group_closure,
-    m0_m1_closed_form,
-    n_matrices,
-    ring_one,
-)
-from .numerics import (
-    OMEGA,
-    DomainError,
-    IterationLimitError,
-    PathError,
-    _scaled_residual,
-)
-from .theta import (
-    HALF_CHARS,
-    Modulus,
-    OmegaPower,
-    TAU_I,
-    TAU_ZETA,
-    ThetaChar,
-    TorusPoint,
-    addition_check,
-    canonical_torus_point,
-    i_multiple,
-    omega_multiple,
-    one_plus_i_multiple,
-    one_plus_zeta_multiple,
-    quasi_period_factor,
-    theta,
-    theta_constants,
-    theta_dz,
-    theta_four,
-)
+from .meaniter import MeanPair, closed_form_limit, iterate_until_converged
+from .numerics import DomainError, IterationLimitError, PathError
+from .theta import TAU_I, TAU_ZETA, Modulus, ThetaChar, canonical_torus_point, theta, theta_constants
+from .verify import SUITES, format_complex, limit_residual, sweep
 
 _DEFAULT_TOL = 1e-10
-_MASK64 = (1 << 64) - 1
-
-# Per curve: the theta inverse with its thetas, the ratio identities, the unit multiplication.
-_PER_CURVE = {
-    Curve.C_I: (_quartic_with_thetas, _quartic_ratios, mul_one_plus_i),
-    Curve.C_ZETA: (_sextic_with_thetas, _sextic_ratios, mul_one_plus_zeta),
-}
-
-
-class SplitMix64:
-    """Deterministic 64-bit generator; splittable, tiny, reproducible."""
-
-    def __init__(self, seed: int) -> None:
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        return lo + (hi - lo) * ((self.next_u64() >> 11) * 2.0 ** -53)
-
-    def int_range(self, lo: int, hi: int) -> int:
-        return lo + self.next_u64() % (hi - lo + 1)
 
 
 def parse_complex(text: str) -> complex:
@@ -122,11 +49,6 @@ def parse_complex(text: str) -> complex:
     if not cmath.isfinite(value):
         raise DomainError(f"complex number must be finite, got {text!r}")
     return value
-
-
-def format_complex(w: complex) -> str:
-    sign = "+" if w.imag >= 0 or math.isnan(w.imag) else "-"
-    return f"{w.real!r}{sign}{abs(w.imag)!r}i"
 
 
 def format_rational(f: Fraction) -> str:
@@ -228,7 +150,7 @@ def _cmd_agm(args: argparse.Namespace) -> int:
         "closed_form": repr(closed),
         "difference": repr(diff),
     }
-    residuals = [{"name": "limit_vs_closed_form", "value": _limit_residual(trace.limit, closed), "tol": tol}]
+    residuals = [{"name": "limit_vs_closed_form", "value": limit_residual(trace.limit, closed), "tol": tol}]
     return _finish("agm", inputs, outputs, residuals, None, started)
 
 
@@ -276,7 +198,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     }
     residuals = [{"name": "on_curve", "value": _curve_residual(point), "tol": tol}]
     if args.mul:
-        image = _PER_CURVE[curve][2](point)
+        image = (mul_one_plus_i if curve is Curve.C_I else mul_one_plus_zeta)(point)
         z_img = abel_jacobi(image)
         target = canonical_torus_point(curve.modulus, (1 + curve.unit) * z.z)
         witness = equivalent_mod_group(z_img, target, tol=max(tol, 1e-8))
@@ -292,264 +214,18 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify subcommand: seeded residual sweeps over the identity families.
-
-def _rand_torus(rng: SplitMix64, mod: Modulus) -> TorusPoint:
-    return canonical_torus_point(
-        mod, rng.uniform(0.03, 0.97) * mod.value + rng.uniform(0.03, 0.97)
-    )
-
-
-class _Worst:
-    """Track the max residual of a family and the sample that produced it."""
-
-    def __init__(self) -> None:
-        self.value = 0.0
-        self.sample = ""
-
-    def push(self, value: float, sample: str) -> None:
-        if value >= self.value:
-            self.value = value
-            self.sample = sample
-
-
-def _jacobi_derivative(mod: Modulus) -> _Worst:
-    # Jacobi's derivative identity theta11'(0) = -pi theta00(0) theta01(0) theta10(0)
-    k00, k01, k10, _ = mod.theta_nulls
-    lhs = theta_dz(HALF_CHARS[3], 0j, mod)
-    rhs = -math.pi * (k00 * k01 * k10)
-    worst = _Worst()
-    worst.push(_scaled_residual(lhs, rhs), "z=0")
-    return worst
-
-
-def _limit_residual(limit: float, closed: float) -> float:
-    # relative once the limit exceeds 1, so huge pairs are judged fairly
-    return abs(limit - closed) / max(1.0, abs(limit))
-
-
-def _suite_addition(rng: SplitMix64, n: int) -> dict[str, _Worst]:
-    out: dict[str, _Worst] = {}
-    for label, mod in (("tau_i", TAU_I), ("tau_zeta", TAU_ZETA)):
-        worst = _Worst()
-        for _ in range(n):
-            z1, z2 = _rand_torus(rng, mod), _rand_torus(rng, mod)
-            res = addition_check(z1.z, z2.z, mod)
-            worst.push(max(res), f"z1={format_complex(z1.z)} z2={format_complex(z2.z)}")
-        out[f"addition.{label}"] = worst
-    return out
-
-
-def _suite_tau_i(rng: SplitMix64, n: int) -> dict[str, _Worst]:
-    mod = TAU_I
-    quasi, parity, shift, itimes, oneplusi, squares = (_Worst() for _ in range(6))
-    for _ in range(n):
-        z = _rand_torus(rng, mod).z
-        tag = f"z={format_complex(z)}"
-        # one kernel call per point; each identity's other side is its own theta call
-        at_z, at_neg, at_iz = (theta_four(w, mod) for w in (z, -z, 1j * z))
-        for k, char in enumerate(HALF_CHARS):
-            p, q = rng.int_range(-2, 2), rng.int_range(-2, 2)
-            shifted = theta(char, z + p * mod.value + q, mod)
-            factor = quasi_period_factor(char, p, q, z, mod)
-            quasi.push(_scaled_residual(shifted, factor * at_z[k]), tag + f" p={p} q={q}")
-            parity.push(_scaled_residual(theta(ThetaChar(-char.a, -char.b), z, mod), at_neg[k]), tag)
-            cs = ThetaChar(char.a + p, char.b + q)
-            _, cf = cs.reduce()  # reduces to char itself
-            shift.push(_scaled_residual(theta(cs, z, mod), cf * at_z[k]), tag)
-            pref, target = i_multiple(char, z)
-            itimes.push(_scaled_residual(at_iz[k], pref * theta(target, z, mod)), tag)
-        for pair in one_plus_i_multiple(z):
-            oneplusi.push(pair.residual, tag + f" {pair.name}")
-        th00, th01, th10, th11 = at_z
-        rt2 = math.sqrt(2.0)
-        squares.push(_scaled_residual(rt2 * th01 ** 2, th00 ** 2 + th11 ** 2), tag)
-        squares.push(_scaled_residual(rt2 * th10 ** 2, th00 ** 2 - th11 ** 2), tag)
-    return {
-        "tau_i.quasi_periodicity": quasi,
-        "tau_i.parity": parity,
-        "tau_i.char_shift": shift,
-        "tau_i.i_times": itimes,
-        "tau_i.one_plus_i": oneplusi,
-        "tau_i.two_squares": squares,
-        "tau_i.jacobi_derivative": _jacobi_derivative(mod),
-    }
-
-
-def _suite_tau_zeta(rng: SplitMix64, n: int) -> dict[str, _Worst]:
-    mod = TAU_ZETA
-    omega_fam, onepz, lincomb = _Worst(), _Worst(), _Worst()
-    for _ in range(n):
-        z = _rand_torus(rng, mod).z
-        tag = f"z={format_complex(z)}"
-        # one kernel call per point; each law's target side is its own theta call
-        at_w, at_w2 = theta_four(OMEGA * z, mod), theta_four(OMEGA * OMEGA * z, mod)
-        for k, char in enumerate(HALF_CHARS):
-            for power, lhs in ((OmegaPower.OMEGA, at_w[k]), (OmegaPower.OMEGA_SQ, at_w2[k])):
-                pref, target = omega_multiple(char, z, power)
-                omega_fam.push(
-                    _scaled_residual(lhs, pref * theta(target, z, mod)), tag + f" {power.name}"
-                )
-        for pair in one_plus_zeta_multiple(z):
-            onepz.push(pair.residual, tag + f" {pair.name}")
-        th00, th01, th10, th11 = theta_four(z, mod)
-        e12 = complex(math.cos(math.pi / 6.0), math.sin(math.pi / 6.0))
-        lincomb.push(_scaled_residual(th01 ** 2, (th00 ** 2 - OMEGA * OMEGA * th11 ** 2) / e12), tag)
-        lincomb.push(_scaled_residual(th10 ** 2, e12 * (th00 ** 2 + OMEGA * th11 ** 2)), tag)
-    hi = _Worst()
-    table = theta_constants(mod)
-    for char, closed in table.items():
-        hi.push(abs(theta(char, 0j, mod) - closed), f"char=({char.a},{char.b})")
-    return {
-        "tau_zeta.omega_times": omega_fam,
-        "tau_zeta.one_plus_zeta": onepz,
-        "tau_zeta.linear_combination": lincomb,
-        "tau_zeta.constants": hi,
-        "tau_zeta.jacobi_derivative": _jacobi_derivative(mod),
-    }
-
-
-def _sample_point(rng: SplitMix64, curve: Curve) -> tuple[TorusPoint, CurvePoint, tuple]:
-    mod = curve.modulus
-    with_thetas = _PER_CURVE[curve][0]
-    for _ in range(200):
-        zp = _rand_torus(rng, mod)
-        p, th = with_thetas(zp)
-        if p.at_infinity:
-            continue
-        if abs(p.t) < 0.05 or abs(p.t - 1) < 0.05 or abs(p.t) > 40.0:
-            continue
-        return zp, p, th
-    raise IterationLimitError("failed to sample a well-conditioned curve point")
-
-
-def _suite_inverse(rng: SplitMix64, n: int) -> dict[str, _Worst]:
-    routes, on_curve, ratios = _Worst(), _Worst(), _Worst()
-    for _ in range(n):
-        for curve, (_, identities, _) in _PER_CURVE.items():
-            zp, p, th = _sample_point(rng, curve)
-            tag = f"z={format_complex(zp.z)}"
-            if curve is Curve.C_I:
-                routes.push(_scaled_residual(*inverse_quartic_t_routes(zp)), tag)
-            on_curve.push(_curve_residual(p), tag)
-            for pair in identities(p, th):
-                ratios.push(pair.residual, tag + f" {pair.name}")
-    return {
-        "inverse.t_routes": routes,
-        "inverse.on_curve": on_curve,
-        "inverse.ratio_identities": ratios,
-    }
-
-
-def _suite_multiplication(rng: SplitMix64, n: int) -> dict[str, _Worst]:
-    quartic, sextic = _Worst(), _Worst()
-    for _ in range(n):
-        for curve, fam in ((Curve.C_I, quartic), (Curve.C_ZETA, sextic)):
-            zp, p, _ = _sample_point(rng, curve)
-            with_thetas, _, mul = _PER_CURVE[curve]
-            if curve is Curve.C_ZETA and abs(4 * p.t - 3) < 0.05:
-                continue
-            image = mul(p)
-            z2 = canonical_torus_point(curve.modulus, (1 + curve.unit) * zp.z)
-            direct, _ = with_thetas(z2)
-            if image.at_infinity or direct.at_infinity:
-                continue
-            tag = f"z={format_complex(zp.z)}"
-            fam.push(_scaled_residual(image.t, direct.t), tag)
-            fam.push(_scaled_residual(image.u, direct.u), tag)
-    return {"multiplication.quartic": quartic, "multiplication.sextic": sextic}
-
-
-def _max_abs_diff(a, b) -> float:
-    # the largest entry of |a - b| for two row-major 2x2 complex matrices
-    return max(abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def _suite_monodromy(rng: SplitMix64, n: int) -> dict[str, _Worst]:
-    orders, hom, special, dual, closure = (_Worst() for _ in range(5))
-    for variant, expect in ((SchwarzVariant.QUARTIC, (2, 4, 4)), (SchwarzVariant.SEXTIC, (2, 6, 3))):
-        mats = n_matrices(variant)
-        got = tuple(m.order() for m in mats)
-        orders.push(0.0 if got == expect else 1.0, f"{variant.name}: {got}")
-        n0, n1, _ = mats
-        words = [n0, n1, n0 @ n1, n1 @ n0 @ n1]
-        for _ in range(n):
-            a = words[rng.int_range(0, len(words) - 1)]
-            b = words[rng.int_range(0, len(words) - 1)]
-            lhs = as_affine(a @ b)
-            rhs = as_affine(a) @ as_affine(b)
-            hom.push(0.0 if lhs == rhs else 1.0, variant.name)
-        alpha = variant.params.alpha
-        m0, m1 = general_m0_m1(alpha, 0.0, 0.5)
-        for got_m, ref in zip((m0, m1), (n0, n1)):
-            special.push(_max_abs_diff(base_change_affine(got_m, alpha), ref.as_complex()), variant.name)
-        summary = group_closure([as_affine(m) for m in mats], cap=2000)
-        ok = len(summary.units) == variant.root_order
-        closure.push(0.0 if ok and summary.has_translation_basis else 1.0, variant.name)
-    ga, gb = general_m0_m1(0.3, 0.2, 0.7)
-    ca, cb = m0_m1_closed_form(0.3, 0.2, 0.7)
-    dual.push(max(_max_abs_diff(ga, ca), _max_abs_diff(gb, cb)), "(0.3,0.2,0.7)")
-    ring = Ring.GAUSS
-    trans = AffineMap(ring_one(ring), ring_one(ring))
-    summary = group_closure([trans], cap=300)
-    closure.push(0.0 if set(summary.units) == {ring_one(ring)} else 1.0, "translation-only")
-    return {
-        "monodromy.orders": orders,
-        "monodromy.affine_hom": hom,
-        "monodromy.specialization": special,
-        "monodromy.dual_route": dual,
-        "monodromy.closure": closure,
-    }
-
-
-def _suite_meaniter(rng: SplitMix64, n: int) -> dict[str, _Worst]:
-    quartic, sextic, preimage = _Worst(), _Worst(), _Worst()
-    for _ in range(n):
-        a = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
-        ratio = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
-        pair = MeanPair(a, a * ratio)
-        tag = f"a={a:.6f} b={a * ratio:.6f}"
-        tq = iterate_until_converged(pair, SchwarzVariant.QUARTIC)
-        quartic.push(_limit_residual(tq.limit, closed_form_limit(pair, SchwarzVariant.QUARTIC)), tag)
-        ts = iterate_until_converged(pair, SchwarzVariant.SEXTIC)
-        sextic.push(_limit_residual(ts.limit, closed_form_limit(pair, SchwarzVariant.SEXTIC)), tag)
-        if pair.a < pair.b:
-            x0 = cubic_preimage_x0(pair)
-            val = x0 * (9 - 8 * x0) ** 2 / (4 * x0 - 3) ** 3
-            preimage.push(abs(val - (pair.b / pair.a) ** 2) / max(1.0, (pair.b / pair.a) ** 2), tag)
-    return {
-        "meaniter.quartic_limit": quartic,
-        "meaniter.sextic_limit": sextic,
-        "meaniter.cubic_preimage": preimage,
-    }
-
-
-_SUITES = {
-    "addition": _suite_addition,
-    "tau-i": _suite_tau_i,
-    "tau-zeta": _suite_tau_zeta,
-    "inverse": _suite_inverse,
-    "multiplication": _suite_multiplication,
-    "monodromy": _suite_monodromy,
-    "meaniter": _suite_meaniter,
-}
-
+# verify subcommand: seeded residual sweeps over the identity families of
+# `lemnis.verify`.
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    tol = args.tol
     if not 1 <= args.samples <= 10000:
         raise DomainError("--samples must lie in [1, 10000]")
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
-    rng = SplitMix64(args.seed)
-    residuals = []
-    worst_samples = {}
-    for name in names:
-        for family, worst in _SUITES[name](rng, args.samples).items():
-            residuals.append({"name": family, "value": worst.value, "tol": tol})
-            worst_samples[family] = worst.sample
-    inputs = {"suite": args.suite, "samples": args.samples, "tol": tol}
-    outputs = {"worst_samples": worst_samples}
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    worst = sweep(names, args.seed, args.samples)
+    residuals = [{"name": family, "value": value, "tol": args.tol} for family, (value, _) in worst.items()]
+    inputs = {"suite": args.suite, "samples": args.samples, "tol": args.tol}
+    outputs = {"worst_samples": {family: sample for family, (_, sample) in worst.items()}}
     return _finish("verify", inputs, outputs, residuals, args.seed, started)
 
 
@@ -577,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--suite",
         default="all",
-        choices=sorted(_SUITES) + ["all"],
+        choices=sorted(SUITES) + ["all"],
     )
     p_verify.add_argument("--samples", type=int, default=50)
     p_verify.add_argument("--tol", type=_tol_arg, default=_DEFAULT_TOL)

@@ -7,8 +7,8 @@ point t = 1, in closed form: with a = 1/4 on C_I and 1/6 on C_ZETA,
 
     z = (t - 1)^a / a * F(1/2, a; 1 + a; 1 - t) / normalization
 
-on principal branches, with F from `hypergeometric.gauss_2f1_pair`; the
-fiber points over t = 0 and t = infinity have Gauss-sum images.
+on principal branches, which is `hypergeometric.schwarz_map`; the fiber
+points over t = 0 and t = infinity have Gauss-sum images.
 Branch bookkeeping is stateless: the sheet of a point is read off u.
 
 The inverse maps are ratios of theta values on the corresponding square or
@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .hypergeometric import GaussParams, SchwarzVariant, gauss_2f1, gauss_2f1_pair, gauss_kummer_value
+from .hypergeometric import GaussParams, SchwarzVariant, gauss_2f1, gauss_kummer_value, schwarz_map
 from .numerics import SQRT3, ZETA, DomainError, e_of
 from .theta import (
     HALF_CHARS,
@@ -193,13 +193,8 @@ def abel_jacobi(p: CurvePoint) -> TorusPoint:
     if abs(p.t) < 1e-12:
         return canonical_torus_point(mod, curve.unit ** (p.branch % k) * _zero_image(curve))
     t = complex(p.t.real, p.t.imag + 0.0)  # -0.0 + 0.0 is +0.0
-    a = curve.exponent
-    w = t - 1
-    # F's argument 1 - t and its complement t, each exact; 1 - t on the cut
-    # of F, t < 0, lies on its lower side, the limit from Im t > 0
-    f = gauss_2f1_pair(GaussParams(0.5, a, 1.0 + a), complex(1.0 - t.real, -t.imag), t)
-    z_raw = w ** a / a * f / curve.normalization
-    u_ref = t ** 0.5 * w ** (1.0 / k)
+    z_raw = schwarz_map(curve.variant, t)
+    u_ref = t ** 0.5 * (t - 1) ** (1.0 / k)
     ratio = p.u / u_ref
     best_m, best_d = 0, abs(ratio - 1)
     for m in range(1, k):

@@ -35,9 +35,9 @@ DomainError remains where no route converges:
   alone, the line Re z = 1/2 (the boundary sum covers the unit circle
   when gamma - alpha - beta > 0).
 
-It is raised as well where a route's value of F lies outside binary64, and
-where a connection coefficient needs Gamma at an argument beyond 10^4 in
-modulus.
+It is raised as well where |z| or |1 - z|, or a route's value of F, lies
+outside binary64, and where a connection coefficient needs Gamma at an
+argument beyond 10^4 in modulus.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .numerics import (
     _dist_to_int,
     _gamma_signed,
     beta as beta_fn,
-    e_of,
 )
 
 # Terms cost next to nothing, so every route sums to well below the 1e-10 the
@@ -254,11 +253,15 @@ def gauss_2f1_pair(p: GaussParams, z: complex, zc: complex) -> complex:
     a, b, c = p.alpha, p.beta, p.gamma
     if a == 0.0 or b == 0.0 or z == 0:
         return 1.0 + 0.0j
+    try:
+        az, azc = abs(z), abs(zc)
+    except OverflowError:
+        raise DomainError(f"2F1 argument {z} has a modulus outside binary64") from None
     s = c - a - b
     ok_s = _dist_to_int(s) > _LOG_GAP
     # within 1e-13 of z = 1 the near-one route takes over where it applies;
     # where it does not, the value at z = 1 stands in for F
-    if zc == 0 or (abs(zc) < 1e-13 and not ok_s):
+    if zc == 0 or (azc < 1e-13 and not ok_s):
         if s > 0.0:
             return complex(gauss_kummer_value(p))
         raise DomainError("2F1 diverges at z = 1 when gamma - alpha - beta <= 0")
@@ -270,7 +273,6 @@ def gauss_2f1_pair(p: GaussParams, z: complex, zc: complex) -> complex:
         if not upper:
             f0, df0 = f0.conjugate(), df0.conjugate()
         return _taylor(a, b, c, centre, f0, df0, z - centre, _ABS_TOL)[0]
-    az, azc = abs(z), abs(zc)
     ok_d = _dist_to_int(a - b) > _LOG_GAP
     # (series count, modulus, usable); the last three are the first three
     # after the Pfaff map
@@ -333,17 +335,20 @@ def gauss_kummer_value(p: GaussParams) -> float:
 def schwarz_map(v: SchwarzVariant, x: complex) -> complex:
     """Ratio of the two solutions, normalized onto the period lattice.
 
-    e(a/2) (1-x)^a F(a, 1/2; 1 + a; 1-x) / (a N) with a = 1/4 (QUARTIC) or
-    1/6 (SEXTIC), N the variant's `normalization` and the principal branch
-    of the root; the prefactor is 2 sqrt(2) i / B(1/4, 1/4) or
-    2 sqrt(3) zeta / B(1/3, 1/6).
+    (x - 1)^a F(1/2, a; 1 + a; 1 - x) / (a N) with a = 1/4 (QUARTIC) or 1/6
+    (SEXTIC) and N the variant's `normalization`: the principal sheet of the
+    matching curve's Abel-Jacobi map.  It is defined at every finite x, with
+    principal branches of the powers; on the cut, real x < 1, the upper side
+    (the limit from Im x > 0) is taken for a zero Im x of either sign.  So
+    the real line maps onto the three sides of the triangle with corners at
+    the images of 0, 1 and infinity: i/2, 0 and (1 + i)/2 for QUARTIC.
     """
     x = complex(x)
-    w = 1.0 - x
-    if abs(w) >= 1.0:
-        raise DomainError(f"schwarz_map requires |1 - x| < 1, got {abs(w)}")
-    if w == 0:
-        return 0.0 + 0.0j
-    sp = v.series_params
-    a = sp.alpha
-    return e_of(a / 2) * w**a * gauss_2f1(sp, w) / (a * v.normalization)
+    if not (math.isfinite(x.real) and math.isfinite(x.imag)):
+        raise DomainError(f"schwarz_map requires a finite argument, got {x}")
+    x = complex(x.real, x.imag + 0.0)  # -0.0 + 0.0 is +0.0
+    a = v.series_params.alpha
+    # F's argument 1 - x and its complement x, each exact; for x < 0, 1 - x
+    # lies on the lower side of F's cut, the limit from Im x > 0
+    f = gauss_2f1_pair(GaussParams(0.5, a, 1.0 + a), complex(1.0 - x.real, -x.imag), x)
+    return (x - 1) ** a / a * f / v.normalization

@@ -87,10 +87,15 @@ def _sextic(a: float, b: float) -> tuple[float, float]:
         t = math.acos(b / a) / 3.0
         return a * math.sqrt((1.0 + 2.0 * math.cos(2.0 * t)) / 3.0), a * math.cos(t)
     if b > 2.0 ** 1020:
-        # b + a and b + s overflow up here; 1/8 scales every cube root by
-        # exactly 1/2, so the means come out bit for bit as if unscaled
-        qa, qb = _sextic(a / 8.0, b / 8.0)
-        return 8.0 * qa, 8.0 * qb
+        # b + a and b + s overflow up here.  Where a / 8 is exact, 1/8 scales
+        # every cube root by exactly 1/2, so the means come out as if unscaled
+        if a / 8.0 * 8.0 == a:
+            qa, qb = _sextic(a / 8.0, b / 8.0)
+            return 8.0 * qa, 8.0 * qb
+        # else a < 2^-1019, and a / 8 would round: s is b to rounding, so
+        # eta1 = 2b, and eta2 = a^2 / eta1 underflows to 0
+        r1, a23 = 2.0 * _real_root(b / 4.0, 3), _real_root(a, 3, 2)
+        return a23 * r1 / SQRT3, a23 * r1 / 2.0
     _, r1, r2 = _eta_cube_roots(a, b)
     a23 = _real_root(a, 3, 2)
     return a23 * math.sqrt(r1 * r1 + r1 * r2 + r2 * r2) / SQRT3, a23 * (r1 + r2) / 2.0

@@ -178,6 +178,8 @@ def _reduction(tau: complex) -> tuple[int, list[tuple[complex, int]], complex, c
     t, steps, root = tau - k0, [], 1.0
     while abs(t) < 1.0 - 1e-9:
         s = -1.0 / t
+        if not cmath.isfinite(s):
+            raise DomainError(f"reducing tau = {tau} leaves binary64: -1/t = {s}")
         k = round(s.real)
         steps.append((t, k))
         root *= cmath.sqrt(s / 1j)
@@ -287,14 +289,21 @@ def _lattice_sums(
     # The two neighbour ratios multiply to q2.  Exponentiate the larger one
     # (modulus at least |q2|^(1/2)) and divide for the other, so a ratio near
     # 1 is never derived from an underflowed one; if even the larger one
-    # underflows (Im tau above about 237), both are zero.
+    # underflows (Im tau above about 237), both are zero.  Rounding can put n0
+    # one off the peak, and at a huge Im tau the ratio towards the peak then
+    # overflows; the terms have underflowed there if the seed has.
     log_up = 1j * math.pi * ((2.0 * k0 + 1.0) * tau + 2.0 * w)
-    if k0 <= peak:
-        up = cmath.exp(log_up)
-        down = q2 / up if up else 0j
-    else:
-        down = cmath.exp(2j * math.pi * tau - log_up)
-        up = q2 / down if down else 0j
+    try:
+        if k0 <= peak:
+            up = cmath.exp(log_up)
+            down = q2 / up if up else 0j
+        else:
+            down = cmath.exp(2j * math.pi * tau - log_up)
+            up = q2 / down if down else 0j
+    except (OverflowError, ValueError):
+        if t0:
+            raise _overflow(z, tau) from None
+        return 0j, 0j
     if weighted:
         t0 *= 2j * math.pi
     same, other = (k0 * t0 if weighted else t0), 0j  # n0's parity, the other one

@@ -25,7 +25,7 @@ from lemnis.hypergeometric import (
     SchwarzVariant,
     gauss_2f1,
 )
-from lemnis.cli import _max_abs_diff
+from lemnis.verify import max_abs_diff as _max_abs_diff
 from lemnis.meaniter import MeanPair, closed_form_limit, iterate_until_converged
 from lemnis.monodromy import base_change_affine, general_m0_m1, n_matrices
 from lemnis.numerics import OMEGA, ZETA, e_of, gamma_real

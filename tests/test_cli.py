@@ -10,8 +10,9 @@ import random
 import pytest
 
 import lemnis.cli
-from lemnis.cli import SplitMix64, format_complex, main, parse_complex
+from lemnis.cli import main, parse_complex
 from lemnis.numerics import ZETA, DomainError, IterationLimitError
+from lemnis.verify import SUITES, SplitMix64, format_complex
 
 REPORT_KEYS = {"command", "inputs", "outputs", "residuals", "pass", "seed", "elapsed_ms"}
 
@@ -340,6 +341,14 @@ def test_verify_addition_suite(capsys):
     names = {r["name"] for r in rep["residuals"]}
     assert names == {"addition.tau_i", "addition.tau_zeta"}
     assert set(rep["outputs"]["worst_samples"]) == names
+
+
+def test_verify_reports_each_suites_families_in_table_order(capsys):
+    for suite, (families, _) in SUITES.items():
+        code, rep, _ = run_cli(capsys, ["verify", "--suite", suite, "--samples", "1"])
+        assert code == 0 and rep["pass"], suite
+        assert [r["name"] for r in rep["residuals"]] == list(families), suite
+        assert list(rep["outputs"]["worst_samples"]) == sorted(families), suite
 
 
 def test_verify_monodromy_exact_checks(capsys):

@@ -10,14 +10,18 @@ import mpmath
 import pytest
 
 from lemnis import (
+    Curve,
     DomainError,
     GaussParams,
     IterationLimitError,
     SchwarzVariant,
+    abel_jacobi,
     gamma_real,
     gauss_2f1,
     gauss_2f1_pair,
     gauss_kummer_value,
+    lattice_distance,
+    lift_branch,
     schwarz_map,
 )
 from lemnis.hypergeometric import _gauss_sum
@@ -340,9 +344,65 @@ def test_schwarz_map_interval_is_vertical():
         assert s.imag > 0.0
 
 
-def test_schwarz_map_rejects_far_arguments():
-    with pytest.raises(DomainError):
-        schwarz_map(QUARTIC, 2.5)
+def _schwarz_closed_form(v, x):
+    # (x - 1)^a F(1/2, a; 1 + a; 1 - x) / (a N) at 30 digits, principal branches
+    with mpmath.workdps(30):
+        a = mpmath.mpf(1) / v.root_order
+        if v is QUARTIC:
+            n = (1 - 1j) * mpmath.beta(a, a)
+        else:
+            n = (1 - mpmath.exp(2j * mpmath.pi / 3)) * mpmath.beta(2 * a, a)
+        x = mpmath.mpc(x)
+        return complex((x - 1) ** a * mpmath.hyp2f1(0.5, a, 1 + a, 1 - x) / (a * n))
+
+
+def test_schwarz_map_beyond_the_disk_matches_abel_jacobi_and_mpmath():
+    # the map is the principal sheet of the Abel-Jacobi map on the whole
+    # plane, not only on |1 - x| < 1; at 2.5 the two agree bit for bit
+    rng = random.Random(151)
+    for v, curve in ((QUARTIC, Curve.C_I), (SEXTIC, Curve.C_ZETA)):
+        assert schwarz_map(v, 2.5) == abel_jacobi(lift_branch(curve, 2.5)).z
+        # 1 - x on a seeded annulus 1 <= |1 - x| <= 8, all outside the old disk
+        outside = [1 - rng.uniform(1.0, 8.0) * cmath.exp(2j * math.pi * rng.random()) for _ in range(40)]
+        for x in [2.5, *outside]:
+            s = schwarz_map(v, x)
+            assert lattice_distance(curve.modulus, s, abel_jacobi(lift_branch(curve, x)).z) < 1e-14, x
+            assert abs(s - _schwarz_closed_form(v, x)) < 1e-14, x
+
+
+def test_schwarz_map_real_line_maps_onto_the_triangle():
+    # from the upper side, (-inf, 0), (0, 1) and (1, inf) land on the three
+    # sides of the triangle whose corners are the images of 0, 1 and infinity
+    zeta = cmath.exp(1j * math.pi / 3)
+    rng = random.Random(152)
+    for v, (c0, c1, cinf) in ((QUARTIC, (0.5j, 0j, (1 + 1j) / 2)), (SEXTIC, (zeta / 2, 0j, (1 + zeta) / 3))):
+        assert abs(schwarz_map(v, 0.0) - c0) < 1e-15
+        assert schwarz_map(v, 1.0) == c1
+        assert abs(schwarz_map(v, 1e300) - cinf) < 1e-15
+        sides = (
+            (lambda u: -(10.0 ** u), cinf, c0),
+            (lambda u: 1.0 / (1.0 + 10.0 ** -u), c0, c1),
+            (lambda u: 1.0 + 10.0 ** u, c1, cinf),
+        )
+        for x_of, p, q in sides:
+            for _ in range(30):
+                x = x_of(rng.uniform(-12.0, 12.0))
+                s = schwarz_map(v, x)
+                assert schwarz_map(v, complex(x, -0.0)) == s  # a zero Im x takes the upper side
+                along = (s - p) * (q - p).conjugate() / abs(q - p) ** 2
+                assert abs(along.imag) < 1e-14 and -1e-14 < along.real < 1 + 1e-14, (v, x)
+
+
+def test_argument_modulus_outside_binary64_is_a_domain_error():
+    # abs(z) itself overflows past 1.8e308, and a non-finite x has no value
+    for z in (complex(1.7e308, 1.7e308), complex(-1.7e308, -1.7e308)):
+        with pytest.raises(DomainError):
+            gauss_2f1(QP, z)
+        with pytest.raises(DomainError):
+            schwarz_map(QUARTIC, z)
+    for x in (math.inf, math.nan, complex(1.0, -math.inf)):
+        with pytest.raises(DomainError):
+            schwarz_map(SEXTIC, x)
 
 
 def test_quadratic_argument_rewrite_quartic():

@@ -364,6 +364,15 @@ def test_sextic_mean_at_the_top_of_the_range():
         assert abs(trace.limit - lim) <= 2e-15 * lim, (a, b)
 
 
+def test_sextic_limit_with_a_subnormal_entry():
+    # a / 8 rounds for a subnormal a; 9.6025228862853461e-114 is a 60-digit
+    # mpmath run of 60 sextic steps from the same pair
+    p = MeanPair(5e-324, 1e308)
+    ref = 9.6025228862853461e-114
+    assert abs(iterate_until_converged(p, SEXTIC).limit - ref) <= 1e-13 * ref
+    assert abs(closed_form_limit(p, SEXTIC) - ref) <= 1e-13 * ref
+
+
 def test_limit_is_homogeneous():
     rng = random.Random(125)
     for _ in range(20):

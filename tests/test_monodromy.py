@@ -34,7 +34,7 @@ from lemnis import (
     units,
 )
 import lemnis
-from lemnis.cli import _max_abs_diff
+from lemnis.verify import max_abs_diff as _max_abs_diff
 from lemnis.monodromy import _unit_subgroup
 
 G = Ring.GAUSS

@@ -292,6 +292,24 @@ def test_theta_overflow_is_a_domain_error():
     assert abs(theta_dz(C00, 10.25j, TAU_I)) > 1e140
 
 
+def test_terms_below_binary64_at_huge_im_tau_sum_to_zero():
+    # every term lies below exp(-pi 1e300 / 4); rounding puts the peak index
+    # one off, so the ratio towards the peak is about exp(2 pi 12419.6)
+    c = ThetaChar(Fraction(-1, 2), Fraction(1, 4))
+    m = Modulus.generic(complex(-1.04e11, 1e300))
+    z = complex(1e308, -12419.6)
+    assert theta(c, z, m) == 0j
+    assert theta_dz(c, z, m) == 0j
+
+
+def test_reduction_leaving_binary64_is_a_domain_error():
+    # -1/tau is infinite at tau = 5e-324 + 5e-324 i
+    m = Modulus.generic(complex(5e-324, 5e-324))
+    for f in (lambda: theta(C00, 0.1, m), lambda: theta_four(0.1, m), lambda: lattice_distance(m, 0.1, 0j)):
+        with pytest.raises(DomainError, match="binary64"):
+            f()
+
+
 def test_non_finite_modulus_is_a_domain_error():
     nan, inf = float("nan"), float("inf")
     for tau in (complex(0, nan), complex(0, inf), complex(nan, 1), complex(inf, 1), complex(0.5, -inf)):
