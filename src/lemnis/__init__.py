@@ -24,7 +24,6 @@ from .hypergeometric import (
 from .theta import (
     IdentityPair,
     Modulus,
-    ModulusTag,
     OmegaPower,
     TAU_I,
     TAU_ZETA,

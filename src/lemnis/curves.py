@@ -143,15 +143,20 @@ def lift_branch(curve: Curve, t: complex, k: int = 0) -> CurvePoint:
     """The point over t on sheet k, counted from the principal sheet.
 
     The principal sheet takes principal logarithms of t and t - 1, so u is
-    real positive on (1, infinity) and the cut sits on (-infinity, 1]; on
-    the cut the upper side is used.  Ramification values are rejected.
+    real positive on (1, infinity); on the cut (-infinity, 1] a zero Im t
+    of either sign takes the upper side.  Ramification values are rejected.
     """
     t = complex(t)
     if abs(t) < 1e-12 or abs(t - 1) < 1e-12:
         raise DomainError("ramification value; use special_point")
-    u0 = cmath.exp(0.5 * cmath.log(t) + cmath.log(t - 1) / curve.root_order)
     k = k % curve.root_order
-    return CurvePoint(curve, t, curve.unit ** k * u0, branch=k)
+    return CurvePoint(curve, t, curve.unit ** k * _principal_u(curve, t), branch=k)
+
+
+def _principal_u(curve: Curve, t: complex) -> complex:
+    # u = t^(1/2) (t - 1)^(1/k) on principal logarithms, upper side on the cut
+    t = complex(t.real, t.imag + 0.0)  # -0.0 + 0.0 is +0.0
+    return cmath.exp(0.5 * cmath.log(t) + cmath.log(t - 1) / curve.root_order)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +183,7 @@ def abel_jacobi(p: CurvePoint) -> TorusPoint:
 
     The closed form of the module docstring gives the integral on the
     principal sheet, u = t^(1/2) (t - 1)^(1/k) on principal branches; on the
-    cut t <= 0 a zero Im t of either sign takes the upper side, the limit
+    cut t < 1 a zero Im t of either sign takes the upper side, the limit
     from Im t > 0.  The sheet of the target point then multiplies the
     result by the matching unit power, since the deck transformation scales
     the 1-form by exactly that unit.
@@ -192,10 +197,8 @@ def abel_jacobi(p: CurvePoint) -> TorusPoint:
         return canonical_torus_point(mod, 0j)
     if abs(p.t) < 1e-12:
         return canonical_torus_point(mod, curve.unit ** (p.branch % k) * _zero_image(curve))
-    t = complex(p.t.real, p.t.imag + 0.0)  # -0.0 + 0.0 is +0.0
-    z_raw = schwarz_map(curve.variant, t)
-    u_ref = t ** 0.5 * (t - 1) ** (1.0 / k)
-    ratio = p.u / u_ref
+    z_raw = schwarz_map(curve.variant, p.t)
+    ratio = p.u / _principal_u(curve, p.t)
     best_m, best_d = 0, abs(ratio - 1)
     for m in range(1, k):
         d = abs(ratio - curve.unit ** m)
@@ -270,8 +273,8 @@ def _sextic_with_thetas(zp: TorusPoint) -> tuple[CurvePoint, tuple | None]:
 
 
 def _require_modulus(zp: TorusPoint, mod: Modulus) -> None:
-    if zp.modulus.tag is not mod.tag:
-        raise DomainError(f"torus point lives on {zp.modulus.tag}, expected {mod.tag}")
+    if zp.modulus.value != mod.value:
+        raise DomainError(f"torus point lives on tau = {zp.modulus.value}, expected {mod.value}")
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +406,9 @@ class GroupWitness:
 
 def equivalent_mod_group(zp1: TorusPoint, zp2: TorusPoint, tol: float = 1e-8) -> GroupWitness:
     """Test z1 = unit * z2 + lattice and report the witness pair."""
-    if zp1.modulus.tag is not zp2.modulus.tag:
+    if zp1.modulus.value != zp2.modulus.value:
         raise DomainError("points live on different tori")
-    curve = next((c for c in Curve if c.modulus.tag is zp1.modulus.tag), None)
+    curve = next((c for c in Curve if c.modulus.value == zp1.modulus.value), None)
     if curve is None:
         raise DomainError("group equivalence needs the square or hexagonal torus")
     best = None

@@ -42,6 +42,7 @@ argument beyond 10^4 in modulus.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -185,6 +186,12 @@ def _gauss_sum(c: float, s: float, x: float, y: float) -> float:
         raise DomainError(f"Gauss sum of {(c, s, x, y)} lies outside binary64") from None
 
 
+def _power(x: complex, e: float) -> complex:
+    # x^e in polar form, bit for bit as complex ** takes it at a non-integer e;
+    # at an integer e, ** multiplies repeatedly and overflows to NaN
+    return cmath.rect(abs(x) ** e, e * math.atan2(x.imag, x.real))
+
+
 def _base_route(kind: int, a: float, b: float, c: float, x: complex, xc: complex) -> complex:
     # kind 0: direct in x; 1: near-one, in xc = 1 - x; 2: in 1/x.  The
     # powers take principal branches, so a signed zero on the cut counts.
@@ -193,14 +200,14 @@ def _base_route(kind: int, a: float, b: float, c: float, x: complex, xc: complex
     if kind == 1:
         s = c - a - b
         ca, cb = _gauss_sum(c, s, c - a, c - b), _gauss_sum(c, -s, a, b)
-        return ca * _series(a, b, 1.0 - s, xc, _ABS_TOL) + cb * xc ** s * _series(
+        return ca * _series(a, b, 1.0 - s, xc, _ABS_TOL) + cb * _power(xc, s) * _series(
             c - a, c - b, s + 1.0, xc, _ABS_TOL
         )
     ca, cb = _gauss_sum(c, b - a, b, c - a), _gauss_sum(c, a - b, a, c - b)
     y = 1.0 / x
-    return ca * (-x) ** -a * _series(a, a - c + 1.0, a - b + 1.0, y, _ABS_TOL) + cb * (
-        -x
-    ) ** -b * _series(b, b - c + 1.0, b - a + 1.0, y, _ABS_TOL)
+    return ca * _power(-x, -a) * _series(a, a - c + 1.0, a - b + 1.0, y, _ABS_TOL) + (
+        cb * _power(-x, -b) * _series(b, b - c + 1.0, b - a + 1.0, y, _ABS_TOL)
+    )
 
 
 def _taylor(
@@ -298,11 +305,11 @@ def gauss_2f1_pair(p: GaussParams, z: complex, zc: complex) -> complex:
             q, v = -z / zc, 1.0 / zc
             w = complex(q.real, math.copysign(q.imag, -z.imag))
             wc = complex(v.real, math.copysign(v.imag, z.imag))
-            return zc ** -a * _base_route(best - 3, a, c - b, c, w, wc)
+            return _power(zc, -a) * _base_route(best - 3, a, c - b, c, w, wc)
         if best >= 0:
             return _base_route(best, a, b, c, z, zc)
     except OverflowError:
-        # complex powers raise where a float product would give inf
+        # a power outside binary64 raises where a float product would give inf
         raise DomainError(f"2F1 overflows binary64 at {z} for these parameters") from None
     if abs(az - 1.0) <= 1e-12 and s > 0.0:
         return _series(a, b, c, z, _BOUNDARY_TOL, s)

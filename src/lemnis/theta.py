@@ -7,20 +7,21 @@ The series used everywhere is
 with exact rational (a, b), whose floats are taken once per characteristic.
 One kernel sums it, outward from the largest term by term ratios over a
 window centred on that term that ends at 2^-56 of it, and keeps the even-n
-and odd-n parts apart.  At tau = i and zeta the series is summed as it
-stands, and `theta_four` takes the four half characteristics from the two
-lattices n and n + 1/2, where b = 1/2 only flips the sign of the odd part.
-Any other tau is first reduced to the fundamental domain (|Re tau| <= 1/2,
-|tau| >= 1) by the steps `lattice_distance` also takes: z goes into the
-characteristic, each step moves the theta constant, and the kernel sums at
-most 9 terms (11 for `theta_dz`).  Every law on tau is a word in S: (z, tau)
--> (z/tau, -1/tau), T: tau -> tau + 1 and t = T^-1, letters acting left to
-right, applied by one composer (Mumford, Tata Lectures on Theta I, ch.
-I-II): SHIFT is T, INVERT is S, and the words SSS, STSS and tS, which fix
-i and zeta = (1+sqrt(3)i)/2, give theta(i z, i), theta(omega z, zeta) and
-theta(omega^2 z, zeta).  Closed forms give the theta constants at both
-square moduli.  Every prefactor goes through one checked exponential, so a
-value outside binary64 is a DomainError.
+and odd-n parts apart.  Each tau is reduced once per Modulus to the
+fundamental domain F (|Re tau| <= 1/2, |tau| >= 1) by the steps
+`lattice_distance` also takes.  At every tau in F, i and zeta among them,
+the series is summed as it stands, and `theta_four` takes the four half
+characteristics from the two lattices n and n + 1/2, where b = 1/2 only
+flips the sign of the odd part.  Any other tau is summed at its reduction: z
+goes into the characteristic, each step moves the theta constant, and the
+kernel sums at most 9 terms (11 for `theta_dz`).  Every law on tau is a word
+in S: (z, tau) -> (z/tau, -1/tau), T: tau -> tau + 1 and t = T^-1, letters
+acting left to right, applied by one composer (Mumford, Tata Lectures on
+Theta I, ch. I-II): SHIFT is T, INVERT is S, and the words SSS, STSS and tS,
+which fix i and zeta = (1+sqrt(3)i)/2, give theta(i z, i), theta(omega z,
+zeta) and theta(omega^2 z, zeta).  Closed forms give the theta constants at
+both square moduli.  Every prefactor goes through one checked exponential,
+so a value outside binary64 is a DomainError.
 """
 
 from __future__ import annotations
@@ -129,17 +130,10 @@ def _reduce(c: ThetaChar) -> tuple[ThetaChar, complex]:
     return ThetaChar(a0, b0), e_of(float(a0 * q))
 
 
-class ModulusTag(Enum):
-    TAU_I = "i"
-    TAU_ZETA = "zeta"
-    GENERIC = "generic"
-
-
 @dataclass(frozen=True)
 class Modulus:
-    """Point tau of the upper half plane, with the two square moduli tagged."""
+    """Point tau of the upper half plane."""
 
-    tag: ModulusTag
     value: complex
 
     def __post_init__(self) -> None:
@@ -150,30 +144,33 @@ class Modulus:
 
     @classmethod
     def generic(cls, tau: complex) -> "Modulus":
-        return cls(ModulusTag.GENERIC, complex(tau))
-
-    @functools.cached_property
-    def q2(self) -> complex:
-        """e(tau), the factor between consecutive term ratios of the series."""
-        return _e(self.value)
+        return cls(complex(tau))
 
     @functools.cached_property
     def theta_nulls(self) -> tuple[complex, complex, complex, complex]:
         """theta_four(0, tau): the four theta constants, summed once per modulus."""
         return theta_four(0j, self)
 
+    def _reduced_tau(self) -> tuple[int, list[tuple[complex, int]], complex, complex, complex]:
+        # _reduction(tau), kept once per modulus; a cached_property's lock would
+        # cost about as much as the loop.  k0 = 0 and no step mean tau is in F.
+        red = self.__dict__.get("_reduced")
+        if red is None:
+            red = self.__dict__["_reduced"] = _reduction(self.value)
+        return red
+
     @functools.cached_property
     def _reduced_basis(self) -> tuple[complex, complex]:
         # (u, t) with Z tau + Z = u (Z t + Z) and t in F, u the product of the
-        # reduction's steps' t; tau = i and tau = zeta keep u = 1.
-        _, steps, t, _ = _reduction(self.value)
+        # reduction's steps' t; tau in F keeps u = 1.
+        _, steps, t, _, _ = self._reduced_tau()
         return math.prod((s for s, _ in steps), start=1.0), t
 
 
-def _reduction(tau: complex) -> tuple[int, list[tuple[complex, int]], complex, complex]:
+def _reduction(tau: complex) -> tuple[int, list[tuple[complex, int]], complex, complex, complex]:
     # The one reduction loop: tau = t + k0, |Re t| <= 1/2, then while |t| < 1
     # - 1e-9 a step t = S T^k (t'), s = -1/t, k = round(Re s), t' = s - k.
-    # Returns k0, each step's (t, k), the t in F and prod sqrt(s/i).
+    # Returns k0, each step's (t, k), the t in F, prod sqrt(s/i) and e(t).
     k0 = round(tau.real)
     t, steps, root = tau - k0, [], 1.0
     while abs(t) < 1.0 - 1e-9:
@@ -184,11 +181,11 @@ def _reduction(tau: complex) -> tuple[int, list[tuple[complex, int]], complex, c
         steps.append((t, k))
         root *= cmath.sqrt(s / 1j)
         t = s - k
-    return k0, steps, t, root
+    return k0, steps, t, root, cmath.exp(2j * math.pi * t)  # e(t) in F: no overflow
 
 
-TAU_I = Modulus(ModulusTag.TAU_I, 1j)
-TAU_ZETA = Modulus(ModulusTag.TAU_ZETA, ZETA)
+TAU_I = Modulus(1j)
+TAU_ZETA = Modulus(ZETA)
 
 
 @dataclass(frozen=True)
@@ -335,9 +332,10 @@ def _turns(p: Fraction, n: int) -> float:
 
 
 def _value(c: ThetaChar, z: complex, m: Modulus, weighted: bool) -> complex:
-    if m.tag is ModulusTag.GENERIC or not abs(z.real) < _FOLD:
-        return _reduced(c, z, m.value, _reduction(m.value), weighted)
-    even, odd = _lattice_sums(c.af, z + c.bf, z, m.value, m.q2, weighted)
+    k0, steps, _, _, q2 = red = m._reduced_tau()
+    if k0 or steps or not abs(z.real) < _FOLD:
+        return _reduced(c, z, m.value, red, weighted)
+    even, odd = _lattice_sums(c.af, z + c.bf, z, m.value, q2, weighted)
     return even + odd
 
 
@@ -351,7 +349,7 @@ def _reduced(c: ThetaChar, z: complex, tau: complex, red: tuple, weighted: bool)
     # that factor times theta'_{A,B}(0) - 2 pi i alpha theta_{A,B}(0).  A step
     # S T^k moves theta_{A,B}(0) by its letter laws and sqrt(s/i), theta'_{A,B}(0)
     # by s sqrt(s/i) (the S law's z-derivative at 0); the s multiply to i^n root^2.
-    k0, steps, reduced, root = red
+    k0, steps, reduced, root, q2 = red
     a, b, bf, turns, n = c.a, c.b, c.bf, 0.0, 0
     if k0:
         a, b, phase = _letter(a, b, k0)
@@ -371,7 +369,6 @@ def _reduced(c: ThetaChar, z: complex, tau: complex, red: tuple, weighted: bool)
             j = round(big_b)
             big_b -= j
             turns = (turns + phase_s + phase_t + big_a * j) % 1.0  # each step mod 1
-    q2 = cmath.exp(2j * math.pi * reduced)  # e(t) in F: no overflow
     even, odd = _lattice_sums(big_a, w + big_b, w, reduced, q2, weighted)
     value = even + odd
     if weighted and steps:
@@ -481,11 +478,11 @@ def theta_four(z: complex, m: Modulus) -> tuple[complex, complex, complex, compl
     theta10 = E1 + O1, theta11 = i (E1 - O1).
     """
     z = complex(z)
-    if m.tag is ModulusTag.GENERIC or not abs(z.real) < _FOLD:  # one reduction, four characteristics
-        red = _reduction(m.value)
+    k0, steps, _, _, q2 = red = m._reduced_tau()
+    if k0 or steps or not abs(z.real) < _FOLD:  # one reduction, four characteristics
         return tuple(_reduced(c, z, m.value, red, False) for c in HALF_CHARS)
-    e0, o0 = _lattice_sums(0.0, z, z, m.value, m.q2, False)
-    e1, o1 = _lattice_sums(0.5, z, z, m.value, m.q2, False)
+    e0, o0 = _lattice_sums(0.0, z, z, m.value, q2, False)
+    e1, o1 = _lattice_sums(0.5, z, z, m.value, q2, False)
     return e0 + o0, e0 - o0, e1 + o1, 1j * (e1 - o1)
 
 
@@ -606,7 +603,7 @@ def theta_constants(m: Modulus) -> dict[ThetaChar, complex]:
     All values reduce to gamma factors times exact roots of unity; the
     vanishing theta_{1/2,1/2}(0) is tabulated as exactly zero.
     """
-    if m.tag is ModulusTag.TAU_I:
+    if m.value == TAU_I.value:
         g4 = gamma_real(0.25)
         return {
             _C00: complex(g4 / (4.0 * math.pi**3) ** 0.25),
@@ -614,7 +611,7 @@ def theta_constants(m: Modulus) -> dict[ThetaChar, complex]:
             _C10: complex(g4 / (2.0 * math.pi) ** 0.75),
             _C11: 0.0 + 0.0j,
         }
-    if m.tag is ModulusTag.TAU_ZETA:
+    if m.value == TAU_ZETA.value:
         g3 = gamma_real(1.0 / 3.0) ** 1.5
         big = 3.0**0.125 / (4.0 ** (1.0 / 3.0) * math.pi) * g3
         small = 3.0**0.125 / (2.0 * math.pi) * g3

@@ -34,6 +34,7 @@ from lemnis.curves import _curve_residual
 from lemnis.hypergeometric import SchwarzVariant, schwarz_map
 from lemnis.numerics import ZETA, DomainError, beta
 from lemnis.theta import (
+    Modulus,
     TAU_I,
     TAU_ZETA,
     canonical_torus_point,
@@ -56,8 +57,8 @@ def test_curve_enum_data():
     assert Curve.C_ZETA.root_order == 6
     assert Curve.C_I.unit == 1j
     assert abs(Curve.C_ZETA.unit - ZETA) < 1e-15
-    assert Curve.C_I.modulus.tag is TAU_I.tag
-    assert Curve.C_ZETA.modulus.tag is TAU_ZETA.tag
+    assert Curve.C_I.modulus is TAU_I
+    assert Curve.C_ZETA.modulus is TAU_ZETA
 
 
 def test_curve_point_checks_equation():
@@ -122,6 +123,18 @@ def test_lift_branch_examples():
             assert abs(u.imag) < 1e-14 and u.real > 0
     # sheet index wraps modulo the root order
     assert abs(lift_branch(Curve.C_I, 2.0, 5).u - lift_branch(Curve.C_I, 2.0, 1).u) < 1e-14
+
+
+def test_signed_zero_on_the_cuts_takes_the_upper_side():
+    # t = x +- 0.0 on both cuts, x < 0 and 0 < x < 1, on every sheet: one u,
+    # one Abel-Jacobi image, and that u is the limit from Im t > 0
+    for curve in Curve:
+        for x in (-1e6, -2.0, -0.5, 0.25, 0.5, 0.9):
+            for k in range(curve.root_order):
+                up, down = (lift_branch(curve, complex(x, y), k) for y in (0.0, -0.0))
+                assert up.u == down.u and abel_jacobi(up) == abel_jacobi(down), (curve, x, k)
+                near = lift_branch(curve, complex(x, 1e-13), k)
+                assert abs(near.u - up.u) <= 1e-9 * abs(up.u), (curve, x, k)
 
 
 def test_lift_branch_rejects_ramification():
@@ -287,8 +300,8 @@ def _assert_roundtrips(ts):
 
 def test_roundtrip_on_both_sides_of_the_cuts():
     # t = +-x +- 0.0 puts t on the cut of t^(1/2) (x < 0 side) or of
-    # (t - 1)^(1/k) (0 < t < 1); the two signed zeros lift to different
-    # sheets, and each must come back as it went in
+    # (t - 1)^(1/k) (0 < t < 1); both signed zeros lift to the upper side,
+    # and each must come back as it went in
     xs = [10.0 ** e for e in (-12, -9, -6, -3, -0.5, 0.5, 3, 6, 9, 12)]
     _assert_roundtrips([complex(sx * x, sy * 0.0) for x in xs for sx in (1, -1) for sy in (1, -1)])
     _assert_roundtrips([complex(1 + x, sy * 0.0) for x in xs for sy in (1, -1)])
@@ -595,6 +608,18 @@ def test_equivalent_mod_group_witnesses():
 
     with pytest.raises(DomainError):
         equivalent_mod_group(_cpt(TAU_I, 0.1 + 0.1j), _cpt(TAU_ZETA, 0.1 + 0.1j))
+
+
+def test_points_of_one_tau_are_one_torus_however_built():
+    # a modulus built from the number i or zeta is TAU_I or TAU_ZETA: the
+    # inverses agree bit for bit, and the group test sees one torus
+    for mod, inverse in ((TAU_I, inverse_quartic), (TAU_ZETA, inverse_sextic)):
+        same = Modulus.generic(mod.value)
+        for z in (0.3 + 0.2j, 0.1 + 0.7j, 0.77 + 0.05j):
+            p, q = inverse(_cpt(same, z)), inverse(_cpt(mod, z))
+            assert (p.t, p.u) == (q.t, q.u), (mod, z)
+            w = equivalent_mod_group(_cpt(same, z), _cpt(mod, z))
+            assert w.equivalent and w.distance == 0.0, (mod, z)
 
 
 def test_equivalent_mod_group_reports_the_true_distance():

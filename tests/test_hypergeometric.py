@@ -274,6 +274,32 @@ def test_overflow_is_a_domain_error():
         assert cmath.isfinite(value), (p, z)
 
 
+def test_integer_alpha_off_the_disk_is_finite_and_matches_mpmath():
+    # At an integer exponent, complex ** multiplies repeatedly and overflows
+    # to NaN where the power itself is finite.  A fixed triple and a seeded
+    # sweep of integer alpha, |z| log-uniform in [1, 1e308], against 30-digit
+    # mpmath, relative to the value or to the least normal float.
+    rng = random.Random(31)
+    draws = [(GaussParams(3.0, -0.32163849817441026, -4.429447531648529), 1e308 - 18.98j)]
+    draws += [(GaussParams(2.0, 0.4, 1.3), -1e200 + 1e199j)]
+    for i in range(400):
+        a = rng.choice((1.0, 2.0, 3.0))
+        p = GaussParams(2.0, 0.4, 1.3) if i % 2 else GaussParams(a, rng.uniform(-2, 2), rng.uniform(-5, 5))
+        draws.append((p, cmath.rect(10 ** rng.uniform(0, 308), rng.uniform(-math.pi, math.pi))))
+    returned = 0
+    with mpmath.workdps(30):
+        for p, z in draws:
+            try:
+                value = gauss_2f1(p, z)
+            except DomainError:
+                continue
+            returned += 1
+            assert cmath.isfinite(value), (p, z)
+            ref = mpmath.hyp2f1(p.alpha, p.beta, p.gamma, mpmath.mpc(z))
+            assert abs(mpmath.mpc(value) - ref) <= 1e-12 * max(abs(ref), 2.2250738585072014e-308), (p, z)
+    assert returned > 350
+
+
 def test_unit_circle_points():
     p = QP
     rng = random.Random(82)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -147,6 +148,17 @@ def test_tau_i_constant_table():
 def test_generic_modulus_has_no_table():
     with pytest.raises(DomainError):
         theta_constants(GENERIC)
+
+
+def test_a_modulus_is_its_tau():
+    # one field, tau: a modulus built from i or zeta is TAU_I or TAU_ZETA and
+    # has its table, and 2i has none
+    assert [f.name for f in dataclasses.fields(Modulus)] == ["value"]
+    for tau in (TAU_I, TAU_ZETA):
+        same = Modulus.generic(tau.value)
+        assert same == tau and theta_constants(same) == theta_constants(tau)
+    with pytest.raises(DomainError):
+        theta_constants(Modulus(2j))
 
 
 def test_quasi_periodicity():
