@@ -62,6 +62,7 @@ from .numerics import (
 # package reports against; the boundary sum, whose tail decays only
 # algebraically, stops at 1e-10.
 _ABS_TOL = 1e-14
+_LOG_ABS_TOL = math.log(_ABS_TOL)
 _BOUNDARY_TOL = 1e-10
 _LOG_GAP = 0.05  # how far from Z a connection formula needs its exponent difference
 _BALL_RADIUS = 0.45  # of the re-expansion balls around e^{+-i pi/3}; their radius of convergence is 1
@@ -77,12 +78,12 @@ class GaussParams:
     beta: float
     gamma: float
 
-    def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.alpha, self.beta, self.gamma))):
+    def __init__(self, alpha: float, beta: float, gamma: float) -> None:
+        self.__dict__.update(alpha=alpha, beta=beta, gamma=gamma)  # first: a message shows the repr
+        if not (math.isfinite(alpha) and math.isfinite(beta) and math.isfinite(gamma)):
             raise DomainError(f"parameters must be finite, got {self}")
-        g = self.gamma
-        if g <= 0.0 and abs(g - round(g)) < 1e-12:
-            raise DomainError(f"gamma must avoid 0, -1, -2, ..., got {g}")
+        if gamma <= 0.0 and abs(gamma - round(gamma)) < 1e-12:
+            raise DomainError(f"gamma must avoid 0, -1, -2, ..., got {gamma}")
 
 
 class SchwarzVariant(Enum):
@@ -195,19 +196,19 @@ def _power(x: complex, e: float) -> complex:
 def _base_route(kind: int, a: float, b: float, c: float, x: complex, xc: complex) -> complex:
     # kind 0: direct in x; 1: near-one, in xc = 1 - x; 2: in 1/x.  The
     # powers take principal branches, so a signed zero on the cut counts.
+    # A term whose coefficient is 1/Gamma at a pole, exactly 0, is left out
+    # before its power is taken: that power may leave binary64 where F does not.
     if kind == 0:
         return _series(a, b, c, x, _ABS_TOL)
     if kind == 1:
         s = c - a - b
         ca, cb = _gauss_sum(c, s, c - a, c - b), _gauss_sum(c, -s, a, b)
-        return ca * _series(a, b, 1.0 - s, xc, _ABS_TOL) + cb * _power(xc, s) * _series(
-            c - a, c - b, s + 1.0, xc, _ABS_TOL
-        )
+        first = ca * _series(a, b, 1.0 - s, xc, _ABS_TOL) if ca else 0j
+        return first + (cb * _power(xc, s) * _series(c - a, c - b, s + 1.0, xc, _ABS_TOL) if cb else 0j)
     ca, cb = _gauss_sum(c, b - a, b, c - a), _gauss_sum(c, a - b, a, c - b)
     y = 1.0 / x
-    return ca * _power(-x, -a) * _series(a, a - c + 1.0, a - b + 1.0, y, _ABS_TOL) + (
-        cb * _power(-x, -b) * _series(b, b - c + 1.0, b - a + 1.0, y, _ABS_TOL)
-    )
+    first = ca * _power(-x, -a) * _series(a, a - c + 1.0, a - b + 1.0, y, _ABS_TOL) if ca else 0j
+    return first + (cb * _power(-x, -b) * _series(b, b - c + 1.0, b - a + 1.0, y, _ABS_TOL) if cb else 0j)
 
 
 def _taylor(
@@ -295,7 +296,7 @@ def gauss_2f1_pair(p: GaussParams, z: complex, zc: complex) -> complex:
     best, best_terms = -1, float(_MAX_TERMS)
     for i, (count, r, usable) in enumerate(table):
         if usable and r < 1.0:
-            terms = count * math.log(_ABS_TOL) / math.log(r) if r > 0.0 else count
+            terms = count * _LOG_ABS_TOL / math.log(r) if r > 0.0 else count
             if terms < best_terms:
                 best, best_terms = i, terms
     try:

@@ -2,7 +2,9 @@
 
 Each step replaces a positive pair by a pair of means; the common limit,
 `closed_form_limit`, is a / F^2 (quartic) or a / F (sextic) with F a 2F1
-value at 1 - (b/a)^2.  The sextic step takes conjugate cube roots of
+value at 1 - (b/a)^2, taken after the pair is stepped until
+|1 - (b/a)^2| < 1/64: a step costs less than the series terms it saves.
+The sextic step takes conjugate cube roots of
 eta = b +/- sqrt(b^2 - a^2) in real arithmetic: for b <= a,
 eta = a e^(+/- i theta) with cos theta = b/a, and the means come from the
 angle trisection that solves a cubic (DLMF 1.11(iii)).
@@ -20,8 +22,10 @@ from dataclasses import dataclass
 from .hypergeometric import SchwarzVariant, gauss_2f1
 from .numerics import SQRT3, DomainError, _real_root
 
-# 1 - (b/a)^2 lies in (-0.8, 0.8) exactly when b/a lies in this window
-_RATIO_LO, _RATIO_HI = math.sqrt(0.2), math.sqrt(1.8)
+# 1 - (b/a)^2 lies in (-1/64, 1/64) exactly when b/a lies in this window.
+# A step costs less than the series terms it saves: a window of 0.8 needs
+# about 21 terms per limit, 1/64 about 7, for two to three more steps.
+_RATIO_LO, _RATIO_HI = math.sqrt(1.0 - 1.0 / 64.0), math.sqrt(1.0 + 1.0 / 64.0)
 
 # midpoints the extrapolation reads (earlier ones add no accuracy): below 5 a
 # loose-tolerance quartic limit loses a digit; an even count picks by spread
@@ -33,10 +37,10 @@ class MeanPair:
     a: float
     b: float
 
-    def __post_init__(self) -> None:
-        for v in (self.a, self.b):
-            if not (math.isfinite(v) and v > 0.0):
-                raise DomainError("mean iteration needs finite positive entries")
+    def __init__(self, a: float, b: float) -> None:
+        if not (math.isfinite(a) and a > 0.0 and math.isfinite(b) and b > 0.0):
+            raise DomainError("mean iteration needs finite positive entries")
+        self.__dict__.update(a=a, b=b)
 
     def gap(self) -> float:
         return abs(self.a - self.b)

@@ -84,7 +84,8 @@ class ThetaChar:
 
     Equality is on the exact Fractions.  Their float values `af` and `bf`,
     taken once here, feed the series and the hash: equal Fractions have
-    equal floats.
+    equal floats.  The floats are n / d from `as_integer_ratio()`, which is
+    what float(Fraction) computes, and the fields are set in one step.
     """
 
     a: Fraction
@@ -93,15 +94,13 @@ class ThetaChar:
     bf: float = field(init=False, repr=False, compare=False)
 
     def __init__(self, a: RationalLike | float, b: RationalLike | float) -> None:
-        fa, fb = _as_fraction(a), _as_fraction(b)
+        a, b = _as_fraction(a), _as_fraction(b)
+        (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
         try:
-            af, bf = float(fa), float(fb)
+            af, bf = na / da, nb / db
         except OverflowError:
             raise DomainError("characteristic beyond the binary64 range: |a| or |b| above 1.8e308") from None
-        object.__setattr__(self, "a", fa)
-        object.__setattr__(self, "b", fb)
-        object.__setattr__(self, "af", af)
-        object.__setattr__(self, "bf", bf)
+        self.__dict__.update(a=a, b=b, af=af, bf=bf)
 
     def __hash__(self) -> int:
         return hash((self.af, self.bf))
@@ -136,11 +135,12 @@ class Modulus:
 
     value: complex
 
-    def __post_init__(self) -> None:
-        if not cmath.isfinite(self.value):
-            raise DomainError(f"modulus must be finite, got {self.value}")
-        if self.value.imag <= 0.0:
-            raise DomainError(f"modulus requires Im(tau) > 0, got {self.value}")
+    def __init__(self, value: complex) -> None:
+        if not cmath.isfinite(value):
+            raise DomainError(f"modulus must be finite, got {value}")
+        if value.imag <= 0.0:
+            raise DomainError(f"modulus requires Im(tau) > 0, got {value}")
+        self.__dict__["value"] = value
 
     @classmethod
     def generic(cls, tau: complex) -> "Modulus":

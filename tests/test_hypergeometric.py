@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 import random
+import re
 
 import mpmath
 import pytest
@@ -44,6 +46,23 @@ def test_gauss_params_rejects_bad_gamma():
         GaussParams(0.5, 0.5, 0.0)
     with pytest.raises(DomainError):
         GaussParams(0.5, 0.5, -2.0)
+
+
+def test_gauss_params_keep_their_domain_errors_and_dataclass_api():
+    for bad in ((math.nan, 0.5, 1.0), (0.5, math.inf, 1.0), (0.5, 0.5, -math.inf)):
+        message = "parameters must be finite, got GaussParams(alpha={!r}, beta={!r}, gamma={!r})".format(*bad)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            GaussParams(*bad)
+    for g in (0.0, -1.0, -3.0, -3.0 + 1e-13, -0.0):
+        with pytest.raises(DomainError, match=re.escape(f"gamma must avoid 0, -1, -2, ..., got {g}")):
+            GaussParams(0.5, 0.5, g)
+    p = GaussParams(alpha=0.25, beta=0.5, gamma=1.25)
+    assert p == QP and hash(p) == hash(QP) and repr(p) == "GaussParams(alpha=0.25, beta=0.5, gamma=1.25)"
+    assert dataclasses.replace(p, gamma=2.0) == GaussParams(0.25, 0.5, 2.0)
+    with pytest.raises(DomainError):
+        dataclasses.replace(p, gamma=-2.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.alpha = 1.0
 
 
 def test_log_closed_form():
@@ -298,6 +317,38 @@ def test_integer_alpha_off_the_disk_is_finite_and_matches_mpmath():
             ref = mpmath.hyp2f1(p.alpha, p.beta, p.gamma, mpmath.mpc(z))
             assert abs(mpmath.mpc(value) - ref) <= 1e-12 * max(abs(ref), 2.2250738585072014e-308), (p, z)
     assert returned > 350
+
+
+def test_a_zero_connection_coefficient_is_left_out_before_its_power():
+    # At a nonpositive integer alpha a connection coefficient is 1/Gamma at a
+    # pole, exactly 0; its term is left out before its power, which can leave
+    # binary64 where F, a polynomial of degree -alpha in z, does not.
+    p = GaussParams(-1.0, -2.2967823649161234, 2.6878100980852295)
+    z = 2.579457191722916e141 - 1.1346274511343846e141j
+    exact = 1.0 - p.beta * z / p.gamma
+    assert abs(gauss_2f1(p, z) - exact) <= 1e-14 * abs(exact)
+
+
+def test_integer_alpha_far_off_the_disk_matches_mpmath():
+    # a seeded sweep of alpha in {-1, -2, -3} and |z| up to 10^(300/|alpha|)
+    # against 30-digit mpmath; only the logarithmic cases, where no route
+    # converges, may still raise
+    rng = random.Random(47)
+    returned = 0
+    with mpmath.workdps(30):
+        for _ in range(600):
+            a = rng.choice((-1.0, -2.0, -3.0))
+            p = GaussParams(a, rng.uniform(-3, 3), rng.uniform(-3, 3))
+            z = cmath.rect(10 ** rng.uniform(0, 300 / -a), rng.uniform(-math.pi, math.pi))
+            try:
+                value = gauss_2f1(p, z)
+            except DomainError as e:
+                assert str(e).startswith("no 2F1 route converges"), (p, z, e)
+                continue
+            returned += 1
+            ref = mpmath.hyp2f1(p.alpha, p.beta, p.gamma, mpmath.mpc(z))
+            assert abs(mpmath.mpc(value) - ref) <= 1e-12 * abs(ref), (p, z)
+    assert returned > 500
 
 
 def test_unit_circle_points():

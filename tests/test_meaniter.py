@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -45,6 +46,19 @@ def test_pair_validation():
     for bad in ((0.0, 1.0), (-1.0, 2.0), (float("nan"), 1.0), (1.0, float("inf"))):
         with pytest.raises(DomainError):
             MeanPair(*bad)
+
+
+def test_pair_keeps_its_domain_errors_and_dataclass_api():
+    for bad in ((1.0, 0.0), (1.0, -0.0), (5e-324, -1.0), (float("-inf"), 1.0), (1.0, float("nan"))):
+        with pytest.raises(DomainError, match="mean iteration needs finite positive entries"):
+            MeanPair(*bad)
+    p = MeanPair(b=2.0, a=1.0)
+    assert p == MeanPair(1.0, 2.0) and hash(p) == hash(MeanPair(1.0, 2.0)) and repr(p) == "MeanPair(a=1.0, b=2.0)"
+    assert dataclasses.replace(p, b=3.0).gap() == 2.0
+    with pytest.raises(DomainError):
+        dataclasses.replace(p, a=0.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.a = 2.0
 
 
 def test_quartic_step_values():
@@ -120,10 +134,29 @@ def test_quartic_limits_are_pinned_to_the_bit():
     trace = iterate_until_converged(MeanPair(2.0, 1.0), QUARTIC)
     assert repr(trace.limit) == "1.5923590781396393"
     closed = closed_form_limit(MeanPair(2.0, 1.0), QUARTIC)
-    assert repr(closed) == "1.59235907813964"
+    assert repr(closed) == "1.5923590781396397"
     with mpmath.workdps(50):
         ref = 2 / mpmath.hyp2f1(0.25, 0.5, 1.25, 0.75) ** 2
-        assert abs(closed - ref) <= 5e-16
+        assert abs(closed - ref) <= 2e-16
+
+
+def test_closed_form_limit_against_40_digits_across_the_ratio_range():
+    # closed_form_limit steps until |1 - (b/a)^2| < 1/64, where the series
+    # is short; over b/a log-uniform in [1e-3, 1e3] both variants stay within
+    # 2e-15 of a/F^2 and a/F at 40 digits
+    rng = random.Random(64)
+    worst = {QUARTIC: 0.0, SEXTIC: 0.0}
+    with mpmath.workdps(40):
+        for _ in range(1000):
+            a = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
+            b = a * 10 ** rng.uniform(-3.0, 3.0)
+            x = 1 - (mpmath.mpf(b) / a) ** 2
+            for v, power in ((QUARTIC, 2), (SEXTIC, 1)):
+                s = mpmath.mpf(1) / v.root_order
+                ref = a / mpmath.hyp2f1(s, 0.5, 1 + s, x) ** power
+                err = abs(closed_form_limit(MeanPair(a, b), v) - ref) / ref
+                worst[v] = max(worst[v], float(err))
+    assert max(worst.values()) <= 2e-15, worst
 
 
 def test_extrapolation_is_pinned_to_the_bit():

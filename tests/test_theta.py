@@ -6,6 +6,7 @@ import cmath
 import dataclasses
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -627,6 +628,77 @@ def test_char_beyond_binary64_is_a_domain_error():
     for a, b in ((10**400, 0), (0, Fraction("-1e400")), (Fraction("1e400") + Fraction(1, 2), 0)):
         with pytest.raises(DomainError, match="characteristic"):
             ThetaChar(a, b)
+
+
+def test_char_from_two_fractions_matches_the_string_path():
+    # floats taken as n / d from as_integer_ratio(): the result equals,
+    # hashes like and has the float bits of the 'p/q' path and float(Fraction)
+    rng = random.Random(144)
+    pairs = [
+        (p, q, rng.randint(-2 * s, 2 * s), s)
+        for q in range(1, 13)
+        for s in range(1, 13)
+        for p in range(-2 * q, 2 * q + 1)
+    ]
+    for _ in range(3000):
+        q, s = rng.randint(1, 144), rng.randint(1, 144)
+        big = rng.choice((1, 10**6, 2**60, 10**300))
+        pairs.append((rng.randint(-big * q, big * q), q, rng.randint(-3 * s, 3 * s), s))
+    for p, q, r, s in pairs:
+        frac = ThetaChar(Fraction(p, q), Fraction(r, s))
+        text = ThetaChar(f"{p}/{q}", f"{r}/{s}")
+        assert frac == text and hash(frac) == hash(text), (p, q, r, s)
+        assert (frac.af.hex(), frac.bf.hex()) == (text.af.hex(), text.bf.hex())
+        assert (frac.af.hex(), frac.bf.hex()) == (float(Fraction(p, q)).hex(), float(Fraction(r, s)).hex())
+        assert type(frac.a) is Fraction and type(frac.b) is Fraction
+    # ints, strings and exact floats give the same characteristic
+    assert ThetaChar(1, "-1/2") == ThetaChar(Fraction(1), Fraction(-1, 2)) == ThetaChar(1.0, -0.5)
+
+
+def test_char_inputs_keep_their_errors():
+    cases = (
+        ((Fraction(1, 145), 0), "characteristic denominator 145 exceeds 144"),
+        ((Fraction(1, 2), Fraction(7, 1000)), "characteristic denominator 1000 exceeds 144"),
+        ((Fraction(1, 145), Fraction(1, 146)), "characteristic denominator 145 exceeds 144"),
+        (("1/145", 0), "characteristic denominator 145 exceeds 144"),
+        ((0.1, Fraction(1, 2)), "float 0.1 is not an exact small rational; pass a Fraction or 'p/q'"),
+        ((Fraction(1, 2), 0.1), "float 0.1 is not an exact small rational"),
+        (("one", 0), "characteristic 'one' is not a finite rational"),
+        ((0, "1/0"), "characteristic '1/0' is not a finite rational"),
+        ((math.inf, 0), "characteristic inf is not a finite rational"),
+        ((0, math.nan), "characteristic nan is not a finite rational"),
+        ((10**400, 0), "characteristic beyond the binary64 range"),
+        ((Fraction(10**400, 3), Fraction(1, 2)), "characteristic beyond the binary64 range"),
+        ((Fraction(1, 2), Fraction(-(10**400), 7)), "characteristic beyond the binary64 range"),
+    )
+    for args, message in cases:
+        with pytest.raises(DomainError, match=re.escape(message)):
+            ThetaChar(*args)
+
+
+def test_value_objects_stay_frozen_and_replaceable():
+    c = ThetaChar(Fraction(1, 3), Fraction(1, 2))
+    for name in ("a", "b", "af", "bf"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(c, name, Fraction(0))
+    assert ThetaChar(a=Fraction(1, 3), b="1/2") == c
+    assert dataclasses.replace(c, b=Fraction(5, 6)) == ThetaChar(Fraction(1, 3), Fraction(5, 6))
+    assert repr(c) == "ThetaChar(a=Fraction(1, 3), b=Fraction(1, 2))"
+    m = Modulus(value=2j)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.value = 1j
+    assert dataclasses.replace(m, value=1j) == TAU_I and repr(m) == "Modulus(value=2j)"
+    with pytest.raises(DomainError, match=re.escape("modulus requires Im(tau) > 0")):
+        dataclasses.replace(m, value=1 + 0j)
+
+
+def test_modulus_keeps_its_domain_errors():
+    for tau in (complex(math.nan, 1.0), complex(0.0, math.inf), complex(math.inf, 1.0)):
+        with pytest.raises(DomainError, match=re.escape(f"modulus must be finite, got {tau}")):
+            Modulus(tau)
+    for tau in (0.5 + 0j, 1 - 1j, complex(0.3, -0.0), complex(0.0, -1e-300)):
+        with pytest.raises(DomainError, match=re.escape(f"modulus requires Im(tau) > 0, got {tau}")):
+            Modulus.generic(tau)
 
 
 def test_char_lookups_and_reduction_unchanged():
