@@ -8,7 +8,6 @@ import types
 from .numerics import (
     DomainError,
     IterationLimitError,
-    PathError,
     beta,
     e_of,
     gamma_real,

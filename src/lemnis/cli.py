@@ -32,7 +32,7 @@ from .curves import (
 )
 from .hypergeometric import SchwarzVariant
 from .meaniter import MeanPair, closed_form_limit, iterate_until_converged
-from .numerics import DomainError, IterationLimitError, PathError
+from .numerics import DomainError, IterationLimitError
 from .theta import TAU_I, TAU_ZETA, Modulus, ThetaChar, canonical_torus_point, theta, theta_constants
 from .verify import SUITES, format_complex, limit_residual, sweep
 
@@ -166,28 +166,10 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     else:
         if args.t is None:
             raise DomainError("either --t or --point is required")
-        t = parse_complex(args.t)
-        if abs(t) < 1e-12 or abs(t - 1) < 1e-12:
-            raise DomainError("ramification value; select the fiber point with --point")
-        point = lift_branch(curve, t, args.branch)
-    inputs = {
-        "curve": args.curve,
-        "t": args.t if args.t is not None else "",
-        "branch": args.branch,
-        "point": args.point if args.point is not None else "",
-        "mul": bool(args.mul),
-    }
-    try:
-        z = abel_jacobi(point)
-    except (PathError, IterationLimitError) as exc:
-        return _finish(
-            "curve",
-            inputs,
-            {"error": str(exc)},
-            [{"name": "path", "value": math.inf, "tol": tol}],
-            None,
-            started,
-        )
+        point = lift_branch(curve, parse_complex(args.t), args.branch)
+    inputs = {"curve": args.curve, "t": args.t or "", "branch": args.branch,
+              "point": args.point or "", "mul": bool(args.mul)}
+    z = abel_jacobi(point)
     outputs = {
         "t": format_complex(point.t),
         "u": format_complex(point.u),
@@ -299,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
     # subcommand's usage line
     try:
         return args.func(args)
-    except (DomainError, PathError) as exc:
+    except DomainError as exc:
         args.subparser.error(str(exc))
     except IterationLimitError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")

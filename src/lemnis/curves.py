@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .hypergeometric import GaussParams, SchwarzVariant, gauss_2f1, gauss_kummer_value, schwarz_map
-from .numerics import SQRT3, ZETA, DomainError, e_of
+from .numerics import SQRT3, TWO_PI, ZETA, DomainError, e_of
 from .theta import (
     HALF_CHARS,
     Modulus,
@@ -35,6 +35,7 @@ from .theta import (
     TorusPoint,
     IdentityPair,
     _nearest_lattice_point,
+    _within_binary64,
     canonical_torus_point,
     lattice_distance,
     theta,
@@ -147,10 +148,15 @@ def lift_branch(curve: Curve, t: complex, k: int = 0) -> CurvePoint:
     of either sign takes the upper side.  Ramification values are rejected.
     """
     t = complex(t)
-    if abs(t) < 1e-12 or abs(t - 1) < 1e-12:
-        raise DomainError("ramification value; use special_point")
+    if _distance(t) < 1e-12 or _distance(t, 1.0) < 1e-12:
+        raise DomainError("ramification value; take the fiber point by name (special_point, or --point)")
     k = k % curve.root_order
     return CurvePoint(curve, t, curve.unit ** k * _principal_u(curve, t), branch=k)
+
+
+def _distance(t: complex, c: float = 0.0) -> float:
+    # |t - c| by hypot, inf where abs() of a complex beyond binary64 raises
+    return math.hypot(t.real - c, t.imag)
 
 
 def _principal_u(curve: Curve, t: complex) -> complex:
@@ -193,21 +199,18 @@ def abel_jacobi(p: CurvePoint) -> TorusPoint:
     k = curve.root_order
     if p.at_infinity:
         return canonical_torus_point(mod, curve.unit ** (p.branch % k) * _infinity_image(curve))
-    if abs(p.t - 1) < 1e-12:
+    if _distance(p.t, 1.0) < 1e-12:
         return canonical_torus_point(mod, 0j)
-    if abs(p.t) < 1e-12:
+    if _distance(p.t) < 1e-12:
         return canonical_torus_point(mod, curve.unit ** (p.branch % k) * _zero_image(curve))
     z_raw = schwarz_map(curve.variant, p.t)
     ratio = p.u / _principal_u(curve, p.t)
-    best_m, best_d = 0, abs(ratio - 1)
-    for m in range(1, k):
-        d = abs(ratio - curve.unit ** m)
-        if d < best_d:
-            best_m, best_d = m, d
+    best_m = round(cmath.phase(ratio) * k / TWO_PI) % k  # the unit power e(m/k) nearest to ratio
+    best_d = abs(ratio - curve.unit ** best_m)
     # t - 1 is stored with a rounding error up to about eps (|t| + 1), which
     # moves u_ref by that much over |t - 1| relative; sheets sit at least
     # 2 sin(pi/k) apart, so the widened match stays unambiguous
-    if best_d > 1e-6 + 8 * sys.float_info.epsilon * (abs(p.t) + 1) / abs(p.t - 1):
+    if best_d > 1e-6 + 8 * sys.float_info.epsilon * (_distance(p.t) + 1) / _distance(p.t, 1.0):
         raise DomainError("u does not match any sheet over t")
     return canonical_torus_point(mod, curve.unit ** best_m * z_raw)
 
@@ -280,6 +283,7 @@ def _require_modulus(zp: TorusPoint, mod: Modulus) -> None:
 # ---------------------------------------------------------------------------
 # Ratio identities.
 
+@_within_binary64
 def ratio_identities_quartic(zp: TorusPoint) -> list[IdentityPair]:
     """The three square-torus identities for r = i u^2 / t.
 
@@ -308,6 +312,7 @@ def _quartic_ratios(p: CurvePoint, th: tuple | None) -> list[IdentityPair]:
     ]
 
 
+@_within_binary64
 def ratio_identities_sextic(zp: TorusPoint) -> list[IdentityPair]:
     """Hexagonal-torus identities for r = t / u^2 plus the cubed-root product.
 
@@ -365,11 +370,12 @@ def mul_one_plus_i(p: CurvePoint) -> CurvePoint:
     if p.at_infinity:
         # (1 + i) doubles the infinity class into the lattice.
         return CurvePoint(Curve.C_I, 1.0, 0.0)
-    if abs(p.t) < 1e-12:
+    if _distance(p.t) < 1e-12:
         return CurvePoint(Curve.C_I, 0.0, 0.0, at_infinity=True)
-    t, u = p.t, p.u
-    # through r = (t - 2) / t, so no power of t overflows at large |t|
-    r = (t - 2) / t
+    # through r = (t - 2) / t on t, u scaled as in mul_one_plus_zeta, so nothing overflows
+    one = math.ldexp(1.0, -max(0, _binary_exponent(p.t)))
+    t, u = p.t * one, p.u * one
+    r = (t - 2 * one) / t
     u_new = -(1 + 1j) * u / t * r
     return CurvePoint(Curve.C_I, r ** 2, u_new)
 
@@ -380,7 +386,7 @@ def mul_one_plus_zeta(p: CurvePoint) -> CurvePoint:
         raise DomainError("defined on the sextic curve only")
     if p.at_infinity:
         return CurvePoint(Curve.C_ZETA, 1.0, 0.0)
-    if abs(4 * p.t - 3) < 1e-12:
+    if _distance(4 * p.t, 3.0) < 1e-12:
         return CurvePoint(Curve.C_ZETA, 0.0, 0.0, at_infinity=True)
     # through r = (9 - 8t) / (4t - 3), so no power of t overflows; t, u are
     # scaled exactly by 2^-j, j = 0 for |t| < 1, so that 8t cannot overflow
@@ -449,7 +455,7 @@ def hgf_theta_roundtrip(z: complex, curve: Curve) -> float:
     leading linear behavior at the origin.
     """
     z = complex(z)
-    if abs(z) >= 0.3:
+    if not _distance(z) < 0.3:
         raise DomainError("round trip is stated for |z| < 0.3")
     if z == 0:
         return 0.0

@@ -257,14 +257,21 @@ def gauss_2f1_pair(p: GaussParams, z: complex, zc: complex) -> complex:
     Im z < 0) and +0.0 the upper side.  See the module docstring for the
     routes and the DomainErrors.
     """
-    z, zc = complex(z), complex(zc)
+    try:
+        f = _routed(p, complex(z), complex(zc))
+    except OverflowError:
+        f = math.inf  # abs() or a power outside binary64 raises where a float product gives inf
+    if not cmath.isfinite(f):
+        raise DomainError(f"2F1 overflows binary64 at {z} for these parameters")
+    return f
+
+
+def _routed(p: GaussParams, z: complex, zc: complex) -> complex:
+    # F by the route table of the module docstring; gauss_2f1_pair checks the value
     a, b, c = p.alpha, p.beta, p.gamma
     if a == 0.0 or b == 0.0 or z == 0:
         return 1.0 + 0.0j
-    try:
-        az, azc = abs(z), abs(zc)
-    except OverflowError:
-        raise DomainError(f"2F1 argument {z} has a modulus outside binary64") from None
+    az, azc = abs(z), abs(zc)
     s = c - a - b
     ok_s = _dist_to_int(s) > _LOG_GAP
     # within 1e-13 of z = 1 the near-one route takes over where it applies;
@@ -299,19 +306,15 @@ def gauss_2f1_pair(p: GaussParams, z: complex, zc: complex) -> complex:
             terms = count * _LOG_ABS_TOL / math.log(r) if r > 0.0 else count
             if terms < best_terms:
                 best, best_terms = i, terms
-    try:
-        if best >= 3:
-            # Pfaff: F(a, b; c; z) = (1 - z)^(-a) F(a, c - b; c; w), w = -z / zc,
-            # 1 - w = 1 / zc, and Im w = -Im z / |zc|^2 carries the side of the cut
-            q, v = -z / zc, 1.0 / zc
-            w = complex(q.real, math.copysign(q.imag, -z.imag))
-            wc = complex(v.real, math.copysign(v.imag, z.imag))
-            return _power(zc, -a) * _base_route(best - 3, a, c - b, c, w, wc)
-        if best >= 0:
-            return _base_route(best, a, b, c, z, zc)
-    except OverflowError:
-        # a power outside binary64 raises where a float product would give inf
-        raise DomainError(f"2F1 overflows binary64 at {z} for these parameters") from None
+    if best >= 3:
+        # Pfaff: F(a, b; c; z) = (1 - z)^(-a) F(a, c - b; c; w), w = -z / zc,
+        # 1 - w = 1 / zc, and Im w = -Im z / |zc|^2 carries the side of the cut
+        q, v = -z / zc, 1.0 / zc
+        w = complex(q.real, math.copysign(q.imag, -z.imag))
+        wc = complex(v.real, math.copysign(v.imag, z.imag))
+        return _power(zc, -a) * _base_route(best - 3, a, c - b, c, w, wc)
+    if best >= 0:
+        return _base_route(best, a, b, c, z, zc)
     if abs(az - 1.0) <= 1e-12 and s > 0.0:
         return _series(a, b, c, z, _BOUNDARY_TOL, s)
     raise DomainError(f"no 2F1 route converges at {z} for these parameters")

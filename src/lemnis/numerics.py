@@ -1,7 +1,7 @@
 """Scalar helpers and constants shared by every other module.
 
-Real gamma and beta and the unit-circle map ``e_of``, plus the one home of
-sqrt(3), zeta and omega.  Gamma is the standard library's ``math.gamma``
+Real gamma and beta, the unit-circle map ``e_of``, the one home of sqrt(3),
+zeta and omega, and the package's two errors.  Gamma is ``math.gamma``
 behind one guard: `gamma_real` takes 0 < x up to where Gamma leaves
 binary64 (x ~ 171.624), and `beta` takes x, y > 0 with Gamma(x + y)
 finite.  Everything here is a pure function of binary64 inputs.
@@ -24,14 +24,6 @@ class DomainError(ValueError):
 
 class IterationLimitError(RuntimeError):
     """An iterative scheme hit its cap before reaching tolerance."""
-
-
-class PathError(ValueError):
-    """An integration path cannot be routed safely.
-
-    Nothing in the package raises it at present; it stays exported because
-    the error contract names it beside DomainError and IterationLimitError.
-    """
 
 
 # The most terms any series of the package sums before IterationLimitError.

@@ -499,6 +499,21 @@ class IdentityPair:
         return _scaled_residual(self.lhs, self.rhs)
 
 
+def _within_binary64(lemma):
+    # A side outside binary64 (inf, NaN, an OverflowError or a division by an
+    # underflowed square) is a DomainError; an IdentityPair is read by its residual.
+    def checked(*args):
+        try:
+            out = lemma(*args)
+            if all(math.isfinite(getattr(x, "residual", x)) for x in out):
+                return out
+        except (OverflowError, ZeroDivisionError):
+            pass
+        raise DomainError(f"{lemma.__name__}{args} leaves binary64")
+    return functools.wraps(lemma)(checked)
+
+
+@_within_binary64
 def addition_check(z1: complex, z2: complex, m: Modulus) -> list[float]:
     """Scaled residuals of the four addition formulas (both right-hand sides
     each) and Jacobi's identity, nine numbers in fixed order."""
@@ -529,6 +544,7 @@ def i_multiple(c: ThetaChar, z: complex) -> tuple[complex, ThetaChar]:
     return pref, target
 
 
+@_within_binary64
 def one_plus_i_multiple(z: complex) -> list[IdentityPair]:
     """Both sides of the three (1+i)-multiplication identities at tau = i."""
     z = complex(z)
@@ -570,6 +586,7 @@ def omega_multiple(c: ThetaChar, z: complex, power: OmegaPower) -> tuple[complex
     return pref, target
 
 
+@_within_binary64
 def one_plus_zeta_multiple(z: complex) -> list[IdentityPair]:
     """Both sides of the four (1+zeta)-multiplication identities at tau = zeta."""
     z = complex(z)
