@@ -10,16 +10,14 @@ from fractions import Fraction
 
 from lemnis.numerics import e_of, gamma_real
 from lemnis.theta import (
-    OmegaPower,
     TAU_I,
     TAU_ZETA,
     ThetaChar,
-    i_multiple,
-    omega_multiple,
     one_plus_i_multiple,
     quasi_period_factor,
     theta,
     theta_constants,
+    transform,
 )
 
 c00 = ThetaChar(0, 0)
@@ -45,12 +43,12 @@ rhs = quasi_period_factor(c, 2, -1, z, TAU_ZETA) * theta(c, z, TAU_ZETA)
 print(f"\nquasi-periodicity relative residual at p=2, q=-1: {abs(lhs - rhs) / abs(rhs):.1e}")
 
 # each unit rotation of z is again a theta value, up to a computable prefactor
-pref, c2 = i_multiple(c11, z)
+c2, pref, _, _ = transform(c11, z, TAU_I, "SSS")
 lhs = theta(c11, 1j * z, TAU_I)
 print(f"i-times lemma residual:     {abs(lhs - pref * theta(c2, z, TAU_I)):.1e}")
 
 w = TAU_ZETA.value - 1.0
-pref, c2 = omega_multiple(c00, z, OmegaPower.OMEGA)
+c2, pref, _, _ = transform(c00, z, TAU_ZETA, "STSS")
 lhs = theta(c00, w * z, TAU_ZETA)
 print(f"omega-times lemma residual: {abs(lhs - pref * theta(c2, z, TAU_ZETA)):.1e}")
 

@@ -23,17 +23,13 @@ from .hypergeometric import (
 from .theta import (
     IdentityPair,
     Modulus,
-    OmegaPower,
     TAU_I,
     TAU_ZETA,
-    TauTransform,
     ThetaChar,
     TorusPoint,
     addition_check,
     canonical_torus_point,
-    i_multiple,
     lattice_distance,
-    omega_multiple,
     one_plus_i_multiple,
     one_plus_zeta_multiple,
     quasi_period_factor,
@@ -41,7 +37,7 @@ from .theta import (
     theta_constants,
     theta_dz,
     theta_four,
-    transform_tau,
+    transform,
 )
 from .curves import (
     Curve,

@@ -60,6 +60,9 @@ class IterationTrace:
     limit: float
     iterations: int
 
+    def __init__(self, orbit: tuple, converged: bool, limit: float, iterations: int) -> None:
+        self.__dict__.update(orbit=orbit, converged=converged, limit=limit, iterations=iterations)
+
     @functools.cached_property
     def pairs(self) -> tuple[MeanPair, ...]:
         return tuple(MeanPair(a, b) for a, b in self.orbit)

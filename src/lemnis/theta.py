@@ -16,10 +16,10 @@ flips the sign of the odd part.  Any other tau is summed at its reduction: z
 goes into the characteristic, each step moves the theta constant, and the
 kernel sums at most 9 terms (11 for `theta_dz`).  Every law on tau is a word
 in S: (z, tau) -> (z/tau, -1/tau), T: tau -> tau + 1 and t = T^-1, letters
-acting left to right, applied by one composer (Mumford, Tata Lectures on
-Theta I, ch. I-II): SHIFT is T, INVERT is S, and the words SSS, STSS and tS,
-which fix i and zeta = (1+sqrt(3)i)/2, give theta(i z, i), theta(omega z,
-zeta) and theta(omega^2 z, zeta).  Closed forms give the theta constants at
+acting left to right, applied by the one public composer `transform` (Mumford,
+Tata Lectures on Theta I, ch. I-II); the words SSS, STSS and tS, which fix i
+and zeta = (1+sqrt(3)i)/2, give theta(i z, i), theta(omega z, zeta) and
+theta(omega^2 z, zeta).  Closed forms give the theta constants at
 both square moduli.  Every prefactor goes through one checked exponential,
 so a value outside binary64 is a DomainError.
 """
@@ -30,7 +30,6 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from typing import Union
 
@@ -414,6 +413,8 @@ def _word_law(c: ThetaChar, word: str) -> tuple[ThetaChar, complex, int, tuple[i
     # The factors sqrt(tau/i) of its S letters multiply to e(n/8) sqrt(J/i):
     # n = 1 for the empty word, and each S subtracts 1 if it keeps the sign and
     # adds 1 if it flips it.  Right to left `_letter` maps the characteristic.
+    if not set(word) <= {"S", "T", "t"}:
+        raise DomainError(f"word {word!r} has a letter other than S, T and t")
     p, q, r, s, sign, n = 1, 0, 0, 1, 1, 1
     for g in word:
         if g != "S":
@@ -430,33 +431,24 @@ def _word_law(c: ThetaChar, word: str) -> tuple[ThetaChar, complex, int, tuple[i
     return ThetaChar(a, b), e_of(float(phase % 1)), sign, (p, q, r, s)
 
 
-def _transform(c: ThetaChar, z: complex, tau: complex, word: str) -> tuple[ThetaChar, complex, complex, complex]:
-    # (c', prefactor, z', tau'), theta(c, z', tau') = prefactor theta(c', z, tau):
-    # z' = z/(sign J), and one exponential e(r z^2/(2 J)) carries z.
-    target, root, sign, (p, q, r, s) = _word_law(c, word)
-    z, j = complex(z), r * tau + s
-    pref = root * cmath.sqrt(j / 1j) * _e(r * z * z / (2.0 * j))
-    return target, pref, sign * z / j, (p * tau + q) / j
-
-
-class TauTransform(Enum):
-    SHIFT = "shift"
-    INVERT = "invert"
-
-
-def transform_tau(
-    c: ThetaChar, z: complex, m: Modulus, which: TauTransform
-) -> tuple[ThetaChar, complex, complex, Modulus]:
+def transform(c: ThetaChar, z: complex, m: Modulus, word: str) -> tuple[ThetaChar, complex, complex, Modulus]:
     """Data (c', prefactor, z', m') with theta(c, z', m') = prefactor * theta(c', z, m).
 
-    SHIFT, the word T:  theta_{a,b}(z, tau+1) = e(a(1-a)/2) theta_{a, a+b-1/2}(z, tau)
-    INVERT, the word S: theta_{a,b}(z/tau, -1/tau)
-              = e(ab) sqrt(tau/i) e(z^2/(2 tau)) theta_{b,-a}(z, tau)
-    with sqrt(tau/i) principal, positive on the imaginary axis.
+    The letters S: (z, tau) -> (z/tau, -1/tau), T: tau -> tau + 1 and t = T^-1
+    act left to right; any other letter is a DomainError.
+      T:    theta_{a,b}(z, tau+1) = e(a(1-a)/2) theta_{a, a+b-1/2}(z, tau)
+      S:    theta_{a,b}(z/tau, -1/tau) = e(ab) sqrt(tau/i) e(z^2/(2 tau)) theta_{b,-a}(z, tau)
+      SSS:  theta_{a,b}(i z, i) = e(ab) exp(pi z^2) theta_{-b,a}(z, i)
+      STSS: theta_{a,b}(w z, zeta) = e(a^2/2 + ab - 1/24) e(z^2/(2 zeta)) theta_{-a-b-1/2, a}(z, zeta)
+      tS:   theta_{a,b}(w^2 z, zeta) = e(ab + (b^2-b)/2 + 1/24) e(z^2/(2 w)) theta_{b, 1/2-a-b}(z, zeta)
+    with sqrt(tau/i) principal, positive on the imaginary axis.  For the word's
+    matrix sign (p, q; r, s) and J = r tau + s, z' = z/(sign J) and one
+    exponential e(r z^2/(2 J)) carries z.
     """
-    word = "T" if which is TauTransform.SHIFT else "S"
-    c_new, pref, z_new, tau_new = _transform(c, z, m.value, word)
-    return c_new, pref, z_new, Modulus.generic(tau_new)
+    target, root, sign, (p, q, r, s) = _word_law(c, word)
+    z, j = complex(z), r * m.value + s
+    pref = root * cmath.sqrt(j / 1j) * _e(r * z * z / (2.0 * j))
+    return target, pref, sign * z / j, Modulus((p * m.value + q) / j)
 
 
 HALF_CHARS = (
@@ -538,12 +530,6 @@ def addition_check(z1: complex, z2: complex, m: Modulus) -> list[float]:
     ]
 
 
-def i_multiple(c: ThetaChar, z: complex) -> tuple[complex, ThetaChar]:
-    """Data for theta_{a,b}(i z, i) = e(ab) exp(pi z^2) theta_{-b,a}(z, i), the word SSS."""
-    target, pref, _, _ = _transform(c, z, TAU_I.value, "SSS")
-    return pref, target
-
-
 @_within_binary64
 def one_plus_i_multiple(z: complex) -> list[IdentityPair]:
     """Both sides of the three (1+i)-multiplication identities at tau = i."""
@@ -566,24 +552,6 @@ def one_plus_i_multiple(z: complex) -> list[IdentityPair]:
             (t00**4 - t01**2 * t10**2) / (gauss * gauss * k01 * k10),
         ),
     ]
-
-
-class OmegaPower(Enum):
-    OMEGA = 1
-    OMEGA_SQ = 2
-
-
-def omega_multiple(c: ThetaChar, z: complex, power: OmegaPower) -> tuple[complex, ThetaChar]:
-    """Data for the omega- and omega^2-multiple laws at tau = zeta.
-
-    OMEGA, the word STSS:  theta_{a,b}(w z, zeta)
-                = e(a^2/2 + ab - 1/24) e(z^2/(2 zeta)) theta_{-a-b-1/2, a}(z, zeta)
-    OMEGA_SQ, the word tS: theta_{a,b}(w^2 z, zeta)
-                = e(ab + (b^2-b)/2 + 1/24) e(z^2/(2 w)) theta_{b, 1/2-a-b}(z, zeta)
-    """
-    word = "STSS" if power is OmegaPower.OMEGA else "tS"
-    target, pref, _, _ = _transform(c, z, TAU_ZETA.value, word)
-    return pref, target
 
 
 @_within_binary64

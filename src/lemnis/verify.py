@@ -44,13 +44,10 @@ from .theta import (
     TAU_I,
     TAU_ZETA,
     Modulus,
-    OmegaPower,
     ThetaChar,
     TorusPoint,
     addition_check,
     canonical_torus_point,
-    i_multiple,
-    omega_multiple,
     one_plus_i_multiple,
     one_plus_zeta_multiple,
     quasi_period_factor,
@@ -58,6 +55,7 @@ from .theta import (
     theta_constants,
     theta_dz,
     theta_four,
+    transform,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -143,7 +141,7 @@ def _suite_tau_i(rng: SplitMix64, n: int):
             cs = ThetaChar(char.a + p, char.b + q)
             _, cf = cs.reduce()  # reduces to char itself
             yield "tau_i.char_shift", _scaled_residual(theta(cs, z, mod), cf * at_z[k]), tag
-            pref, target = i_multiple(char, z)
+            target, pref, _, _ = transform(char, z, mod, "SSS")
             yield "tau_i.i_times", _scaled_residual(at_iz[k], pref * theta(target, z, mod)), tag
         for pair in one_plus_i_multiple(z):
             yield "tau_i.one_plus_i", pair.residual, tag + f" {pair.name}"
@@ -162,10 +160,10 @@ def _suite_tau_zeta(rng: SplitMix64, n: int):
         # one kernel call per point; each law's target side is its own theta call
         at_w, at_w2 = theta_four(OMEGA * z, mod), theta_four(OMEGA * OMEGA * z, mod)
         for k, char in enumerate(HALF_CHARS):
-            for power, lhs in ((OmegaPower.OMEGA, at_w[k]), (OmegaPower.OMEGA_SQ, at_w2[k])):
-                pref, target = omega_multiple(char, z, power)
+            for word, name, lhs in (("STSS", "OMEGA", at_w[k]), ("tS", "OMEGA_SQ", at_w2[k])):
+                target, pref, _, _ = transform(char, z, mod, word)
                 residual = _scaled_residual(lhs, pref * theta(target, z, mod))
-                yield "tau_zeta.omega_times", residual, tag + f" {power.name}"
+                yield "tau_zeta.omega_times", residual, tag + f" {name}"
         for pair in one_plus_zeta_multiple(z):
             yield "tau_zeta.one_plus_zeta", pair.residual, tag + f" {pair.name}"
         th00, th01, th10, th11 = theta_four(z, mod)

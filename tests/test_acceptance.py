@@ -32,21 +32,19 @@ from lemnis.numerics import OMEGA, ZETA, e_of, gamma_real
 from lemnis.theta import (
     HALF_CHARS,
     Modulus,
-    OmegaPower,
     TAU_I,
     TAU_ZETA,
     ThetaChar,
     addition_check,
     canonical_torus_point,
-    i_multiple,
     lattice_distance,
-    omega_multiple,
     one_plus_i_multiple,
     one_plus_zeta_multiple,
     quasi_period_factor,
     theta,
     theta_constants,
     theta_dz,
+    transform,
 )
 
 C00, C01, C10, C11 = HALF_CHARS
@@ -134,7 +132,7 @@ def test_criterion_2_identity_suites():
     for _ in range(100):
         c = ThetaChar(Fraction(rng.randrange(8), 8), Fraction(rng.randrange(8), 8))
         z = _rand_z(rng)
-        pref, c2 = i_multiple(c, z)
+        c2, pref, _, _ = transform(c, z, TAU_I, "SSS")
         lhs = theta(c, 1j * z, TAU_I)
         push("i_times", abs(lhs - pref * theta(c2, z, TAU_I)) / max(1.0, abs(lhs)))
 
@@ -143,8 +141,8 @@ def test_criterion_2_identity_suites():
     for _ in range(100):
         c = ThetaChar(Fraction(rng.randrange(6), 6), Fraction(rng.randrange(6), 6))
         z = _rand_z(rng)
-        for power, rot in ((OmegaPower.OMEGA, w), (OmegaPower.OMEGA_SQ, w * w)):
-            pref, c2 = omega_multiple(c, z, power)
+        for word, rot in (("STSS", w), ("tS", w * w)):
+            c2, pref, _, _ = transform(c, z, TAU_ZETA, word)
             lhs = theta(c, rot * z, TAU_ZETA)
             push("omega_times", abs(lhs - pref * theta(c2, z, TAU_ZETA)) / max(1.0, abs(lhs)))
 
@@ -163,7 +161,7 @@ def test_criterion_2_identity_suites():
     )
     for _ in range(100):
         z = _rand_z(rng)
-        pref, c2 = omega_multiple(C00, z, OmegaPower.OMEGA)
+        c2, pref, _, _ = transform(C00, z, TAU_ZETA, "STSS")
         lhs = theta(C00, w * z, TAU_ZETA)
         push("hi_theta", abs(lhs - pref * theta(c2, z, TAU_ZETA)) / max(1.0, abs(lhs)))
 

@@ -32,7 +32,6 @@ from lemnis import (
     MeanPair,
     Modulus,
     SchwarzVariant,
-    TauTransform,
     ThetaChar,
     abel_jacobi,
     addition_check,
@@ -63,7 +62,7 @@ from lemnis import (
     theta,
     theta_dz,
     theta_four,
-    transform_tau,
+    transform,
 )
 from lemnis.cli import main
 from lemnis.numerics import ZETA
@@ -185,8 +184,22 @@ def test_theta_family_keeps_the_contract(c, z, tau, p, q):
     holds(lattice_distance, m, z, 0.5 * z)
     holds(canonical_torus_point, m, z)
     holds(quasi_period_factor, c, p, q, z, m)
-    for which in TauTransform:
-        holds(transform_tau, c, z, m, which)
+    for word in ("T", "S", "t", "SSS", "STSS", "tS"):
+        holds(transform, c, z, m, word)
+
+
+@SWEEP
+@given(CHARS, COMPLEXES, st.one_of(st.sampled_from((1j, ZETA)), COMPLEXES), st.text("STt", max_size=6))
+@example(ThetaChar(0, 0), 0.1 + 0j, 1j, "SX")  # "X" once read as t
+def test_any_word_keeps_the_contract(c, z, tau, word):
+    m = holds(Modulus.generic, tau)
+    if m is None:
+        return
+    if set(word) <= {"S", "T", "t"}:
+        holds(transform, c, z, m, word)
+    else:
+        with pytest.raises(DomainError):
+            transform(c, z, m, word)
 
 
 PARAMS = st.one_of(_signed(_log_uniform(1e-3, 1e5)), st.sampled_from((0.0, -1.0, 0.5, 1.0, 2.0, -3.0, 1e-300, math.nan)))
@@ -308,3 +321,25 @@ def test_mean_orbit_matches_the_closed_form(a, ratio, v):
     lim = closed_form_limit(pair, v)
     assert trace.converged
     assert abs(trace.limit - lim) <= 1e-12 * lim
+
+
+# floats in [-3, 3] on the grid 2^-50 Z, where x + 1 and x + 2 are exact
+_PARAM = st.integers(-3 * 2 ** 50, 3 * 2 ** 50).map(lambda k: k * 2.0 ** -50)
+
+
+@SWEEP
+@given(_PARAM, _PARAM, _PARAM, _log_uniform(1e-3, 1e3), st.floats(-math.pi, math.pi))
+def test_gauss_2f1_solves_the_hypergeometric_equation(a, b, c, r, phi):
+    # z(1 - z) F'' + (c - (a + b + 1) z) F' - ab F = 0, with F' = ab/c F1 and
+    # F'' = a(a + 1) b(b + 1)/(c(c + 1)) F2, Fk = F(a + k, b + k; c + k; z).
+    # The terms are taken times c(c + 1)/(ab), which leaves the relative
+    # residual as it is and at ab = 0 is the equation's limit.  z is off the
+    # cut [1, inf), and a draw that a call refuses is skipped.
+    z = cmath.rect(r, phi)
+    assume(z.imag or z.real < 1.0)
+    try:
+        f0, f1, f2 = (gauss_2f1(GaussParams(a + k, b + k, c + k), z) for k in range(3))
+    except (DomainError, IterationLimitError):
+        return
+    terms = (z * (1 - z) * (a + 1) * (b + 1) * f2, (c - (a + b + 1) * z) * (c + 1) * f1, -c * (c + 1) * f0)
+    assert abs(sum(terms)) <= 1e-9 * sum(map(abs, terms)), (a, b, c, z)

@@ -13,6 +13,7 @@ from lemnis import (
     DomainError,
     GaussParams,
     IterationLimitError,
+    IterationTrace,
     MeanPair,
     SchwarzVariant,
     closed_form_limit,
@@ -59,6 +60,18 @@ def test_pair_keeps_its_domain_errors_and_dataclass_api():
         dataclasses.replace(p, a=0.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.a = 2.0
+
+
+def test_trace_keeps_its_dataclass_api():
+    trace = iterate_until_converged(MeanPair(2.0, 1.0), SEXTIC)
+    same = IterationTrace(orbit=trace.orbit, converged=True, limit=trace.limit, iterations=trace.iterations)
+    assert same == trace and repr(same) == repr(trace)
+    assert "pairs" not in vars(same)  # built on first read
+    assert same.pairs == tuple(MeanPair(a, b) for a, b in trace.orbit) and "pairs" in vars(same)
+    assert dataclasses.replace(same, converged=False) != same
+    assert dataclasses.replace(same, iterations=0).orbit is trace.orbit
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        same.limit = 1.0
 
 
 def test_quartic_step_values():

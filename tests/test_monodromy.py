@@ -382,11 +382,9 @@ CALLS = {
     "theta_dz": lambda: L.theta_dz(L.ThetaChar(1, 1), 0.1, L.TAU_I),
     "theta_four": lambda: L.theta_four(0.1 + 0.2j, L.TAU_ZETA),
     "quasi_period_factor": lambda: L.quasi_period_factor(L.ThetaChar(0, 0), 1, 1, 0.1, L.TAU_I),
-    "transform_tau": lambda: L.transform_tau(L.ThetaChar(0, 0), 0.1, L.TAU_I, L.TauTransform.INVERT),
+    "transform": lambda: L.transform(L.ThetaChar(0, 0), 0.1, L.TAU_I, "S"),
     "addition_check": lambda: L.addition_check(0.1, 0.2j, L.TAU_I),
-    "i_multiple": lambda: L.i_multiple(L.ThetaChar(0, 0), 0.1),
     "one_plus_i_multiple": lambda: L.one_plus_i_multiple(0.1),
-    "omega_multiple": lambda: L.omega_multiple(L.ThetaChar(0, 0), 0.1, L.OmegaPower.OMEGA),
     "one_plus_zeta_multiple": lambda: L.one_plus_zeta_multiple(0.1),
     "theta_constants": lambda: L.theta_constants(L.TAU_ZETA),
     "gauss_2f1_pair": lambda: L.gauss_2f1_pair(L.GaussParams(0.25, 0.5, 1.25), 0.5, 0.5),

@@ -13,21 +13,17 @@ from lemnis import (
     TAU_ZETA,
     DomainError,
     GaussParams,
-    OmegaPower,
-    TauTransform,
     ThetaChar,
     beta,
     canonical_torus_point,
     e_of,
     gamma_real,
     gauss_2f1,
-    i_multiple,
     lattice_distance,
-    omega_multiple,
     one_plus_i_multiple,
     one_plus_zeta_multiple,
     quasi_period_factor,
-    transform_tau,
+    transform,
 )
 from lemnis.numerics import _gamma_signed
 
@@ -174,11 +170,11 @@ _C00 = ThetaChar(0, 0)
 
 SCALAR_DOMAIN_ERRORS = {
     "quasi_period_factor overflows": lambda: quasi_period_factor(_C00, 100, 0, 0.1, TAU_I),
-    "i_multiple overflows": lambda: i_multiple(_C00, 30),
-    "omega_multiple overflows": lambda: omega_multiple(_C00, 40, OmegaPower.OMEGA),
+    "i_multiple overflows": lambda: transform(_C00, 30, TAU_I, "SSS"),
+    "omega_multiple overflows": lambda: transform(_C00, 40, TAU_ZETA, "STSS"),
     "one_plus_zeta_multiple overflows": lambda: one_plus_zeta_multiple(20),
     "one_plus_i_multiple overflows": lambda: one_plus_i_multiple(20),
-    "transform_tau prefactor is nan": lambda: transform_tau(_C00, 1e200, TAU_I, TauTransform.INVERT),
+    "transform_tau prefactor is nan": lambda: transform(_C00, 1e200, TAU_I, "S"),
     "e_of nan": lambda: e_of(_nan),
     "e_of inf": lambda: e_of(_inf),
     "canonical_torus_point nan": lambda: canonical_torus_point(TAU_I, complex(_nan, 0.0)),

@@ -15,25 +15,21 @@ import pytest
 from lemnis import (
     DomainError,
     Modulus,
-    OmegaPower,
     TAU_I,
     TAU_ZETA,
-    TauTransform,
     ThetaChar,
     addition_check,
     canonical_torus_point,
     e_of,
     gamma_real,
-    i_multiple,
     lattice_distance,
-    omega_multiple,
     one_plus_i_multiple,
     one_plus_zeta_multiple,
     quasi_period_factor,
     theta,
     theta_constants,
     theta_dz,
-    transform_tau,
+    transform,
 )
 from lemnis.theta import HALF_CHARS, SEXTIC_CHARS, ZETA, theta_four
 
@@ -348,7 +344,7 @@ def test_transform_shift():
             Fraction(rng.randrange(0, 6), 6), Fraction(rng.randrange(0, 6), 6)
         )
         z = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
-        c2, pref, z2, m2 = transform_tau(c, z, GENERIC, TauTransform.SHIFT)
+        c2, pref, z2, m2 = transform(c, z, GENERIC, "T")
         assert m2.value == pytest.approx(GENERIC.value + 1.0)
         lhs = theta(c, z2, m2)
         rhs = pref * theta(c2, z, GENERIC)
@@ -362,7 +358,7 @@ def test_transform_invert():
             Fraction(rng.randrange(0, 4), 4), Fraction(rng.randrange(0, 4), 4)
         )
         z = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
-        c2, pref, z2, m2 = transform_tau(c, z, GENERIC, TauTransform.INVERT)
+        c2, pref, z2, m2 = transform(c, z, GENERIC, "S")
         assert m2.value == pytest.approx(-1.0 / GENERIC.value)
         lhs = theta(c, z2, m2)
         rhs = pref * theta(c2, z, GENERIC)
@@ -374,37 +370,39 @@ _INVERSE_LETTERS = {"S": "SSS", "T": "t", "t": "T"}
 
 def test_law_words_undone_by_their_inverses():
     # each law's word followed by its inverse is the identity on (c, z, tau)
-    from lemnis.theta import _transform
-
     rng = random.Random(103)
-    for tau in (TAU_I.value, TAU_ZETA.value, GENERIC.value):
+    for m in (TAU_I, TAU_ZETA, GENERIC):
         for word in ("T", "S", "SSS", "STSS", "tS"):
             inverse = "".join(_INVERSE_LETTERS[g] for g in reversed(word))
             for _ in range(10):
                 c = ThetaChar(Fraction(rng.randrange(-24, 24), 12), Fraction(rng.randrange(-24, 24), 12))
                 z = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
-                c2, pref, z2, tau2 = _transform(c, z, tau, word + inverse)
-                assert (c2, z2, tau2) == (c, z, tau), (word, c)
+                c2, pref, z2, m2 = transform(c, z, m, word + inverse)
+                assert (c2, z2, m2.value) == (c, z, m.value), (word, c)
                 assert abs(pref - 1.0) < 1e-15, (word, c)
 
 
 def test_word_ss_is_parity_and_t_inverse_is_a_law():
-    from lemnis.theta import _transform
-
     rng = random.Random(104)
     for _ in range(30):
         c = ThetaChar(Fraction(rng.randrange(0, 6), 6), Fraction(rng.randrange(0, 6), 6))
         z = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
-        for tau in (TAU_I.value, TAU_ZETA.value, GENERIC.value):
-            c2, pref, z2, tau2 = _transform(c, z, tau, "SS")
-            assert (c2, z2, tau2) == (ThetaChar(-c.a, -c.b), -z, tau)
+        for m in (TAU_I, TAU_ZETA, GENERIC):
+            c2, pref, z2, m2 = transform(c, z, m, "SS")
+            assert (c2, z2, m2.value) == (ThetaChar(-c.a, -c.b), -z, m.value)
             assert abs(pref - 1.0) < 1e-15
-        # no public name reaches T^-1 alone
-        c2, pref, z2, tau2 = _transform(c, z, GENERIC.value, "t")
-        assert z2 == z and tau2 == pytest.approx(GENERIC.value - 1.0)
-        lhs = theta(c, z2, Modulus.generic(tau2))
+        c2, pref, z2, m2 = transform(c, z, GENERIC, "t")
+        assert z2 == z and m2.value == pytest.approx(GENERIC.value - 1.0)
+        lhs = theta(c, z2, m2)
         rhs = pref * theta(c2, z, GENERIC)
         assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
+
+
+def test_a_word_with_another_letter_is_a_domain_error():
+    # "X" once read as t, and a lower-case s is not S
+    for word in ("SX", "s", "X"):
+        with pytest.raises(DomainError, match="letter other than S, T and t"):
+            transform(C00, 0.1, TAU_I, word)
 
 
 def test_i_multiple():
@@ -414,7 +412,7 @@ def test_i_multiple():
             Fraction(rng.randrange(0, 4), 4), Fraction(rng.randrange(0, 4), 4)
         )
         z = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
-        pref, c2 = i_multiple(c, z)
+        c2, pref, _, _ = transform(c, z, TAU_I, "SSS")
         lhs = theta(c, 1j * z, TAU_I)
         rhs = pref * theta(c2, z, TAU_I)
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
@@ -423,13 +421,13 @@ def test_i_multiple():
 def test_omega_multiple():
     rng = random.Random(99)
     w = ZETA - 1.0  # the rotation of order six squared, a cube root of unity
-    for power, rot in ((OmegaPower.OMEGA, w), (OmegaPower.OMEGA_SQ, w * w)):
+    for word, rot in (("STSS", w), ("tS", w * w)):
         for _ in range(30):
             c = ThetaChar(
                 Fraction(rng.randrange(0, 6), 6), Fraction(rng.randrange(0, 6), 6)
             )
             z = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
-            pref, c2 = omega_multiple(c, z, power)
+            c2, pref, _, _ = transform(c, z, TAU_ZETA, word)
             lhs = theta(c, rot * z, TAU_ZETA)
             rhs = pref * theta(c2, z, TAU_ZETA)
             assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
@@ -722,13 +720,13 @@ def test_characteristic_law_memo_stays_bounded():
             c = ThetaChar(base.a + p, base.b + q)
             red, factor = c.reduce()
             assert red == base and abs(factor - e_of(float(base.a * q))) < 1e-15
-            i_multiple(c, z)
-            omega_multiple(c, z, OmegaPower.OMEGA)
+            transform(c, z, TAU_I, "SSS")
+            transform(c, z, TAU_ZETA, "STSS")
     for memo in (_reduce, _word_law):
         assert memo.cache_info().currsize <= _LAW_MEMO
     # a law taken from the memo is the law computed afresh
     c = ThetaChar(base.a + 99, base.b + 99)
-    pref, target = omega_multiple(c, z, OmegaPower.OMEGA_SQ)
+    target, pref, _, _ = transform(c, z, TAU_ZETA, "tS")
     lhs = theta(c, (ZETA - 1.0) ** 2 * z, TAU_ZETA)
     assert abs(lhs - pref * theta(target, z, TAU_ZETA)) < 1e-10 * max(1.0, abs(lhs))
 
