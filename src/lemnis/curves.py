@@ -342,7 +342,10 @@ def _sextic_ratios(p: CurvePoint, th: tuple | None) -> list[IdentityPair]:
     else:
         r = p.t / p.u ** 2
         degenerate = False
-    cube = 0j if degenerate else p.u ** 3 / (p.t * (p.t - 1))
+    # where t rounds to 1, t - 1 is u^6/t^3 by the curve's equation
+    at_one = p.t == 1
+    cube = 0j if degenerate else (p.t ** 2 / p.u ** 3 if at_one else p.u ** 3 / (p.t * (p.t - 1)))
+    tail = 1 + p.t ** 3 / p.u ** 6 if at_one else 1 + 1 / (p.t - 1)
     return [
         IdentityPair("one_plus_r", 1 + r, SQRT3 * 1j * th00 ** 2 / th11 ** 2),
         IdentityPair("one_plus_z2_r", 1 + z2 * r, -SQRT3 * th10 ** 2 / th11 ** 2),
@@ -355,7 +358,7 @@ def _sextic_ratios(p: CurvePoint, th: tuple | None) -> list[IdentityPair]:
         IdentityPair(
             "triple_product",
             (1 + r) * (1 + z2 * r) * (1 + z4 * r),
-            1 + 1 / (p.t - 1),
+            tail,
         ),
     ]
 

@@ -8,7 +8,8 @@ written entry by entry and returned as row-major nested tuples
 works over Z[i] or Z[zeta] with no floats at all, so group-theoretic
 statements (orders, closures) are decided exactly.  Its arithmetic follows
 from the one relation g^2 = e*g - 1 of the ring generator g, with
-e = `Ring.trace`, and the units are the powers of g.
+e = `Ring.trace`, and the units are the powers of g.  Each value object's own
+__init__ checks its arguments and sets its frozen fields in one step.
 """
 
 from __future__ import annotations
@@ -54,9 +55,10 @@ class CycInt:
     y: int
     ring: Ring
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.x, int) or not isinstance(self.y, int):
+    def __init__(self, x: int, y: int, ring: Ring) -> None:
+        if not isinstance(x, int) or not isinstance(y, int):
             raise DomainError("CycInt coordinates must be integers")
+        self.__dict__.update(x=x, y=y, ring=ring)
 
     @property
     def value(self) -> complex:
@@ -125,11 +127,11 @@ class CircuitMatrix:
     e21: CycInt
     e22: CycInt
 
-    def __post_init__(self) -> None:
-        ring = self.e11.ring
-        for e in (self.e12, self.e21, self.e22):
-            if e.ring is not ring:
+    def __init__(self, e11: CycInt, e12: CycInt, e21: CycInt, e22: CycInt) -> None:
+        for e in (e12, e21, e22):
+            if e.ring is not e11.ring:
                 raise DomainError("matrix entries must share one ring")
+        self.__dict__.update(e11=e11, e12=e12, e21=e21, e22=e22)
         if not self.det().is_unit():
             raise DomainError("determinant must be a unit")
 
@@ -180,11 +182,12 @@ class AffineMap:
     unit: CycInt
     shift: CycInt
 
-    def __post_init__(self) -> None:
-        if self.unit.ring is not self.shift.ring:
+    def __init__(self, unit: CycInt, shift: CycInt) -> None:
+        if unit.ring is not shift.ring:
             raise DomainError("unit and shift must share one ring")
-        if not self.unit.is_unit():
+        if not unit.is_unit():
             raise DomainError("AffineMap unit must be a ring unit")
+        self.__dict__.update(unit=unit, shift=shift)
 
     @property
     def ring(self) -> Ring:

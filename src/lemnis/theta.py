@@ -9,12 +9,13 @@ One kernel sums it, outward from the largest term by term ratios over a
 window centred on that term that ends at 2^-56 of it, and keeps the even-n
 and odd-n parts apart.  Each tau is reduced once per Modulus to the
 fundamental domain F (|Re tau| <= 1/2, |tau| >= 1) by the steps
-`lattice_distance` also takes.  At every tau in F, i and zeta among them,
-the series is summed as it stands, and `theta_four` takes the four half
-characteristics from the two lattices n and n + 1/2, where b = 1/2 only
-flips the sign of the odd part.  Any other tau is summed at its reduction: z
-goes into the characteristic, each step moves the theta constant, and the
-kernel sums at most 9 terms (11 for `theta_dz`).  Every law on tau is a word
+`lattice_distance` also takes, and the window is kept with that reduction.
+At every tau in F, i and zeta among them, the series is summed as it stands,
+and `theta_four` takes the four half characteristics from the two lattices n
+and n + 1/2, where b = 1/2 only flips the sign of the odd part.  Any other
+tau is summed at its reduction: z goes into the characteristic, each step
+moves the theta constant, and the kernel sums at most 9 terms (11 for
+`theta_dz`).  Every law on tau is a word
 in S: (z, tau) -> (z/tau, -1/tau), T: tau -> tau + 1 and t = T^-1, letters
 acting left to right, applied by the one public composer `transform` (Mumford,
 Tata Lectures on Theta I, ch. I-II); the words SSS, STSS and tS, which fix i
@@ -150,7 +151,7 @@ class Modulus:
         """theta_four(0, tau): the four theta constants, summed once per modulus."""
         return theta_four(0j, self)
 
-    def _reduced_tau(self) -> tuple[int, list[tuple[complex, int]], complex, complex, complex]:
+    def _reduced_tau(self) -> tuple[int, list[tuple[complex, int]], complex, complex, complex, int]:
         # _reduction(tau), kept once per modulus; a cached_property's lock would
         # cost about as much as the loop.  k0 = 0 and no step mean tau is in F.
         red = self.__dict__.get("_reduced")
@@ -162,14 +163,15 @@ class Modulus:
     def _reduced_basis(self) -> tuple[complex, complex]:
         # (u, t) with Z tau + Z = u (Z t + Z) and t in F, u the product of the
         # reduction's steps' t; tau in F keeps u = 1.
-        _, steps, t, _, _ = self._reduced_tau()
+        _, steps, t, _, _, _ = self._reduced_tau()
         return math.prod((s for s, _ in steps), start=1.0), t
 
 
-def _reduction(tau: complex) -> tuple[int, list[tuple[complex, int]], complex, complex, complex]:
+def _reduction(tau: complex) -> tuple[int, list[tuple[complex, int]], complex, complex, complex, int]:
     # The one reduction loop: tau = t + k0, |Re t| <= 1/2, then while |t| < 1
     # - 1e-9 a step t = S T^k (t'), s = -1/t, k = round(Re s), t' = s - k.
-    # Returns k0, each step's (t, k), the t in F, prod sqrt(s/i) and e(t).
+    # Returns k0, each step's (t, k), the t in F, prod sqrt(s/i), e(t) (in F
+    # it cannot overflow) and h, the half-width of the kernel's window at t.
     k0 = round(tau.real)
     t, steps, root = tau - k0, [], 1.0
     while abs(t) < 1.0 - 1e-9:
@@ -180,7 +182,7 @@ def _reduction(tau: complex) -> tuple[int, list[tuple[complex, int]], complex, c
         steps.append((t, k))
         root *= cmath.sqrt(s / 1j)
         t = s - k
-    return k0, steps, t, root, cmath.exp(2j * math.pi * t)  # e(t) in F: no overflow
+    return k0, steps, t, root, cmath.exp(2j * math.pi * t), math.ceil(math.sqrt(_CUT / t.imag))
 
 
 TAU_I = Modulus(1j)
@@ -249,8 +251,8 @@ def lattice_distance(m: Modulus, z1: complex, z2: complex) -> float:
 
 
 # The series is summed over k within h of its peak, h = ceil(s) (+ 1 for the
-# z-derivative) with exp(-pi Im(tau) s^2) = 2^-56: the window depends on tau
-# alone, and in F, where Im(tau) >= sqrt(3)/2, it holds at most 9 terms.
+# z-derivative) with exp(-pi Im(tau) s^2) = 2^-56: h is kept with each modulus's
+# reduction, and in F, where Im(tau) >= sqrt(3)/2, the window has at most 9 terms.
 _CUT = 56.0 * math.log(2.0) / math.pi
 # From |Re z| = 16 on, the phases 2 pi k Re(w) of a sum would lose more than 4
 # bits to Re z, so its integer part leaves as an exact phase (in _reduced).
@@ -258,7 +260,7 @@ _FOLD = 16.0
 
 
 def _lattice_sums(
-    a: float, w: complex, z: complex, tau: complex, q2: complex, weighted: bool
+    a: float, w: complex, z: complex, tau: complex, q2: complex, h: int, weighted: bool
 ) -> tuple[complex, complex]:
     # Sums over even and over odd n of T(k) = exp(pi i k^2 tau + 2 pi i k w),
     # k = n + a (times 2 pi i k when weighted), w = z + b.  |T(k)| is the
@@ -274,7 +276,7 @@ def _lattice_sums(
     if not cmath.isfinite(z):
         raise DomainError(f"theta requires a finite argument, got {z}")
     im_tau = tau.imag
-    h = math.ceil(math.sqrt(_CUT / im_tau)) + weighted
+    h += weighted
     peak = -w.imag / im_tau
     try:  # an infinite peak, or an exponent with infinite parts, raises here
         n0 = round(peak - a)
@@ -307,11 +309,17 @@ def _lattice_sums(
     n_down = n0 - math.ceil(peak - h - a)
     for ratio, step, count in ((up, 1.0, n_up), (down, -1.0, n_down)):
         t, k = t0, k0
-        for _ in range(count):
-            t *= ratio
-            ratio *= q2
-            k += step
-            same, other = other + (k * t if weighted else t), same
+        if weighted:
+            for _ in range(count):
+                t *= ratio
+                ratio *= q2
+                k += step
+                same, other = other + k * t, same
+        else:  # theta and theta_four: no index, no test per term
+            for _ in range(count):
+                t *= ratio
+                ratio *= q2
+                same, other = other + t, same
         if count % 2:
             same, other = other, same
     # |E| + |O| bounds E + O, E - O and i (E - O) alike
@@ -331,10 +339,10 @@ def _turns(p: Fraction, n: int) -> float:
 
 
 def _value(c: ThetaChar, z: complex, m: Modulus, weighted: bool) -> complex:
-    k0, steps, _, _, q2 = red = m._reduced_tau()
+    k0, steps, _, _, q2, h = red = m._reduced_tau()
     if k0 or steps or not abs(z.real) < _FOLD:
         return _reduced(c, z, m.value, red, weighted)
-    even, odd = _lattice_sums(c.af, z + c.bf, z, m.value, q2, weighted)
+    even, odd = _lattice_sums(c.af, z + c.bf, z, m.value, q2, h, weighted)
     return even + odd
 
 
@@ -348,7 +356,7 @@ def _reduced(c: ThetaChar, z: complex, tau: complex, red: tuple, weighted: bool)
     # that factor times theta'_{A,B}(0) - 2 pi i alpha theta_{A,B}(0).  A step
     # S T^k moves theta_{A,B}(0) by its letter laws and sqrt(s/i), theta'_{A,B}(0)
     # by s sqrt(s/i) (the S law's z-derivative at 0); the s multiply to i^n root^2.
-    k0, steps, reduced, root, q2 = red
+    k0, steps, reduced, root, q2, h = red
     a, b, bf, turns, n = c.a, c.b, c.bf, 0.0, 0
     if k0:
         a, b, phase = _letter(a, b, k0)
@@ -368,10 +376,10 @@ def _reduced(c: ThetaChar, z: complex, tau: complex, red: tuple, weighted: bool)
             j = round(big_b)
             big_b -= j
             turns = (turns + phase_s + phase_t + big_a * j) % 1.0  # each step mod 1
-    even, odd = _lattice_sums(big_a, w + big_b, w, reduced, q2, weighted)
+    even, odd = _lattice_sums(big_a, w + big_b, w, reduced, q2, h, weighted)
     value = even + odd
     if weighted and steps:
-        even, odd = _lattice_sums(big_a, complex(big_b), 0j, reduced, q2, False)
+        even, odd = _lattice_sums(big_a, complex(big_b), 0j, reduced, q2, h, False)
         value = value * 1j ** len(steps) * root * root - 2j * math.pi * alpha * (even + odd)
     try:
         value *= _exp(2j * math.pi * (turns + _turns(a, q + n) + log)) * root
@@ -470,11 +478,11 @@ def theta_four(z: complex, m: Modulus) -> tuple[complex, complex, complex, compl
     theta10 = E1 + O1, theta11 = i (E1 - O1).
     """
     z = complex(z)
-    k0, steps, _, _, q2 = red = m._reduced_tau()
+    k0, steps, _, _, q2, h = red = m._reduced_tau()
     if k0 or steps or not abs(z.real) < _FOLD:  # one reduction, four characteristics
         return tuple(_reduced(c, z, m.value, red, False) for c in HALF_CHARS)
-    e0, o0 = _lattice_sums(0.0, z, z, m.value, q2, False)
-    e1, o1 = _lattice_sums(0.5, z, z, m.value, q2, False)
+    e0, o0 = _lattice_sums(0.0, z, z, m.value, q2, h, False)
+    e1, o1 = _lattice_sums(0.5, z, z, m.value, q2, h, False)
     return e0 + o0, e0 - o0, e1 + o1, 1j * (e1 - o1)
 
 
@@ -534,10 +542,16 @@ def addition_check(z1: complex, z2: complex, m: Modulus) -> list[float]:
 def one_plus_i_multiple(z: complex) -> list[IdentityPair]:
     """Both sides of the three (1+i)-multiplication identities at tau = i."""
     z = complex(z)
+    return _one_plus_i_pairs.__wrapped__(z, theta_four(z, TAU_I))  # checked here, once
+
+
+@_within_binary64
+def _one_plus_i_pairs(z: complex, th: tuple) -> list[IdentityPair]:
+    # one_plus_i_multiple(z) from th = theta_four(z, TAU_I), already summed
     m = TAU_I
     gauss = _exp(math.pi * 1j * (1.0 + 1j) * z * z)
     k00, k01, k10, _ = m.theta_nulls
-    t00, t01, t10, t11 = theta_four(z, m)
+    t00, t01, t10, t11 = th
     w00, w01, w10, w11 = theta_four((1.0 + 1j) * z, m)
     return [
         IdentityPair("theta00", w00, k00 * t01 * t10 / (gauss * k01 * k10)),
@@ -558,10 +572,16 @@ def one_plus_i_multiple(z: complex) -> list[IdentityPair]:
 def one_plus_zeta_multiple(z: complex) -> list[IdentityPair]:
     """Both sides of the four (1+zeta)-multiplication identities at tau = zeta."""
     z = complex(z)
+    return _one_plus_zeta_pairs.__wrapped__(z, theta_four(z, TAU_ZETA))  # checked here, once
+
+
+@_within_binary64
+def _one_plus_zeta_pairs(z: complex, th: tuple) -> list[IdentityPair]:
+    # one_plus_zeta_multiple(z) from th = theta_four(z, TAU_ZETA), already summed
     m = TAU_ZETA
     gauss = _e((OMEGA_SQ + OMEGA / 2.0) * z * z)
     k00, k01, k10, _ = m.theta_nulls
-    t00, t01, t10, t11 = theta_four(z, m)
+    t00, t01, t10, t11 = th
     w00, w01, w10, w11 = theta_four((1.0 + ZETA) * z, m)
     e8 = e_of(0.125)
     return [

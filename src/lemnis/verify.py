@@ -46,10 +46,10 @@ from .theta import (
     Modulus,
     ThetaChar,
     TorusPoint,
+    _one_plus_i_pairs,
+    _one_plus_zeta_pairs,
     addition_check,
     canonical_torus_point,
-    one_plus_i_multiple,
-    one_plus_zeta_multiple,
     quasi_period_factor,
     theta,
     theta_constants,
@@ -143,7 +143,7 @@ def _suite_tau_i(rng: SplitMix64, n: int):
             yield "tau_i.char_shift", _scaled_residual(theta(cs, z, mod), cf * at_z[k]), tag
             target, pref, _, _ = transform(char, z, mod, "SSS")
             yield "tau_i.i_times", _scaled_residual(at_iz[k], pref * theta(target, z, mod)), tag
-        for pair in one_plus_i_multiple(z):
+        for pair in _one_plus_i_pairs(z, at_z):
             yield "tau_i.one_plus_i", pair.residual, tag + f" {pair.name}"
         th00, th01, th10, th11 = at_z
         rt2 = math.sqrt(2.0)
@@ -164,9 +164,9 @@ def _suite_tau_zeta(rng: SplitMix64, n: int):
                 target, pref, _, _ = transform(char, z, mod, word)
                 residual = _scaled_residual(lhs, pref * theta(target, z, mod))
                 yield "tau_zeta.omega_times", residual, tag + f" {name}"
-        for pair in one_plus_zeta_multiple(z):
+        th = th00, th01, th10, th11 = theta_four(z, mod)
+        for pair in _one_plus_zeta_pairs(z, th):
             yield "tau_zeta.one_plus_zeta", pair.residual, tag + f" {pair.name}"
-        th00, th01, th10, th11 = theta_four(z, mod)
         e12 = complex(math.cos(math.pi / 6.0), math.sin(math.pi / 6.0))
         lincomb = "tau_zeta.linear_combination"
         yield lincomb, _scaled_residual(th01 ** 2, (th00 ** 2 - OMEGA * OMEGA * th11 ** 2) / e12), tag

@@ -3,16 +3,23 @@ examples, seeded determinism, and the exit-code contract."""
 
 from __future__ import annotations
 
+import argparse
 import cmath
 import json
+import os
 import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import lemnis.cli
 from lemnis.cli import main, parse_complex
 from lemnis.numerics import ZETA, DomainError, IterationLimitError
-from lemnis.verify import SUITES, SplitMix64, format_complex
+from lemnis.theta import TAU_I, TAU_ZETA, _one_plus_i_pairs, _one_plus_zeta_pairs, theta_four
+from lemnis.verify import SUITES, SplitMix64, format_complex, sweep
 
 REPORT_KEYS = {"command", "inputs", "outputs", "residuals", "pass", "seed", "elapsed_ms"}
 
@@ -371,6 +378,48 @@ def test_verify_deterministic_reports(capsys):
     assert enc(rep1) == enc(rep2)
 
 
+def test_a_sweep_sums_each_theta_once(monkeypatch):
+    # lattice sums of 20-sample sweeps over all suites, seeds 1-5: the 1+i
+    # and 1+zeta lemmas take the thetas their suites already hold
+    kernel_module = sys.modules["lemnis.theta"]
+    kernel, calls = kernel_module._lattice_sums, []
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    TAU_I.theta_nulls, TAU_ZETA.theta_nulls  # summed once per process, before the count
+    monkeypatch.setattr(kernel_module, "_lattice_sums", counted)
+    per_suite = dict.fromkeys(SUITES, 0)
+    for seed in range(1, 6):
+        rng = SplitMix64(seed)  # the suites in order on one stream, as sweep runs them
+        for name, (_, suite) in SUITES.items():
+            before = len(calls)
+            for _ in suite(rng, 20):
+                pass
+            per_suite[name] += len(calls) - before
+    assert per_suite["tau-i"] == 5 * 481 and per_suite["tau-zeta"] == 5 * 329
+    assert sum(per_suite.values()) == 8602  # 1,720.4 per sweep
+    before = len(calls)
+    for seed in range(1, 6):
+        sweep(list(SUITES), seed, 20)
+    assert len(calls) - before == 8602
+
+
+def test_the_public_lemmas_equal_the_suites_reuse():
+    def bits(pairs):
+        return [(p.name, repr(p.lhs), repr(p.rhs)) for p in pairs]
+
+    rng = random.Random(26)
+    for _ in range(50):
+        z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        for public, twin, mod in (
+            (lemnis.one_plus_i_multiple, _one_plus_i_pairs, TAU_I),
+            (lemnis.one_plus_zeta_multiple, _one_plus_zeta_pairs, TAU_ZETA),
+        ):
+            assert bits(public(z)) == bits(twin(z, theta_four(z, mod))), z
+
+
 def test_verify_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "addition", "--samples", "0"])
@@ -423,3 +472,44 @@ def test_usage_errors_print_the_subcommand_usage(capsys):
         err = capsys.readouterr().err
         assert err.splitlines()[0].startswith(f"usage: lemnis {argv[0]} "), (argv, err)
         assert "Traceback" not in err, argv
+
+
+def _without_elapsed(text):
+    return re.sub(r'"elapsed_ms":[-+.0-9e]+', '"elapsed_ms":_', text)
+
+
+def test_repeated_in_process_calls_match_fresh_interpreters(capsys, monkeypatch):
+    # one process, one parser: every call prints what a fresh `lemnis` prints
+    sequence = (
+        ["theta", "--a", "1/3", "--b", "1/6", "--z", "0.2-0.1i", "--tau", "zeta"],
+        ["verify", "--samples", "3", "--seed", "11"],
+        ["agm", "--variant", "sextic", "--a", "1", "--b", "3"],
+        ["curve", "--curve", "i", "--t", "2+1i", "--mul"],
+        ["agm", "--variant", "quartic", "--a", "1", "--b", "-1e-3"],
+        ["verify", "--samples", "3", "--seed", "11"],
+    )
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    path = [str(Path(lemnis.cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    for k, argv in enumerate(sequence):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got = capsys.readouterr()
+        if k == 0:
+            first_builds = built.count("lemnis")
+        fresh = subprocess.run(
+            [sys.executable, "-m", "lemnis.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert code == fresh.returncode == (2 if k == 4 else 0), argv
+        assert _without_elapsed(got.out) == _without_elapsed(fresh.stdout), argv
+        assert got.err == fresh.stderr, argv
+        assert got.err.startswith("usage: lemnis agm ") == (k == 4), argv
+    assert built.count("lemnis") == first_builds <= 1

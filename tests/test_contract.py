@@ -157,8 +157,8 @@ MEAN_BREACHES = ((5e-324, 1e308),)
 
 # identity lemmas: one_plus_i_multiple raised ZeroDivisionError (gauss^2
 # underflows) and OverflowError (t00**4), and returned a NaN right-hand side;
-# ratio_identities_sextic raised ZeroDivisionError where t rounds to 1; and
-# addition_check returned four NaN residuals
+# ratio_identities_sextic raised ZeroDivisionError, and then DomainError,
+# where t rounds to 1; and addition_check returned four NaN residuals
 LEMMA_BREACHES = (
     (11.142448829985067 + 2.564344903256174e-06j, 0j),
     (1 - 7.686171724423333j, 0j),
@@ -300,6 +300,18 @@ def test_theta_is_quasi_periodic(c, z, tau, p, q):
     a = float(c.a % 1)
     terms = sum(math.exp(-math.pi * (tau.imag * k + 2.0 * z.imag) * k) for k in (n + a for n in range(-40, 41)))
     assert abs(lhs - rhs) <= 1e-12 * abs(factor) * terms
+
+
+@SWEEP
+@given(st.builds(complex, UNIT, UNIT))
+@example(LEMMA_BREACHES[3][0])  # t rounds to exactly 1: t - 1 is taken as u^6/t^3
+def test_sextic_ratio_identities_hold(z):
+    # at the points the verify suite samples, and where t rounds to 1
+    point = canonical_torus_point(TAU_ZETA, z)
+    p = inverse_sextic(point)
+    assume(p.t == 1 or not p.at_infinity and abs(p.t - 1) >= 0.05 and 0.05 <= abs(p.t) <= 40.0)
+    pairs = ratio_identities_sextic(point)
+    assert all(pair.residual <= 1e-10 for pair in pairs), (z, pairs)
 
 
 @SWEEP

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -180,6 +182,46 @@ def test_affine_composition_and_inverse():
         assert (f @ f.inverse()).apply(z) == pytest.approx(z)
     with pytest.raises(DomainError):
         AffineMap(CycInt(2, 0, G), ring_one(G))
+
+
+def test_value_objects_keep_their_checks_and_dataclass_behaviour():
+    one, zero, g = ring_one(G), CycInt(0, 0, G), ring_gen(G)
+    for make, message in (
+        (lambda: CycInt(1.0, 0, G), "CycInt coordinates must be integers"),
+        (lambda: CycInt(0, "1", E), "CycInt coordinates must be integers"),
+        (lambda: CircuitMatrix(one, zero, zero, ring_one(E)), "matrix entries must share one ring"),
+        (lambda: CircuitMatrix(CycInt(2, 0, G), zero, zero, one), "determinant must be a unit"),
+        (lambda: AffineMap(one, ring_one(E)), "unit and shift must share one ring"),
+        (lambda: AffineMap(CycInt(1, 1, G), zero), "AffineMap unit must be a ring unit"),
+    ):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            make()
+    c = CycInt(x=2, y=-1, ring=G)
+    m = CircuitMatrix(e11=one, e12=g, e21=zero, e22=one)
+    f = AffineMap(unit=g, shift=c)
+    for obj, same, other in (
+        (c, CycInt(2, -1, G), CycInt(2, -1, E)),
+        (m, CircuitMatrix(one, g, zero, one), CircuitMatrix.identity(G)),
+        (f, AffineMap(g, CycInt(2, -1, G)), AffineMap.identity(G)),
+    ):
+        assert obj == same and hash(obj) == hash(same) and obj != other
+        for field in dataclasses.fields(obj):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, field.name, getattr(other, field.name))
+        assert dataclasses.replace(obj) == obj
+    assert repr(c) == "CycInt(x=2, y=-1, ring=<Ring.GAUSS: 'gauss'>)"
+    assert repr(m) == f"CircuitMatrix(e11={one!r}, e12={g!r}, e21={zero!r}, e22={one!r})"
+    assert repr(f) == f"AffineMap(unit={g!r}, shift={c!r})"
+    assert dataclasses.replace(c, y=3) == CycInt(2, 3, G)
+    assert dataclasses.replace(m, e12=zero) == CircuitMatrix.identity(G)
+    assert dataclasses.replace(f, shift=zero) == AffineMap(g, zero)
+    for obj, change, message in (
+        (c, {"x": 0.5}, "CycInt coordinates must be integers"),
+        (m, {"e11": CycInt(2, 0, G)}, "determinant must be a unit"),
+        (f, {"unit": zero}, "AffineMap unit must be a ring unit"),
+    ):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            dataclasses.replace(obj, **change)
 
 
 def test_circuit_routes_agree():
