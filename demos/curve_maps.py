@@ -7,7 +7,6 @@ inverts through theta quotients, and applies the unit multiplication map.
 """
 
 from lemnis.curves import (
-    Curve,
     abel_jacobi,
     equivalent_mod_group,
     inverse_quartic,
@@ -16,17 +15,20 @@ from lemnis.curves import (
     one_form_constant,
     special_point,
 )
+from lemnis.hypergeometric import SchwarzVariant
 from lemnis.theta import TAU_I, canonical_torus_point
+
+QUARTIC, SEXTIC = SchwarzVariant.QUARTIC, SchwarzVariant.SEXTIC
 
 # named fiber points over t = 0, 1, infinity land on lattice-rational images
 print("special point images:")
-for curve, names in ((Curve.C_I, ("P1", "P01", "Pinf")), (Curve.C_ZETA, ("P1", "P01", "Pinf1"))):
+for curve, label, names in ((QUARTIC, "i", ("P1", "P01", "Pinf")), (SEXTIC, "zeta", ("P1", "P01", "Pinf1"))):
     for name in names:
         z = abel_jacobi(special_point(curve, name))
-        print(f"  {curve.value:<4} {name:<6} -> z = {z.z:.12f}")
+        print(f"  {label:<4} {name:<6} -> z = {z.z:.12f}")
 
 # a generic point: lift, integrate, then invert back through theta quotients
-p = lift_branch(Curve.C_I, 2.0)
+p = lift_branch(QUARTIC, 2.0)
 z = abel_jacobi(p)
 q = inverse_quartic(z)
 print(f"\nlift t=2 on sheet 0: u = {p.u:.12g}")
@@ -44,5 +46,5 @@ w = equivalent_mod_group(z_img, target)
 print(f"group witness: unit = {w.unit}, shift = {w.lattice_shift}, dist = {w.distance:.1e}")
 
 # the pullback constant of the 1-form has closed beta-function form
-for curve in (Curve.C_I, Curve.C_ZETA):
-    print(f"1-form constant on {curve.value:<4}: {one_form_constant(curve):.12g}")
+for curve, label in ((QUARTIC, "i"), (SEXTIC, "zeta")):
+    print(f"1-form constant on {label:<4}: {one_form_constant(curve):.12g}")

@@ -40,7 +40,6 @@ from .theta import (
     transform,
 )
 from .curves import (
-    Curve,
     CurvePoint,
     GroupWitness,
     abel_jacobi,
@@ -63,7 +62,6 @@ from .monodromy import (
     CircuitMatrix,
     ClosureSummary,
     CycInt,
-    Ring,
     as_affine,
     base_change_affine,
     general_m0_m1,

@@ -22,7 +22,6 @@ from fractions import Fraction
 import numpy  # noqa: F401  perfbench's import_times reads numpy's `-X importtime` line for lemnis.cli
 
 from .curves import (
-    Curve,
     _curve_residual,
     abel_jacobi,
     equivalent_mod_group,
@@ -161,7 +160,7 @@ def _cmd_agm(args: argparse.Namespace) -> int:
 def _cmd_curve(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     tol = args.tol
-    curve = Curve(args.curve)
+    curve = SchwarzVariant.QUARTIC if args.curve == "i" else SchwarzVariant.SEXTIC
     if args.point is not None:
         point = special_point(curve, args.point)
     else:
@@ -181,7 +180,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     }
     residuals = [{"name": "on_curve", "value": _curve_residual(point), "tol": tol}]
     if args.mul:
-        image = (mul_one_plus_i if curve is Curve.C_I else mul_one_plus_zeta)(point)
+        image = (mul_one_plus_i if curve is SchwarzVariant.QUARTIC else mul_one_plus_zeta)(point)
         z_img = abel_jacobi(image)
         target = canonical_torus_point(curve.modulus, (1 + curve.unit) * z.z)
         witness = equivalent_mod_group(z_img, target, tol=max(tol, 1e-8))

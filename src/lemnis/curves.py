@@ -1,9 +1,10 @@
 """The two special curves, their Abel-Jacobi maps, and the theta inverses.
 
-Curve C_I is u^4 = t^2 (t - 1) with lattice Z + Z i; curve C_ZETA is
-u^6 = t^3 (t - 1) with lattice Z + Z zeta, zeta = (1 + sqrt(3) i)/2.  The
-forward map is the normalized holomorphic 1-form integrated from the base
-point t = 1, in closed form: with a = 1/4 on C_I and 1/6 on C_ZETA,
+A curve is a `SchwarzVariant`: QUARTIC is u^4 = t^2 (t - 1) with lattice
+Z + Z i, SEXTIC is u^6 = t^3 (t - 1) with lattice Z + Z zeta,
+zeta = (1 + sqrt(3) i)/2.  The forward map is the normalized holomorphic
+1-form integrated from the base point t = 1, in closed form: with the
+variant's exponent a = 1/4 or 1/6,
 
     z = (t - 1)^a / a * F(1/2, a; 1 + a; 1 - t) / normalization
 
@@ -19,13 +20,11 @@ ratio identities, group equivalence) tie the two descriptions together.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 
-from .hypergeometric import GaussParams, SchwarzVariant, gauss_2f1, gauss_kummer_value, schwarz_map
+from .hypergeometric import GaussParams, SchwarzVariant, _require_variant, gauss_2f1, gauss_kummer_value, schwarz_map
 from .numerics import SQRT3, TWO_PI, ZETA, DomainError, e_of
 from .theta import (
     HALF_CHARS,
@@ -43,37 +42,8 @@ from .theta import (
 )
 
 
-class Curve(Enum):
-    C_I = "i"
-    C_ZETA = "zeta"
-
-    @functools.cached_property
-    def root_order(self) -> int:
-        return self.variant.root_order
-
-    @property
-    def unit(self) -> complex:
-        return 1j if self is Curve.C_I else ZETA
-
-    @property
-    def modulus(self) -> Modulus:
-        return TAU_I if self is Curve.C_I else TAU_ZETA
-
-    @property
-    def variant(self) -> SchwarzVariant:
-        return SchwarzVariant.QUARTIC if self is Curve.C_I else SchwarzVariant.SEXTIC
-
-    @functools.cached_property
-    def exponent(self) -> float:
-        """a = 1/4 on C_I, 1/6 on C_ZETA: the 1-form is s^(-1/2) (s - 1)^(a - 1) ds.
-
-        It is the first parameter of the variant's series F(a, 1/2; 1 + a).
-        """
-        return self.variant.series_params.alpha
-
-    @functools.cached_property
-    def normalization(self) -> complex:
-        return self.variant.normalization
+# The curves' old enum name, still read by perfbench/workloads.py and perfbench/selftest.py.
+Curve = SchwarzVariant
 
 
 @dataclass(frozen=True)
@@ -86,7 +56,7 @@ class CurvePoint:
     fiber element.
     """
 
-    curve: Curve
+    curve: SchwarzVariant
     t: complex
     u: complex
     at_infinity: bool = False
@@ -103,17 +73,17 @@ class CurvePoint:
 def _curve_residual(p: CurvePoint) -> float:
     # |lhs - rhs| of the curve equation over the largest of |lhs|, |t|^deg and 1.
     # It is taken on u / 2^(wu j), t / 2^(wt j) with the weights (wu, wt) that
-    # make the equation homogeneous, (3, 4) on C_I and (2, 3) on C_ZETA, and j
+    # make the equation homogeneous, (3, 4) on QUARTIC and (2, 3) on SEXTIC, and j
     # the least j >= 0 that brings both to modulus below 2, so no power
     # overflows; scaling by a power of two is exact, and j = 0 for |u|, |t| < 1.
     if p.at_infinity:
         return 0.0
-    wu, wt = (3, 4) if p.curve is Curve.C_I else (2, 3)
+    wu, wt = (3, 4) if p.curve is SchwarzVariant.QUARTIC else (2, 3)
     j = max(0, -(-_binary_exponent(p.u) // wu), -(-_binary_exponent(p.t) // wt))
     one = math.ldexp(1.0, -wt * j)
     u = p.u * math.ldexp(1.0, -wu * j)
     t = p.t * one
-    if p.curve is Curve.C_I:
+    if p.curve is SchwarzVariant.QUARTIC:
         return abs(u ** 4 - t * t * (t - one)) / max(abs(u) ** 4, abs(t) ** 3, one ** 3)
     return abs(u ** 6 - t ** 3 * (t - one)) / max(abs(u) ** 6, abs(t) ** 4, one ** 4)
 
@@ -123,30 +93,32 @@ def _binary_exponent(v: complex) -> int:
     return math.frexp(max(abs(v.real), abs(v.imag)))[1]
 
 
-def special_point(curve: Curve, name: str) -> CurvePoint:
+def special_point(curve: SchwarzVariant, name: str) -> CurvePoint:
     """Named fiber points over t in {1, 0, infinity}.
 
-    C_I: P1, P01, P02, Pinf.  C_ZETA: P1, P01, P02, P03, Pinf1, Pinf2.
+    QUARTIC: P1, P01, P02, Pinf.  SEXTIC: P1, P01, P02, P03, Pinf1, Pinf2.
     """
     name = name.strip()
     if name == "P1":
         return CurvePoint(curve, 1.0, 0.0)
-    zero_names = ("P01", "P02") if curve is Curve.C_I else ("P01", "P02", "P03")
+    quartic = curve is SchwarzVariant.QUARTIC
+    zero_names = ("P01", "P02") if quartic else ("P01", "P02", "P03")
     if name in zero_names:
         return CurvePoint(curve, 0.0, 0.0, branch=zero_names.index(name))
-    inf_names = ("Pinf",) if curve is Curve.C_I else ("Pinf1", "Pinf2")
+    inf_names = ("Pinf",) if quartic else ("Pinf1", "Pinf2")
     if name in inf_names:
         return CurvePoint(curve, 0.0, 0.0, at_infinity=True, branch=inf_names.index(name))
-    raise DomainError(f"unknown special point {name!r} on {curve.value}")
+    raise DomainError(f"unknown special point {name!r} on {'i' if quartic else 'zeta'}")
 
 
-def lift_branch(curve: Curve, t: complex, k: int = 0) -> CurvePoint:
+def lift_branch(curve: SchwarzVariant, t: complex, k: int = 0) -> CurvePoint:
     """The point over t on sheet k, counted from the principal sheet.
 
     The principal sheet takes principal logarithms of t and t - 1, so u is
     real positive on (1, infinity); on the cut (-infinity, 1] a zero Im t
     of either sign takes the upper side.  Ramification values are rejected.
     """
+    _require_variant(curve)
     t = complex(t)
     if _distance(t) < 1e-12 or _distance(t, 1.0) < 1e-12:
         raise DomainError("ramification value; take the fiber point by name (special_point, or --point)")
@@ -159,7 +131,7 @@ def _distance(t: complex, c: float = 0.0) -> float:
     return math.hypot(t.real - c, t.imag)
 
 
-def _principal_u(curve: Curve, t: complex) -> complex:
+def _principal_u(curve: SchwarzVariant, t: complex) -> complex:
     # u = t^(1/2) (t - 1)^(1/k) on principal logarithms, upper side on the cut
     t = complex(t.real, t.imag + 0.0)  # -0.0 + 0.0 is +0.0
     return cmath.exp(0.5 * cmath.log(t) + cmath.log(t - 1) / curve.root_order)
@@ -168,13 +140,13 @@ def _principal_u(curve: Curve, t: complex) -> complex:
 # ---------------------------------------------------------------------------
 # Abel-Jacobi map.
 
-def _zero_image(curve: Curve) -> complex:
+def _zero_image(curve: SchwarzVariant) -> complex:
     """Torus image of the first fiber point over t = 0: e(a/2) F(1/2, a; 1 + a; 1) / (a N)."""
     a = curve.exponent
     return e_of(0.5 * a) * gauss_kummer_value(GaussParams(0.5, a, 1.0 + a)) / (a * curve.normalization)
 
 
-def _infinity_image(curve: Curve) -> complex:
+def _infinity_image(curve: SchwarzVariant) -> complex:
     """Torus image of the first fiber point over t = infinity: F(1/2 + a, a; 1 + a; 1) / (a N).
 
     That Gauss sum is the coefficient of (t - 1)^(-a) in the 1/z connection
@@ -203,7 +175,7 @@ def abel_jacobi(p: CurvePoint) -> TorusPoint:
         return canonical_torus_point(mod, 0j)
     if _distance(p.t) < 1e-12:
         return canonical_torus_point(mod, curve.unit ** (p.branch % k) * _zero_image(curve))
-    z_raw = schwarz_map(curve.variant, p.t)
+    z_raw = schwarz_map(curve, p.t)
     ratio = p.u / _principal_u(curve, p.t)
     best_m = round(cmath.phase(ratio) * k / TWO_PI) % k  # the unit power e(m/k) nearest to ratio
     best_d = abs(ratio - curve.unit ** best_m)
@@ -255,24 +227,24 @@ def _four_thetas(z: complex, mod: Modulus) -> tuple[complex, ...]:
 def _quartic_with_thetas(zp: TorusPoint) -> tuple[CurvePoint, tuple | None]:
     _require_modulus(zp, TAU_I)
     if lattice_distance(TAU_I, zp.z, _POLE_I) < 1e-9:
-        return CurvePoint(Curve.C_I, 0.0, 0.0, at_infinity=True), None
+        return CurvePoint(SchwarzVariant.QUARTIC, 0.0, 0.0, at_infinity=True), None
     th = th00, th01, th10, th11 = _four_thetas(zp.z, TAU_I)
     t = 2 * th01 ** 2 * th10 ** 2 / th00 ** 4
     u = -(1 - 1j) * th01 * th10 * th11 / th00 ** 3
-    return CurvePoint(Curve.C_I, t, u), th
+    return CurvePoint(SchwarzVariant.QUARTIC, t, u), th
 
 
 def _sextic_with_thetas(zp: TorusPoint) -> tuple[CurvePoint, tuple | None]:
     _require_modulus(zp, TAU_ZETA)
     if lattice_distance(TAU_ZETA, zp.z, _POLE_ZETA_1) < 1e-9:
-        return CurvePoint(Curve.C_ZETA, 0.0, 0.0, at_infinity=True, branch=0), None
+        return CurvePoint(SchwarzVariant.SEXTIC, 0.0, 0.0, at_infinity=True, branch=0), None
     if lattice_distance(TAU_ZETA, zp.z, _POLE_ZETA_2) < 1e-9:
-        return CurvePoint(Curve.C_ZETA, 0.0, 0.0, at_infinity=True, branch=1), None
+        return CurvePoint(SchwarzVariant.SEXTIC, 0.0, 0.0, at_infinity=True, branch=1), None
     th = th00, th01, th10, th11 = _four_thetas(zp.z, TAU_ZETA)
     den = SQRT3 * 1j * th00 ** 2 - th11 ** 2
     t = -3 * SQRT3 * 1j * th00 ** 2 * th01 ** 2 * th10 ** 2 / den ** 3
     u = _SEXTIC_PREFACTOR * th00 * th01 * th10 * th11 / den ** 2
-    return CurvePoint(Curve.C_ZETA, t, u), th
+    return CurvePoint(SchwarzVariant.SEXTIC, t, u), th
 
 
 def _require_modulus(zp: TorusPoint, mod: Modulus) -> None:
@@ -342,10 +314,11 @@ def _sextic_ratios(p: CurvePoint, th: tuple | None) -> list[IdentityPair]:
     else:
         r = p.t / p.u ** 2
         degenerate = False
-    # where t rounds to 1, t - 1 is u^6/t^3 by the curve's equation
-    at_one = p.t == 1
-    cube = 0j if degenerate else (p.t ** 2 / p.u ** 3 if at_one else p.u ** 3 / (p.t * (p.t - 1)))
-    tail = 1 + p.t ** 3 / p.u ** 6 if at_one else 1 + 1 / (p.t - 1)
+    # near t = 1 the difference t - 1 has lost its digits to cancellation;
+    # there it is u^6/t^3 by the curve's equation, to full relative accuracy
+    tm1 = p.u ** 6 / p.t ** 3 if _distance(p.t, 1.0) < 0.05 else p.t - 1
+    cube = 0j if degenerate else p.u ** 3 / (p.t * tm1)
+    tail = 1 + 1 / tm1
     return [
         IdentityPair("one_plus_r", 1 + r, SQRT3 * 1j * th00 ** 2 / th11 ** 2),
         IdentityPair("one_plus_z2_r", 1 + z2 * r, -SQRT3 * th10 ** 2 / th11 ** 2),
@@ -368,29 +341,29 @@ def _sextic_ratios(p: CurvePoint, th: tuple | None) -> list[IdentityPair]:
 
 def mul_one_plus_i(p: CurvePoint) -> CurvePoint:
     """Image of a quartic point under multiplication of z by 1 + i."""
-    if p.curve is not Curve.C_I:
+    if p.curve is not SchwarzVariant.QUARTIC:
         raise DomainError("defined on the quartic curve only")
     if p.at_infinity:
         # (1 + i) doubles the infinity class into the lattice.
-        return CurvePoint(Curve.C_I, 1.0, 0.0)
+        return CurvePoint(SchwarzVariant.QUARTIC, 1.0, 0.0)
     if _distance(p.t) < 1e-12:
-        return CurvePoint(Curve.C_I, 0.0, 0.0, at_infinity=True)
+        return CurvePoint(SchwarzVariant.QUARTIC, 0.0, 0.0, at_infinity=True)
     # through r = (t - 2) / t on t, u scaled as in mul_one_plus_zeta, so nothing overflows
     one = math.ldexp(1.0, -max(0, _binary_exponent(p.t)))
     t, u = p.t * one, p.u * one
     r = (t - 2 * one) / t
     u_new = -(1 + 1j) * u / t * r
-    return CurvePoint(Curve.C_I, r ** 2, u_new)
+    return CurvePoint(SchwarzVariant.QUARTIC, r ** 2, u_new)
 
 
 def mul_one_plus_zeta(p: CurvePoint) -> CurvePoint:
     """Image of a sextic point under multiplication of z by 1 + zeta."""
-    if p.curve is not Curve.C_ZETA:
+    if p.curve is not SchwarzVariant.SEXTIC:
         raise DomainError("defined on the sextic curve only")
     if p.at_infinity:
-        return CurvePoint(Curve.C_ZETA, 1.0, 0.0)
+        return CurvePoint(SchwarzVariant.SEXTIC, 1.0, 0.0)
     if _distance(4 * p.t, 3.0) < 1e-12:
-        return CurvePoint(Curve.C_ZETA, 0.0, 0.0, at_infinity=True)
+        return CurvePoint(SchwarzVariant.SEXTIC, 0.0, 0.0, at_infinity=True)
     # through r = (9 - 8t) / (4t - 3), so no power of t overflows; t, u are
     # scaled exactly by 2^-j, j = 0 for |t| < 1, so that 8t cannot overflow
     one = math.ldexp(1.0, -max(0, _binary_exponent(p.t)))
@@ -399,7 +372,7 @@ def mul_one_plus_zeta(p: CurvePoint) -> CurvePoint:
     r = (9 * one - 8 * t) / den
     t_new = t / den * r ** 2
     u_new = e_of(1.0 / 12.0) * SQRT3 * u / den * r
-    return CurvePoint(Curve.C_ZETA, t_new, u_new)
+    return CurvePoint(SchwarzVariant.SEXTIC, t_new, u_new)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +390,7 @@ def equivalent_mod_group(zp1: TorusPoint, zp2: TorusPoint, tol: float = 1e-8) ->
     """Test z1 = unit * z2 + lattice and report the witness pair."""
     if zp1.modulus.value != zp2.modulus.value:
         raise DomainError("points live on different tori")
-    curve = next((c for c in Curve if c.modulus.value == zp1.modulus.value), None)
+    curve = next((c for c in SchwarzVariant if c.modulus.value == zp1.modulus.value), None)
     if curve is None:
         raise DomainError("group equivalence needs the square or hexagonal torus")
     best = None
@@ -431,15 +404,15 @@ def equivalent_mod_group(zp1: TorusPoint, zp2: TorusPoint, tol: float = 1e-8) ->
     return GroupWitness(False, None, None, best[0])
 
 
-def one_form_constant_routes(curve: Curve) -> tuple[complex, complex]:
+def one_form_constant_routes(curve: SchwarzVariant) -> tuple[complex, complex]:
     """The pullback constant of the 1-form, via theta and via beta."""
     th = theta(HALF_CHARS[0], 0j, curve.modulus)
-    if curve is Curve.C_I:
+    if curve is SchwarzVariant.QUARTIC:
         return 2 * (1 - 1j) * math.pi * th ** 2, curve.normalization
     return _SEXTIC_PREFACTOR * 2 * math.pi * th ** 2, curve.normalization
 
 
-def one_form_constant(curve: Curve) -> complex:
+def one_form_constant(curve: SchwarzVariant) -> complex:
     via_theta, via_beta = one_form_constant_routes(curve)
     if abs(via_theta - via_beta) > 1e-9 * abs(via_beta):
         raise DomainError("1-form constant routes disagree; theta evaluation suspect")
@@ -449,7 +422,7 @@ def one_form_constant(curve: Curve) -> complex:
 # ---------------------------------------------------------------------------
 # Round trip between the hypergeometric series and the theta quotients.
 
-def hgf_theta_roundtrip(z: complex, curve: Curve) -> float:
+def hgf_theta_roundtrip(z: complex, curve: SchwarzVariant) -> float:
     """|LHS(z) - z| for the closed inversion formula near the origin.
 
     Quartic: a theta-quotient prefactor times F(1/4, 1/2, 5/4; .) recovers
@@ -464,9 +437,9 @@ def hgf_theta_roundtrip(z: complex, curve: Curve) -> float:
         return 0.0
     th00, _, _, th11 = theta_four(z, curve.modulus)
     a_n = curve.exponent * curve.normalization
-    if curve is Curve.C_I:
+    if curve is SchwarzVariant.QUARTIC:
         ratio = th11 / th00
-        f = gauss_2f1(SchwarzVariant.QUARTIC.series_params, ratio ** 4)
+        f = gauss_2f1(curve.series_params, ratio ** 4)
         lhs = e_of(0.375) / a_n * ratio * f
         return abs(lhs - z)
     w = 1 - SQRT3 * 1j * th00 ** 2 / th11 ** 2
@@ -474,6 +447,6 @@ def hgf_theta_roundtrip(z: complex, curve: Curve) -> float:
     root = cmath.sqrt(w)
     if (z * root * pref.conjugate()).real < 0:
         root = -root
-    f = gauss_2f1(SchwarzVariant.SEXTIC.series_params, 1 / w ** 3)
+    f = gauss_2f1(curve.series_params, 1 / w ** 3)
     lhs = pref / root * f
     return abs(lhs - z)

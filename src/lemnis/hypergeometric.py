@@ -1,4 +1,5 @@
-"""Gauss hypergeometric function on the cut plane, and the two Schwarz maps.
+"""Gauss hypergeometric function on the cut plane, the enum of the two
+triangle groups, `SchwarzVariant`, and their Schwarz maps.
 
 F(alpha, beta; gamma; z) is evaluated on the plane cut along real z > 1
 through one route table.  Every route is a power series in a transformed
@@ -57,6 +58,7 @@ from .numerics import (
     _gamma_signed,
     beta as beta_fn,
 )
+from .theta import TAU_I, TAU_ZETA, Modulus
 
 # Terms cost next to nothing, so every route sums to well below the 1e-10 the
 # package reports against; the boundary sum, whose tail decays only
@@ -87,10 +89,42 @@ class GaussParams:
 
 
 class SchwarzVariant(Enum):
-    """The two admitted parameter triples and their root orders."""
+    """The paper's one binary choice, and everything that follows from it.
+
+    QUARTIC is the (2, 4, 4) triangle group over Z[i], with the quartic
+    curve u^4 = t^2 (t - 1) and tau = i; SEXTIC is the (2, 6, 3) group over
+    Z[zeta], with the sextic curve u^6 = t^3 (t - 1) and tau = zeta.  The
+    value is the root order k.  The ring generator g = `unit` (i or zeta)
+    has order k and satisfies g^2 = e*g - 1 with e = `trace`.
+    """
 
     QUARTIC = 4
     SEXTIC = 6
+    # the curves' names, kept as aliases (see `curves.Curve`)
+    C_I = 4
+    C_ZETA = 6
+
+    @functools.cached_property
+    def root_order(self) -> int:
+        return self.value
+
+    @functools.cached_property
+    def exponent(self) -> float:
+        """a = 1/k: the curve's 1-form is s^(-1/2) (s - 1)^(a - 1) ds."""
+        return 1.0 / self.value
+
+    @functools.cached_property
+    def unit(self) -> complex:
+        return 1j if self is SchwarzVariant.QUARTIC else ZETA
+
+    @functools.cached_property
+    def trace(self) -> int:
+        """e = g + conj(g), 0 over Z[i] and 1 over Z[zeta]."""
+        return round(2.0 * self.unit.real)
+
+    @property
+    def modulus(self) -> Modulus:
+        return TAU_I if self is SchwarzVariant.QUARTIC else TAU_ZETA
 
     @functools.cached_property
     def params(self) -> GaussParams:
@@ -101,12 +135,8 @@ class SchwarzVariant(Enum):
     @functools.cached_property
     def series_params(self) -> GaussParams:
         """F(1/4, 1/2, 5/4) or F(1/6, 1/2, 7/6): the Schwarz map and mean-limit series."""
-        a = 0.25 if self is SchwarzVariant.QUARTIC else 1.0 / 6.0
+        a = self.exponent
         return GaussParams(a, 0.5, a + 1.0)
-
-    @property
-    def root_order(self) -> int:
-        return self.value
 
     @functools.cached_property
     def normalization(self) -> complex:
@@ -114,6 +144,12 @@ class SchwarzVariant(Enum):
         if self is SchwarzVariant.QUARTIC:
             return (1 - 1j) * beta_fn(0.25, 0.25)
         return (1 - ZETA * ZETA) * beta_fn(1.0 / 3.0, 1.0 / 6.0)
+
+
+def _require_variant(v: object) -> None:
+    # the one check of every function that takes a variant
+    if not isinstance(v, SchwarzVariant):
+        raise DomainError(f"unknown variant {v!r}")
 
 
 def _series(
@@ -354,11 +390,12 @@ def schwarz_map(v: SchwarzVariant, x: complex) -> complex:
     the real line maps onto the three sides of the triangle with corners at
     the images of 0, 1 and infinity: i/2, 0 and (1 + i)/2 for QUARTIC.
     """
+    _require_variant(v)
     x = complex(x)
     if not (math.isfinite(x.real) and math.isfinite(x.imag)):
         raise DomainError(f"schwarz_map requires a finite argument, got {x}")
     x = complex(x.real, x.imag + 0.0)  # -0.0 + 0.0 is +0.0
-    a = v.series_params.alpha
+    a = v.exponent
     # F's argument 1 - x and its complement x, each exact; for x < 0, 1 - x
     # lies on the lower side of F's cut, the limit from Im x > 0
     f = gauss_2f1_pair(GaussParams(0.5, a, 1.0 + a), complex(1.0 - x.real, -x.imag), x)

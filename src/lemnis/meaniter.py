@@ -19,7 +19,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .hypergeometric import SchwarzVariant, gauss_2f1
+from .hypergeometric import SchwarzVariant, _require_variant, gauss_2f1
 from .numerics import SQRT3, DomainError, _real_root
 
 # 1 - (b/a)^2 lies in (-1/64, 1/64) exactly when b/a lies in this window.
@@ -113,11 +113,8 @@ def step_sextic(p: MeanPair) -> MeanPair:
 
 
 def _step(variant: SchwarzVariant):
-    if variant is SchwarzVariant.QUARTIC:
-        return _quartic
-    if variant is SchwarzVariant.SEXTIC:
-        return _sextic
-    raise DomainError("unknown variant")
+    _require_variant(variant)
+    return _quartic if variant is SchwarzVariant.QUARTIC else _sextic
 
 
 def closed_form_limit(p: MeanPair, variant: SchwarzVariant) -> float:

@@ -5,11 +5,12 @@ Two layers live here.  The floating layer (`invariant_hermitian_form`,
 circuit matrices of a generic parameter triple as 2x2 complex matrices,
 written entry by entry and returned as row-major nested tuples
 ((a, b), (c, d)).  The exact layer (`CycInt`, `CircuitMatrix`, `AffineMap`)
-works over Z[i] or Z[zeta] with no floats at all, so group-theoretic
-statements (orders, closures) are decided exactly.  Its arithmetic follows
-from the one relation g^2 = e*g - 1 of the ring generator g, with
-e = `Ring.trace`, and the units are the powers of g.  Each value object's own
-__init__ checks its arguments and sets its frozen fields in one step.
+works over Z[i] or Z[zeta], the ring of a `SchwarzVariant`, with no floats
+at all, so group-theoretic statements (orders, closures) are decided
+exactly.  Its arithmetic follows from the one relation g^2 = e*g - 1 of the
+ring generator g = `SchwarzVariant.unit`, with e = `SchwarzVariant.trace`,
+and the units are the powers of g.  Each value object's own __init__
+checks its arguments and sets its frozen fields in one step.
 """
 
 from __future__ import annotations
@@ -17,52 +18,31 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable
 
-from .hypergeometric import SchwarzVariant
-from .numerics import ZETA, DomainError, IterationLimitError, _dist_to_int, e_of
+from .hypergeometric import SchwarzVariant, _require_variant
+from .numerics import DomainError, IterationLimitError, _dist_to_int, e_of
 
 # A 2x2 complex matrix of the floating layer, row-major: ((a, b), (c, d)).
 Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 
-class Ring(Enum):
-    """Coefficient ring for the exact layer.
-
-    GAUSS is Z[i] with basis (1, i).  EISENSTEIN6 is Z[zeta] with basis
-    (1, zeta) where zeta = (1 + sqrt(3) i)/2.
-    """
-
-    GAUSS = "gauss"
-    EISENSTEIN6 = "eisenstein6"
-
-    @property
-    def generator(self) -> complex:
-        return 1j if self is Ring.GAUSS else ZETA
-
-    @functools.cached_property
-    def trace(self) -> int:
-        """e = g + conj(g), 0 over Z[i] and 1 over Z[zeta], so that g^2 = e*g - 1."""
-        return 0 if self is Ring.GAUSS else 1
-
-
 @dataclass(frozen=True)
 class CycInt:
-    """x + y*g with integer x, y and g the ring generator."""
+    """x + y*g with integer x, y and g = ring.unit: i over Z[i], zeta over Z[zeta]."""
 
     x: int
     y: int
-    ring: Ring
+    ring: SchwarzVariant
 
-    def __init__(self, x: int, y: int, ring: Ring) -> None:
+    def __init__(self, x: int, y: int, ring: SchwarzVariant) -> None:
         if not isinstance(x, int) or not isinstance(y, int):
             raise DomainError("CycInt coordinates must be integers")
         self.__dict__.update(x=x, y=y, ring=ring)
 
     @property
     def value(self) -> complex:
-        return self.x + self.y * self.ring.generator
+        return self.x + self.y * self.ring.unit
 
     def __add__(self, other: "CycInt") -> "CycInt":
         self._same_ring(other)
@@ -101,17 +81,18 @@ class CycInt:
         return us[-us.index(self)]
 
 
-def ring_one(ring: Ring) -> CycInt:
+def ring_one(ring: SchwarzVariant) -> CycInt:
     return CycInt(1, 0, ring)
 
 
-def ring_gen(ring: Ring) -> CycInt:
+def ring_gen(ring: SchwarzVariant) -> CycInt:
     return CycInt(0, 1, ring)
 
 
 @functools.cache
-def units(ring: Ring) -> tuple[CycInt, ...]:
+def units(ring: SchwarzVariant) -> tuple[CycInt, ...]:
     """All units, listed as consecutive powers of the generator."""
+    _require_variant(ring)
     us = [ring_one(ring)]
     while not (u := us[-1] * ring_gen(ring)).is_one():
         us.append(u)
@@ -136,11 +117,11 @@ class CircuitMatrix:
             raise DomainError("determinant must be a unit")
 
     @property
-    def ring(self) -> Ring:
+    def ring(self) -> SchwarzVariant:
         return self.e11.ring
 
     @classmethod
-    def identity(cls, ring: Ring) -> "CircuitMatrix":
+    def identity(cls, ring: SchwarzVariant) -> "CircuitMatrix":
         one, zero = ring_one(ring), CycInt(0, 0, ring)
         return cls(one, zero, zero, one)
 
@@ -190,11 +171,11 @@ class AffineMap:
         self.__dict__.update(unit=unit, shift=shift)
 
     @property
-    def ring(self) -> Ring:
+    def ring(self) -> SchwarzVariant:
         return self.unit.ring
 
     @classmethod
-    def identity(cls, ring: Ring) -> "AffineMap":
+    def identity(cls, ring: SchwarzVariant) -> "AffineMap":
         return cls(ring_one(ring), CycInt(0, 0, ring))
 
     def __matmul__(self, other: "AffineMap") -> "AffineMap":
@@ -280,18 +261,13 @@ def base_change_affine(m: Matrix2, alpha: float) -> Matrix2:
     return (a, b / s), (s * c, d)
 
 
-def n_matrices(variant) -> tuple[CircuitMatrix, CircuitMatrix, CircuitMatrix]:
+def n_matrices(variant: SchwarzVariant) -> tuple[CircuitMatrix, CircuitMatrix, CircuitMatrix]:
     """Exact normal-form generators (N0, N1, (N0 N1)^-1) for a Schwarz variant.
 
     Orders are (2, 4, 4) over Z[i] and (2, 6, 3) over Z[zeta].
     """
-    if variant is SchwarzVariant.QUARTIC:
-        ring = Ring.GAUSS
-    elif variant is SchwarzVariant.SEXTIC:
-        ring = Ring.EISENSTEIN6
-    else:
-        raise DomainError("unknown variant")
-    one, zero, g = ring_one(ring), CycInt(0, 0, ring), ring_gen(ring)
+    _require_variant(variant)
+    one, zero, g = ring_one(variant), CycInt(0, 0, variant), ring_gen(variant)
     n0 = CircuitMatrix(-one, g, zero, one)
     n1 = CircuitMatrix(g, zero, zero, one)
     n01inv = (n0 @ n1).inverse()
@@ -307,7 +283,7 @@ class ClosureSummary:
     elements_explored: int
 
 
-def _unit_subgroup(gen_units: Iterable[CycInt], ring: Ring) -> tuple[CycInt, ...]:
+def _unit_subgroup(gen_units: Iterable[CycInt], ring: SchwarzVariant) -> tuple[CycInt, ...]:
     # the units g^k1, g^k2, ... of the cyclic group of order n generate the
     # powers of g^d, d = gcd(n, k1, k2, ...)
     us = units(ring)
@@ -334,7 +310,7 @@ def group_closure(generators: list[AffineMap], cap: int = 10000) -> ClosureSumma
             raise DomainError("generators must share one ring")
     target_units = _unit_subgroup((g.unit for g in generators), ring)
     # The search runs on (unit.x, unit.y, shift.x, shift.y) tuples with the
-    # product of `CycInt.__mul__` inlined, e = `Ring.trace`.
+    # product of `CycInt.__mul__` inlined, e = `SchwarzVariant.trace`.
     e = ring.trace
     gens = [
         (h.unit.x, h.unit.y, h.shift.x, h.shift.y)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 from .curves import (
-    Curve,
     CurvePoint,
     _curve_residual,
     _quartic_ratios,
@@ -29,7 +28,6 @@ from .hypergeometric import SchwarzVariant
 from .meaniter import MeanPair, closed_form_limit, cubic_preimage_x0, iterate_until_converged
 from .monodromy import (
     AffineMap,
-    Ring,
     as_affine,
     base_change_affine,
     general_m0_m1,
@@ -62,8 +60,8 @@ _MASK64 = (1 << 64) - 1
 
 # Per curve: the theta inverse with its thetas, the ratio identities, the unit multiplication.
 _PER_CURVE = {
-    Curve.C_I: (_quartic_with_thetas, _quartic_ratios, mul_one_plus_i),
-    Curve.C_ZETA: (_sextic_with_thetas, _sextic_ratios, mul_one_plus_zeta),
+    SchwarzVariant.QUARTIC: (_quartic_with_thetas, _quartic_ratios, mul_one_plus_i),
+    SchwarzVariant.SEXTIC: (_sextic_with_thetas, _sextic_ratios, mul_one_plus_zeta),
 }
 
 
@@ -176,7 +174,7 @@ def _suite_tau_zeta(rng: SplitMix64, n: int):
     yield from _jacobi_derivative("tau_zeta.jacobi_derivative", mod)
 
 
-def _sample_point(rng: SplitMix64, curve: Curve) -> tuple[TorusPoint, CurvePoint, tuple]:
+def _sample_point(rng: SplitMix64, curve: SchwarzVariant) -> tuple[TorusPoint, CurvePoint, tuple]:
     mod = curve.modulus
     with_thetas = _PER_CURVE[curve][0]
     for _ in range(200):
@@ -195,7 +193,7 @@ def _suite_inverse(rng: SplitMix64, n: int):
         for curve, (_, identities, _) in _PER_CURVE.items():
             zp, p, th = _sample_point(rng, curve)
             tag = f"z={format_complex(zp.z)}"
-            if curve is Curve.C_I:
+            if curve is SchwarzVariant.QUARTIC:
                 yield "inverse.t_routes", _scaled_residual(*inverse_quartic_t_routes(zp)), tag
             yield "inverse.on_curve", _curve_residual(p), tag
             for pair in identities(p, th):
@@ -204,10 +202,9 @@ def _suite_inverse(rng: SplitMix64, n: int):
 
 def _suite_multiplication(rng: SplitMix64, n: int):
     for _ in range(n):
-        for curve, family in ((Curve.C_I, "multiplication.quartic"), (Curve.C_ZETA, "multiplication.sextic")):
+        for curve, (with_thetas, _, mul) in _PER_CURVE.items():
             zp, p, _ = _sample_point(rng, curve)
-            with_thetas, _, mul = _PER_CURVE[curve]
-            if curve is Curve.C_ZETA and abs(4 * p.t - 3) < 0.05:
+            if curve is SchwarzVariant.SEXTIC and abs(4 * p.t - 3) < 0.05:
                 continue
             image = mul(p)
             z2 = canonical_torus_point(curve.modulus, (1 + curve.unit) * zp.z)
@@ -215,6 +212,7 @@ def _suite_multiplication(rng: SplitMix64, n: int):
             if image.at_infinity or direct.at_infinity:
                 continue
             tag = f"z={format_complex(zp.z)}"
+            family = f"multiplication.{curve.name.lower()}"
             yield family, _scaled_residual(image.t, direct.t), tag
             yield family, _scaled_residual(image.u, direct.u), tag
 
@@ -242,9 +240,9 @@ def _suite_monodromy(rng: SplitMix64, n: int):
     ga, gb = general_m0_m1(0.3, 0.2, 0.7)
     ca, cb = m0_m1_closed_form(0.3, 0.2, 0.7)
     yield "monodromy.dual_route", max(max_abs_diff(ga, ca), max_abs_diff(gb, cb)), "(0.3,0.2,0.7)"
-    ring = Ring.GAUSS
-    summary = group_closure([AffineMap(ring_one(ring), ring_one(ring))], cap=300)
-    yield "monodromy.closure", 0.0 if set(summary.units) == {ring_one(ring)} else 1.0, "translation-only"
+    one = ring_one(SchwarzVariant.QUARTIC)
+    summary = group_closure([AffineMap(one, one)], cap=300)
+    yield "monodromy.closure", 0.0 if set(summary.units) == {one} else 1.0, "translation-only"
 
 
 def _suite_meaniter(rng: SplitMix64, n: int):

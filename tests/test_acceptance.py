@@ -9,7 +9,6 @@ import random
 from fractions import Fraction
 
 from lemnis.curves import (
-    Curve,
     abel_jacobi,
     equivalent_mod_group,
     hgf_theta_roundtrip,
@@ -177,10 +176,10 @@ def test_criterion_2_identity_suites():
 
 def test_criterion_3_special_point_images():
     cases = [
-        (Curve.C_I, "P01", 0.5j),
-        (Curve.C_I, "Pinf", (1 + 1j) / 2),
-        (Curve.C_ZETA, "P01", ZETA / 2),
-        (Curve.C_ZETA, "Pinf1", (ZETA + 1) / 3),
+        (SchwarzVariant.QUARTIC, "P01", 0.5j),
+        (SchwarzVariant.QUARTIC, "Pinf", (1 + 1j) / 2),
+        (SchwarzVariant.SEXTIC, "P01", ZETA / 2),
+        (SchwarzVariant.SEXTIC, "Pinf1", (ZETA + 1) / 3),
     ]
     worst = 0.0
     for curve, name, target in cases:
@@ -192,7 +191,7 @@ def test_criterion_3_special_point_images():
 def test_criterion_4_inverse_roundtrips():
     rng = random.Random(404)
     worst = 0.0
-    for curve, inv in ((Curve.C_I, inverse_quartic), (Curve.C_ZETA, inverse_sextic)):
+    for curve, inv in ((SchwarzVariant.QUARTIC, inverse_quartic), (SchwarzVariant.SEXTIC, inverse_sextic)):
         done = 0
         while done < 50:
             a, b = rng.uniform(0.01, 0.99), rng.uniform(0.01, 0.99)
@@ -209,7 +208,7 @@ def test_criterion_4_inverse_roundtrips():
 def test_criterion_5_multiplication_witnesses():
     rng = random.Random(505)
     worst = 0.0
-    for curve, mul in ((Curve.C_I, mul_one_plus_i), (Curve.C_ZETA, mul_one_plus_zeta)):
+    for curve, mul in ((SchwarzVariant.QUARTIC, mul_one_plus_i), (SchwarzVariant.SEXTIC, mul_one_plus_zeta)):
         done = 0
         while done < 20:
             t = complex(rng.uniform(-2.0, 3.0), rng.uniform(-2.0, 2.0))
@@ -325,6 +324,6 @@ def test_criterion_9_hgf_theta_roundtrip():
         r = rng.uniform(0.02, 0.19)
         phi = rng.uniform(0.0, 2 * math.pi)
         z = r * cmath.exp(1j * phi)
-        worst = max(worst, hgf_theta_roundtrip(z, Curve.C_I))
-        worst = max(worst, hgf_theta_roundtrip(z, Curve.C_ZETA))
+        worst = max(worst, hgf_theta_roundtrip(z, SchwarzVariant.QUARTIC))
+        worst = max(worst, hgf_theta_roundtrip(z, SchwarzVariant.SEXTIC))
     _verdict(9, worst < 1e-9, f"20 samples per curve with |z| < 0.2, worst {worst:.2e} < 1e-9")

@@ -12,7 +12,6 @@ import mpmath
 import pytest
 
 from lemnis import (
-    Curve,
     DomainError,
     GaussParams,
     IterationLimitError,
@@ -25,7 +24,9 @@ from lemnis import (
     lattice_distance,
     lift_branch,
     schwarz_map,
+    units,
 )
+from lemnis import curves
 from lemnis.hypergeometric import _gauss_sum
 
 QUARTIC = SchwarzVariant.QUARTIC
@@ -39,6 +40,22 @@ SP = GaussParams(1.0 / 6.0, 0.5, 7.0 / 6.0)
 
 def mp_2f1(p: GaussParams, z: complex) -> complex:
     return complex(mpmath.hyp2f1(p.alpha, p.beta, p.gamma, z))
+
+
+def test_the_one_variant_enum_carries_each_groups_facts():
+    assert list(SchwarzVariant) == [QUARTIC, SEXTIC]
+    for v in SchwarzVariant:
+        g, k = v.unit, v.root_order
+        # g has order exactly k: its smaller powers sit at least 1 from 1
+        assert abs(g ** k - 1) <= 1e-15
+        assert all(abs(g ** n - 1) >= 0.999 for n in range(1, k))
+        assert v.trace == g + g.conjugate()
+        assert v.modulus.value == g
+        assert v.series_params.alpha == 1 / k
+        assert len(units(v)) == k
+    # the benchmark harness (perfbench/) reads the curves' old names and the getter of `modulus`
+    assert curves.Curve.C_I is QUARTIC and curves.Curve.C_ZETA is SEXTIC
+    assert isinstance(curves.Curve.modulus, property)
 
 
 def test_gauss_params_rejects_bad_gamma():
@@ -437,7 +454,7 @@ def test_schwarz_map_beyond_the_disk_matches_abel_jacobi_and_mpmath():
     # the map is the principal sheet of the Abel-Jacobi map on the whole
     # plane, not only on |1 - x| < 1; at 2.5 the two agree bit for bit
     rng = random.Random(151)
-    for v, curve in ((QUARTIC, Curve.C_I), (SEXTIC, Curve.C_ZETA)):
+    for v, curve in ((QUARTIC, SchwarzVariant.QUARTIC), (SEXTIC, SchwarzVariant.SEXTIC)):
         assert schwarz_map(v, 2.5) == abel_jacobi(lift_branch(curve, 2.5)).z
         # 1 - x on a seeded annulus 1 <= |1 - x| <= 8, all outside the old disk
         outside = [1 - rng.uniform(1.0, 8.0) * cmath.exp(2j * math.pi * rng.random()) for _ in range(40)]

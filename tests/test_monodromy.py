@@ -21,7 +21,6 @@ from lemnis import (
     CycInt,
     DomainError,
     IterationLimitError,
-    Ring,
     SchwarzVariant,
     as_affine,
     base_change_affine,
@@ -39,8 +38,8 @@ import lemnis
 from lemnis.verify import max_abs_diff as _max_abs_diff
 from lemnis.monodromy import _unit_subgroup
 
-G = Ring.GAUSS
-E = Ring.EISENSTEIN6
+G = SchwarzVariant.QUARTIC
+E = SchwarzVariant.SEXTIC
 
 
 def test_ring_generators_square():
@@ -209,7 +208,7 @@ def test_value_objects_keep_their_checks_and_dataclass_behaviour():
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(obj, field.name, getattr(other, field.name))
         assert dataclasses.replace(obj) == obj
-    assert repr(c) == "CycInt(x=2, y=-1, ring=<Ring.GAUSS: 'gauss'>)"
+    assert repr(c) == "CycInt(x=2, y=-1, ring=<SchwarzVariant.QUARTIC: 4>)"
     assert repr(m) == f"CircuitMatrix(e11={one!r}, e12={g!r}, e21={zero!r}, e22={one!r})"
     assert repr(f) == f"AffineMap(unit={g!r}, shift={c!r})"
     assert dataclasses.replace(c, y=3) == CycInt(2, 3, G)
@@ -366,14 +365,14 @@ _coord = st.integers(-1000, 1000)
 
 
 @_RING_RULE
-@given(st.sampled_from(list(Ring)), _coord, _coord, _coord, _coord)
+@given(st.sampled_from(list(SchwarzVariant)), _coord, _coord, _coord, _coord)
 def test_ring_product_is_the_complex_product(ring, x1, y1, x2, y2):
     a, b = CycInt(x1, y1, ring), CycInt(x2, y2, ring)
     assert abs((a * b).value - a.value * b.value) <= 1e-12 * (1.0 + abs(a.value) * abs(b.value))
 
 
 @_RING_RULE
-@given(st.sampled_from(list(Ring)), _coord, _coord)
+@given(st.sampled_from(list(SchwarzVariant)), _coord, _coord)
 def test_is_unit_holds_exactly_on_the_units(ring, x, y):
     u = CycInt(x, y, ring)
     assert u.is_unit() == (u in units(ring))
@@ -393,7 +392,7 @@ def _unit_subgroup_by_closure(gen_units, ring):
 
 
 @_RING_RULE
-@given(st.sampled_from(list(Ring)), st.lists(st.integers(0, 5), min_size=1, max_size=4))
+@given(st.sampled_from(list(SchwarzVariant)), st.lists(st.integers(0, 5), min_size=1, max_size=4))
 def test_unit_subgroup_matches_the_set_closure(ring, powers):
     us = units(ring)
     gens = [us[k % len(us)] for k in powers]
@@ -410,8 +409,8 @@ sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 import lemnis as L
 from lemnis import curves, hypergeometric, meaniter, monodromy, numerics, theta
 
-zp = L.abel_jacobi(L.lift_branch(L.Curve.C_I, 2.0))
-zs = L.abel_jacobi(L.lift_branch(L.Curve.C_ZETA, -3.0 + 2.0j))
+zp = L.abel_jacobi(L.lift_branch(L.SchwarzVariant.QUARTIC, 2.0))
+zs = L.abel_jacobi(L.lift_branch(L.SchwarzVariant.SEXTIC, -3.0 + 2.0j))
 m0, m1 = L.general_m0_m1(0.3, 0.2, 0.7)
 pair = L.MeanPair(2.0, 1.0)
 CALLS = {
@@ -433,23 +432,23 @@ CALLS = {
     "gauss_2f1": lambda: L.gauss_2f1(L.GaussParams(0.25, 0.5, 1.25), 2 + 1j),
     "gauss_kummer_value": lambda: L.gauss_kummer_value(L.GaussParams(0.25, 0.5, 1.25)),
     "schwarz_map": lambda: L.schwarz_map(L.SchwarzVariant.SEXTIC, 0.3),
-    "special_point": lambda: L.special_point(L.Curve.C_ZETA, "Pinf1"),
-    "lift_branch": lambda: L.lift_branch(L.Curve.C_I, 2.0),
-    "abel_jacobi": lambda: L.abel_jacobi(L.lift_branch(L.Curve.C_ZETA, 0.5j)),
+    "special_point": lambda: L.special_point(L.SchwarzVariant.SEXTIC, "Pinf1"),
+    "lift_branch": lambda: L.lift_branch(L.SchwarzVariant.QUARTIC, 2.0),
+    "abel_jacobi": lambda: L.abel_jacobi(L.lift_branch(L.SchwarzVariant.SEXTIC, 0.5j)),
     "inverse_quartic_t_routes": lambda: L.inverse_quartic_t_routes(zp),
     "inverse_quartic": lambda: L.inverse_quartic(zp),
     "inverse_sextic": lambda: L.inverse_sextic(zs),
     "ratio_identities_quartic": lambda: L.ratio_identities_quartic(zp),
     "ratio_identities_sextic": lambda: L.ratio_identities_sextic(zs),
-    "mul_one_plus_i": lambda: L.mul_one_plus_i(L.lift_branch(L.Curve.C_I, 2.0)),
-    "mul_one_plus_zeta": lambda: L.mul_one_plus_zeta(L.lift_branch(L.Curve.C_ZETA, -3.0 + 2.0j)),
+    "mul_one_plus_i": lambda: L.mul_one_plus_i(L.lift_branch(L.SchwarzVariant.QUARTIC, 2.0)),
+    "mul_one_plus_zeta": lambda: L.mul_one_plus_zeta(L.lift_branch(L.SchwarzVariant.SEXTIC, -3.0 + 2.0j)),
     "equivalent_mod_group": lambda: L.equivalent_mod_group(zs, zs),
-    "one_form_constant_routes": lambda: L.one_form_constant_routes(L.Curve.C_I),
-    "one_form_constant": lambda: L.one_form_constant(L.Curve.C_ZETA),
-    "hgf_theta_roundtrip": lambda: L.hgf_theta_roundtrip(0.1 + 0.05j, L.Curve.C_I),
-    "ring_one": lambda: L.ring_one(L.Ring.GAUSS),
-    "ring_gen": lambda: L.ring_gen(L.Ring.EISENSTEIN6),
-    "units": lambda: L.units(L.Ring.EISENSTEIN6),
+    "one_form_constant_routes": lambda: L.one_form_constant_routes(L.SchwarzVariant.QUARTIC),
+    "one_form_constant": lambda: L.one_form_constant(L.SchwarzVariant.SEXTIC),
+    "hgf_theta_roundtrip": lambda: L.hgf_theta_roundtrip(0.1 + 0.05j, L.SchwarzVariant.QUARTIC),
+    "ring_one": lambda: L.ring_one(L.SchwarzVariant.QUARTIC),
+    "ring_gen": lambda: L.ring_gen(L.SchwarzVariant.SEXTIC),
+    "units": lambda: L.units(L.SchwarzVariant.SEXTIC),
     "as_affine": lambda: L.as_affine(L.n_matrices(L.SchwarzVariant.QUARTIC)[1]),
     "invariant_hermitian_form": lambda: L.invariant_hermitian_form(0.3, 0.2, 0.7),
     "general_m0_m1": lambda: L.general_m0_m1(0.3, 0.2, 0.7),
