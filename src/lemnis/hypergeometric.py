@@ -18,7 +18,13 @@ the hypergeometric ODE about that point instead (Johansson, "Computing
 hypergeometric functions rigorously", ACM TOMS 45, 2019, sec. 5); F and F'
 there are computed once per parameter triple.  On the unit circle, where
 nothing else converges, the direct series is summed to its algebraic tail
-when gamma - alpha - beta > 0.
+when gamma - alpha - beta > 0.  Where |z| < 1/2 and |1 - z| <= 1 the
+route table's pick is the direct series (every other modulus exceeds 1 or
+needs more terms) and z lies outside the balls, so it is summed at once.
+Series read their term ratios from a ratio table per triple, each entry the
+inline expression, so sums keep their bits; it grows to what sums reach, at
+least doubling, up to 512 ratios for 48 triples (16 KiB each, 778 KiB in
+all; a 49th triple empties it).
 
 Every transformed argument is built from the pair (z, 1 - z), never by
 subtracting from 1: `gauss_2f1_pair` takes 1 - z from a caller that knows
@@ -46,6 +52,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -70,6 +77,9 @@ _LOG_GAP = 0.05  # how far from Z a connection formula needs its exponent differ
 _BALL_RADIUS = 0.45  # of the re-expansion balls around e^{+-i pi/3}; their radius of convergence is 1
 _ANCHOR_TOL = 1e-16
 _SHIFT_CAP = 10_000.0  # the largest |v| whose Gamma `_gamma_parts` reaches by recurrence
+_RATIO_TRIPLES, _RATIO_TERMS = 48, 512  # bounds of the ratio table (module docstring)
+_RATIOS: dict[tuple[float, float, float], tuple[float, ...]] = {}  # (alpha, beta, gamma) -> `_series` term ratios
+_RATIOS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -158,18 +168,47 @@ def _series(
     # Plain power series.  With s = None, |z| < 1 and the geometric tail
     # bound.  With s = gamma - alpha - beta > 0, |z| = 1: algebraic decay
     # ~ n^(-1-s), so the tail is bounded by the integral test, |term| * n / s.
+    # The term ratios come from the triple's table, then inline (module docstring).
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
     az = abs(z)
-    for n in range(_MAX_TERMS):
-        term *= (alpha + n) * (beta + n) / ((gamma + n) * (1.0 + n)) * z
+    small = abs_tol * 0.0625
+    key = (alpha, beta, gamma)
+    ratios = _RATIOS.get(key, ())
+    for n, r in enumerate(ratios):
+        term *= r * z
         total += term
         at = abs(term)
-        if at < abs_tol * 0.0625 and (
-            at * az / (1.0 - az) if s is None else at * (n + 1) / s
-        ) < abs_tol:
+        if at < small and (at * az / (1.0 - az) if s is None else at * (n + 1) / s) < abs_tol:
             return total
-    raise IterationLimitError("2F1 series did not meet tolerance within the term cap")
+    more: list[float] = []  # the ratios past the table, as far as its entry cap
+    for n in range(len(ratios), _MAX_TERMS):
+        r = (alpha + n) * (beta + n) / ((gamma + n) * (1.0 + n))
+        if n < _RATIO_TERMS:
+            more.append(r)
+        term *= r * z
+        total += term
+        at = abs(term)
+        if at < small and (at * az / (1.0 - az) if s is None else at * (n + 1) / s) < abs_tol:
+            if more:
+                _keep(key, ratios, more)
+            return total
+    raise IterationLimitError(f"2F1 series of {key} at {z} did not meet tolerance within the term cap {_MAX_TERMS}")
+
+
+def _keep(key: tuple[float, float, float], ratios: tuple[float, ...], more: list[float]) -> None:
+    # Lengthen the triple's table by more, and to at least twice ratios
+    # within the entry cap; a table only gives way to a longer one.
+    n, stop = len(ratios) + len(more), min(2 * len(ratios), _RATIO_TERMS)
+    if n < stop:
+        alpha, beta, gamma = key
+        more += [(alpha + k) * (beta + k) / ((gamma + k) * (1.0 + k)) for k in range(n, stop)]
+        n = stop
+    with _RATIOS_LOCK:
+        if len(_RATIOS.get(key, ())) < n:
+            if key not in _RATIOS and len(_RATIOS) >= _RATIO_TRIPLES:
+                _RATIOS.clear()
+            _RATIOS[key] = ratios + tuple(more)
 
 
 def _gamma_parts(v: float) -> tuple[float, int]:
@@ -271,7 +310,9 @@ def _taylor(
         if (n + 2) * (abs(e1) + abs(e2)) < abs_tol * (1.0 - ratio):
             return f, d / h
         e0, e1 = e1, e2
-    raise IterationLimitError("2F1 re-expansion did not meet tolerance within the term cap")
+    raise IterationLimitError(
+        f"2F1 re-expansion of {(a, b, c)} at {z0 + h} did not meet tolerance within the term cap {_MAX_TERMS}"
+    )
 
 
 @functools.lru_cache(maxsize=64)
@@ -308,6 +349,8 @@ def _routed(p: GaussParams, z: complex, zc: complex) -> complex:
     if a == 0.0 or b == 0.0 or z == 0:
         return 1.0 + 0.0j
     az, azc = abs(z), abs(zc)
+    if az < 0.5 and azc <= 1.0:
+        return _series(a, b, c, z, _ABS_TOL)  # exact: the route table's pick, outside the balls
     s = c - a - b
     ok_s = _dist_to_int(s) > _LOG_GAP
     # within 1e-13 of z = 1 the near-one route takes over where it applies;

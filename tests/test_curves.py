@@ -28,7 +28,6 @@ from lemnis.curves import (
     ratio_identities_sextic,
     special_point,
 )
-from lemnis import curves as curves_mod
 from lemnis.curves import _curve_residual
 from lemnis.hypergeometric import SchwarzVariant, schwarz_map
 from lemnis.numerics import ZETA, DomainError, beta

@@ -7,6 +7,8 @@ import dataclasses
 import math
 import random
 import re
+import sys
+import threading
 
 import mpmath
 import pytest
@@ -27,7 +29,9 @@ from lemnis import (
     units,
 )
 from lemnis import curves
+from lemnis import hypergeometric as hg
 from lemnis.hypergeometric import _gauss_sum
+from lemnis.numerics import _MAX_TERMS
 
 QUARTIC = SchwarzVariant.QUARTIC
 SEXTIC = SchwarzVariant.SEXTIC
@@ -285,6 +289,199 @@ def test_boundary_sum_on_the_unit_circle():
             assert abs(gauss_2f1(p, z) - ref) <= 1e-10 * abs(ref), (params, z)
 
 
+def _reference_series(alpha, beta, gamma, z, abs_tol, s=None):
+    # the series loop as it was before the ratio table: every sum keeps its bits
+    total = 1.0 + 0.0j
+    term = 1.0 + 0.0j
+    az = abs(z)
+    for n in range(_MAX_TERMS):
+        term *= (alpha + n) * (beta + n) / ((gamma + n) * (1.0 + n)) * z
+        total += term
+        at = abs(term)
+        if at < abs_tol * 0.0625 and (
+            at * az / (1.0 - az) if s is None else at * (n + 1) / s
+        ) < abs_tol:
+            return total
+    raise IterationLimitError("2F1 series did not meet tolerance within the term cap")
+
+
+def _bits(f, *args):
+    # the exact outcome of a call: both parts' bits (signed zeros apart), or the error type
+    try:
+        w = complex(f(*args))
+    except (DomainError, IterationLimitError) as exc:
+        return type(exc).__name__
+    return w.real.hex(), w.imag.hex()
+
+
+def _ratio(alpha, beta, gamma, k):
+    return (alpha + k) * (beta + k) / ((gamma + k) * (1.0 + k))
+
+
+def test_the_ratio_table_keeps_every_routes_bits(monkeypatch):
+    # every series the route table sums, cold and then warm, bit for bit
+    # against the reference loop; the sweep reaches all six routes, both
+    # balls, the boundary sum, the early return and both zeros on the cuts.
+    # The early return takes exactly the points |z| < 1/2, |1 - z| <= 1:
+    # every other point goes through a route, a ball or the boundary sum.
+    series, base_route, taylor, routed = hg._series, hg._base_route, hg._taylor, hg._routed
+    reached, current, via = set(), [None], []
+
+    def checked(*args):
+        if len(args) == 6 and args[5] is not None:
+            reached.add("boundary")
+            via.append("boundary")
+        want = _bits(_reference_series, *args)
+        try:
+            value = series(*args)
+        except IterationLimitError:
+            assert want == "IterationLimitError", args
+            raise
+        assert (value.real.hex(), value.imag.hex()) == want, args
+        return value
+
+    def spy_routed(p, z, zc):
+        current[0], start = z, len(via)
+        early = abs(z) < 0.5 and abs(zc) <= 1.0
+        value = routed(p, z, zc)
+        assert (len(via) == start) == early, (p, z)
+        if early:
+            reached.add("early return")
+        return value
+
+    def spy_base_route(kind, a, b, c, x, xc):
+        reached.add((kind, "pfaff" if x is not current[0] else "plain"))
+        via.append(kind)
+        return base_route(kind, a, b, c, x, xc)
+
+    def spy_taylor(a, b, c, z0, f0, df0, h, abs_tol):
+        if abs_tol == hg._ABS_TOL:
+            reached.add(("ball", z0.imag > 0.0))
+            via.append("ball")
+        return taylor(a, b, c, z0, f0, df0, h, abs_tol)
+
+    spies = {"_series": checked, "_routed": spy_routed, "_base_route": spy_base_route, "_taylor": spy_taylor}
+    for name, spy in spies.items():
+        monkeypatch.setattr(hg, name, spy)
+    rng = random.Random(29)
+    cases = []
+    for _ in range(600):
+        params = rng.choice(FAMILIES) if rng.random() < 0.3 else tuple(rng.uniform(-3, 3) for _ in range(3))
+        z = cmath.rect(10 ** rng.uniform(-3, 1.5), rng.uniform(-math.pi, math.pi))
+        cases.append((params, z, complex(1.0 - z.real, -z.imag)))
+    for centre in (cmath.exp(1j * math.pi / 3), cmath.exp(-1j * math.pi / 3)):
+        cases += [((0.3, 0.2, 0.7), centre + cmath.rect(0.4 * rng.random(), rng.uniform(-math.pi, math.pi)), None)]
+    for x in (3.0, 1.5, -2.0, -0.3):  # both sides of the cut, and the real line below 0
+        for im in (0.0, -0.0):
+            cases += [(params, complex(x, im), complex(1.0 - x, -im)) for params in FAMILIES[:3]]
+    cases += [((0.5, 0.5, 3.0), cmath.exp(0.3j), None), ((0.25, 0.75, 3.0), cmath.exp(-0.5j), None)]
+    hg._RATIOS.clear()
+    hg._anchor.cache_clear()  # so the anchors' series run through the check too
+    for _ in ("cold", "warm"):
+        for params, z, zc in cases:
+            if zc is None:
+                zc = complex(1.0 - z.real, -z.imag)
+            try:
+                p = GaussParams(*params)
+            except DomainError:
+                continue
+            _bits(gauss_2f1_pair, p, z, zc)
+    routes = {(kind, how) for kind in range(3) for how in ("plain", "pfaff")}
+    assert routes | {("ball", True), ("ball", False), "boundary", "early return"} <= reached, reached
+    assert hg._RATIOS
+
+
+def test_sums_that_grow_the_ratio_table_or_pass_its_end_keep_their_bits():
+    # the boundary sum of (1/4, 1/2, 15/4) at e^{0.3i} takes 1,318 terms,
+    # past the table's 512: the sum goes on with the inline ratio
+    p, z = GaussParams(0.25, 0.5, 3.75), cmath.exp(0.3j)
+    key = (p.alpha, p.beta, p.gamma)
+    want = _bits(_reference_series, *key, z, 1e-10, 3.0)
+    hg._RATIOS.pop(key, None)
+    for _ in range(3):  # cold, then with the table at its entry cap
+        assert _bits(gauss_2f1, p, z) == want
+        assert hg._RATIOS[key] == tuple(_ratio(*key, k) for k in range(hg._RATIO_TERMS))
+    # a fresh triple's sums, each reaching a little further than the last,
+    # so its table grows by what they reach and by doubling, up to the cap
+    key = (0.2, 0.3, 1.7)
+    hg._RATIOS.pop(key, None)
+    for r in (0.05 * 1.06 ** k for k in range(52)):
+        w = complex(r, 0.1 * r)
+        assert _bits(hg._series, *key, w, 1e-14) == _bits(_reference_series, *key, w, 1e-14), w
+        table = hg._RATIOS[key]
+        assert table == tuple(_ratio(*key, k) for k in range(len(table)))
+    assert len(table) == hg._RATIO_TERMS
+
+
+def test_threads_growing_one_fresh_triple_keep_the_bits():
+    # four threads sum one triple no other test uses to four lengths, the
+    # last past the table's end; each round starts from no table
+    key = (0.3125, -0.6875, 1.4375)
+    zs = (0.05 + 0.02j, 0.5 - 0.3j, 0.9 + 0.1j, -0.97 + 0.2j)
+    want = [[_bits(_reference_series, *key, z, 1e-14)] * 5 for z in zs]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            hg._RATIOS.pop(key, None)
+            barrier, got = threading.Barrier(len(zs)), [None] * len(zs)
+
+            def work(i):
+                barrier.wait(timeout=30)
+                got[i] = [_bits(hg._series, *key, zs[i], 1e-14) for _ in range(5)]
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(zs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert got == want
+            table = hg._RATIOS[key]
+            assert table == tuple(_ratio(*key, k) for k in range(len(table)))
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_the_early_return_is_the_direct_series():
+    # |z| < 1/2 and |1 - z| <= 1, half the draws on the circle |1 - z| = 1:
+    # the route table's own pick there (no route estimates fewer terms, and a
+    # tie keeps the direct series), clear of both balls, so its bits
+    rng = random.Random(31)
+    n = 0
+    while n < 2000:
+        if n % 2:
+            z = 1.0 - cmath.exp(1j * rng.uniform(-0.51, 0.51))
+        else:
+            z = cmath.rect(0.5 * rng.random(), rng.uniform(-math.pi, math.pi))
+        zc = complex(1.0 - z.real, -z.imag)
+        az, azc = abs(z), abs(zc)
+        if not (0.0 < az < 0.5 and azc <= 1.0):
+            continue
+        moduli = ((1, az), (2, azc), (2, 1.0 / az), (1, az / azc), (2, 1.0 / azc), (2, azc / az))
+        terms = [k * math.log(1e-14) / math.log(r) if r < 1.0 else math.inf for k, r in moduli]
+        assert terms[0] <= min(terms), z
+        assert min(abs(z - cmath.exp(1j * math.pi / 3)), abs(z - cmath.exp(-1j * math.pi / 3))) > 0.45
+        params = tuple(rng.uniform(-3, 3) for _ in range(3))
+        try:
+            p = GaussParams(*params)
+        except DomainError:
+            continue
+        assert _bits(gauss_2f1, p, z) == _bits(_reference_series, *params, z, 1e-14), (params, z)
+        n += 1
+
+
+def test_a_series_that_cannot_converge_names_its_input():
+    # gamma - alpha - beta = 0.001 on the unit circle: the boundary sum's
+    # tail decays too slowly for the term cap, as before the ratio table
+    p, z = GaussParams(0.25, 0.5, 0.751), cmath.exp(0.3j)
+    with pytest.raises(IterationLimitError):
+        _reference_series(p.alpha, p.beta, p.gamma, z, 1e-10, p.gamma - p.alpha - p.beta)
+    message = f"2F1 series of (0.25, 0.5, 0.751) at {z} did not meet tolerance within the term cap 100000"
+    with pytest.raises(IterationLimitError, match=re.escape(message)):
+        gauss_2f1(p, z)
+
+
 def test_domain_errors_that_remain():
     with pytest.raises(DomainError):
         gauss_2f1(QP, 1.5)
@@ -454,13 +651,13 @@ def test_schwarz_map_beyond_the_disk_matches_abel_jacobi_and_mpmath():
     # the map is the principal sheet of the Abel-Jacobi map on the whole
     # plane, not only on |1 - x| < 1; at 2.5 the two agree bit for bit
     rng = random.Random(151)
-    for v, curve in ((QUARTIC, SchwarzVariant.QUARTIC), (SEXTIC, SchwarzVariant.SEXTIC)):
-        assert schwarz_map(v, 2.5) == abel_jacobi(lift_branch(curve, 2.5)).z
+    for v in SchwarzVariant:
+        assert schwarz_map(v, 2.5) == abel_jacobi(lift_branch(v, 2.5)).z
         # 1 - x on a seeded annulus 1 <= |1 - x| <= 8, all outside the old disk
         outside = [1 - rng.uniform(1.0, 8.0) * cmath.exp(2j * math.pi * rng.random()) for _ in range(40)]
         for x in [2.5, *outside]:
             s = schwarz_map(v, x)
-            assert lattice_distance(curve.modulus, s, abel_jacobi(lift_branch(curve, x)).z) < 1e-14, x
+            assert lattice_distance(v.modulus, s, abel_jacobi(lift_branch(v, x)).z) < 1e-14, x
             assert abs(s - _schwarz_closed_form(v, x)) < 1e-14, x
 
 
