@@ -12,11 +12,11 @@ from lemnis.curves import (
     inverse_quartic,
     lift_branch,
     mul_one_plus_i,
-    one_form_constant,
     special_point,
 )
 from lemnis.hypergeometric import SchwarzVariant
 from lemnis.theta import TAU_I, canonical_torus_point
+from lemnis.verify import one_form_constant
 
 QUARTIC, SEXTIC = SchwarzVariant.QUARTIC, SchwarzVariant.SEXTIC
 
@@ -47,4 +47,4 @@ print(f"group witness: unit = {w.unit}, shift = {w.lattice_shift}, dist = {w.dis
 
 # the pullback constant of the 1-form has closed beta-function form
 for curve, label in ((QUARTIC, "i"), (SEXTIC, "zeta")):
-    print(f"1-form constant on {label:<4}: {one_form_constant(curve):.12g}")
+    print(f"1-form constant on {label:<4}: {one_form_constant(curve)[0]:.12g}")

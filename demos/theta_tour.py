@@ -13,12 +13,13 @@ from lemnis.theta import (
     TAU_I,
     TAU_ZETA,
     ThetaChar,
-    one_plus_i_multiple,
     quasi_period_factor,
     theta,
     theta_constants,
+    theta_four,
     transform,
 )
+from lemnis.verify import one_plus_i_multiple
 
 c00 = ThetaChar(0, 0)
 c11 = ThetaChar("1/2", "1/2")
@@ -53,7 +54,7 @@ lhs = theta(c00, w * z, TAU_ZETA)
 print(f"omega-times lemma residual: {abs(lhs - pref * theta(c2, z, TAU_ZETA)):.1e}")
 
 # the (1+i)-times lemma packages three identities at once
-for pair in one_plus_i_multiple(z):
+for pair in one_plus_i_multiple(z, theta_four(z, TAU_I)):
     print(f"(1+i)-times {pair.name:<16} residual {pair.residual:.1e}")
 
 # the half-characteristic constant relation hiding inside the omega lemma

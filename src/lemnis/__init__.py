@@ -21,17 +21,13 @@ from .hypergeometric import (
     schwarz_map,
 )
 from .theta import (
-    IdentityPair,
     Modulus,
     TAU_I,
     TAU_ZETA,
     ThetaChar,
     TorusPoint,
-    addition_check,
     canonical_torus_point,
     lattice_distance,
-    one_plus_i_multiple,
-    one_plus_zeta_multiple,
     quasi_period_factor,
     theta,
     theta_constants,
@@ -44,17 +40,11 @@ from .curves import (
     GroupWitness,
     abel_jacobi,
     equivalent_mod_group,
-    hgf_theta_roundtrip,
     inverse_quartic,
-    inverse_quartic_t_routes,
     inverse_sextic,
     lift_branch,
     mul_one_plus_i,
     mul_one_plus_zeta,
-    one_form_constant,
-    one_form_constant_routes,
-    ratio_identities_quartic,
-    ratio_identities_sextic,
     special_point,
 )
 from .monodromy import (

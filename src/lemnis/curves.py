@@ -14,7 +14,10 @@ Branch bookkeeping is stateless: the sheet of a point is read off u.
 
 The inverse maps are ratios of theta values on the corresponding square or
 hexagonal torus, and the remaining operations (multiplication formulas,
-ratio identities, group equivalence) tie the two descriptions together.
+group equivalence) tie the two descriptions together.  The identities that
+check the two descriptions against each other (the ratio identities, both
+t-routes of the quartic inverse, the 1-form constant and the closed
+inversion of the Schwarz map) live in `lemnis.verify`.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .hypergeometric import GaussParams, SchwarzVariant, _require_variant, gauss_2f1, gauss_kummer_value, schwarz_map
+from .hypergeometric import GaussParams, SchwarzVariant, _require_variant, gauss_kummer_value, schwarz_map
 from .numerics import SQRT3, TWO_PI, ZETA, DomainError, e_of
 from .theta import (
     HALF_CHARS,
@@ -32,13 +35,10 @@ from .theta import (
     TAU_I,
     TAU_ZETA,
     TorusPoint,
-    IdentityPair,
     _nearest_lattice_point,
-    _within_binary64,
     canonical_torus_point,
     lattice_distance,
     theta,
-    theta_four,
 )
 
 
@@ -196,14 +196,6 @@ _POLE_ZETA_2 = 2 * (ZETA + 1) / 3
 _SEXTIC_PREFACTOR = e_of(-0.125) * 27 ** 0.25  # e(-1/8) 27^(1/4)
 
 
-def inverse_quartic_t_routes(zp: TorusPoint) -> tuple[complex, complex]:
-    """Both displayed t-expressions; they agree up to roundoff."""
-    th00, th01, th10, th11 = theta_four(zp.z, TAU_I)
-    t_prod = 2 * th01 ** 2 * th10 ** 2 / th00 ** 4
-    t_quot = 1 - th11 ** 4 / th00 ** 4
-    return t_prod, t_quot
-
-
 def inverse_quartic(zp: TorusPoint) -> CurvePoint:
     """Theta-quotient inverse of the quartic Abel-Jacobi map."""
     return _quartic_with_thetas(zp)[0]
@@ -215,10 +207,10 @@ def inverse_sextic(zp: TorusPoint) -> CurvePoint:
 
 
 # The inverses with the four half-characteristic thetas at z that they are
-# built from, None over t = infinity; the ratio identities reuse the thetas.
-# They take one `theta` call per characteristic, not `theta_four`: the
-# benchmark harness's self-test (perfbench/selftest.py) pins four theta
-# entries per inverse.
+# built from, None over t = infinity; the ratio identities of `lemnis.verify`
+# reuse the thetas.  They take one `theta` call per characteristic, not
+# `theta_four`: the benchmark harness's self-test (perfbench/selftest.py)
+# pins four theta entries per inverse.
 
 def _four_thetas(z: complex, mod: Modulus) -> tuple[complex, ...]:
     return tuple(theta(c, z, mod) for c in HALF_CHARS)
@@ -250,90 +242,6 @@ def _sextic_with_thetas(zp: TorusPoint) -> tuple[CurvePoint, tuple | None]:
 def _require_modulus(zp: TorusPoint, mod: Modulus) -> None:
     if zp.modulus.value != mod.value:
         raise DomainError(f"torus point lives on tau = {zp.modulus.value}, expected {mod.value}")
-
-
-# ---------------------------------------------------------------------------
-# Ratio identities.
-
-@_within_binary64
-def ratio_identities_quartic(zp: TorusPoint) -> list[IdentityPair]:
-    """The three square-torus identities for r = i u^2 / t.
-
-    Where t vanishes (one of the even thetas has a zero) r is replaced by
-    its documented limit -1 or +1; at z = i/2 that limit is -1.
-    """
-    return _quartic_ratios(*_quartic_with_thetas(zp))
-
-
-def _quartic_ratios(p: CurvePoint, th: tuple | None) -> list[IdentityPair]:
-    if p.at_infinity:
-        raise DomainError("ratio identities blow up over t = infinity")
-    th00, th01, th10, th11 = th
-    scale = max(abs(th00), abs(th01), abs(th10), abs(th11))
-    if abs(th01) < 1e-8 * scale:
-        r = complex(-1.0)
-    elif abs(th10) < 1e-8 * scale:
-        r = complex(1.0)
-    else:
-        r = 1j * p.u ** 2 / p.t
-    sq = math.sqrt(2.0)
-    return [
-        IdentityPair("i_u2_over_t", r, th11 ** 2 / th00 ** 2),
-        IdentityPair("one_plus", 1 + r, sq * th01 ** 2 / th00 ** 2),
-        IdentityPair("one_minus", 1 - r, sq * th10 ** 2 / th00 ** 2),
-    ]
-
-
-@_within_binary64
-def ratio_identities_sextic(zp: TorusPoint) -> list[IdentityPair]:
-    """Hexagonal-torus identities for r = t / u^2 plus the cubed-root product.
-
-    At theta zeros other than the base point the documented limits are
-    substituted; at z = zeta/2 the first pair reproduces 1 + r -> 1 - omega.
-    The last pair is the internal consistency of the three linear factors
-    with 1 + 1/(t - 1).
-    """
-    return _sextic_ratios(*_sextic_with_thetas(zp))
-
-
-def _sextic_ratios(p: CurvePoint, th: tuple | None) -> list[IdentityPair]:
-    if p.at_infinity:
-        raise DomainError("ratio identities blow up over t = infinity")
-    th00, th01, th10, th11 = th
-    scale = max(abs(th00), abs(th01), abs(th10), abs(th11))
-    if abs(th11) < 1e-8 * scale:
-        raise DomainError("identities degenerate at the base point z = 0")
-    z2, z4 = ZETA ** 2, ZETA ** 4
-    degenerate = True
-    if abs(th01) < 1e-8 * scale:
-        r = -1 / z4
-    elif abs(th10) < 1e-8 * scale:
-        r = -1 / z2
-    elif abs(th00) < 1e-8 * scale:
-        r = complex(-1.0)
-    else:
-        r = p.t / p.u ** 2
-        degenerate = False
-    # near t = 1 the difference t - 1 has lost its digits to cancellation;
-    # there it is u^6/t^3 by the curve's equation, to full relative accuracy
-    tm1 = p.u ** 6 / p.t ** 3 if _distance(p.t, 1.0) < 0.05 else p.t - 1
-    cube = 0j if degenerate else p.u ** 3 / (p.t * tm1)
-    tail = 1 + 1 / tm1
-    return [
-        IdentityPair("one_plus_r", 1 + r, SQRT3 * 1j * th00 ** 2 / th11 ** 2),
-        IdentityPair("one_plus_z2_r", 1 + z2 * r, -SQRT3 * th10 ** 2 / th11 ** 2),
-        IdentityPair("one_plus_z4_r", 1 + z4 * r, SQRT3 * th01 ** 2 / th11 ** 2),
-        IdentityPair(
-            "cube_over_t_tm1",
-            cube,
-            _SEXTIC_PREFACTOR * th00 * th01 * th10 / th11 ** 3,
-        ),
-        IdentityPair(
-            "triple_product",
-            (1 + r) * (1 + z2 * r) * (1 + z4 * r),
-            tail,
-        ),
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +284,7 @@ def mul_one_plus_zeta(p: CurvePoint) -> CurvePoint:
 
 
 # ---------------------------------------------------------------------------
-# Group equivalence and constants.
+# Group equivalence.
 
 @dataclass(frozen=True)
 class GroupWitness:
@@ -402,51 +310,3 @@ def equivalent_mod_group(zp1: TorusPoint, zp2: TorusPoint, tol: float = 1e-8) ->
         if dist < tol:
             return GroupWitness(True, eps, lam, dist)
     return GroupWitness(False, None, None, best[0])
-
-
-def one_form_constant_routes(curve: SchwarzVariant) -> tuple[complex, complex]:
-    """The pullback constant of the 1-form, via theta and via beta."""
-    th = theta(HALF_CHARS[0], 0j, curve.modulus)
-    if curve is SchwarzVariant.QUARTIC:
-        return 2 * (1 - 1j) * math.pi * th ** 2, curve.normalization
-    return _SEXTIC_PREFACTOR * 2 * math.pi * th ** 2, curve.normalization
-
-
-def one_form_constant(curve: SchwarzVariant) -> complex:
-    via_theta, via_beta = one_form_constant_routes(curve)
-    if abs(via_theta - via_beta) > 1e-9 * abs(via_beta):
-        raise DomainError("1-form constant routes disagree; theta evaluation suspect")
-    return via_theta
-
-
-# ---------------------------------------------------------------------------
-# Round trip between the hypergeometric series and the theta quotients.
-
-def hgf_theta_roundtrip(z: complex, curve: SchwarzVariant) -> float:
-    """|LHS(z) - z| for the closed inversion formula near the origin.
-
-    Quartic: a theta-quotient prefactor times F(1/4, 1/2, 5/4; .) recovers
-    z directly.  Sextic: same shape with a square root whose sign is pinned
-    by the anchor value zeta at z = zeta/2, equivalently by matching the
-    leading linear behavior at the origin.
-    """
-    z = complex(z)
-    if not _distance(z) < 0.3:
-        raise DomainError("round trip is stated for |z| < 0.3")
-    if z == 0:
-        return 0.0
-    th00, _, _, th11 = theta_four(z, curve.modulus)
-    a_n = curve.exponent * curve.normalization
-    if curve is SchwarzVariant.QUARTIC:
-        ratio = th11 / th00
-        f = gauss_2f1(curve.series_params, ratio ** 4)
-        lhs = e_of(0.375) / a_n * ratio * f
-        return abs(lhs - z)
-    w = 1 - SQRT3 * 1j * th00 ** 2 / th11 ** 2
-    pref = e_of(0.25) / a_n
-    root = cmath.sqrt(w)
-    if (z * root * pref.conjugate()).real < 0:
-        root = -root
-    f = gauss_2f1(curve.series_params, 1 / w ** 3)
-    lhs = pref / root * f
-    return abs(lhs - z)

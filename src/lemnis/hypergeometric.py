@@ -43,8 +43,8 @@ DomainError remains where no route converges:
   when gamma - alpha - beta > 0).
 
 It is raised as well where |z| or |1 - z|, or a route's value of F, lies
-outside binary64, and where a connection coefficient needs Gamma at an
-argument beyond 10^4 in modulus.
+outside binary64, at the first inf or NaN term of a series, and where a
+connection coefficient needs Gamma at an argument beyond 10^4 in modulus.
 """
 
 from __future__ import annotations
@@ -193,6 +193,8 @@ def _series(
             if more:
                 _keep(key, ratios, more)
             return total
+        if not at < math.inf:  # an inf or NaN term stays so: no later term is finite
+            raise DomainError(f"2F1 overflows binary64 in the series of {key} at {z}")
     raise IterationLimitError(f"2F1 series of {key} at {z} did not meet tolerance within the term cap {_MAX_TERMS}")
 
 

@@ -22,7 +22,9 @@ Tata Lectures on Theta I, ch. I-II); the words SSS, STSS and tS, which fix i
 and zeta = (1+sqrt(3)i)/2, give theta(i z, i), theta(omega z, zeta) and
 theta(omega^2 z, zeta).  Closed forms give the theta constants at
 both square moduli.  Every prefactor goes through one checked exponential,
-so a value outside binary64 is a DomainError.
+so a value outside binary64 is a DomainError.  The identities these values
+satisfy (the addition formulas, the 1+i and 1+zeta lemmas) are checked in
+`lemnis.verify`, not here.
 """
 
 from __future__ import annotations
@@ -34,15 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-from .numerics import (
-    OMEGA,
-    OMEGA_SQ,
-    ZETA,
-    DomainError,
-    _scaled_residual,
-    e_of,
-    gamma_real,
-)
+from .numerics import ZETA, DomainError, e_of, gamma_real
 
 _MAX_CHAR_DENOM = 144
 
@@ -484,114 +478,6 @@ def theta_four(z: complex, m: Modulus) -> tuple[complex, complex, complex, compl
     e0, o0 = _lattice_sums(0.0, z, z, m.value, q2, h, False)
     e1, o1 = _lattice_sums(0.5, z, z, m.value, q2, h, False)
     return e0 + o0, e0 - o0, e1 + o1, 1j * (e1 - o1)
-
-
-@dataclass(frozen=True)
-class IdentityPair:
-    """Both sides of one displayed identity, with its scaled residual."""
-
-    name: str
-    lhs: complex
-    rhs: complex
-
-    @property
-    def residual(self) -> float:
-        return _scaled_residual(self.lhs, self.rhs)
-
-
-def _within_binary64(lemma):
-    # A side outside binary64 (inf, NaN, an OverflowError or a division by an
-    # underflowed square) is a DomainError; an IdentityPair is read by its residual.
-    def checked(*args):
-        try:
-            out = lemma(*args)
-            if all(math.isfinite(getattr(x, "residual", x)) for x in out):
-                return out
-        except (OverflowError, ZeroDivisionError):
-            pass
-        raise DomainError(f"{lemma.__name__}{args} leaves binary64")
-    return functools.wraps(lemma)(checked)
-
-
-@_within_binary64
-def addition_check(z1: complex, z2: complex, m: Modulus) -> list[float]:
-    """Scaled residuals of the four addition formulas (both right-hand sides
-    each) and Jacobi's identity, nine numbers in fixed order."""
-    z1 = complex(z1)
-    z2 = complex(z2)
-    plus = theta_four(z1 + z2, m)
-    minus = theta_four(z1 - z2, m)
-    p00, p01, p10, p11 = (u * v for u, v in zip(plus, minus))
-    a00, a01, a10, a11 = (v * v for v in theta_four(z1, m))
-    b00, b01, b10, b11 = (v * v for v in theta_four(z2, m))
-    k00, k01, k10, _ = (v * v for v in m.theta_nulls)
-    return [
-        _scaled_residual(p00 * k00, a00 * b00 + a11 * b11),
-        _scaled_residual(p00 * k00, a01 * b01 + a10 * b10),
-        _scaled_residual(p01 * k01, a00 * b00 - a10 * b10),
-        _scaled_residual(p01 * k01, a01 * b01 - a11 * b11),
-        _scaled_residual(p10 * k10, a00 * b00 - a01 * b01),
-        _scaled_residual(p10 * k10, a10 * b10 - a11 * b11),
-        _scaled_residual(p11 * k00, a11 * b00 - a00 * b11),
-        _scaled_residual(p11 * k00, a01 * b10 - a10 * b01),
-        _scaled_residual(k00 * k00, k01 * k01 + k10 * k10),
-    ]
-
-
-@_within_binary64
-def one_plus_i_multiple(z: complex) -> list[IdentityPair]:
-    """Both sides of the three (1+i)-multiplication identities at tau = i."""
-    z = complex(z)
-    return _one_plus_i_pairs.__wrapped__(z, theta_four(z, TAU_I))  # checked here, once
-
-
-@_within_binary64
-def _one_plus_i_pairs(z: complex, th: tuple) -> list[IdentityPair]:
-    # one_plus_i_multiple(z) from th = theta_four(z, TAU_I), already summed
-    m = TAU_I
-    gauss = _exp(math.pi * 1j * (1.0 + 1j) * z * z)
-    k00, k01, k10, _ = m.theta_nulls
-    t00, t01, t10, t11 = th
-    w00, w01, w10, w11 = theta_four((1.0 + 1j) * z, m)
-    return [
-        IdentityPair("theta00", w00, k00 * t01 * t10 / (gauss * k01 * k10)),
-        IdentityPair(
-            "theta_half_half",
-            w11,
-            e_of(0.125) * k00 * t00 * t11 / (gauss * k01 * k10),
-        ),
-        IdentityPair(
-            "product_01_10",
-            w01 * w10,
-            (t00**4 - t01**2 * t10**2) / (gauss * gauss * k01 * k10),
-        ),
-    ]
-
-
-@_within_binary64
-def one_plus_zeta_multiple(z: complex) -> list[IdentityPair]:
-    """Both sides of the four (1+zeta)-multiplication identities at tau = zeta."""
-    z = complex(z)
-    return _one_plus_zeta_pairs.__wrapped__(z, theta_four(z, TAU_ZETA))  # checked here, once
-
-
-@_within_binary64
-def _one_plus_zeta_pairs(z: complex, th: tuple) -> list[IdentityPair]:
-    # one_plus_zeta_multiple(z) from th = theta_four(z, TAU_ZETA), already summed
-    m = TAU_ZETA
-    gauss = _e((OMEGA_SQ + OMEGA / 2.0) * z * z)
-    k00, k01, k10, _ = m.theta_nulls
-    t00, t01, t10, t11 = th
-    w00, w01, w10, w11 = theta_four((1.0 + ZETA) * z, m)
-    e8 = e_of(0.125)
-    return [
-        IdentityPair("theta00", w00, e8 * gauss / (k00 * k00) * t10 * (t00 * t00 - 1j * t01 * t01)),
-        IdentityPair("theta01", w01, e8 * gauss / (k01 * k01) * t00 * (t01 * t01 - t10 * t10)),
-        IdentityPair("theta10", w10, gauss / (k10 * k10) * t01 * (t00 * t00 + 1j * t10 * t10)),
-        IdentityPair(
-            "theta_half_half", w11, gauss / (k00 * k00) * t11 * (t00 * t00 + 1j * t01 * t01)
-        ),
-    ]
 
 
 _CT13 = ThetaChar(Fraction(1, 3), Fraction(1, 3))

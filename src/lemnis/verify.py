@@ -1,4 +1,11 @@
-"""The verify families: seeded residual sweeps over the package's identities.
+"""The paper's identities, and the verify families: seeded residual sweeps over them.
+
+Each identity is defined here once, as a function of the sample a suite
+already holds: the addition formulas, the (1+i) and (1+zeta) lemmas on the
+thetas at z, both t-routes of the quartic inverse, the ratio identities of a
+curve point and its thetas, the 1-form constant and the closed inversion of
+the Schwarz map.  The checked ones raise DomainError where a side leaves
+binary64, never a NaN residual.
 
 Every family is one identity of theta functions, of the two special curves,
 of the triangle-group monodromy or of the mean iterations.  A suite is a
@@ -11,20 +18,22 @@ produced it.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
+from dataclasses import dataclass
 
 from .curves import (
+    _SEXTIC_PREFACTOR,
     CurvePoint,
     _curve_residual,
-    _quartic_ratios,
+    _distance,
     _quartic_with_thetas,
-    _sextic_ratios,
     _sextic_with_thetas,
-    inverse_quartic_t_routes,
     mul_one_plus_i,
     mul_one_plus_zeta,
 )
-from .hypergeometric import SchwarzVariant
+from .hypergeometric import SchwarzVariant, _require_variant, gauss_2f1
 from .meaniter import MeanPair, closed_form_limit, cubic_preimage_x0, iterate_until_converged
 from .monodromy import (
     AffineMap,
@@ -36,7 +45,7 @@ from .monodromy import (
     n_matrices,
     ring_one,
 )
-from .numerics import OMEGA, IterationLimitError, _scaled_residual
+from .numerics import OMEGA, OMEGA_SQ, SQRT3, ZETA, DomainError, IterationLimitError, _scaled_residual, e_of
 from .theta import (
     HALF_CHARS,
     TAU_I,
@@ -44,9 +53,8 @@ from .theta import (
     Modulus,
     ThetaChar,
     TorusPoint,
-    _one_plus_i_pairs,
-    _one_plus_zeta_pairs,
-    addition_check,
+    _e,
+    _exp,
     canonical_torus_point,
     quasi_period_factor,
     theta,
@@ -56,12 +64,247 @@ from .theta import (
     transform,
 )
 
+# ---------------------------------------------------------------------------
+# The identities.
+
+
+@dataclass(frozen=True)
+class IdentityPair:
+    """Both sides of one displayed identity, with its scaled residual."""
+
+    name: str
+    lhs: complex
+    rhs: complex
+
+    @property
+    def residual(self) -> float:
+        return _scaled_residual(self.lhs, self.rhs)
+
+
+def _within_binary64(lemma):
+    # A side outside binary64 (inf, NaN, an OverflowError or a division by an
+    # underflowed square) is a DomainError; an IdentityPair is read by its residual.
+    def checked(*args):
+        try:
+            out = lemma(*args)
+            if all(math.isfinite(getattr(x, "residual", x)) for x in out):
+                return out
+        except (OverflowError, ZeroDivisionError):
+            pass
+        raise DomainError(f"{lemma.__name__}{args} leaves binary64")
+    return functools.wraps(lemma)(checked)
+
+
+@_within_binary64
+def addition_check(z1: complex, z2: complex, m: Modulus) -> list[float]:
+    """Scaled residuals of the four addition formulas (both right-hand sides
+    each) and Jacobi's identity, nine numbers in fixed order."""
+    z1 = complex(z1)
+    z2 = complex(z2)
+    plus = theta_four(z1 + z2, m)
+    minus = theta_four(z1 - z2, m)
+    p00, p01, p10, p11 = (u * v for u, v in zip(plus, minus))
+    a00, a01, a10, a11 = (v * v for v in theta_four(z1, m))
+    b00, b01, b10, b11 = (v * v for v in theta_four(z2, m))
+    k00, k01, k10, _ = (v * v for v in m.theta_nulls)
+    return [
+        _scaled_residual(p00 * k00, a00 * b00 + a11 * b11),
+        _scaled_residual(p00 * k00, a01 * b01 + a10 * b10),
+        _scaled_residual(p01 * k01, a00 * b00 - a10 * b10),
+        _scaled_residual(p01 * k01, a01 * b01 - a11 * b11),
+        _scaled_residual(p10 * k10, a00 * b00 - a01 * b01),
+        _scaled_residual(p10 * k10, a10 * b10 - a11 * b11),
+        _scaled_residual(p11 * k00, a11 * b00 - a00 * b11),
+        _scaled_residual(p11 * k00, a01 * b10 - a10 * b01),
+        _scaled_residual(k00 * k00, k01 * k01 + k10 * k10),
+    ]
+
+
+@_within_binary64
+def one_plus_i_multiple(z: complex, th: tuple) -> list[IdentityPair]:
+    """Both sides of the three (1+i)-multiplication identities at tau = i,
+    from th = theta_four(z, TAU_I)."""
+    z, m = complex(z), TAU_I
+    gauss = _exp(math.pi * 1j * (1.0 + 1j) * z * z)
+    k00, k01, k10, _ = m.theta_nulls
+    t00, t01, t10, t11 = th
+    w00, w01, w10, w11 = theta_four((1.0 + 1j) * z, m)
+    return [
+        IdentityPair("theta00", w00, k00 * t01 * t10 / (gauss * k01 * k10)),
+        IdentityPair(
+            "theta_half_half",
+            w11,
+            e_of(0.125) * k00 * t00 * t11 / (gauss * k01 * k10),
+        ),
+        IdentityPair(
+            "product_01_10",
+            w01 * w10,
+            (t00**4 - t01**2 * t10**2) / (gauss * gauss * k01 * k10),
+        ),
+    ]
+
+
+@_within_binary64
+def one_plus_zeta_multiple(z: complex, th: tuple) -> list[IdentityPair]:
+    """Both sides of the four (1+zeta)-multiplication identities at tau = zeta,
+    from th = theta_four(z, TAU_ZETA)."""
+    z, m = complex(z), TAU_ZETA
+    gauss = _e((OMEGA_SQ + OMEGA / 2.0) * z * z)
+    k00, k01, k10, _ = m.theta_nulls
+    t00, t01, t10, t11 = th
+    w00, w01, w10, w11 = theta_four((1.0 + ZETA) * z, m)
+    e8 = e_of(0.125)
+    return [
+        IdentityPair("theta00", w00, e8 * gauss / (k00 * k00) * t10 * (t00 * t00 - 1j * t01 * t01)),
+        IdentityPair("theta01", w01, e8 * gauss / (k01 * k01) * t00 * (t01 * t01 - t10 * t10)),
+        IdentityPair("theta10", w10, gauss / (k10 * k10) * t01 * (t00 * t00 + 1j * t10 * t10)),
+        IdentityPair(
+            "theta_half_half", w11, gauss / (k00 * k00) * t11 * (t00 * t00 + 1j * t01 * t01)
+        ),
+    ]
+
+
+def inverse_quartic_t_routes(zp: TorusPoint) -> tuple[complex, complex]:
+    """Both displayed t-expressions of the quartic inverse; they agree up to roundoff."""
+    th00, th01, th10, th11 = theta_four(zp.z, TAU_I)
+    t_prod = 2 * th01 ** 2 * th10 ** 2 / th00 ** 4
+    t_quot = 1 - th11 ** 4 / th00 ** 4
+    return t_prod, t_quot
+
+
+@_within_binary64
+def ratio_identities_quartic(p: CurvePoint, th: tuple | None) -> list[IdentityPair]:
+    """The three square-torus identities for r = i u^2 / t, at the point p
+    and the thetas th it was built from, (p, th) = curves._quartic_with_thetas(zp).
+
+    Where t vanishes (one of the even thetas has a zero) r is replaced by
+    its documented limit -1 or +1; at z = i/2 that limit is -1.
+    """
+    if p.at_infinity:
+        raise DomainError("ratio identities blow up over t = infinity")
+    th00, th01, th10, th11 = th
+    scale = max(abs(th00), abs(th01), abs(th10), abs(th11))
+    if abs(th01) < 1e-8 * scale:
+        r = complex(-1.0)
+    elif abs(th10) < 1e-8 * scale:
+        r = complex(1.0)
+    else:
+        r = 1j * p.u ** 2 / p.t
+    sq = math.sqrt(2.0)
+    return [
+        IdentityPair("i_u2_over_t", r, th11 ** 2 / th00 ** 2),
+        IdentityPair("one_plus", 1 + r, sq * th01 ** 2 / th00 ** 2),
+        IdentityPair("one_minus", 1 - r, sq * th10 ** 2 / th00 ** 2),
+    ]
+
+
+@_within_binary64
+def ratio_identities_sextic(p: CurvePoint, th: tuple | None) -> list[IdentityPair]:
+    """Hexagonal-torus identities for r = t / u^2 plus the cubed-root product,
+    at the point p and the thetas th it was built from,
+    (p, th) = curves._sextic_with_thetas(zp).
+
+    At theta zeros other than the base point the documented limits are
+    substituted; at z = zeta/2 the first pair reproduces 1 + r -> 1 - omega.
+    The last pair is the internal consistency of the three linear factors
+    with 1 + 1/(t - 1).
+    """
+    if p.at_infinity:
+        raise DomainError("ratio identities blow up over t = infinity")
+    th00, th01, th10, th11 = th
+    scale = max(abs(th00), abs(th01), abs(th10), abs(th11))
+    if abs(th11) < 1e-8 * scale:
+        raise DomainError("identities degenerate at the base point z = 0")
+    z2, z4 = ZETA ** 2, ZETA ** 4
+    degenerate = True
+    if abs(th01) < 1e-8 * scale:
+        r = -1 / z4
+    elif abs(th10) < 1e-8 * scale:
+        r = -1 / z2
+    elif abs(th00) < 1e-8 * scale:
+        r = complex(-1.0)
+    else:
+        r = p.t / p.u ** 2
+        degenerate = False
+    # near t = 1 the difference t - 1 has lost its digits to cancellation;
+    # there it is u^6/t^3 by the curve's equation, to full relative accuracy
+    tm1 = p.u ** 6 / p.t ** 3 if _distance(p.t, 1.0) < 0.05 else p.t - 1
+    cube = 0j if degenerate else p.u ** 3 / (p.t * tm1)
+    tail = 1 + 1 / tm1
+    return [
+        IdentityPair("one_plus_r", 1 + r, SQRT3 * 1j * th00 ** 2 / th11 ** 2),
+        IdentityPair("one_plus_z2_r", 1 + z2 * r, -SQRT3 * th10 ** 2 / th11 ** 2),
+        IdentityPair("one_plus_z4_r", 1 + z4 * r, SQRT3 * th01 ** 2 / th11 ** 2),
+        IdentityPair(
+            "cube_over_t_tm1",
+            cube,
+            _SEXTIC_PREFACTOR * th00 * th01 * th10 / th11 ** 3,
+        ),
+        IdentityPair(
+            "triple_product",
+            (1 + r) * (1 + z2 * r) * (1 + z4 * r),
+            tail,
+        ),
+    ]
+
+
+def one_form_constant(curve: SchwarzVariant) -> tuple[complex, complex]:
+    """The pullback constant of the 1-form, via theta and via beta.
+
+    A DomainError where the two routes disagree by more than 1e-9 relative.
+    """
+    _require_variant(curve)
+    th = theta(HALF_CHARS[0], 0j, curve.modulus)
+    if curve is SchwarzVariant.QUARTIC:
+        via_theta = 2 * (1 - 1j) * math.pi * th ** 2
+    else:
+        via_theta = _SEXTIC_PREFACTOR * 2 * math.pi * th ** 2
+    via_beta = curve.normalization
+    if abs(via_theta - via_beta) > 1e-9 * abs(via_beta):
+        raise DomainError("1-form constant routes disagree; theta evaluation suspect")
+    return via_theta, via_beta
+
+
+def hgf_theta_roundtrip(z: complex, curve: SchwarzVariant) -> float:
+    """|LHS(z) - z| for the closed inversion formula near the origin.
+
+    Quartic: a theta-quotient prefactor times F(1/4, 1/2, 5/4; .) recovers
+    z directly.  Sextic: same shape with a square root whose sign is pinned
+    by the anchor value zeta at z = zeta/2, equivalently by matching the
+    leading linear behavior at the origin.
+    """
+    _require_variant(curve)
+    z = complex(z)
+    if not _distance(z) < 0.3:
+        raise DomainError("round trip is stated for |z| < 0.3")
+    if z == 0:
+        return 0.0
+    th00, _, _, th11 = theta_four(z, curve.modulus)
+    a_n = curve.exponent * curve.normalization
+    if curve is SchwarzVariant.QUARTIC:
+        ratio = th11 / th00
+        f = gauss_2f1(curve.series_params, ratio ** 4)
+        lhs = e_of(0.375) / a_n * ratio * f
+        return abs(lhs - z)
+    w = 1 - SQRT3 * 1j * th00 ** 2 / th11 ** 2
+    pref = e_of(0.25) / a_n
+    root = cmath.sqrt(w)
+    if (z * root * pref.conjugate()).real < 0:
+        root = -root
+    f = gauss_2f1(curve.series_params, 1 / w ** 3)
+    lhs = pref / root * f
+    return abs(lhs - z)
+
+
+# ---------------------------------------------------------------------------
+# The suites.
+
 _MASK64 = (1 << 64) - 1
 
 # Per curve: the theta inverse with its thetas, the ratio identities, the unit multiplication.
 _PER_CURVE = {
-    SchwarzVariant.QUARTIC: (_quartic_with_thetas, _quartic_ratios, mul_one_plus_i),
-    SchwarzVariant.SEXTIC: (_sextic_with_thetas, _sextic_ratios, mul_one_plus_zeta),
+    SchwarzVariant.QUARTIC: (_quartic_with_thetas, ratio_identities_quartic, mul_one_plus_i),
+    SchwarzVariant.SEXTIC: (_sextic_with_thetas, ratio_identities_sextic, mul_one_plus_zeta),
 }
 
 
@@ -141,7 +384,7 @@ def _suite_tau_i(rng: SplitMix64, n: int):
             yield "tau_i.char_shift", _scaled_residual(theta(cs, z, mod), cf * at_z[k]), tag
             target, pref, _, _ = transform(char, z, mod, "SSS")
             yield "tau_i.i_times", _scaled_residual(at_iz[k], pref * theta(target, z, mod)), tag
-        for pair in _one_plus_i_pairs(z, at_z):
+        for pair in one_plus_i_multiple(z, at_z):
             yield "tau_i.one_plus_i", pair.residual, tag + f" {pair.name}"
         th00, th01, th10, th11 = at_z
         rt2 = math.sqrt(2.0)
@@ -163,7 +406,7 @@ def _suite_tau_zeta(rng: SplitMix64, n: int):
                 residual = _scaled_residual(lhs, pref * theta(target, z, mod))
                 yield "tau_zeta.omega_times", residual, tag + f" {name}"
         th = th00, th01, th10, th11 = theta_four(z, mod)
-        for pair in _one_plus_zeta_pairs(z, th):
+        for pair in one_plus_zeta_multiple(z, th):
             yield "tau_zeta.one_plus_zeta", pair.residual, tag + f" {pair.name}"
         e12 = complex(math.cos(math.pi / 6.0), math.sin(math.pi / 6.0))
         lincomb = "tau_zeta.linear_combination"

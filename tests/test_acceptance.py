@@ -11,7 +11,6 @@ from fractions import Fraction
 from lemnis.curves import (
     abel_jacobi,
     equivalent_mod_group,
-    hgf_theta_roundtrip,
     inverse_quartic,
     inverse_sextic,
     lift_branch,
@@ -24,7 +23,13 @@ from lemnis.hypergeometric import (
     SchwarzVariant,
     gauss_2f1,
 )
-from lemnis.verify import max_abs_diff as _max_abs_diff
+from lemnis.verify import (
+    addition_check,
+    hgf_theta_roundtrip,
+    max_abs_diff as _max_abs_diff,
+    one_plus_i_multiple,
+    one_plus_zeta_multiple,
+)
 from lemnis.meaniter import MeanPair, iterate_until_converged
 from lemnis.monodromy import base_change_affine, general_m0_m1, n_matrices
 from lemnis.numerics import OMEGA, ZETA, e_of, gamma_real
@@ -34,15 +39,13 @@ from lemnis.theta import (
     TAU_I,
     TAU_ZETA,
     ThetaChar,
-    addition_check,
     canonical_torus_point,
     lattice_distance,
-    one_plus_i_multiple,
-    one_plus_zeta_multiple,
     quasi_period_factor,
     theta,
     theta_constants,
     theta_dz,
+    theta_four,
     transform,
 )
 
@@ -147,9 +150,11 @@ def test_criterion_2_identity_suites():
 
     # (1+i)-times and (1+zeta)-times lemmas
     for _ in range(100):
-        for pair in one_plus_i_multiple(_rand_z(rng)):
+        z = _rand_z(rng)
+        for pair in one_plus_i_multiple(z, theta_four(z, TAU_I)):
             push("one_plus_i_times", pair.residual)
-        for pair in one_plus_zeta_multiple(_rand_z(rng)):
+        z = _rand_z(rng)
+        for pair in one_plus_zeta_multiple(z, theta_four(z, TAU_ZETA)):
             push("one_plus_zeta_times", pair.residual)
 
     # half-integer constant relation at tau=zeta, plus its sampled source

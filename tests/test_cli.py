@@ -18,8 +18,8 @@ import pytest
 import lemnis.cli
 from lemnis.cli import main, parse_complex
 from lemnis.numerics import ZETA, DomainError, IterationLimitError
-from lemnis.theta import TAU_I, TAU_ZETA, _one_plus_i_pairs, _one_plus_zeta_pairs, theta_four
-from lemnis.verify import SUITES, SplitMix64, format_complex, sweep
+from lemnis.theta import TAU_I, TAU_ZETA, theta_four
+from lemnis.verify import SUITES, SplitMix64, format_complex, one_plus_i_multiple, one_plus_zeta_multiple, sweep
 
 REPORT_KEYS = {"command", "inputs", "outputs", "residuals", "pass", "seed", "elapsed_ms"}
 
@@ -407,17 +407,19 @@ def test_a_sweep_sums_each_theta_once(monkeypatch):
 
 
 def test_the_public_lemmas_equal_the_suites_reuse():
-    def bits(pairs):
-        return [(p.name, repr(p.lhs), repr(p.rhs)) for p in pairs]
-
-    rng = random.Random(26)
-    for _ in range(50):
-        z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-        for public, twin, mod in (
-            (lemnis.one_plus_i_multiple, _one_plus_i_pairs, TAU_I),
-            (lemnis.one_plus_zeta_multiple, _one_plus_zeta_pairs, TAU_ZETA),
-        ):
-            assert bits(public(z)) == bits(twin(z, theta_four(z, mod))), z
+    # every 1+i and 1+zeta residual a suite yields is the public lemma's, bit
+    # for bit, at the suite's own sample z and th = theta_four(z, tau)
+    for name, family, public, mod, per_z in (
+        ("tau-i", "tau_i.one_plus_i", one_plus_i_multiple, TAU_I, 3),
+        ("tau-zeta", "tau_zeta.one_plus_zeta", one_plus_zeta_multiple, TAU_ZETA, 4),
+    ):
+        yielded = [(r, s) for f, r, s in SUITES[name][1](SplitMix64(26), 50) if f == family]
+        assert len(yielded) == 50 * per_z
+        for residual, sample in yielded:
+            tag, pair_name = sample.split()
+            z = parse_complex(tag.removeprefix("z="))
+            pairs = {p.name: p for p in public(z, theta_four(z, mod))}
+            assert repr(pairs[pair_name].residual) == repr(residual), sample
 
 
 def test_verify_usage_errors(capsys):

@@ -26,14 +26,12 @@ from lemnis import (
     TAU_ZETA,
     DomainError,
     GaussParams,
-    IdentityPair,
     IterationLimitError,
     MeanPair,
     Modulus,
     SchwarzVariant,
     ThetaChar,
     abel_jacobi,
-    addition_check,
     canonical_torus_point,
     closed_form_limit,
     cubic_preimage_x0,
@@ -41,7 +39,6 @@ from lemnis import (
     gauss_2f1_pair,
     gauss_kummer_value,
     general_m0_m1,
-    hgf_theta_roundtrip,
     invariant_hermitian_form,
     inverse_quartic,
     inverse_sextic,
@@ -51,11 +48,7 @@ from lemnis import (
     mul_one_plus_i,
     mul_one_plus_zeta,
     n_matrices,
-    one_plus_i_multiple,
-    one_plus_zeta_multiple,
     quasi_period_factor,
-    ratio_identities_quartic,
-    ratio_identities_sextic,
     schwarz_map,
     step_quartic,
     step_sextic,
@@ -66,7 +59,18 @@ from lemnis import (
     units,
 )
 from lemnis.cli import main
+from lemnis.curves import _quartic_with_thetas, _sextic_with_thetas
 from lemnis.numerics import ZETA
+from lemnis.verify import (
+    IdentityPair,
+    addition_check,
+    hgf_theta_roundtrip,
+    one_form_constant,
+    one_plus_i_multiple,
+    one_plus_zeta_multiple,
+    ratio_identities_quartic,
+    ratio_identities_sextic,
+)
 
 SWEEP = settings(derandomize=True, database=None, deadline=None, max_examples=50)
 
@@ -254,13 +258,19 @@ def test_mean_family_keeps_the_contract(a, b):
 @given(COMPLEXES, COMPLEXES)
 @pinned(*LEMMA_BREACHES)
 def test_identity_lemmas_keep_the_contract(z1, z2):
-    holds(one_plus_i_multiple, z1)
-    holds(one_plus_zeta_multiple, z1)
-    for m, ratios in ((TAU_I, ratio_identities_quartic), (TAU_ZETA, ratio_identities_sextic)):
+    for m, lemma in ((TAU_I, one_plus_i_multiple), (TAU_ZETA, one_plus_zeta_multiple)):
+        th = holds(theta_four, z1, m)
+        if th is not None:
+            holds(lemma, z1, th)
+    for m, with_thetas, ratios in (
+        (TAU_I, _quartic_with_thetas, ratio_identities_quartic),
+        (TAU_ZETA, _sextic_with_thetas, ratio_identities_sextic),
+    ):
         holds(addition_check, z1, z2, m)
         point = holds(canonical_torus_point, m, z1)
-        if point is not None:
-            holds(ratios, point)
+        sample = None if point is None else holds(with_thetas, point)
+        if sample is not None:
+            holds(ratios, *sample)
 
 
 def test_the_cli_exits_2_past_binary64_and_at_a_ramification_value(capsys):
@@ -318,7 +328,7 @@ def test_sextic_ratio_identities_hold(z):
     point = canonical_torus_point(TAU_ZETA, z)
     assume(not inverse_sextic(point).at_infinity)
     try:
-        pairs = ratio_identities_sextic(point)
+        pairs = ratio_identities_sextic(*_sextic_with_thetas(point))
     except DomainError as exc:
         assume("base point" not in str(exc))
         raise
@@ -380,8 +390,11 @@ def test_gauss_2f1_solves_the_hypergeometric_equation(a, b, c, r, phi):
         lambda v: schwarz_map(v, 2.0),
         lambda v: lift_branch(v, 2.0),
         units,
+        one_form_constant,
+        lambda v: hgf_theta_roundtrip(0.1, v),
     ),
-    ids=("n_matrices", "iterate_until_converged", "closed_form_limit", "schwarz_map", "lift_branch", "units"),
+    ids=("n_matrices", "iterate_until_converged", "closed_form_limit", "schwarz_map", "lift_branch", "units",
+         "one_form_constant", "hgf_theta_roundtrip"),
 )
 def test_a_value_that_is_not_a_variant_is_a_domain_error(call):
     for v in ("quartic", 4, None):

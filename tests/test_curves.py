@@ -15,20 +15,14 @@ from lemnis.curves import (
     CurvePoint,
     abel_jacobi,
     equivalent_mod_group,
-    hgf_theta_roundtrip,
     inverse_quartic,
-    inverse_quartic_t_routes,
     inverse_sextic,
     lift_branch,
     mul_one_plus_i,
     mul_one_plus_zeta,
-    one_form_constant,
-    one_form_constant_routes,
-    ratio_identities_quartic,
-    ratio_identities_sextic,
     special_point,
 )
-from lemnis.curves import _curve_residual
+from lemnis.curves import _curve_residual, _quartic_with_thetas, _sextic_with_thetas
 from lemnis.hypergeometric import SchwarzVariant, schwarz_map
 from lemnis.numerics import ZETA, DomainError, beta
 from lemnis.theta import (
@@ -37,6 +31,14 @@ from lemnis.theta import (
     TAU_ZETA,
     canonical_torus_point,
     lattice_distance,
+)
+import lemnis.verify as verify_mod
+from lemnis.verify import (
+    hgf_theta_roundtrip,
+    inverse_quartic_t_routes,
+    one_form_constant,
+    ratio_identities_quartic,
+    ratio_identities_sextic,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -414,13 +416,13 @@ def test_ratio_identities_quartic_generic():
         zp = _cpt(TAU_I, z)
         if inverse_quartic(zp).at_infinity:
             continue
-        for pair in ratio_identities_quartic(zp):
+        for pair in ratio_identities_quartic(*_quartic_with_thetas(zp)):
             assert pair.residual < 1e-10, pair.name
 
 
 def test_ratio_identities_quartic_degenerate():
     # at z = i/2 the ratio tends to -1, so 1 + r vanishes
-    pairs = {p.name: p for p in ratio_identities_quartic(_cpt(TAU_I, 0.5j))}
+    pairs = {p.name: p for p in ratio_identities_quartic(*_quartic_with_thetas(_cpt(TAU_I, 0.5j)))}
     assert abs(pairs["i_u2_over_t"].lhs + 1) < 1e-12
     assert abs(pairs["one_plus"].lhs) < 1e-12
     assert abs(pairs["one_minus"].lhs - 2) < 1e-12
@@ -437,7 +439,7 @@ def test_ratio_identities_sextic_generic():
         p = inverse_sextic(zp)
         if p.at_infinity or abs(p.t) < 1e-3:
             continue
-        pairs = {q.name: q for q in ratio_identities_sextic(zp)}
+        pairs = {q.name: q for q in ratio_identities_sextic(*_sextic_with_thetas(zp))}
         for q in pairs.values():
             assert q.residual < 1e-10, q.name
         triple = pairs["triple_product"]
@@ -450,7 +452,7 @@ def test_ratio_identities_sextic_generic():
 
 def test_ratio_identities_sextic_degenerate():
     # at z = zeta/2 the first factor becomes 1 - omega with omega = zeta^2
-    pairs = {p.name: p for p in ratio_identities_sextic(_cpt(TAU_ZETA, ZETA / 2))}
+    pairs = {p.name: p for p in ratio_identities_sextic(*_sextic_with_thetas(_cpt(TAU_ZETA, ZETA / 2)))}
     omega = ZETA * ZETA
     assert abs(pairs["one_plus_r"].lhs - (1 - omega)) < 1e-12
     for p in pairs.values():
@@ -459,11 +461,11 @@ def test_ratio_identities_sextic_degenerate():
 
 def test_ratio_identities_reject_poles_and_base():
     with pytest.raises(DomainError):
-        ratio_identities_quartic(_cpt(TAU_I, (1 + 1j) / 2))
+        ratio_identities_quartic(*_quartic_with_thetas(_cpt(TAU_I, (1 + 1j) / 2)))
     with pytest.raises(DomainError):
-        ratio_identities_sextic(_cpt(TAU_ZETA, (ZETA + 1) / 3))
+        ratio_identities_sextic(*_sextic_with_thetas(_cpt(TAU_ZETA, (ZETA + 1) / 3)))
     with pytest.raises(DomainError):
-        ratio_identities_sextic(_cpt(TAU_ZETA, 0j))
+        ratio_identities_sextic(*_sextic_with_thetas(_cpt(TAU_ZETA, 0j)))
 
 
 # ---------------------------------------------------------------------------
@@ -647,14 +649,21 @@ def test_equivalent_mod_group_hexagonal_units():
 
 
 def test_one_form_constant_routes():
-    via_theta, via_beta = one_form_constant_routes(SchwarzVariant.QUARTIC)
+    via_theta, via_beta = one_form_constant(SchwarzVariant.QUARTIC)
     assert abs(via_theta - via_beta) < 1e-11 * abs(via_beta)
     assert abs(via_beta - (1 - 1j) * beta(0.25, 0.25)) < 1e-13
-    via_theta, via_beta = one_form_constant_routes(SchwarzVariant.SEXTIC)
+    via_theta, via_beta = one_form_constant(SchwarzVariant.SEXTIC)
     assert abs(via_theta - via_beta) < 1e-11 * abs(via_beta)
     assert abs(via_beta - (1 - ZETA * ZETA) * beta(1.0 / 3.0, 1.0 / 6.0)) < 1e-13
-    for curve in (SchwarzVariant.QUARTIC, SchwarzVariant.SEXTIC):
-        assert abs(one_form_constant(curve) - one_form_constant_routes(curve)[0]) == 0.0
+
+
+def test_one_form_constant_routes_that_disagree_are_a_domain_error(monkeypatch):
+    # theta skewed by 1e-8 moves the theta route by 2e-8 relative, past 1e-9
+    exact = verify_mod.theta
+    monkeypatch.setattr(verify_mod, "theta", lambda c, z, m: exact(c, z, m) * (1 + 1e-8))
+    for curve in SchwarzVariant:
+        with pytest.raises(DomainError, match="routes disagree"):
+            one_form_constant(curve)
 
 
 def test_hgf_theta_roundtrip_examples():

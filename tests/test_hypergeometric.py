@@ -507,6 +507,22 @@ def test_overflow_is_a_domain_error():
         assert cmath.isfinite(value), (p, z)
 
 
+@pytest.mark.parametrize(
+    "params, z",
+    [
+        ((-1e200, -1e200, 1.0), 0.1 + 0.1j),
+        ((-1e300, 2.0, 3.0), 0.3 + 0.1j),
+        ((-1e308, -1e308, 1e308), 0.1 + 0.1j),
+    ],
+    ids=["alpha_beta_1e200", "alpha_1e300", "all_1e308"],
+)
+def test_a_series_whose_terms_leave_binary64_is_a_domain_error(params, z):
+    # the first term ratio or term is inf or NaN, and so is every later
+    # term: the series stops there, not at the term cap
+    with pytest.raises(DomainError, match="overflows binary64"):
+        gauss_2f1(GaussParams(*params), z)
+
+
 def test_integer_alpha_off_the_disk_is_finite_and_matches_mpmath():
     # At an integer exponent, complex ** multiplies repeatedly and overflows
     # to NaN where the power itself is finite.  A fixed triple and a seeded

@@ -407,7 +407,7 @@ import sys
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 
 import lemnis as L
-from lemnis import curves, hypergeometric, meaniter, monodromy, numerics, theta
+from lemnis import curves, hypergeometric, meaniter, monodromy, numerics, theta, verify
 
 zp = L.abel_jacobi(L.lift_branch(L.SchwarzVariant.QUARTIC, 2.0))
 zs = L.abel_jacobi(L.lift_branch(L.SchwarzVariant.SEXTIC, -3.0 + 2.0j))
@@ -424,9 +424,6 @@ CALLS = {
     "theta_four": lambda: L.theta_four(0.1 + 0.2j, L.TAU_ZETA),
     "quasi_period_factor": lambda: L.quasi_period_factor(L.ThetaChar(0, 0), 1, 1, 0.1, L.TAU_I),
     "transform": lambda: L.transform(L.ThetaChar(0, 0), 0.1, L.TAU_I, "S"),
-    "addition_check": lambda: L.addition_check(0.1, 0.2j, L.TAU_I),
-    "one_plus_i_multiple": lambda: L.one_plus_i_multiple(0.1),
-    "one_plus_zeta_multiple": lambda: L.one_plus_zeta_multiple(0.1),
     "theta_constants": lambda: L.theta_constants(L.TAU_ZETA),
     "gauss_2f1_pair": lambda: L.gauss_2f1_pair(L.GaussParams(0.25, 0.5, 1.25), 0.5, 0.5),
     "gauss_2f1": lambda: L.gauss_2f1(L.GaussParams(0.25, 0.5, 1.25), 2 + 1j),
@@ -435,17 +432,11 @@ CALLS = {
     "special_point": lambda: L.special_point(L.SchwarzVariant.SEXTIC, "Pinf1"),
     "lift_branch": lambda: L.lift_branch(L.SchwarzVariant.QUARTIC, 2.0),
     "abel_jacobi": lambda: L.abel_jacobi(L.lift_branch(L.SchwarzVariant.SEXTIC, 0.5j)),
-    "inverse_quartic_t_routes": lambda: L.inverse_quartic_t_routes(zp),
     "inverse_quartic": lambda: L.inverse_quartic(zp),
     "inverse_sextic": lambda: L.inverse_sextic(zs),
-    "ratio_identities_quartic": lambda: L.ratio_identities_quartic(zp),
-    "ratio_identities_sextic": lambda: L.ratio_identities_sextic(zs),
     "mul_one_plus_i": lambda: L.mul_one_plus_i(L.lift_branch(L.SchwarzVariant.QUARTIC, 2.0)),
     "mul_one_plus_zeta": lambda: L.mul_one_plus_zeta(L.lift_branch(L.SchwarzVariant.SEXTIC, -3.0 + 2.0j)),
     "equivalent_mod_group": lambda: L.equivalent_mod_group(zs, zs),
-    "one_form_constant_routes": lambda: L.one_form_constant_routes(L.SchwarzVariant.QUARTIC),
-    "one_form_constant": lambda: L.one_form_constant(L.SchwarzVariant.SEXTIC),
-    "hgf_theta_roundtrip": lambda: L.hgf_theta_roundtrip(0.1 + 0.05j, L.SchwarzVariant.QUARTIC),
     "ring_one": lambda: L.ring_one(L.SchwarzVariant.QUARTIC),
     "ring_gen": lambda: L.ring_gen(L.SchwarzVariant.SEXTIC),
     "units": lambda: L.units(L.SchwarzVariant.SEXTIC),
@@ -462,10 +453,22 @@ CALLS = {
     "iterate_until_converged": lambda: L.iterate_until_converged(pair, L.SchwarzVariant.SEXTIC),
     "cubic_preimage_x0": lambda: L.cubic_preimage_x0(L.MeanPair(1.0, 2.0)),
     "CircuitMatrix.as_complex": lambda: L.n_matrices(L.SchwarzVariant.QUARTIC)[0].as_complex(),
+    "addition_check": lambda: verify.addition_check(0.1, 0.2j, L.TAU_I),
+    "one_plus_i_multiple": lambda: verify.one_plus_i_multiple(0.1, L.theta_four(0.1, L.TAU_I)),
+    "one_plus_zeta_multiple": lambda: verify.one_plus_zeta_multiple(0.1, L.theta_four(0.1, L.TAU_ZETA)),
+    "inverse_quartic_t_routes": lambda: verify.inverse_quartic_t_routes(zp),
+    "ratio_identities_quartic": lambda: verify.ratio_identities_quartic(*curves._quartic_with_thetas(zp)),
+    "ratio_identities_sextic": lambda: verify.ratio_identities_sextic(*curves._sextic_with_thetas(zs)),
+    "one_form_constant": lambda: verify.one_form_constant(L.SchwarzVariant.SEXTIC),
+    "hgf_theta_roundtrip": lambda: verify.hgf_theta_roundtrip(0.1 + 0.05j, L.SchwarzVariant.QUARTIC),
+    "format_complex": lambda: verify.format_complex(0.1 - 0.2j),
+    "max_abs_diff": lambda: verify.max_abs_diff(m0, m1),
+    "limit_residual": lambda: verify.limit_residual(1.5, 1.5),
+    "sweep": lambda: verify.sweep(list(verify.SUITES), 7, 2),
 }
 public = {
     name
-    for module in (numerics, theta, hypergeometric, curves, monodromy, meaniter)
+    for module in (numerics, theta, hypergeometric, curves, monodromy, meaniter, verify)
     for name, obj in vars(module).items()
     if not name.startswith("_") and callable(obj) and not inspect.isclass(obj)
     and getattr(obj, "__module__", None) == module.__name__

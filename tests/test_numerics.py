@@ -20,12 +20,12 @@ from lemnis import (
     gamma_real,
     gauss_2f1,
     lattice_distance,
-    one_plus_i_multiple,
-    one_plus_zeta_multiple,
     quasi_period_factor,
     transform,
 )
 from lemnis.numerics import _gamma_signed
+from lemnis.theta import theta_four
+from lemnis.verify import one_plus_i_multiple, one_plus_zeta_multiple
 
 
 def test_gamma_small_integers_and_half():
@@ -172,8 +172,8 @@ SCALAR_DOMAIN_ERRORS = {
     "quasi_period_factor overflows": lambda: quasi_period_factor(_C00, 100, 0, 0.1, TAU_I),
     "i_multiple overflows": lambda: transform(_C00, 30, TAU_I, "SSS"),
     "omega_multiple overflows": lambda: transform(_C00, 40, TAU_ZETA, "STSS"),
-    "one_plus_zeta_multiple overflows": lambda: one_plus_zeta_multiple(20),
-    "one_plus_i_multiple overflows": lambda: one_plus_i_multiple(20),
+    "one_plus_zeta_multiple overflows": lambda: one_plus_zeta_multiple(20, theta_four(20, TAU_ZETA)),
+    "one_plus_i_multiple overflows": lambda: one_plus_i_multiple(20, theta_four(20, TAU_I)),
     "transform_tau prefactor is nan": lambda: transform(_C00, 1e200, TAU_I, "S"),
     "e_of nan": lambda: e_of(_nan),
     "e_of inf": lambda: e_of(_inf),

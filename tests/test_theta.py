@@ -18,13 +18,10 @@ from lemnis import (
     TAU_I,
     TAU_ZETA,
     ThetaChar,
-    addition_check,
     canonical_torus_point,
     e_of,
     gamma_real,
     lattice_distance,
-    one_plus_i_multiple,
-    one_plus_zeta_multiple,
     quasi_period_factor,
     theta,
     theta_constants,
@@ -32,6 +29,7 @@ from lemnis import (
     transform,
 )
 from lemnis.theta import HALF_CHARS, SEXTIC_CHARS, ZETA, theta_four
+from lemnis.verify import addition_check, one_plus_i_multiple, one_plus_zeta_multiple
 
 C00 = ThetaChar(0, 0)
 C01 = ThetaChar(0, Fraction(1, 2))
@@ -437,7 +435,7 @@ def test_one_plus_i_multiple():
     rng = random.Random(100)
     for _ in range(30):
         z = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
-        pairs = one_plus_i_multiple(z)
+        pairs = one_plus_i_multiple(z, theta_four(z, TAU_I))
         assert [p.name for p in pairs] == ["theta00", "theta_half_half", "product_01_10"]
         for p in pairs:
             assert p.residual < 1e-10
@@ -447,7 +445,7 @@ def test_one_plus_zeta_multiple():
     rng = random.Random(101)
     for _ in range(30):
         z = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
-        pairs = one_plus_zeta_multiple(z)
+        pairs = one_plus_zeta_multiple(z, theta_four(z, TAU_ZETA))
         assert len(pairs) == 4
         for p in pairs:
             assert p.residual < 1e-10
