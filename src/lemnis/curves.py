@@ -17,7 +17,8 @@ hexagonal torus, and the remaining operations (multiplication formulas,
 group equivalence) tie the two descriptions together.  The identities that
 check the two descriptions against each other (the ratio identities, both
 t-routes of the quartic inverse, the 1-form constant and the closed
-inversion of the Schwarz map) live in `lemnis.verify`.
+inversion of the Schwarz map) live in `lemnis.verify`.  `CurvePoint`'s own
+__init__ checks its arguments and sets its frozen fields in one step.
 """
 
 from __future__ import annotations
@@ -62,9 +63,11 @@ class CurvePoint:
     at_infinity: bool = False
     branch: int = 0
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "t", complex(self.t))
-        object.__setattr__(self, "u", complex(self.u))
+    def __init__(
+        self, curve: SchwarzVariant, t: complex, u: complex, at_infinity: bool = False, branch: int = 0
+    ) -> None:
+        _require_variant(curve)
+        self.__dict__.update(curve=curve, t=complex(t), u=complex(u), at_infinity=at_infinity, branch=branch)
         # written so that a NaN residual (any non-finite t or u) is rejected too
         if not _curve_residual(self) <= 1e-10:
             raise DomainError("(t, u) does not satisfy the curve equation")
@@ -78,12 +81,13 @@ def _curve_residual(p: CurvePoint) -> float:
     # overflows; scaling by a power of two is exact, and j = 0 for |u|, |t| < 1.
     if p.at_infinity:
         return 0.0
-    wu, wt = (3, 4) if p.curve is SchwarzVariant.QUARTIC else (2, 3)
-    j = max(0, -(-_binary_exponent(p.u) // wu), -(-_binary_exponent(p.t) // wt))
+    u, t, quartic = p.u, p.t, p.curve is SchwarzVariant.QUARTIC
+    wu, wt = (3, 4) if quartic else (2, 3)
+    j = max(0, -(-_binary_exponent(u) // wu), -(-_binary_exponent(t) // wt))
     one = math.ldexp(1.0, -wt * j)
-    u = p.u * math.ldexp(1.0, -wu * j)
-    t = p.t * one
-    if p.curve is SchwarzVariant.QUARTIC:
+    u *= math.ldexp(1.0, -wu * j)
+    t *= one
+    if quartic:
         return abs(u ** 4 - t * t * (t - one)) / max(abs(u) ** 4, abs(t) ** 3, one ** 3)
     return abs(u ** 6 - t ** 3 * (t - one)) / max(abs(u) ** 6, abs(t) ** 4, one ** 4)
 
@@ -143,7 +147,7 @@ def _principal_u(curve: SchwarzVariant, t: complex) -> complex:
 def _zero_image(curve: SchwarzVariant) -> complex:
     """Torus image of the first fiber point over t = 0: e(a/2) F(1/2, a; 1 + a; 1) / (a N)."""
     a = curve.exponent
-    return e_of(0.5 * a) * gauss_kummer_value(GaussParams(0.5, a, 1.0 + a)) / (a * curve.normalization)
+    return e_of(0.5 * a) * gauss_kummer_value(curve.schwarz_params) / (a * curve.normalization)
 
 
 def _infinity_image(curve: SchwarzVariant) -> complex:
@@ -171,9 +175,10 @@ def abel_jacobi(p: CurvePoint) -> TorusPoint:
     k = curve.root_order
     if p.at_infinity:
         return canonical_torus_point(mod, curve.unit ** (p.branch % k) * _infinity_image(curve))
-    if _distance(p.t, 1.0) < 1e-12:
+    d0, d1 = _distance(p.t), _distance(p.t, 1.0)
+    if d1 < 1e-12:
         return canonical_torus_point(mod, 0j)
-    if _distance(p.t) < 1e-12:
+    if d0 < 1e-12:
         return canonical_torus_point(mod, curve.unit ** (p.branch % k) * _zero_image(curve))
     z_raw = schwarz_map(curve, p.t)
     ratio = p.u / _principal_u(curve, p.t)
@@ -182,7 +187,7 @@ def abel_jacobi(p: CurvePoint) -> TorusPoint:
     # t - 1 is stored with a rounding error up to about eps (|t| + 1), which
     # moves u_ref by that much over |t - 1| relative; sheets sit at least
     # 2 sin(pi/k) apart, so the widened match stays unambiguous
-    if best_d > 1e-6 + 8 * sys.float_info.epsilon * (_distance(p.t) + 1) / _distance(p.t, 1.0):
+    if best_d > 1e-6 + 8 * sys.float_info.epsilon * (d0 + 1) / d1:
         raise DomainError("u does not match any sheet over t")
     return canonical_torus_point(mod, curve.unit ** best_m * z_raw)
 
@@ -213,7 +218,8 @@ def inverse_sextic(zp: TorusPoint) -> CurvePoint:
 # pins four theta entries per inverse.
 
 def _four_thetas(z: complex, mod: Modulus) -> tuple[complex, ...]:
-    return tuple(theta(c, z, mod) for c in HALF_CHARS)
+    c00, c01, c10, c11 = HALF_CHARS
+    return theta(c00, z, mod), theta(c01, z, mod), theta(c10, z, mod), theta(c11, z, mod)
 
 
 def _quartic_with_thetas(zp: TorusPoint) -> tuple[CurvePoint, tuple | None]:

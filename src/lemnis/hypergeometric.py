@@ -144,9 +144,15 @@ class SchwarzVariant(Enum):
 
     @functools.cached_property
     def series_params(self) -> GaussParams:
-        """F(1/4, 1/2, 5/4) or F(1/6, 1/2, 7/6): the Schwarz map and mean-limit series."""
+        """F(1/4, 1/2, 5/4) or F(1/6, 1/2, 7/6): the mean limits and the closed inversion."""
         a = self.exponent
         return GaussParams(a, 0.5, a + 1.0)
+
+    @functools.cached_property
+    def schwarz_params(self) -> GaussParams:
+        """F(1/2, a; 1 + a): the Schwarz map's series, and at 1 the image of t = 0."""
+        a = self.exponent
+        return GaussParams(0.5, a, 1.0 + a)
 
     @functools.cached_property
     def normalization(self) -> complex:
@@ -443,5 +449,5 @@ def schwarz_map(v: SchwarzVariant, x: complex) -> complex:
     a = v.exponent
     # F's argument 1 - x and its complement x, each exact; for x < 0, 1 - x
     # lies on the lower side of F's cut, the limit from Im x > 0
-    f = gauss_2f1_pair(GaussParams(0.5, a, 1.0 + a), complex(1.0 - x.real, -x.imag), x)
+    f = gauss_2f1_pair(v.schwarz_params, complex(1.0 - x.real, -x.imag), x)
     return (x - 1) ** a / a * f / v.normalization

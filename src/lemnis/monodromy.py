@@ -38,6 +38,7 @@ class CycInt:
     def __init__(self, x: int, y: int, ring: SchwarzVariant) -> None:
         if not isinstance(x, int) or not isinstance(y, int):
             raise DomainError("CycInt coordinates must be integers")
+        _require_variant(ring)
         self.__dict__.update(x=x, y=y, ring=ring)
 
     @property
@@ -57,8 +58,7 @@ class CycInt:
 
     def __mul__(self, other: "CycInt") -> "CycInt":
         self._same_ring(other)
-        x1, y1, x2, y2 = self.x, self.y, other.x, other.y
-        return CycInt(x1 * x2 - y1 * y2, x1 * y2 + y1 * x2 + self.ring.trace * y1 * y2, self.ring)
+        return CycInt(*_ring_product(self.x, self.y, other.x, other.y, self.ring.trace), self.ring)
 
     def _same_ring(self, other: "CycInt") -> None:
         if self.ring is not other.ring:
@@ -71,14 +71,32 @@ class CycInt:
         return self.x == 1 and self.y == 0
 
     def is_unit(self) -> bool:
-        # the norm |x + y g|^2 = x^2 + e x y + y^2
-        return self.x * self.x + self.ring.trace * self.x * self.y + self.y * self.y == 1
+        return _is_unit(self.x, self.y, self.ring.trace)
 
     def unit_inverse(self) -> "CycInt":
         us = units(self.ring)
         if self not in us:
             raise DomainError(f"{self} is not a unit")
         return us[-us.index(self)]
+
+
+def _ring_product(x1: int, y1: int, x2: int, y2: int, e: int) -> tuple[int, int]:
+    # (x1 + y1 g)(x2 + y2 g) with g^2 = e g - 1: the one product of the exact layer
+    yy = y1 * y2
+    return x1 * x2 - yy, x1 * y2 + y1 * x2 + e * yy
+
+
+def _dot(p: CycInt, q: CycInt, r: CycInt, s: CycInt, sign: int = 1) -> tuple[int, int]:
+    # p q + sign r s in integer coordinates, with no CycInt built on the way
+    e = p.ring.trace
+    x1, y1 = _ring_product(p.x, p.y, q.x, q.y, e)
+    x2, y2 = _ring_product(r.x, r.y, s.x, s.y, e)
+    return x1 + sign * x2, y1 + sign * y2
+
+
+def _is_unit(x: int, y: int, e: int) -> bool:
+    # the norm |x + y g|^2 = x^2 + e x y + y^2 is 1
+    return x * x + e * x * y + y * y == 1
 
 
 def ring_one(ring: SchwarzVariant) -> CycInt:
@@ -92,7 +110,6 @@ def ring_gen(ring: SchwarzVariant) -> CycInt:
 @functools.cache
 def units(ring: SchwarzVariant) -> tuple[CycInt, ...]:
     """All units, listed as consecutive powers of the generator."""
-    _require_variant(ring)
     us = [ring_one(ring)]
     while not (u := us[-1] * ring_gen(ring)).is_one():
         us.append(u)
@@ -113,7 +130,7 @@ class CircuitMatrix:
             if e.ring is not e11.ring:
                 raise DomainError("matrix entries must share one ring")
         self.__dict__.update(e11=e11, e12=e12, e21=e21, e22=e22)
-        if not self.det().is_unit():
+        if not _is_unit(*_dot(e11, e22, e12, e21, -1), e11.ring.trace):
             raise DomainError("determinant must be a unit")
 
     @property
@@ -126,14 +143,18 @@ class CircuitMatrix:
         return cls(one, zero, zero, one)
 
     def det(self) -> CycInt:
-        return self.e11 * self.e22 - self.e12 * self.e21
+        return CycInt(*_dot(self.e11, self.e22, self.e12, self.e21, -1), self.ring)
 
     def __matmul__(self, other: "CircuitMatrix") -> "CircuitMatrix":
+        a, b, c, d = self.e11, self.e12, self.e21, self.e22
+        p, q, r, s = other.e11, other.e12, other.e21, other.e22
+        a._same_ring(p)
+        ring = a.ring
         return CircuitMatrix(
-            self.e11 * other.e11 + self.e12 * other.e21,
-            self.e11 * other.e12 + self.e12 * other.e22,
-            self.e21 * other.e11 + self.e22 * other.e21,
-            self.e21 * other.e12 + self.e22 * other.e22,
+            CycInt(*_dot(a, p, b, r), ring),
+            CycInt(*_dot(a, q, b, s), ring),
+            CycInt(*_dot(c, p, d, r), ring),
+            CycInt(*_dot(c, q, d, s), ring),
         )
 
     def inverse(self) -> "CircuitMatrix":
@@ -266,7 +287,6 @@ def n_matrices(variant: SchwarzVariant) -> tuple[CircuitMatrix, CircuitMatrix, C
 
     Orders are (2, 4, 4) over Z[i] and (2, 6, 3) over Z[zeta].
     """
-    _require_variant(variant)
     one, zero, g = ring_one(variant), CycInt(0, 0, variant), ring_gen(variant)
     n0 = CircuitMatrix(-one, g, zero, one)
     n1 = CircuitMatrix(g, zero, zero, one)
@@ -309,8 +329,8 @@ def group_closure(generators: list[AffineMap], cap: int = 10000) -> ClosureSumma
         if g.ring is not ring:
             raise DomainError("generators must share one ring")
     target_units = _unit_subgroup((g.unit for g in generators), ring)
-    # The search runs on (unit.x, unit.y, shift.x, shift.y) tuples with the
-    # product of `CycInt.__mul__` inlined, e = `SchwarzVariant.trace`.
+    # The search runs on (unit.x, unit.y, shift.x, shift.y) tuples with
+    # `_ring_product` inlined, e = `SchwarzVariant.trace`.
     e = ring.trace
     gens = [
         (h.unit.x, h.unit.y, h.shift.x, h.shift.y)

@@ -24,7 +24,8 @@ theta(omega^2 z, zeta).  Closed forms give the theta constants at
 both square moduli.  Every prefactor goes through one checked exponential,
 so a value outside binary64 is a DomainError.  The identities these values
 satisfy (the addition formulas, the 1+i and 1+zeta lemmas) are checked in
-`lemnis.verify`, not here.
+`lemnis.verify`, not here.  Each value object's own __init__ checks its
+arguments and sets its frozen fields in one step.
 """
 
 from __future__ import annotations
@@ -191,10 +192,13 @@ class TorusPoint:
     alpha: float
     beta: float
 
-    def __post_init__(self) -> None:
-        for c in (self.alpha, self.beta):
+    def __init__(self, modulus: Modulus, alpha: float, beta: float) -> None:
+        if not isinstance(modulus, Modulus):
+            raise DomainError(f"torus point needs a Modulus, got {modulus!r}")
+        for c in (alpha, beta):
             if not 0.0 <= c < 1.0:
                 raise DomainError(f"torus coefficient {c} outside [0,1)")
+        self.__dict__.update(modulus=modulus, alpha=alpha, beta=beta)
 
     @property
     def z(self) -> complex:
@@ -232,8 +236,9 @@ def _nearest_lattice_point(m: Modulus, d: complex) -> tuple[complex, float]:
     # the nearest lattice point has coefficients within 1 of the rounded pair
     pa, pb = round(alpha), round(beta)
     for da in (-1, 0, 1):
+        row = (pa + da) * t
         for db in (-1, 0, 1):
-            q = (pa + da) * t + (pb + db)
+            q = row + (pb + db)
             if (r := abs(w - q)) < best:
                 best, p = r, q
     return u * p, abs(u) * best

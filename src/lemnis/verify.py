@@ -70,13 +70,16 @@ from .theta import (
 
 @dataclass(frozen=True)
 class IdentityPair:
-    """Both sides of one displayed identity, with its scaled residual."""
+    """Both sides of one displayed identity, with its scaled residual, computed on first read."""
 
     name: str
     lhs: complex
     rhs: complex
 
-    @property
+    def __init__(self, name: str, lhs: complex, rhs: complex) -> None:
+        self.__dict__.update(name=name, lhs=lhs, rhs=rhs)
+
+    @functools.cached_property
     def residual(self) -> float:
         return _scaled_residual(self.lhs, self.rhs)
 

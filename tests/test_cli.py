@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import json
 import os
 import random
@@ -17,9 +18,21 @@ import pytest
 
 import lemnis.cli
 from lemnis.cli import main, parse_complex
-from lemnis.numerics import ZETA, DomainError, IterationLimitError
-from lemnis.theta import TAU_I, TAU_ZETA, theta_four
-from lemnis.verify import SUITES, SplitMix64, format_complex, one_plus_i_multiple, one_plus_zeta_multiple, sweep
+import lemnis.verify as verify_mod
+from lemnis.curves import _quartic_with_thetas, _sextic_with_thetas
+from lemnis.numerics import ZETA, DomainError, IterationLimitError, _scaled_residual
+from lemnis.theta import TAU_I, TAU_ZETA, canonical_torus_point, theta_four
+from lemnis.verify import (
+    SUITES,
+    IdentityPair,
+    SplitMix64,
+    format_complex,
+    one_plus_i_multiple,
+    one_plus_zeta_multiple,
+    ratio_identities_quartic,
+    ratio_identities_sextic,
+    sweep,
+)
 
 REPORT_KEYS = {"command", "inputs", "outputs", "residuals", "pass", "seed", "elapsed_ms"}
 
@@ -420,6 +433,38 @@ def test_the_public_lemmas_equal_the_suites_reuse():
             z = parse_complex(tag.removeprefix("z="))
             pairs = {p.name: p for p in public(z, theta_four(z, mod))}
             assert repr(pairs[pair_name].residual) == repr(residual), sample
+
+
+def test_identity_pair_stays_frozen_and_computes_its_residual_once(monkeypatch):
+    pair = IdentityPair("theta00", 1j, 1 + 1e-12j)
+    for name in ("name", "lhs", "rhs", "residual"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(pair, name, 0j)
+    assert IdentityPair(name="theta00", lhs=1j, rhs=1 + 1e-12j) == pair
+    assert repr(pair) == "IdentityPair(name='theta00', lhs=1j, rhs=(1+1e-12j))"
+    assert dataclasses.replace(pair, rhs=1j).residual == 0.0 and pair.residual == _scaled_residual(1j, 1 + 1e-12j)
+    # each pair a checked lemma returns costs one _scaled_residual, read twice
+    real, calls = verify_mod._scaled_residual, []
+
+    def counted(lhs, rhs):
+        calls.append((lhs, rhs))
+        return real(lhs, rhs)
+
+    monkeypatch.setattr(verify_mod, "_scaled_residual", counted)
+    rng = random.Random(31)
+    for _ in range(10):
+        z = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
+        zi, zz = canonical_torus_point(TAU_I, z), canonical_torus_point(TAU_ZETA, z)
+        for lemma, args in (
+            (one_plus_i_multiple, (z, theta_four(z, TAU_I))),
+            (one_plus_zeta_multiple, (z, theta_four(z, TAU_ZETA))),
+            (ratio_identities_quartic, _quartic_with_thetas(zi)),
+            (ratio_identities_sextic, _sextic_with_thetas(zz)),
+        ):
+            del calls[:]
+            pairs = lemma(*args)
+            assert [p.residual for p in pairs] == [real(p.lhs, p.rhs) for p in pairs]
+            assert calls == [(p.lhs, p.rhs) for p in pairs]
 
 
 def test_verify_usage_errors(capsys):

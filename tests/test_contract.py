@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+import re
 from enum import Enum
 from fractions import Fraction
 
@@ -24,6 +25,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from lemnis import (
     TAU_I,
     TAU_ZETA,
+    CurvePoint,
+    CycInt,
     DomainError,
     GaussParams,
     IterationLimitError,
@@ -31,6 +34,7 @@ from lemnis import (
     Modulus,
     SchwarzVariant,
     ThetaChar,
+    TorusPoint,
     abel_jacobi,
     canonical_torus_point,
     closed_form_limit,
@@ -392,11 +396,20 @@ def test_gauss_2f1_solves_the_hypergeometric_equation(a, b, c, r, phi):
         units,
         one_form_constant,
         lambda v: hgf_theta_roundtrip(0.1, v),
+        lambda v: CurvePoint(v, 1.0, 0.0),
+        lambda v: CycInt(1, 0, v),
     ),
     ids=("n_matrices", "iterate_until_converged", "closed_form_limit", "schwarz_map", "lift_branch", "units",
-         "one_form_constant", "hgf_theta_roundtrip"),
+         "one_form_constant", "hgf_theta_roundtrip", "CurvePoint", "CycInt"),
 )
 def test_a_value_that_is_not_a_variant_is_a_domain_error(call):
     for v in ("quartic", 4, None):
         with pytest.raises(DomainError, match="unknown variant"):
             call(v)
+
+
+def test_a_torus_point_needs_a_modulus():
+    # a bare tau, a variant or None is refused when built, not when z is read
+    for m in (1j, TAU_I.value, SchwarzVariant.QUARTIC, None):
+        with pytest.raises(DomainError, match=re.escape(f"torus point needs a Modulus, got {m!r}")):
+            TorusPoint(m, 0.1, 0.2)

@@ -4,8 +4,10 @@ ratio identities, complex multiplication, and the group-equivalence witness."""
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 import random
+import re
 import warnings
 
 import mpmath
@@ -75,6 +77,28 @@ def test_curve_point_checks_equation():
         CurvePoint(SchwarzVariant.QUARTIC, math.nan, math.nan)
     with pytest.raises(DomainError):
         CurvePoint(SchwarzVariant.SEXTIC, math.inf, math.inf)
+
+
+def test_curve_point_stays_frozen_and_replaceable():
+    p = CurvePoint(SchwarzVariant.QUARTIC, 2.0, SQRT2)
+    for name, value in (("curve", SchwarzVariant.SEXTIC), ("t", 3j), ("u", 1j), ("at_infinity", True), ("branch", 1)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, value)
+    q = CurvePoint(curve=SchwarzVariant.QUARTIC, t=2, u=SQRT2)
+    assert q == p and hash(q) == hash(p) and type(q.t) is complex and type(q.u) is complex
+    assert repr(p) == (
+        "CurvePoint(curve=<SchwarzVariant.QUARTIC: 4>, t=(2+0j), u=(1.4142135623730951+0j), "
+        "at_infinity=False, branch=0)"
+    )
+    assert dataclasses.replace(p, u=-SQRT2, branch=2) == CurvePoint(SchwarzVariant.QUARTIC, 2.0, -SQRT2, branch=2)
+    for change in ({"u": 1.5}, {"t": 3.0}, {"curve": SchwarzVariant.SEXTIC, "u": 1.4 + 0.2j}):
+        with pytest.raises(DomainError, match=re.escape("(t, u) does not satisfy the curve equation")):
+            dataclasses.replace(p, **change)
+    with pytest.raises(DomainError, match="unknown variant"):
+        dataclasses.replace(p, curve="quartic")
+    for t, u in ((math.nan, SQRT2), (2.0, complex(0.0, math.nan)), (math.inf, SQRT2), (2.0, -math.inf)):
+        with pytest.raises(DomainError, match=re.escape("(t, u) does not satisfy the curve equation")):
+            CurvePoint(SchwarzVariant.QUARTIC, t, u)
 
 
 def test_curve_check_is_overflow_safe():
@@ -500,7 +524,7 @@ def test_mul_image_stays_on_curve():
         t = complex(rng.uniform(-2, 3), rng.uniform(-2, 2))
         if abs(t) < 0.1 or abs(t - 1) < 0.1 or abs(4 * t - 3) < 0.1:
             continue
-        # CurvePoint.__post_init__ re-checks the curve equation
+        # the CurvePoint constructor re-checks the curve equation
         mul_one_plus_i(lift_branch(SchwarzVariant.QUARTIC, t, 1))
         mul_one_plus_zeta(lift_branch(SchwarzVariant.SEXTIC, t, 2))
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
+import operator
 import os
 import random
 import re
@@ -35,7 +37,7 @@ from lemnis import (
     units,
 )
 import lemnis
-from lemnis.verify import max_abs_diff as _max_abs_diff
+from lemnis.verify import SUITES, max_abs_diff as _max_abs_diff, sweep
 from lemnis.monodromy import _unit_subgroup
 
 G = SchwarzVariant.QUARTIC
@@ -348,6 +350,52 @@ def test_is_unit_is_the_norm_test():
             for y in range(-3, 4):
                 u = CycInt(x, y, ring)
                 assert u.is_unit() == (u in us)
+
+
+def test_integer_products_equal_the_ring_sums():
+    # words in the generators and their inverses, multiplied on integer pairs,
+    # against the entrywise CycInt sums of products
+    rng = random.Random(113)
+    for variant in (G, E):
+        gens = n_matrices(variant)
+        gens += tuple(m.inverse() for m in gens)
+        for _ in range(60):
+            a, b = (
+                functools.reduce(operator.matmul, (rng.choice(gens) for _ in range(rng.randrange(1, 7))))
+                for _ in range(2)
+            )
+            ab = a @ b
+            assert (ab.e11, ab.e12, ab.e21, ab.e22) == (
+                a.e11 * b.e11 + a.e12 * b.e21,
+                a.e11 * b.e12 + a.e12 * b.e22,
+                a.e21 * b.e11 + a.e22 * b.e21,
+                a.e21 * b.e12 + a.e22 * b.e22,
+            )
+            for m in (a, b, ab):
+                assert m.det() == m.e11 * m.e22 - m.e12 * m.e21 and m.det().is_unit()
+    with pytest.raises(DomainError, match=re.escape("mixed-ring arithmetic is not defined")):
+        CircuitMatrix.identity(G) @ CircuitMatrix.identity(E)
+    two, zero, one = CycInt(2, 0, E), CycInt(0, 0, E), ring_one(E)
+    with pytest.raises(DomainError, match=re.escape("determinant must be a unit")):
+        CircuitMatrix(one, zero, zero, two)
+
+
+def test_a_product_builds_only_its_entries(monkeypatch):
+    built = {CycInt: 0, CircuitMatrix: 0}
+    for cls in built:
+        def counted(self, *args, _cls=cls, _init=cls.__init__):
+            built[_cls] += 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    a, b, _ = n_matrices(E)
+    built.update(dict.fromkeys(built, 0))
+    a @ b
+    assert built == {CycInt: 4, CircuitMatrix: 1}
+    units(G), units(E)  # built once per process, before the count
+    built[CycInt] = 0
+    for seed in range(1, 6):
+        sweep(list(SUITES), seed, 20)
+    assert built[CycInt] == 2105  # 421 per 20-sample sweep
 
 
 def test_group_closure_validation():

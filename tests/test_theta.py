@@ -18,6 +18,7 @@ from lemnis import (
     TAU_I,
     TAU_ZETA,
     ThetaChar,
+    TorusPoint,
     canonical_torus_point,
     e_of,
     gamma_real,
@@ -686,6 +687,24 @@ def test_value_objects_stay_frozen_and_replaceable():
     assert dataclasses.replace(m, value=1j) == TAU_I and repr(m) == "Modulus(value=2j)"
     with pytest.raises(DomainError, match=re.escape("modulus requires Im(tau) > 0")):
         dataclasses.replace(m, value=1 + 0j)
+
+
+def test_torus_point_stays_frozen_and_replaceable():
+    p = TorusPoint(TAU_ZETA, 0.25, 0.5)
+    for name, value in (("modulus", TAU_I), ("alpha", 0.5), ("beta", 0.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, value)
+    assert TorusPoint(modulus=TAU_ZETA, alpha=0.25, beta=0.5) == p
+    assert repr(p) == "TorusPoint(modulus=Modulus(value=(0.5+0.8660254037844386j)), alpha=0.25, beta=0.5)"
+    assert dataclasses.replace(p, modulus=TAU_I) == TorusPoint(TAU_I, 0.25, 0.5) and p.z == 0.25 * TAU_ZETA.value + 0.5
+    for change, c in (({"alpha": 1.0}, 1.0), ({"beta": -0.25}, -0.25)):
+        with pytest.raises(DomainError, match=re.escape(f"torus coefficient {c} outside [0,1)")):
+            dataclasses.replace(p, **change)
+    with pytest.raises(DomainError, match=re.escape("torus point needs a Modulus, got 1j")):
+        dataclasses.replace(p, modulus=1j)
+    for alpha, beta in ((math.nan, 0.5), (0.25, math.nan), (math.inf, 0.5), (0.25, -math.inf)):
+        with pytest.raises(DomainError, match="torus coefficient"):
+            TorusPoint(TAU_I, alpha, beta)
 
 
 def test_modulus_keeps_its_domain_errors():
