@@ -16,8 +16,8 @@ from lemnis.meaniter import (
 
 print("quartic variant, starting from (2, 1):")
 trace = iterate_until_converged(MeanPair(2.0, 1.0), SchwarzVariant.QUARTIC, tol=1e-12)
-for k, pair in enumerate(trace.pairs[:6]):
-    print(f"  step {k}: a = {pair.a:.15f}   b = {pair.b:.15f}")
+for k, (a, b) in enumerate(trace.orbit[:6]):
+    print(f"  step {k}: a = {a:.15f}   b = {b:.15f}")
 print(f"  ... converged after {trace.iterations} iterations")
 print(f"  extrapolated limit  {trace.limit:.15f}")
 closed = closed_form_limit(MeanPair(2.0, 1.0), SchwarzVariant.QUARTIC)
@@ -25,14 +25,14 @@ print(f"  closed form         {closed:.15f}   (diff {abs(trace.limit - closed):.
 
 print("\nsextic variant, starting from (3, 5):")
 trace = iterate_until_converged(MeanPair(3.0, 5.0), SchwarzVariant.SEXTIC, tol=1e-12)
-for k, pair in enumerate(trace.pairs[:4]):
-    print(f"  step {k}: a = {pair.a:.15f}   b = {pair.b:.15f}")
+for k, (a, b) in enumerate(trace.orbit[:4]):
+    print(f"  step {k}: a = {a:.15f}   b = {b:.15f}")
 print(f"  converged after {trace.iterations} iterations")
 closed = closed_form_limit(MeanPair(3.0, 5.0), SchwarzVariant.SEXTIC)
 print(f"  limit {trace.limit:.15f} vs closed form {closed:.15f}")
 
 # per-step contraction of the gap, read off the recorded trace
-gaps = [abs(p.a - p.b) for p in trace.pairs if abs(p.a - p.b) > 1e-14]
+gaps = [abs(a - b) for a, b in trace.orbit if abs(a - b) > 1e-14]
 rates = [g2 / g1 for g1, g2 in zip(gaps, gaps[1:])]
 print(f"  gap contraction per step: {', '.join(f'{r:.4f}' for r in rates)}")
 

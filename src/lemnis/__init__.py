@@ -69,8 +69,6 @@ from .meaniter import (
     closed_form_limit,
     cubic_preimage_x0,
     iterate_until_converged,
-    step_quartic,
-    step_sextic,
 )
 
 __version__ = "0.1.0"

@@ -145,7 +145,7 @@ def _cmd_agm(args: argparse.Namespace) -> int:
     outputs = {
         "iterations": trace.iterations,
         "converged": trace.converged,
-        "trace": [[repr(p.a), repr(p.b)] for p in trace.pairs],
+        "trace": [[repr(a), repr(b)] for a, b in trace.orbit],
         "limit": repr(trace.limit),
         "closed_form": repr(closed),
         "difference": repr(diff),

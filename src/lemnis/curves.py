@@ -67,7 +67,7 @@ class CurvePoint:
         self, curve: SchwarzVariant, t: complex, u: complex, at_infinity: bool = False, branch: int = 0
     ) -> None:
         _require_variant(curve)
-        self.__dict__.update(curve=curve, t=complex(t), u=complex(u), at_infinity=at_infinity, branch=branch)
+        self.__dict__.update(curve=curve, t=complex(t), u=complex(u), at_infinity=at_infinity, branch=_branch(branch))
         # written so that a NaN residual (any non-finite t or u) is rejected too
         if not _curve_residual(self) <= 1e-10:
             raise DomainError("(t, u) does not satisfy the curve equation")
@@ -79,8 +79,8 @@ def _curve_residual(p: CurvePoint) -> float:
     # make the equation homogeneous, (3, 4) on QUARTIC and (2, 3) on SEXTIC, and j
     # the least j >= 0 that brings both to modulus below 2, so no power
     # overflows; scaling by a power of two is exact, and j = 0 for |u|, |t| < 1.
-    if p.at_infinity:
-        return 0.0
+    if p.at_infinity:  # no equation there, but t and u must still be finite
+        return 0.0 if cmath.isfinite(p.t) and cmath.isfinite(p.u) else math.nan
     u, t, quartic = p.u, p.t, p.curve is SchwarzVariant.QUARTIC
     wu, wt = (3, 4) if quartic else (2, 3)
     j = max(0, -(-_binary_exponent(u) // wu), -(-_binary_exponent(t) // wt))
@@ -90,6 +90,13 @@ def _curve_residual(p: CurvePoint) -> float:
     if quartic:
         return abs(u ** 4 - t * t * (t - one)) / max(abs(u) ** 4, abs(t) ** 3, one ** 3)
     return abs(u ** 6 - t ** 3 * (t - one)) / max(abs(u) ** 6, abs(t) ** 4, one ** 4)
+
+
+def _branch(k: object) -> int:
+    # the one check of a sheet index: an int, as unit^k needs an integer power
+    if not isinstance(k, int):
+        raise DomainError(f"branch must be an int, got {k!r}")
+    return k
 
 
 def _binary_exponent(v: complex) -> int:
@@ -102,6 +109,8 @@ def special_point(curve: SchwarzVariant, name: str) -> CurvePoint:
 
     QUARTIC: P1, P01, P02, Pinf.  SEXTIC: P1, P01, P02, P03, Pinf1, Pinf2.
     """
+    if not isinstance(name, str):
+        raise DomainError(f"special point name must be a str, got {name!r}")
     name = name.strip()
     if name == "P1":
         return CurvePoint(curve, 1.0, 0.0)
@@ -126,7 +135,7 @@ def lift_branch(curve: SchwarzVariant, t: complex, k: int = 0) -> CurvePoint:
     t = complex(t)
     if _distance(t) < 1e-12 or _distance(t, 1.0) < 1e-12:
         raise DomainError("ramification value; take the fiber point by name (special_point, or --point)")
-    k = k % curve.root_order
+    k = _branch(k) % curve.root_order
     return CurvePoint(curve, t, curve.unit ** k * _principal_u(curve, t), branch=k)
 
 
@@ -302,6 +311,8 @@ class GroupWitness:
 
 def equivalent_mod_group(zp1: TorusPoint, zp2: TorusPoint, tol: float = 1e-8) -> GroupWitness:
     """Test z1 = unit * z2 + lattice and report the witness pair."""
+    if not (isinstance(tol, (int, float)) and 0.0 < tol < math.inf):
+        raise DomainError(f"tol must be a positive finite number, got {tol!r}")
     if zp1.modulus.value != zp2.modulus.value:
         raise DomainError("points live on different tori")
     curve = next((c for c in SchwarzVariant if c.modulus.value == zp1.modulus.value), None)

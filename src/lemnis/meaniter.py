@@ -10,12 +10,11 @@ eta = a e^(+/- i theta) with cos theta = b/a, and the means come from the
 angle trisection that solves a cubic (DLMF 1.11(iii)).
 
 Both steps run as float kernels (a, b) -> (a', b'), and an orbit is kept
-as float pairs; its MeanPairs are built when `IterationTrace.pairs` is read.
+as float pairs, `IterationTrace.orbit`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -42,9 +41,6 @@ class MeanPair:
             raise DomainError("mean iteration needs finite positive entries")
         self.__dict__.update(a=a, b=b)
 
-    def gap(self) -> float:
-        return abs(self.a - self.b)
-
 
 @dataclass(frozen=True)
 class IterationTrace:
@@ -52,7 +48,7 @@ class IterationTrace:
 
     `limit` extrapolates the last _TAIL midpoints (a_n + b_n)/2 by repeated
     differences, as the plain midpoint converges only linearly for the
-    quartic step.  `pairs` builds the orbit's MeanPairs on first read.
+    quartic step.
     """
 
     orbit: tuple[tuple[float, float], ...]
@@ -63,19 +59,11 @@ class IterationTrace:
     def __init__(self, orbit: tuple, converged: bool, limit: float, iterations: int) -> None:
         self.__dict__.update(orbit=orbit, converged=converged, limit=limit, iterations=iterations)
 
-    @functools.cached_property
-    def pairs(self) -> tuple[MeanPair, ...]:
-        return tuple(MeanPair(a, b) for a, b in self.orbit)
-
 
 def _quartic(a: float, b: float) -> tuple[float, float]:
     # halves and square roots taken apart so no intermediate leaves the range
     a1 = 0.5 * a + 0.5 * b
     return a1, math.sqrt(a) * math.sqrt(a1)
-
-
-def step_quartic(p: MeanPair) -> MeanPair:
-    return MeanPair(*_quartic(p.a, p.b))
 
 
 def _eta_cube_roots(a: float, b: float) -> tuple[float, float, float]:
@@ -106,10 +94,6 @@ def _sextic(a: float, b: float) -> tuple[float, float]:
     _, r1, r2 = _eta_cube_roots(a, b)
     a23 = _real_root(a, 3, 2)
     return a23 * math.sqrt(r1 * r1 + r1 * r2 + r2 * r2) / SQRT3, a23 * (r1 + r2) / 2.0
-
-
-def step_sextic(p: MeanPair) -> MeanPair:
-    return MeanPair(*_sextic(p.a, p.b))
 
 
 def _step(variant: SchwarzVariant):
@@ -171,10 +155,10 @@ def iterate_until_converged(
 
     Non-convergence within max_iter is reported in the trace, not raised.
     """
-    if not 1e-15 < tol < 1e-3:
-        raise DomainError("tol must lie in (1e-15, 1e-3)")
-    if not 1 <= max_iter <= 200:
-        raise DomainError("max_iter must lie in [1, 200]")
+    if not (isinstance(tol, float) and 1e-15 < tol < 1e-3):
+        raise DomainError(f"tol must be a float in (1e-15, 1e-3), got {tol!r}")
+    if not (isinstance(max_iter, int) and 1 <= max_iter <= 200):
+        raise DomainError(f"max_iter must be an int in [1, 200], got {max_iter!r}")
     step = _step(variant)
     a, b = p.a, p.b
     orbit = [(a, b)]

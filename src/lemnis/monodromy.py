@@ -163,15 +163,15 @@ class CircuitMatrix:
             dinv * self.e22, -(dinv * self.e12), -(dinv * self.e21), dinv * self.e11
         )
 
-    def order(self, cap: int = 24) -> int:
-        """Smallest n >= 1 with M^n = 1, decided by exact arithmetic."""
+    def order(self) -> int:
+        """Smallest n >= 1 with M^n = 1, at most 24, decided by exact arithmetic."""
         acc = self
         ident = CircuitMatrix.identity(self.ring)
-        for n in range(1, cap + 1):
+        for n in range(1, 25):
             if acc == ident:
                 return n
             acc = acc @ self
-        raise IterationLimitError(f"order exceeds {cap}")
+        raise IterationLimitError("order exceeds 24")
 
     def as_complex(self) -> Matrix2:
         return (self.e11.value, self.e12.value), (self.e21.value, self.e22.value)
@@ -322,8 +322,8 @@ def group_closure(generators: list[AffineMap], cap: int = 10000) -> ClosureSumma
     """
     if not generators:
         raise DomainError("need at least one generator")
-    if cap > 10000:
-        raise DomainError("cap must be at most 10000")
+    if not (isinstance(cap, int) and 1 <= cap <= 10000):
+        raise DomainError(f"cap must be an int in [1, 10000], got {cap!r}")
     ring = generators[0].ring
     for g in generators:
         if g.ring is not ring:

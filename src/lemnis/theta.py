@@ -180,6 +180,13 @@ def _reduction(tau: complex) -> tuple[int, list[tuple[complex, int]], complex, c
     return k0, steps, t, root, cmath.exp(2j * math.pi * t), math.ceil(math.sqrt(_CUT / t.imag))
 
 
+def _modulus(m: object, who: str) -> Modulus:
+    # the one check of every entry that takes a Modulus: a bare tau is refused
+    if not isinstance(m, Modulus):
+        raise DomainError(f"{who} needs a Modulus, got {m!r}")
+    return m
+
+
 TAU_I = Modulus(1j)
 TAU_ZETA = Modulus(ZETA)
 
@@ -193,8 +200,7 @@ class TorusPoint:
     beta: float
 
     def __init__(self, modulus: Modulus, alpha: float, beta: float) -> None:
-        if not isinstance(modulus, Modulus):
-            raise DomainError(f"torus point needs a Modulus, got {modulus!r}")
+        _modulus(modulus, "torus point")
         for c in (alpha, beta):
             if not 0.0 <= c < 1.0:
                 raise DomainError(f"torus coefficient {c} outside [0,1)")
@@ -222,7 +228,7 @@ def _fold(x: float) -> float:
 
 def canonical_torus_point(m: Modulus, z: complex) -> TorusPoint:
     """Reduce z modulo Z tau + Z to the canonical cell representative."""
-    alpha, beta = _lattice_coefficients(m.value, complex(z))
+    alpha, beta = _lattice_coefficients(_modulus(m, "canonical_torus_point").value, complex(z))
     return TorusPoint(m, _fold(alpha), _fold(beta))
 
 
@@ -246,7 +252,7 @@ def _nearest_lattice_point(m: Modulus, d: complex) -> tuple[complex, float]:
 
 def lattice_distance(m: Modulus, z1: complex, z2: complex) -> float:
     """Distance from z1 - z2 to the nearest lattice point of Z tau + Z."""
-    return _nearest_lattice_point(m, complex(z1) - complex(z2))[1]
+    return _nearest_lattice_point(_modulus(m, "lattice_distance"), complex(z1) - complex(z2))[1]
 
 
 # The series is summed over k within h of its peak, h = ceil(s) (+ 1 for the
@@ -391,17 +397,17 @@ def _reduced(c: ThetaChar, z: complex, tau: complex, red: tuple, weighted: bool)
 
 def theta(c: ThetaChar, z: complex, m: Modulus) -> complex:
     """Evaluate the series at z.  Values near a zero are returned as-is."""
-    return _value(c, complex(z), m, False)
+    return _value(c, complex(z), _modulus(m, "theta"), False)
 
 
 def theta_dz(c: ThetaChar, z: complex, m: Modulus) -> complex:
     """Term-wise z-derivative of the series."""
-    return _value(c, complex(z), m, True)
+    return _value(c, complex(z), _modulus(m, "theta_dz"), True)
 
 
 def quasi_period_factor(c: ThetaChar, p: int, q: int, z: complex, m: Modulus) -> complex:
     """Multiplier relating theta(z + p tau + q) to theta(z)."""
-    tau = m.value
+    tau = _modulus(m, "quasi_period_factor").value
     return _e(c.af * q - p * p * tau / 2.0 - p * complex(z) - c.bf * p)
 
 
@@ -453,7 +459,7 @@ def transform(c: ThetaChar, z: complex, m: Modulus, word: str) -> tuple[ThetaCha
     exponential e(r z^2/(2 J)) carries z.
     """
     target, root, sign, (p, q, r, s) = _word_law(c, word)
-    z, j = complex(z), r * m.value + s
+    z, j = complex(z), r * _modulus(m, "transform").value + s
     pref = root * cmath.sqrt(j / 1j) * _e(r * z * z / (2.0 * j))
     return target, pref, sign * z / j, Modulus((p * m.value + q) / j)
 
@@ -477,7 +483,7 @@ def theta_four(z: complex, m: Modulus) -> tuple[complex, complex, complex, compl
     theta10 = E1 + O1, theta11 = i (E1 - O1).
     """
     z = complex(z)
-    k0, steps, _, _, q2, h = red = m._reduced_tau()
+    k0, steps, _, _, q2, h = red = _modulus(m, "theta_four")._reduced_tau()
     if k0 or steps or not abs(z.real) < _FOLD:  # one reduction, four characteristics
         return tuple(_reduced(c, z, m.value, red, False) for c in HALF_CHARS)
     e0, o0 = _lattice_sums(0.0, z, z, m.value, q2, h, False)
@@ -490,8 +496,6 @@ _CT16 = ThetaChar(Fraction(1, 6), Fraction(1, 6))
 _CT56_13 = ThetaChar(Fraction(5, 6), Fraction(1, 3))
 _CT13_56 = ThetaChar(Fraction(1, 3), Fraction(5, 6))
 
-SEXTIC_CHARS = (_CT13, _CT16, _CT56_13, _CT13_56)
-
 
 def theta_constants(m: Modulus) -> dict[ThetaChar, complex]:
     """Closed-form theta constants at the two square moduli.
@@ -499,7 +503,7 @@ def theta_constants(m: Modulus) -> dict[ThetaChar, complex]:
     All values reduce to gamma factors times exact roots of unity; the
     vanishing theta_{1/2,1/2}(0) is tabulated as exactly zero.
     """
-    if m.value == TAU_I.value:
+    if _modulus(m, "theta_constants").value == TAU_I.value:
         g4 = gamma_real(0.25)
         return {
             _C00: complex(g4 / (4.0 * math.pi**3) ** 0.25),

@@ -36,13 +36,16 @@ from lemnis import (
     ThetaChar,
     TorusPoint,
     abel_jacobi,
+    as_affine,
     canonical_torus_point,
     closed_form_limit,
     cubic_preimage_x0,
+    equivalent_mod_group,
     gauss_2f1,
     gauss_2f1_pair,
     gauss_kummer_value,
     general_m0_m1,
+    group_closure,
     invariant_hermitian_form,
     inverse_quartic,
     inverse_sextic,
@@ -54,9 +57,9 @@ from lemnis import (
     n_matrices,
     quasi_period_factor,
     schwarz_map,
-    step_quartic,
-    step_sextic,
+    special_point,
     theta,
+    theta_constants,
     theta_dz,
     theta_four,
     transform,
@@ -64,6 +67,7 @@ from lemnis import (
 )
 from lemnis.cli import main
 from lemnis.curves import _quartic_with_thetas, _sextic_with_thetas
+from lemnis.meaniter import _quartic, _sextic
 from lemnis.numerics import ZETA
 from lemnis.verify import (
     IdentityPair,
@@ -243,6 +247,11 @@ def test_curve_family_keeps_the_contract(curve, t, k):
         holds(abel_jacobi, image)
 
 
+def _mean_step(kernel, p):
+    # one step of the float kernel that the iteration and the limit run
+    return MeanPair(*kernel(p.a, p.b))
+
+
 @SWEEP
 @given(REALS, REALS)
 @pinned(*MEAN_BREACHES)
@@ -250,8 +259,8 @@ def test_mean_family_keeps_the_contract(a, b):
     pair = holds(MeanPair, a, b)
     if pair is None:
         return
-    holds(step_quartic, pair)
-    holds(step_sextic, pair)
+    holds(_mean_step, _quartic, pair)
+    holds(_mean_step, _sextic, pair)
     holds(cubic_preimage_x0, pair)
     for v in SchwarzVariant:
         holds(iterate_until_converged, pair, v)
@@ -413,3 +422,74 @@ def test_a_torus_point_needs_a_modulus():
     for m in (1j, TAU_I.value, SchwarzVariant.QUARTIC, None):
         with pytest.raises(DomainError, match=re.escape(f"torus point needs a Modulus, got {m!r}")):
             TorusPoint(m, 0.1, 0.2)
+
+
+_BARE_TAU_CALLS = {
+    "theta": lambda m: theta(ThetaChar(0, 0), 0.1, m),
+    "theta_dz": lambda m: theta_dz(ThetaChar(0, 0), 0.1, m),
+    "theta_four": lambda m: theta_four(0.1, m),
+    "canonical_torus_point": lambda m: canonical_torus_point(m, 0.1),
+    "lattice_distance": lambda m: lattice_distance(m, 0.1, 0.2),
+    "quasi_period_factor": lambda m: quasi_period_factor(ThetaChar(0, 0), 1, 1, 0.1, m),
+    "transform": lambda m: transform(ThetaChar(0, 0), 0.1, m, "S"),
+    "theta_constants": theta_constants,
+}
+
+
+@pytest.mark.parametrize("name", list(_BARE_TAU_CALLS))
+def test_a_bare_tau_is_a_domain_error(name):
+    # each raised a raw AttributeError on a complex tau before
+    for m in (1j, ZETA, None):
+        with pytest.raises(DomainError, match=re.escape(f"{name} needs a Modulus, got {m!r}")):
+            _BARE_TAU_CALLS[name](m)
+
+
+_NAMED_AT_INFINITY = {SchwarzVariant.QUARTIC: ("Pinf",), SchwarzVariant.SEXTIC: ("Pinf1", "Pinf2")}
+
+
+@SWEEP
+@given(st.sampled_from(list(SchwarzVariant)), COMPLEXES, COMPLEXES, st.one_of(st.integers(-13, 13), REALS))
+@example(SchwarzVariant.QUARTIC, 0j, 0j, 1.5)  # mapped to (5.6e-17, 0.2929), no fiber image
+@example(SchwarzVariant.QUARTIC, complex(math.nan), 0j, 0)  # was built
+def test_a_point_at_infinity_maps_into_its_fiber(curve, t, u, branch):
+    point = holds(CurvePoint, curve, t, u, True, branch)
+    if point is None:
+        return
+    z = abel_jacobi(point).z
+    fiber = [abel_jacobi(special_point(curve, name)).z for name in _NAMED_AT_INFINITY[curve]]
+    assert min(lattice_distance(curve.modulus, z, w) for w in fiber) < 1e-12, (curve, branch)
+
+
+def _closure(cap):
+    return group_closure([as_affine(m) for m in n_matrices(SchwarzVariant.QUARTIC)], cap)
+
+
+_ZP = canonical_torus_point(TAU_I, 0.1 + 0.2j)
+
+
+@pytest.mark.parametrize(
+    "option, call",
+    (
+        ("tol", lambda: equivalent_mod_group(_ZP, _ZP, tol=math.nan)),  # was equivalent=False at distance 0
+        ("tol", lambda: equivalent_mod_group(_ZP, _ZP, tol="x")),
+        ("tol", lambda: iterate_until_converged(MeanPair(2.0, 1.0), SchwarzVariant.QUARTIC, tol="x")),
+        ("max_iter", lambda: iterate_until_converged(MeanPair(2.0, 1.0), SchwarzVariant.QUARTIC, max_iter=1.5)),
+        ("max_iter", lambda: iterate_until_converged(MeanPair(2.0, 1.0), SchwarzVariant.QUARTIC, max_iter="x")),
+        ("cap", lambda: _closure(math.nan)),  # was an IterationLimitError
+        ("cap", lambda: _closure("x")),
+        ("cap", lambda: _closure(0)),  # was an IterationLimitError
+        ("branch", lambda: lift_branch(SchwarzVariant.QUARTIC, 2.0, 1.5)),  # was "not on the curve"
+        ("branch", lambda: lift_branch(SchwarzVariant.SEXTIC, 2.0, "x")),
+        ("special point name", lambda: special_point(SchwarzVariant.QUARTIC, 3)),
+    ),
+    ids=(
+        "equivalent_mod_group-tol-nan", "equivalent_mod_group-tol-str", "iterate_until_converged-tol-str",
+        "iterate_until_converged-max_iter-float", "iterate_until_converged-max_iter-str", "group_closure-cap-nan",
+        "group_closure-cap-str", "group_closure-cap-zero", "lift_branch-k-float", "lift_branch-k-str", "special_point-name-int",
+    ),
+)
+def test_an_option_of_the_wrong_kind_is_a_domain_error(option, call):
+    # each raised a raw TypeError or AttributeError, or a misleading error,
+    # or returned a silent wrong answer
+    with pytest.raises(DomainError, match=f"^{option} must be"):
+        call()

@@ -20,10 +20,8 @@ from lemnis import (
     cubic_preimage_x0,
     gauss_2f1,
     iterate_until_converged,
-    step_quartic,
-    step_sextic,
 )
-from lemnis.meaniter import _accelerated_limit
+from lemnis.meaniter import _accelerated_limit, _quartic, _sextic
 
 QUARTIC = SchwarzVariant.QUARTIC
 SEXTIC = SchwarzVariant.SEXTIC
@@ -55,7 +53,7 @@ def test_pair_keeps_its_domain_errors_and_dataclass_api():
             MeanPair(*bad)
     p = MeanPair(b=2.0, a=1.0)
     assert p == MeanPair(1.0, 2.0) and hash(p) == hash(MeanPair(1.0, 2.0)) and repr(p) == "MeanPair(a=1.0, b=2.0)"
-    assert dataclasses.replace(p, b=3.0).gap() == 2.0
+    assert dataclasses.replace(p, b=3.0) == MeanPair(1.0, 3.0)
     with pytest.raises(DomainError):
         dataclasses.replace(p, a=0.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -66,8 +64,6 @@ def test_trace_keeps_its_dataclass_api():
     trace = iterate_until_converged(MeanPair(2.0, 1.0), SEXTIC)
     same = IterationTrace(orbit=trace.orbit, converged=True, limit=trace.limit, iterations=trace.iterations)
     assert same == trace and repr(same) == repr(trace)
-    assert "pairs" not in vars(same)  # built on first read
-    assert same.pairs == tuple(MeanPair(a, b) for a, b in trace.orbit) and "pairs" in vars(same)
     assert dataclasses.replace(same, converged=False) != same
     assert dataclasses.replace(same, iterations=0).orbit is trace.orbit
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -75,9 +71,9 @@ def test_trace_keeps_its_dataclass_api():
 
 
 def test_quartic_step_values():
-    q = step_quartic(MeanPair(2.0, 1.0))
-    assert q.a == pytest.approx(1.5)
-    assert q.b == pytest.approx(math.sqrt(3.0))
+    a, b = _quartic(2.0, 1.0)
+    assert a == pytest.approx(1.5)
+    assert b == pytest.approx(math.sqrt(3.0))
 
 
 def test_quartic_step_argument_identity():
@@ -92,21 +88,21 @@ def test_quartic_step_argument_identity():
 
 
 def test_sextic_step_values():
-    q = step_sextic(MeanPair(3.0, 5.0))
+    a, b = _sextic(3.0, 5.0)
     # second mean in closed form: 3^(2/3) (9^(1/3) + 1) / 2
     m2 = 3.0 ** (2.0 / 3.0) * (9.0 ** (1.0 / 3.0) + 1.0) / 2.0
-    assert q.b == pytest.approx(m2, rel=1e-14)
-    assert q.a == pytest.approx(3.2684095580975043, rel=1e-13)
+    assert b == pytest.approx(m2, rel=1e-14)
+    assert a == pytest.approx(3.2684095580975043, rel=1e-13)
 
 
 def test_steps_contract_the_gap():
     rng = random.Random(123)
-    for variant, step in ((QUARTIC, step_quartic), (SEXTIC, step_sextic)):
+    for step in (_quartic, _sextic):
         for _ in range(40):
-            p = MeanPair(rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0))
-            q = step(p)
-            if p.gap() > 1e-10:
-                assert q.gap() < 0.5 * p.gap()
+            a, b = rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0)
+            qa, qb = step(a, b)
+            if abs(a - b) > 1e-10:
+                assert abs(qa - qb) < 0.5 * abs(a - b)
 
 
 def test_fixed_point_needs_no_iterations():
@@ -134,9 +130,8 @@ def test_linear_rate_takes_many_iterations():
     trace = iterate_until_converged(MeanPair(2.0, 1.0), QUARTIC, tol=1e-12)
     assert trace.converged
     assert trace.iterations == 20
-    ratios = [
-        trace.pairs[k + 1].gap() / trace.pairs[k].gap() for k in range(4, 8)
-    ]
+    gaps = [abs(a - b) for a, b in trace.orbit]
+    ratios = [gaps[k + 1] / gaps[k] for k in range(4, 8)]
     for r in ratios:
         assert 0.15 < r < 0.35
 
@@ -206,7 +201,8 @@ def test_sextic_rate_is_much_faster():
     assert trace.converged
     assert trace.iterations <= 12
     # contraction near 1/27 per step
-    r = trace.pairs[2].gap() / trace.pairs[1].gap()
+    (a1, b1), (a2, b2) = trace.orbit[1:3]
+    r = abs(a2 - b2) / abs(a1 - b1)
     assert 0.02 < r < 0.06
 
 
@@ -311,20 +307,19 @@ def test_orbit_limits_match_mpmath_on_a_seeded_sweep():
             assert abs(trace.limit - ref) <= 2e-15 * ref, (variant, a, b)
 
 
-def test_orbit_pairs_repeat_the_public_steps():
-    # the trace iterates on floats; its MeanPairs, built on first read, are
-    # the public steps' orbit bit for bit, and every one passes MeanPair's check
-    for variant, step in ((QUARTIC, step_quartic), (SEXTIC, step_sextic)):
+def test_orbit_repeats_the_step_kernels():
+    # the trace's orbit is the step kernel's orbit bit for bit, and every
+    # pair of it passes MeanPair's check
+    for variant, step in ((QUARTIC, _quartic), (SEXTIC, _sextic)):
         for a, b in _sweep_pairs():
             trace = iterate_until_converged(MeanPair(a, b), variant)
-            orbit = [MeanPair(a, b)]
+            orbit = [(a, b)]
             for _ in range(trace.iterations):
-                orbit.append(step(orbit[-1]))
-            assert type(trace.pairs) is tuple
-            assert all(type(q) is MeanPair for q in trace.pairs)
-            assert trace.pairs == tuple(orbit), (variant, a, b)
-            assert trace.orbit == tuple((q.a, q.b) for q in orbit)
-            assert trace.pairs is trace.pairs
+                orbit.append(step(*orbit[-1]))
+            assert type(trace.orbit) is tuple
+            assert trace.orbit == tuple(orbit), (variant, a, b)
+            for q in orbit:
+                MeanPair(*q)
 
 
 def test_sextic_step_for_small_a_matches_mpmath():
@@ -336,9 +331,9 @@ def test_sextic_step_for_small_a_matches_mpmath():
         a23 = a ** (mpmath.mpf(2) / 3)
         m1 = float(a23 * mpmath.sqrt(r1 * r1 + r1 * r2 + r2 * r2) / mpmath.sqrt(3))
         m2 = float(a23 * (r1 + r2) / 2)
-    q = step_sextic(MeanPair(1e-8, 1.0))
-    assert q.a == pytest.approx(m1, rel=1e-14)
-    assert q.b == pytest.approx(m2, rel=1e-14)
+    qa, qb = _sextic(1e-8, 1.0)
+    assert qa == pytest.approx(m1, rel=1e-14)
+    assert qb == pytest.approx(m2, rel=1e-14)
 
 
 def _sextic_step_mpmath(a, b):
@@ -362,9 +357,9 @@ def test_sextic_step_at_extreme_magnitudes_matches_mpmath():
     # near 1e300; the roots are taken on the binary mantissa instead
     for a, b in EXTREME_SEXTIC_PAIRS:
         m1, m2 = _sextic_step_mpmath(a, b)
-        q = step_sextic(MeanPair(a, b))
-        assert abs(q.a - m1) <= 4e-16 * m1, (a, b)
-        assert abs(q.b - m2) <= 4e-16 * m2, (a, b)
+        qa, qb = _sextic(a, b)
+        assert abs(qa - m1) <= 4e-16 * m1, (a, b)
+        assert abs(qb - m2) <= 4e-16 * m2, (a, b)
 
 
 def test_sextic_step_matches_mpmath_on_a_seeded_sweep():
@@ -381,11 +376,11 @@ def test_sextic_step_matches_mpmath_on_a_seeded_sweep():
         else:
             b = a * 10.0 ** rng.uniform(-2.0, 2.0)
         b = min(max(b, 1e-300), 1e300)
-        q = step_sextic(MeanPair(a, b))
-        assert q.a > 0.0 and q.b > 0.0
+        qa, qb = _sextic(a, b)
+        assert qa > 0.0 and qb > 0.0
         m1, m2 = _sextic_step_mpmath(a, b)
-        assert abs(q.a - m1) <= 6e-16 * m1, (a, b)
-        assert abs(q.b - m2) <= 6e-16 * m2, (a, b)
+        assert abs(qa - m1) <= 6e-16 * m1, (a, b)
+        assert abs(qb - m2) <= 6e-16 * m2, (a, b)
 
 
 def test_sextic_orbit_and_closed_form_agree_at_extreme_magnitudes():
@@ -401,9 +396,9 @@ def test_sextic_mean_at_the_top_of_the_range():
     # the pair first; the last pair reaches such a pair after one step
     for a, b in ((1e308, 1.7e308), (1e-300, 1.7e308), (1.7e308, 1e308)):
         m1, m2 = _sextic_step_mpmath(a, b)
-        q = step_sextic(MeanPair(a, b))
-        assert abs(q.a - m1) <= 4e-16 * m1, (a, b)
-        assert abs(q.b - m2) <= 4e-16 * m2, (a, b)
+        qa, qb = _sextic(a, b)
+        assert abs(qa - m1) <= 4e-16 * m1, (a, b)
+        assert abs(qb - m2) <= 4e-16 * m2, (a, b)
         lim = closed_form_limit(MeanPair(a, b), SEXTIC)
         trace = iterate_until_converged(MeanPair(a, b), SEXTIC)
         assert trace.converged

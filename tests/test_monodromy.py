@@ -142,8 +142,8 @@ def test_triangle_group_orders_exact():
 def test_order_raises_on_infinite_element():
     one, zero = ring_one(G), CycInt(0, 0, G)
     shear = CircuitMatrix(one, one, zero, one)
-    with pytest.raises(IterationLimitError):
-        shear.order(cap=16)
+    with pytest.raises(IterationLimitError, match="order exceeds 24"):
+        shear.order()
 
 
 def test_as_affine_reads_normal_form():
@@ -495,8 +495,6 @@ CALLS = {
     "base_change_affine": lambda: L.base_change_affine(m0, 0.3),
     "n_matrices": lambda: L.n_matrices(L.SchwarzVariant.SEXTIC),
     "group_closure": lambda: L.group_closure([L.as_affine(m) for m in L.n_matrices(L.SchwarzVariant.QUARTIC)]),
-    "step_quartic": lambda: L.step_quartic(pair),
-    "step_sextic": lambda: L.step_sextic(pair),
     "closed_form_limit": lambda: L.closed_form_limit(pair, L.SchwarzVariant.QUARTIC),
     "iterate_until_converged": lambda: L.iterate_until_converged(pair, L.SchwarzVariant.SEXTIC),
     "cubic_preimage_x0": lambda: L.cubic_preimage_x0(L.MeanPair(1.0, 2.0)),

@@ -29,13 +29,16 @@ from lemnis import (
     theta_dz,
     transform,
 )
-from lemnis.theta import HALF_CHARS, SEXTIC_CHARS, ZETA, theta_four
+from lemnis.theta import HALF_CHARS, ZETA, theta_four
 from lemnis.verify import addition_check, one_plus_i_multiple, one_plus_zeta_multiple
 
 C00 = ThetaChar(0, 0)
 C01 = ThetaChar(0, Fraction(1, 2))
 C10 = ThetaChar(Fraction(1, 2), 0)
 C11 = ThetaChar(Fraction(1, 2), Fraction(1, 2))
+SEXTIC_CHARS = tuple(
+    ThetaChar(Fraction(*a), Fraction(*b)) for a, b in (((1, 3), (1, 3)), ((1, 6), (1, 6)), ((5, 6), (1, 3)), ((1, 3), (5, 6)))
+)
 
 GENERIC = Modulus.generic(complex(0.23, 1.13))
 
