@@ -8,7 +8,6 @@ until the general-parameter matrices are specialized.
 
 from lemnis.hypergeometric import SchwarzVariant
 from lemnis.monodromy import (
-    as_affine,
     base_change_affine,
     general_m0_m1,
     group_closure,
@@ -35,8 +34,8 @@ def fmt_matrix(m):
     return f"[[{fmt(m.e11)}, {fmt(m.e12)}], [{fmt(m.e21)}, {fmt(m.e22)}]]"
 
 
-def fmt_map(a):
-    return f"z -> ({fmt(a.unit)}) z + ({fmt(a.shift)})"
+def fmt_map(m):
+    return f"z -> ({fmt(m.e11)}) z + ({fmt(m.e12)})"
 
 
 for variant, alpha in ((SchwarzVariant.QUARTIC, 0.25), (SchwarzVariant.SEXTIC, 1.0 / 3.0)):
@@ -50,12 +49,12 @@ for variant, alpha in ((SchwarzVariant.QUARTIC, 0.25), (SchwarzVariant.SEXTIC, 1
     prod = n0 @ n1 @ ninf
     print(f"  product has order {prod.order()}")
 
-    # every matrix acts on the upper coordinate as an affine map z -> e z + s
-    maps = [as_affine(m) for m in (n0, n1, ninf)]
-    print("  affine actions:", ";  ".join(fmt_map(m) for m in maps))
+    # every matrix is in the normal form [[e, s], [0, 1]], the affine map z -> e z + s
+    mats = [n0, n1, ninf]
+    print("  affine actions:", ";  ".join(fmt_map(m) for m in mats))
 
     # closing the generated group saturates all units and finds translations
-    summary = group_closure(maps, cap=2000)
+    summary = group_closure(mats, cap=2000)
     print(
         f"  closure: {len(summary.units)} units, translations found:"
         f" {summary.has_translation_basis}, explored {summary.elements_explored}"

@@ -48,11 +48,9 @@ from .curves import (
     special_point,
 )
 from .monodromy import (
-    AffineMap,
     CircuitMatrix,
     ClosureSummary,
     CycInt,
-    as_affine,
     base_change_affine,
     general_m0_m1,
     group_closure,

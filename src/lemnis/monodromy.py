@@ -4,13 +4,14 @@ Two layers live here.  The floating layer (`invariant_hermitian_form`,
 `general_m0_m1`, `m0_m1_closed_form`, `base_change_affine`) carries the
 circuit matrices of a generic parameter triple as 2x2 complex matrices,
 written entry by entry and returned as row-major nested tuples
-((a, b), (c, d)).  The exact layer (`CycInt`, `CircuitMatrix`, `AffineMap`)
-works over Z[i] or Z[zeta], the ring of a `SchwarzVariant`, with no floats
-at all, so group-theoretic statements (orders, closures) are decided
-exactly.  Its arithmetic follows from the one relation g^2 = e*g - 1 of the
-ring generator g = `SchwarzVariant.unit`, with e = `SchwarzVariant.trace`,
-and the units are the powers of g.  Each value object's own __init__
-checks its arguments and sets its frozen fields in one step.
+((a, b), (c, d)).  The exact layer (`CycInt`, `CircuitMatrix`) works over
+Z[i] or Z[zeta], the ring of a `SchwarzVariant`, with no floats at all, so
+group-theoretic statements (orders, closures) are decided exactly; the
+normal form [[u, s], [0, 1]] of `n_matrices` is the map z |-> u*z + s.  Its
+arithmetic follows from the one relation g^2 = e*g - 1 of the ring generator
+g = `SchwarzVariant.unit`, with e = `SchwarzVariant.trace`, and the units
+are the powers of g.  Each value object's own __init__ checks its arguments
+and sets its frozen fields in one step.
 """
 
 from __future__ import annotations
@@ -126,7 +127,9 @@ class CircuitMatrix:
     e22: CycInt
 
     def __init__(self, e11: CycInt, e12: CycInt, e21: CycInt, e22: CycInt) -> None:
-        for e in (e12, e21, e22):
+        for e in (e11, e12, e21, e22):
+            if not isinstance(e, CycInt):
+                raise DomainError(f"matrix entries must be CycInt, got {e!r}")
             if e.ring is not e11.ring:
                 raise DomainError("matrix entries must share one ring")
         self.__dict__.update(e11=e11, e12=e12, e21=e21, e22=e22)
@@ -175,47 +178,6 @@ class CircuitMatrix:
 
     def as_complex(self) -> Matrix2:
         return (self.e11.value, self.e12.value), (self.e21.value, self.e22.value)
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """z |-> unit*z + shift with unit a ring unit."""
-
-    unit: CycInt
-    shift: CycInt
-
-    def __init__(self, unit: CycInt, shift: CycInt) -> None:
-        if unit.ring is not shift.ring:
-            raise DomainError("unit and shift must share one ring")
-        if not unit.is_unit():
-            raise DomainError("AffineMap unit must be a ring unit")
-        self.__dict__.update(unit=unit, shift=shift)
-
-    @property
-    def ring(self) -> SchwarzVariant:
-        return self.unit.ring
-
-    @classmethod
-    def identity(cls, ring: SchwarzVariant) -> "AffineMap":
-        return cls(ring_one(ring), CycInt(0, 0, ring))
-
-    def __matmul__(self, other: "AffineMap") -> "AffineMap":
-        # Composition "self after other".
-        return AffineMap(self.unit * other.unit, self.unit * other.shift + self.shift)
-
-    def inverse(self) -> "AffineMap":
-        uinv = self.unit.unit_inverse()
-        return AffineMap(uinv, -(uinv * self.shift))
-
-    def apply(self, z: complex) -> complex:
-        return self.unit.value * z + self.shift.value
-
-
-def as_affine(m: CircuitMatrix) -> AffineMap:
-    """Read [[u, s], [0, 1]] as the map z |-> u*z + s."""
-    if not (m.e21.is_zero() and m.e22.is_one()):
-        raise DomainError("matrix is not in affine normal form (bottom row must be (0, 1))")
-    return AffineMap(m.e11, m.e12)
 
 
 def invariant_hermitian_form(alpha: float, beta: float, gamma: float) -> Matrix2:
@@ -310,32 +272,34 @@ def _unit_subgroup(gen_units: Iterable[CycInt], ring: SchwarzVariant) -> tuple[C
     return us[:: math.gcd(len(us), *map(us.index, gen_units))]
 
 
-def group_closure(generators: list[AffineMap], cap: int = 10000) -> ClosureSummary:
-    """Breadth-first closure of an affine generator list.
+def group_closure(generators: list[CircuitMatrix], cap: int = 10000) -> ClosureSummary:
+    """Breadth-first closure of generators [[u, s], [0, 1]], the maps z |-> u*z + s.
 
-    Stops once the reachable unit set matches the subgroup generated by the
-    generator units and both basis translations z |-> z + 1 and
-    z |-> z + g have been seen, or once `cap` elements are explored.  Only a
-    unit set still growing at the cap is an error; a genuinely infinite
-    translation part (such as the single generator z |-> z + 1) just reports
-    what was found.
+    A matrix with any other bottom row is refused.  Stops once the reachable
+    unit set matches the subgroup generated by the generator units and both
+    basis translations z |-> z + 1 and z |-> z + g have been seen, or once
+    `cap` elements are explored.  Only a unit set still growing at the cap
+    is an error; a genuinely infinite translation part (such as the single
+    generator z |-> z + 1) just reports what was found.
     """
     if not generators:
         raise DomainError("need at least one generator")
     if not (isinstance(cap, int) and 1 <= cap <= 10000):
         raise DomainError(f"cap must be an int in [1, 10000], got {cap!r}")
-    ring = generators[0].ring
     for g in generators:
-        if g.ring is not ring:
+        if not isinstance(g, CircuitMatrix):
+            raise DomainError(f"generators must be CircuitMatrix, got {g!r}")
+        if not (g.e21.is_zero() and g.e22.is_one()):
+            raise DomainError("matrix is not in affine normal form (bottom row must be (0, 1))")
+        if g.ring is not generators[0].ring:
             raise DomainError("generators must share one ring")
-    target_units = _unit_subgroup((g.unit for g in generators), ring)
-    # The search runs on (unit.x, unit.y, shift.x, shift.y) tuples with
-    # `_ring_product` inlined, e = `SchwarzVariant.trace`.
+    ring = generators[0].ring
+    target_units = _unit_subgroup((g.e11 for g in generators), ring)
+    # The search runs on (u.x, u.y, s.x, s.y) tuples of [[u, s], [0, 1]]
+    # with `_ring_product` inlined, e = `SchwarzVariant.trace`.
     e = ring.trace
-    gens = [
-        (h.unit.x, h.unit.y, h.shift.x, h.shift.y)
-        for h in list(generators) + [g.inverse() for g in generators]
-    ]
+    inverses = [g.inverse() for g in generators]
+    gens = [(h.e11.x, h.e11.y, h.e12.x, h.e12.y) for h in list(generators) + inverses]
     target = {(u.x, u.y) for u in target_units}
     basis = {(1, 0), (0, 1)}
     visited = {(1, 0, 0, 0)}
@@ -343,10 +307,7 @@ def group_closure(generators: list[AffineMap], cap: int = 10000) -> ClosureSumma
     seen_units = {(1, 0)}
     translations = {(0, 0)}
 
-    def satisfied() -> bool:
-        return target <= seen_units and basis <= translations
-
-    while frontier and len(visited) < cap and not satisfied():
+    while frontier and len(visited) < cap and not (target <= seen_units and basis <= translations):
         nxt = []
         for fux, fuy, fsx, fsy in frontier:
             for gux, guy, gsx, gsy in gens:

@@ -406,8 +406,11 @@ def theta_dz(c: ThetaChar, z: complex, m: Modulus) -> complex:
 
 
 def quasi_period_factor(c: ThetaChar, p: int, q: int, z: complex, m: Modulus) -> complex:
-    """Multiplier relating theta(z + p tau + q) to theta(z)."""
+    """Multiplier relating theta(z + p tau + q) to theta(z), for integers p and q."""
     tau = _modulus(m, "quasi_period_factor").value
+    for name, k in (("p", p), ("q", q)):
+        if not isinstance(k, int):
+            raise DomainError(f"{name} must be an int, got {k!r}")
     return _e(c.af * q - p * p * tau / 2.0 - p * complex(z) - c.bf * p)
 
 

@@ -8,12 +8,14 @@ the Schwarz map.  The checked ones raise DomainError where a side leaves
 binary64, never a NaN residual.
 
 Every family is one identity of theta functions, of the two special curves,
-of the triangle-group monodromy or of the mean iterations.  A suite is a
-generator of (family, residual, sample) triples that draws its points from a
-shared `SplitMix64` stream; `SUITES` maps each suite name to its family
-names, in report order, and its generator.  `sweep` runs suites in order on
-one stream and keeps, per family, the largest residual and the sample that
-produced it.
+of the triangle-group monodromy or of the mean iterations.  In
+`monodromy.affine_hom` a product of two circuit words keeps the normal form
+[[u, s], [0, 1]], so it is the composition of the maps z |-> u*z + s.  A
+suite is a generator of (family, residual, sample) triples that draws its
+points from a shared `SplitMix64` stream; `SUITES` maps each suite name to
+its family names, in report order, and its generator.  `sweep` runs suites
+in order on one stream and keeps, per family, the largest residual and the
+sample that produced it.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from .curves import (
 from .hypergeometric import SchwarzVariant, _require_variant, gauss_2f1
 from .meaniter import MeanPair, closed_form_limit, cubic_preimage_x0, iterate_until_converged
 from .monodromy import (
-    AffineMap,
-    as_affine,
+    CircuitMatrix,
+    CycInt,
     base_change_affine,
     general_m0_m1,
     group_closure,
@@ -473,21 +475,21 @@ def _suite_monodromy(rng: SplitMix64, n: int):
         for _ in range(n):
             a = words[rng.int_range(0, len(words) - 1)]
             b = words[rng.int_range(0, len(words) - 1)]
-            same = as_affine(a @ b) == as_affine(a) @ as_affine(b)
-            yield "monodromy.affine_hom", 0.0 if same else 1.0, variant.name
+            ab = a @ b
+            yield "monodromy.affine_hom", 0.0 if ab.e21.is_zero() and ab.e22.is_one() else 1.0, variant.name
         alpha = variant.params.alpha
         m0, m1 = general_m0_m1(alpha, 0.0, 0.5)
         for got_m, ref in zip((m0, m1), (n0, n1)):
             residual = max_abs_diff(base_change_affine(got_m, alpha), ref.as_complex())
             yield "monodromy.specialization", residual, variant.name
-        summary = group_closure([as_affine(m) for m in mats], cap=2000)
+        summary = group_closure(list(mats), cap=2000)
         ok = len(summary.units) == variant.root_order and summary.has_translation_basis
         yield "monodromy.closure", 0.0 if ok else 1.0, variant.name
     ga, gb = general_m0_m1(0.3, 0.2, 0.7)
     ca, cb = m0_m1_closed_form(0.3, 0.2, 0.7)
     yield "monodromy.dual_route", max(max_abs_diff(ga, ca), max_abs_diff(gb, cb)), "(0.3,0.2,0.7)"
-    one = ring_one(SchwarzVariant.QUARTIC)
-    summary = group_closure([AffineMap(one, one)], cap=300)
+    one, zero = ring_one(SchwarzVariant.QUARTIC), CycInt(0, 0, SchwarzVariant.QUARTIC)
+    summary = group_closure([CircuitMatrix(one, one, zero, one)], cap=300)
     yield "monodromy.closure", 0.0 if set(summary.units) == {one} else 1.0, "translation-only"
 
 

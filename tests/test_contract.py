@@ -36,7 +36,6 @@ from lemnis import (
     ThetaChar,
     TorusPoint,
     abel_jacobi,
-    as_affine,
     canonical_torus_point,
     closed_form_limit,
     cubic_preimage_x0,
@@ -461,7 +460,7 @@ def test_a_point_at_infinity_maps_into_its_fiber(curve, t, u, branch):
 
 
 def _closure(cap):
-    return group_closure([as_affine(m) for m in n_matrices(SchwarzVariant.QUARTIC)], cap)
+    return group_closure(list(n_matrices(SchwarzVariant.QUARTIC)), cap)
 
 
 _ZP = canonical_torus_point(TAU_I, 0.1 + 0.2j)
@@ -481,11 +480,15 @@ _ZP = canonical_torus_point(TAU_I, 0.1 + 0.2j)
         ("branch", lambda: lift_branch(SchwarzVariant.QUARTIC, 2.0, 1.5)),  # was "not on the curve"
         ("branch", lambda: lift_branch(SchwarzVariant.SEXTIC, 2.0, "x")),
         ("special point name", lambda: special_point(SchwarzVariant.QUARTIC, 3)),
+        ("p", lambda: quasi_period_factor(ThetaChar(0, 0), 0.5, 0, 0.1, TAU_I)),  # was 2.086 - 0.678i
+        ("q", lambda: quasi_period_factor(ThetaChar(0, 0), 0, "1", 0.1, TAU_I)),
+        ("p", lambda: quasi_period_factor(ThetaChar(0, 0), "1", 0, 0.1, TAU_I)),  # was a raw TypeError
     ),
     ids=(
         "equivalent_mod_group-tol-nan", "equivalent_mod_group-tol-str", "iterate_until_converged-tol-str",
         "iterate_until_converged-max_iter-float", "iterate_until_converged-max_iter-str", "group_closure-cap-nan",
         "group_closure-cap-str", "group_closure-cap-zero", "lift_branch-k-float", "lift_branch-k-str", "special_point-name-int",
+        "quasi_period_factor-p-float", "quasi_period_factor-q-str", "quasi_period_factor-p-str",
     ),
 )
 def test_an_option_of_the_wrong_kind_is_a_domain_error(option, call):

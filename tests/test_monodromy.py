@@ -17,14 +17,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lemnis import (
-    AffineMap,
     CircuitMatrix,
     ClosureSummary,
     CycInt,
     DomainError,
     IterationLimitError,
     SchwarzVariant,
-    as_affine,
     base_change_affine,
     e_of,
     general_m0_m1,
@@ -146,23 +144,16 @@ def test_order_raises_on_infinite_element():
         shear.order()
 
 
-def test_as_affine_reads_normal_form():
-    n0, n1, ninf = n_matrices(SchwarzVariant.QUARTIC)
-    f = as_affine(n0)
-    assert f.apply(complex(0.3, 0.1)) == pytest.approx(complex(-0.3, 0.9))
-    assert as_affine(n1).apply(1.0) == pytest.approx(1j)
-    assert as_affine(ninf).apply(0.0) == pytest.approx(1.0)
-    assert as_affine(CircuitMatrix.identity(G)).apply(0.7j) == pytest.approx(0.7j)
-
-
-def test_as_affine_rejects_general_matrix():
+def test_group_closure_rejects_general_matrix():
     one, zero, i = ring_one(G), CycInt(0, 0, G), ring_gen(G)
     lower = CircuitMatrix(i, zero, one, one)
-    with pytest.raises(DomainError):
-        as_affine(lower)
+    with pytest.raises(DomainError, match=re.escape("matrix is not in affine normal form (bottom row must be (0, 1))")):
+        group_closure([CircuitMatrix.identity(G), lower])
 
 
 def test_affine_homomorphism_exact():
+    # [[u, s], [0, 1]] [[v, t], [0, 1]] = [[uv, ut + s], [0, 1]]: the product of
+    # two normal forms is a normal form, the composition of their affine maps
     rng = random.Random(113)
     for variant in (SchwarzVariant.QUARTIC, SchwarzVariant.SEXTIC):
         n0, n1, ninf = n_matrices(variant)
@@ -170,19 +161,9 @@ def test_affine_homomorphism_exact():
         for _ in range(60):
             a = words[rng.randrange(len(words))]
             b = words[rng.randrange(len(words))]
-            assert as_affine(a @ b) == as_affine(a) @ as_affine(b)
-
-
-def test_affine_composition_and_inverse():
-    rng = random.Random(114)
-    f = AffineMap(ring_gen(G), ring_one(G))
-    g = AffineMap(CycInt(-1, 0, G), ring_gen(G))
-    for _ in range(20):
-        z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        assert (f @ g).apply(z) == pytest.approx(f.apply(g.apply(z)))
-        assert (f @ f.inverse()).apply(z) == pytest.approx(z)
-    with pytest.raises(DomainError):
-        AffineMap(CycInt(2, 0, G), ring_one(G))
+            ab = a @ b
+            assert ab.e21.is_zero() and ab.e22.is_one()
+            assert (ab.e11, ab.e12) == (a.e11 * b.e11, a.e11 * b.e12 + a.e12)
 
 
 def test_value_objects_keep_their_checks_and_dataclass_behaviour():
@@ -192,18 +173,17 @@ def test_value_objects_keep_their_checks_and_dataclass_behaviour():
         (lambda: CycInt(0, "1", E), "CycInt coordinates must be integers"),
         (lambda: CircuitMatrix(one, zero, zero, ring_one(E)), "matrix entries must share one ring"),
         (lambda: CircuitMatrix(CycInt(2, 0, G), zero, zero, one), "determinant must be a unit"),
-        (lambda: AffineMap(one, ring_one(E)), "unit and shift must share one ring"),
-        (lambda: AffineMap(CycInt(1, 1, G), zero), "AffineMap unit must be a ring unit"),
+        # was a raw AttributeError
+        (lambda: CircuitMatrix(1, 2, 3, 4), "matrix entries must be CycInt, got 1"),
+        (lambda: CircuitMatrix(one, zero, 0, one), "matrix entries must be CycInt, got 0"),
     ):
         with pytest.raises(DomainError, match=re.escape(message)):
             make()
     c = CycInt(x=2, y=-1, ring=G)
     m = CircuitMatrix(e11=one, e12=g, e21=zero, e22=one)
-    f = AffineMap(unit=g, shift=c)
     for obj, same, other in (
         (c, CycInt(2, -1, G), CycInt(2, -1, E)),
         (m, CircuitMatrix(one, g, zero, one), CircuitMatrix.identity(G)),
-        (f, AffineMap(g, CycInt(2, -1, G)), AffineMap.identity(G)),
     ):
         assert obj == same and hash(obj) == hash(same) and obj != other
         for field in dataclasses.fields(obj):
@@ -212,14 +192,11 @@ def test_value_objects_keep_their_checks_and_dataclass_behaviour():
         assert dataclasses.replace(obj) == obj
     assert repr(c) == "CycInt(x=2, y=-1, ring=<SchwarzVariant.QUARTIC: 4>)"
     assert repr(m) == f"CircuitMatrix(e11={one!r}, e12={g!r}, e21={zero!r}, e22={one!r})"
-    assert repr(f) == f"AffineMap(unit={g!r}, shift={c!r})"
     assert dataclasses.replace(c, y=3) == CycInt(2, 3, G)
     assert dataclasses.replace(m, e12=zero) == CircuitMatrix.identity(G)
-    assert dataclasses.replace(f, shift=zero) == AffineMap(g, zero)
     for obj, change, message in (
         (c, {"x": 0.5}, "CycInt coordinates must be integers"),
         (m, {"e11": CycInt(2, 0, G)}, "determinant must be a unit"),
-        (f, {"unit": zero}, "AffineMap unit must be a ring unit"),
     ):
         with pytest.raises(DomainError, match=re.escape(message)):
             dataclasses.replace(obj, **change)
@@ -320,26 +297,26 @@ def test_specialization_matches_exact_generators():
 
 def test_group_closure_saturates_units():
     for variant, n_units in ((SchwarzVariant.QUARTIC, 4), (SchwarzVariant.SEXTIC, 6)):
-        gens = [as_affine(m) for m in n_matrices(variant)]
-        summary = group_closure(gens, cap=2000)
+        summary = group_closure(list(n_matrices(variant)), cap=2000)
         assert len(summary.units) == n_units
         assert summary.has_translation_basis
         assert summary.elements_explored <= 2000
 
 
 def test_group_closure_translation_only():
-    trans = AffineMap(ring_one(G), ring_one(G))
-    summary = group_closure([trans], cap=300)
+    one, zero = ring_one(G), CycInt(0, 0, G)
+    summary = group_closure([CircuitMatrix(one, one, zero, one)], cap=300)
     assert set(summary.units) == {ring_one(G)}
     assert not summary.has_translation_basis
 
 
 def test_group_closure_summaries_are_pinned():
-    quartic = group_closure([as_affine(m) for m in n_matrices(SchwarzVariant.QUARTIC)], cap=2000)
+    quartic = group_closure(list(n_matrices(SchwarzVariant.QUARTIC)), cap=2000)
     assert quartic == ClosureSummary(units(G), True, 17)
-    sextic = group_closure([as_affine(m) for m in n_matrices(SchwarzVariant.SEXTIC)], cap=2000)
+    sextic = group_closure(list(n_matrices(SchwarzVariant.SEXTIC)), cap=2000)
     assert sextic == ClosureSummary(units(E), True, 30)
-    translation = group_closure([AffineMap(ring_one(G), ring_one(G))], cap=300)
+    one, zero = ring_one(G), CycInt(0, 0, G)
+    translation = group_closure([CircuitMatrix(one, one, zero, one)], cap=300)
     assert translation == ClosureSummary((ring_one(G),), False, 301)
 
 
@@ -395,16 +372,20 @@ def test_a_product_builds_only_its_entries(monkeypatch):
     built[CycInt] = 0
     for seed in range(1, 6):
         sweep(list(SUITES), seed, 20)
-    assert built[CycInt] == 2105  # 421 per 20-sample sweep
+    assert built[CycInt] == 1685  # 337 per 20-sample sweep
 
 
 def test_group_closure_validation():
     with pytest.raises(DomainError):
         group_closure([])
     with pytest.raises(DomainError):
-        group_closure([AffineMap.identity(G)], cap=20000)
+        group_closure([CircuitMatrix.identity(G)], cap=20000)
     with pytest.raises(DomainError):
-        group_closure([AffineMap.identity(G), AffineMap.identity(E)])
+        group_closure([CircuitMatrix.identity(G), CircuitMatrix.identity(E)])
+    # each was a raw AttributeError
+    for bad in (1, ring_one(G)):
+        with pytest.raises(DomainError, match=re.escape(f"generators must be CircuitMatrix, got {bad!r}")):
+            group_closure([bad])
 
 
 # Properties of the ring rule g^2 = e*g - 1, on a fixed, bounded set of examples.
@@ -488,13 +469,12 @@ CALLS = {
     "ring_one": lambda: L.ring_one(L.SchwarzVariant.QUARTIC),
     "ring_gen": lambda: L.ring_gen(L.SchwarzVariant.SEXTIC),
     "units": lambda: L.units(L.SchwarzVariant.SEXTIC),
-    "as_affine": lambda: L.as_affine(L.n_matrices(L.SchwarzVariant.QUARTIC)[1]),
     "invariant_hermitian_form": lambda: L.invariant_hermitian_form(0.3, 0.2, 0.7),
     "general_m0_m1": lambda: L.general_m0_m1(0.3, 0.2, 0.7),
     "m0_m1_closed_form": lambda: L.m0_m1_closed_form(0.3, 0.2, 0.7),
     "base_change_affine": lambda: L.base_change_affine(m0, 0.3),
     "n_matrices": lambda: L.n_matrices(L.SchwarzVariant.SEXTIC),
-    "group_closure": lambda: L.group_closure([L.as_affine(m) for m in L.n_matrices(L.SchwarzVariant.QUARTIC)]),
+    "group_closure": lambda: L.group_closure(list(L.n_matrices(L.SchwarzVariant.QUARTIC))),
     "closed_form_limit": lambda: L.closed_form_limit(pair, L.SchwarzVariant.QUARTIC),
     "iterate_until_converged": lambda: L.iterate_until_converged(pair, L.SchwarzVariant.SEXTIC),
     "cubic_preimage_x0": lambda: L.cubic_preimage_x0(L.MeanPair(1.0, 2.0)),
