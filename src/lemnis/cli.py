@@ -62,23 +62,7 @@ def _tol_arg(text: str) -> float:
     return val
 
 
-def _emit(report: dict, started: float) -> int:
-    report["elapsed_ms"] = round(1000.0 * (time.perf_counter() - started), 3)
-    sys.stdout.write(
-        json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
-    )
-    if sys.stderr.isatty():
-        lines = [f"{report['command']}: {'PASS' if report['pass'] else 'FAIL'}"]
-        for r in report["residuals"]:
-            value = r["value"]
-            mark = "ok " if value is not None and value < r["tol"] else "BAD"
-            shown = "null" if value is None else f"{value:.3e}"
-            lines.append(f"  [{mark}] {r['name']:<40} {shown} (tol {r['tol']:.1e})")
-        sys.stderr.write("\n".join(lines) + "\n")
-    return 0 if report["pass"] else 1
-
-
-def _finish(command: str, inputs: dict, outputs: dict, residuals: list, seed: int | None, started: float) -> int:
+def _report(command: str, inputs: dict, outputs: dict, residuals: list, seed: int | None, started: float) -> int:
     report = {
         "command": command,
         "inputs": inputs,
@@ -89,15 +73,26 @@ def _finish(command: str, inputs: dict, outputs: dict, residuals: list, seed: in
         ],
         "pass": all(r["value"] < r["tol"] for r in residuals),
         "seed": seed,
+        "elapsed_ms": round(1000.0 * (time.perf_counter() - started), 3),
     }
-    return _emit(report, started)
+    sys.stdout.write(
+        json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    )
+    if sys.stderr.isatty():
+        lines = [f"{command}: {'PASS' if report['pass'] else 'FAIL'}"]
+        for r in report["residuals"]:
+            value = r["value"]
+            mark = "ok " if value is not None and value < r["tol"] else "BAD"
+            shown = "null" if value is None else f"{value:.3e}"
+            lines.append(f"  [{mark}] {r['name']:<40} {shown} (tol {r['tol']:.1e})")
+        sys.stderr.write("\n".join(lines) + "\n")
+    return 0 if report["pass"] else 1
 
 
 # ---------------------------------------------------------------------------
 # theta subcommand.
 
-def _cmd_theta(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def _cmd_theta(args: argparse.Namespace) -> tuple[dict, dict, list]:
     tol = args.tol
     char = ThetaChar(args.a, args.b)
     a, b = char.a, char.b
@@ -124,15 +119,13 @@ def _cmd_theta(args: argparse.Namespace) -> int:
                 {"name": "closed_form", "value": abs(value - factor * table[key]), "tol": tol}
             )
     inputs = {"a": format_rational(a), "b": format_rational(b), "z": format_complex(z), "tau": args.tau}
-    outputs = {"value": format_complex(value)}
-    return _finish("theta", inputs, outputs, residuals, None, started)
+    return inputs, {"value": format_complex(value)}, residuals
 
 
 # ---------------------------------------------------------------------------
 # agm subcommand.
 
-def _cmd_agm(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def _cmd_agm(args: argparse.Namespace) -> tuple[dict, dict, list]:
     variant = SchwarzVariant[args.variant.upper()]
     tol = args.tol
     if tol is None:
@@ -151,14 +144,13 @@ def _cmd_agm(args: argparse.Namespace) -> int:
         "difference": repr(diff),
     }
     residuals = [{"name": "limit_vs_closed_form", "value": limit_residual(trace.limit, closed), "tol": tol}]
-    return _finish("agm", inputs, outputs, residuals, None, started)
+    return inputs, outputs, residuals
 
 
 # ---------------------------------------------------------------------------
 # curve subcommand.
 
-def _cmd_curve(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def _cmd_curve(args: argparse.Namespace) -> tuple[dict, dict, list]:
     tol = args.tol
     curve = SchwarzVariant.QUARTIC if args.curve == "i" else SchwarzVariant.SEXTIC
     if args.point is not None:
@@ -192,23 +184,21 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         residuals.append(
             {"name": "mul_group_equivalence", "value": witness.distance, "tol": max(tol, 1e-8)}
         )
-    return _finish("curve", inputs, outputs, residuals, None, started)
+    return inputs, outputs, residuals
 
 
 # ---------------------------------------------------------------------------
 # verify subcommand: seeded residual sweeps over the identity families of
 # `lemnis.verify`.
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def _cmd_verify(args: argparse.Namespace) -> tuple[dict, dict, list]:
     if not 1 <= args.samples <= 10000:
         raise DomainError("--samples must lie in [1, 10000]")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     worst = sweep(names, args.seed, args.samples)
     residuals = [{"name": family, "value": value, "tol": args.tol} for family, (value, _) in worst.items()]
     inputs = {"suite": args.suite, "samples": args.samples, "tol": args.tol}
-    outputs = {"worst_samples": {family: sample for family, (_, sample) in worst.items()}}
-    return _finish("verify", inputs, outputs, residuals, args.seed, started)
+    return inputs, {"worst_samples": {family: sample for family, (_, sample) in worst.items()}}, residuals
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +268,17 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+    started = time.perf_counter()
     # usage errors, also those found while a subcommand runs, print that
     # subcommand's usage line
     try:
-        return args.func(args)
+        inputs, outputs, residuals = args.func(args)
     except DomainError as exc:
         args.subparser.error(str(exc))
     except IterationLimitError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 1
+    return _report(args.command, inputs, outputs, residuals, getattr(args, "seed", None), started)
 
 
 if __name__ == "__main__":

@@ -21,10 +21,11 @@ nothing else converges, the direct series is summed to its algebraic tail
 when gamma - alpha - beta > 0.  Where |z| < 1/2 and |1 - z| <= 1 the
 route table's pick is the direct series (every other modulus exceeds 1 or
 needs more terms) and z lies outside the balls, so it is summed at once.
-Series read their term ratios from a ratio table per triple, each entry the
-inline expression, so sums keep their bits; it grows to what sums reach, at
-least doubling, up to 512 ratios for 48 triples (16 KiB each, 778 KiB in
-all; a 49th triple empties it).
+Series read their term ratios from a table of what sums have reached, each
+entry the inline expression, so sums keep their bits: up to 512 ratios for
+each of 48 triples (16 KiB each, 778 KiB in all; a 49th triple empties it).
+It needs no lock: each stored tuple is a true prefix of its triple's ratios,
+and dict get, set and clear are atomic, so a race only stores a shorter one.
 
 Every transformed argument is built from the pair (z, 1 - z), never by
 subtracting from 1: `gauss_2f1_pair` takes 1 - z from a caller that knows
@@ -52,7 +53,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -79,7 +79,6 @@ _ANCHOR_TOL = 1e-16
 _SHIFT_CAP = 10_000.0  # the largest |v| whose Gamma `_gamma_parts` reaches by recurrence
 _RATIO_TRIPLES, _RATIO_TERMS = 48, 512  # bounds of the ratio table (module docstring)
 _RATIOS: dict[tuple[float, float, float], tuple[float, ...]] = {}  # (alpha, beta, gamma) -> `_series` term ratios
-_RATIOS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -197,26 +196,13 @@ def _series(
         at = abs(term)
         if at < small and (at * az / (1.0 - az) if s is None else at * (n + 1) / s) < abs_tol:
             if more:
-                _keep(key, ratios, more)
+                if key not in _RATIOS and len(_RATIOS) >= _RATIO_TRIPLES:
+                    _RATIOS.clear()
+                _RATIOS[key] = ratios + tuple(more)
             return total
         if not at < math.inf:  # an inf or NaN term stays so: no later term is finite
             raise DomainError(f"2F1 overflows binary64 in the series of {key} at {z}")
     raise IterationLimitError(f"2F1 series of {key} at {z} did not meet tolerance within the term cap {_MAX_TERMS}")
-
-
-def _keep(key: tuple[float, float, float], ratios: tuple[float, ...], more: list[float]) -> None:
-    # Lengthen the triple's table by more, and to at least twice ratios
-    # within the entry cap; a table only gives way to a longer one.
-    n, stop = len(ratios) + len(more), min(2 * len(ratios), _RATIO_TERMS)
-    if n < stop:
-        alpha, beta, gamma = key
-        more += [(alpha + k) * (beta + k) / ((gamma + k) * (1.0 + k)) for k in range(n, stop)]
-        n = stop
-    with _RATIOS_LOCK:
-        if len(_RATIOS.get(key, ())) < n:
-            if key not in _RATIOS and len(_RATIOS) >= _RATIO_TRIPLES:
-                _RATIOS.clear()
-            _RATIOS[key] = ratios + tuple(more)
 
 
 def _gamma_parts(v: float) -> tuple[float, int]:

@@ -71,9 +71,6 @@ class CycInt:
     def is_one(self) -> bool:
         return self.x == 1 and self.y == 0
 
-    def is_unit(self) -> bool:
-        return _is_unit(self.x, self.y, self.ring.trace)
-
     def unit_inverse(self) -> "CycInt":
         us = units(self.ring)
         if self not in us:

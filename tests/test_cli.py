@@ -560,3 +560,60 @@ def test_repeated_in_process_calls_match_fresh_interpreters(capsys, monkeypatch)
         assert got.err == fresh.stderr, argv
         assert got.err.startswith("usage: lemnis agm ") == (k == 4), argv
     assert built.count("lemnis") == first_builds <= 1
+
+
+# the README's `lemnis` lines, then values with a leading minus sign, usage
+# errors and inputs at the edges of binary64, each with the exit code it must end with
+_README_CLI = (Path(__file__).resolve().parents[1] / "README.md").read_text().split("## Command line")[1]
+_README_LINES = re.findall(r"^lemnis (.+)$", _README_CLI.split("## Demos")[0], re.M)
+_ARGV_CODES = [(line.split(), 0) for line in _README_LINES] + [
+    (["curve", "--curve", "zeta", "--t", "-1e9"], 0),
+    (["curve", "--curve", "zeta", "--t", "-1-2i"], 0),
+    (["theta", "--a", "0", "--b", "0", "--z", "-0.3+0.1i", "--tau", "i"], 0),
+    (["agm", "--variant", "quartic", "--a", "1", "--b", "-1e-3"], 2),
+    (["theta", "--a", "one", "--b", "0", "--tau", "i"], 2),
+    (["theta", "--a", "1/0", "--b", "0", "--tau", "i"], 2),
+    (["curve", "--curve", "i", "--t", "0"], 2),
+    (["curve", "--curve", "i", "--t", "1e-13"], 2),
+    (["curve", "--curve", "i", "--t", "1.7e308+1.7e308i"], 2),
+    (["curve", "--curve", "zeta", "--t", "-1.7e308-1.7e308i"], 2),
+    (["verify", "--samples", "0"], 2),
+    (["theta", "--a", "0", "--b", "0", "--tau", "0.3+1e-300i"], 0),
+    (["theta", "--a", "0", "--b", "0", "--tau", "1e300+1i"], 0),
+    (["curve", "--curve", "i", "--t", "1e200", "--mul"], 0),
+    (["curve", "--curve", "zeta", "--t", "1e308", "--mul"], 0),
+    *((["curve", "--curve", "i", "--point", pt, "--mul"], 0) for pt in ("P1", "P01", "P02", "Pinf")),
+    *((["curve", "--curve", "zeta", "--point", pt, "--mul"], 0) for pt in ("P1", "P01", "P02", "P03", "Pinf1", "Pinf2")),
+    (["agm", "--variant", "sextic", "--a", "1e300", "--b", "1e-300"], 0),
+    (["agm", "--variant", "sextic", "--a", "1e-300", "--b", "1e300"], 0),
+    (["agm", "--variant", "sextic", "--a", "5e-324", "--b", "1e308"], 0),
+    (["theta", "--a", "-1/2", "--b", "1/4", "--z", "1e308-12419.6i", "--tau", "-1.04e11+1e300i"], 0),
+    (["theta", "--a", "0", "--b", "0", "--z", "0.1", "--tau", "5e-324+5e-324i"], 2),
+]
+
+
+def test_the_exit_code_table_holds_the_readme_lines():
+    assert len(_README_LINES) == 9 and len(_ARGV_CODES) == 39
+
+
+@pytest.mark.parametrize("argv, want", _ARGV_CODES, ids=[" ".join(argv) for argv, _ in _ARGV_CODES])
+def test_readme_lines_and_negative_arguments_end_with_their_exit_code(capsys, argv, want):
+    # a return value, or SystemExit for a usage error; any other exception fails the test
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == want, err
+    assert "Traceback" not in err
+
+
+def test_a_modulus_is_its_tau_and_a_zero_im_t_takes_the_upper_side(capsys):
+    _, rep, _ = run_cli(capsys, ["theta", "--a", "0", "--b", "0", "--tau", "0+1i"])
+    assert "closed_form" in [r["name"] for r in rep["residuals"]]
+    for curve in ("i", "zeta"):
+        for x in ("-2", "0.5"):
+            up, down = (
+                run_cli(capsys, ["curve", "--curve", curve, "--t", f"{x}{sign}0i"])[1]["outputs"] for sign in "+-"
+            )
+            assert (up["u"], up["z"]) == (down["u"], down["z"]), (curve, x)

@@ -402,7 +402,7 @@ def test_sums_that_grow_the_ratio_table_or_pass_its_end_keep_their_bits():
         assert _bits(gauss_2f1, p, z) == want
         assert hg._RATIOS[key] == tuple(_ratio(*key, k) for k in range(hg._RATIO_TERMS))
     # a fresh triple's sums, each reaching a little further than the last,
-    # so its table grows by what they reach and by doubling, up to the cap
+    # so its table grows to what they reach, up to the cap
     key = (0.2, 0.3, 1.7)
     hg._RATIOS.pop(key, None)
     for r in (0.05 * 1.06 ** k for k in range(52)):
@@ -411,6 +411,19 @@ def test_sums_that_grow_the_ratio_table_or_pass_its_end_keep_their_bits():
         table = hg._RATIOS[key]
         assert table == tuple(_ratio(*key, k) for k in range(len(table)))
     assert len(table) == hg._RATIO_TERMS
+
+
+def test_the_ratio_table_keeps_at_most_its_triple_bound(monkeypatch):
+    # 49 fresh triples, each summed past its (empty) table's end: the first
+    # 48 are kept, and the 49th empties the table before it is stored
+    monkeypatch.setattr(hg, "_RATIOS", {})
+    keys = [(0.1 + 0.01 * k, 0.7, 1.9) for k in range(hg._RATIO_TRIPLES + 1)]
+    for i, key in enumerate(keys):
+        assert _bits(hg._series, *key, 0.6 + 0.2j, 1e-14) == _bits(_reference_series, *key, 0.6 + 0.2j, 1e-14)
+        assert len(hg._RATIOS) <= hg._RATIO_TRIPLES
+        assert list(hg._RATIOS) == (keys[: i + 1] if i < hg._RATIO_TRIPLES else [key])
+        for kept, table in hg._RATIOS.items():
+            assert table and table == tuple(_ratio(*kept, k) for k in range(len(table)))
 
 
 def test_threads_growing_one_fresh_triple_keep_the_bits():
