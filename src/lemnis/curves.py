@@ -74,22 +74,24 @@ class CurvePoint:
 
 
 def _curve_residual(p: CurvePoint) -> float:
-    # |lhs - rhs| of the curve equation over the largest of |lhs|, |t|^deg and 1.
-    # It is taken on u / 2^(wu j), t / 2^(wt j) with the weights (wu, wt) that
-    # make the equation homogeneous, (3, 4) on QUARTIC and (2, 3) on SEXTIC, and j
-    # the least j >= 0 that brings both to modulus below 2, so no power
-    # overflows; scaling by a power of two is exact, and j = 0 for |u|, |t| < 1.
+    # |w^(k/2) - (t - 1)| / max(|t|, 1), w = u^2 / t, the equation over t^(k/2):
+    # relative to its sides (a floor would pass u = 0 over any small t) except next
+    # to t = 1, where t - 1 carries the rounding of t.  It is taken on u / 2^(wu j),
+    # t / 2^(wt j), with the weights (wu, wt) = (3, 4) on QUARTIC and (2, 3) on SEXTIC
+    # that make it homogeneous and j >= 0 the least that brings both below modulus 2,
+    # so no power overflows; power-of-two scaling is exact, and j = 0 for |u|, |t| < 1.
     if p.at_infinity:  # no equation there, but t and u must still be finite
         return 0.0 if cmath.isfinite(p.t) and cmath.isfinite(p.u) else math.nan
     u, t, quartic = p.u, p.t, p.curve is SchwarzVariant.QUARTIC
+    if t == 0:  # the fiber over t = 0 is u = 0 alone
+        return 0.0 if u == 0 else math.inf
     wu, wt = (3, 4) if quartic else (2, 3)
     j = max(0, -(-_binary_exponent(u) // wu), -(-_binary_exponent(t) // wt))
     one = math.ldexp(1.0, -wt * j)
     u *= math.ldexp(1.0, -wu * j)
     t *= one
-    if quartic:
-        return abs(u ** 4 - t * t * (t - one)) / max(abs(u) ** 4, abs(t) ** 3, one ** 3)
-    return abs(u ** 6 - t ** 3 * (t - one)) / max(abs(u) ** 6, abs(t) ** 4, one ** 4)
+    w = u * u / t  # a product, not a power: complex ** raises where it overflows
+    return abs((w * w if quartic else w * w * w) - (t - one)) / max(abs(t), one)
 
 
 def _branch(k: object) -> int:

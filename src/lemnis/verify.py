@@ -87,12 +87,14 @@ class IdentityPair:
 
 
 def _within_binary64(lemma):
-    # A side outside binary64 (inf, NaN, an OverflowError or a division by an
-    # underflowed square) is a DomainError; an IdentityPair is read by its residual.
+    # A side outside binary64 (inf, NaN, an OverflowError, a division by an underflowed square,
+    # any side at a point over t = infinity) is a DomainError; an IdentityPair is read by its residual.
     def checked(*args):
+        if isinstance(args[0], CurvePoint) and args[0].at_infinity:
+            raise DomainError(f"{lemma.__name__} blows up over t = infinity")
         try:
             out = lemma(*args)
-            if all(math.isfinite(getattr(x, "residual", x)) for x in out):
+            if all(cmath.isfinite(getattr(x, "residual", x)) for x in out):
                 return out
         except (OverflowError, ZeroDivisionError):
             pass
@@ -169,12 +171,12 @@ def one_plus_zeta_multiple(z: complex, th: tuple) -> list[IdentityPair]:
     ]
 
 
-def inverse_quartic_t_routes(zp: TorusPoint) -> tuple[complex, complex]:
-    """Both displayed t-expressions of the quartic inverse; they agree up to roundoff."""
-    th00, th01, th10, th11 = theta_four(zp.z, TAU_I)
-    t_prod = 2 * th01 ** 2 * th10 ** 2 / th00 ** 4
-    t_quot = 1 - th11 ** 4 / th00 ** 4
-    return t_prod, t_quot
+@_within_binary64
+def inverse_quartic_t_routes(p: CurvePoint, th: tuple | None) -> tuple[complex, complex]:
+    """Both displayed t-expressions of the quartic inverse at (p, th) = curves._quartic_with_thetas(zp):
+    p.t, which is 2 th01^2 th10^2 / th00^4, and 1 - th11^4 / th00^4; they agree up to roundoff."""
+    th00, _, _, th11 = th
+    return p.t, 1 - th11 ** 4 / th00 ** 4
 
 
 @_within_binary64
@@ -185,8 +187,6 @@ def ratio_identities_quartic(p: CurvePoint, th: tuple | None) -> list[IdentityPa
     Where t vanishes (one of the even thetas has a zero) r is replaced by
     its documented limit -1 or +1; at z = i/2 that limit is -1.
     """
-    if p.at_infinity:
-        raise DomainError("ratio identities blow up over t = infinity")
     th00, th01, th10, th11 = th
     scale = max(abs(th00), abs(th01), abs(th10), abs(th11))
     if abs(th01) < 1e-8 * scale:
@@ -214,8 +214,6 @@ def ratio_identities_sextic(p: CurvePoint, th: tuple | None) -> list[IdentityPai
     The last pair is the internal consistency of the three linear factors
     with 1 + 1/(t - 1).
     """
-    if p.at_infinity:
-        raise DomainError("ratio identities blow up over t = infinity")
     th00, th01, th10, th11 = th
     scale = max(abs(th00), abs(th01), abs(th10), abs(th11))
     if abs(th11) < 1e-8 * scale:
@@ -442,7 +440,7 @@ def _suite_inverse(rng: SplitMix64, n: int):
             zp, p, th = _sample_point(rng, curve)
             tag = f"z={format_complex(zp.z)}"
             if curve is SchwarzVariant.QUARTIC:
-                yield "inverse.t_routes", _scaled_residual(*inverse_quartic_t_routes(zp)), tag
+                yield "inverse.t_routes", _scaled_residual(*inverse_quartic_t_routes(p, th)), tag
             yield "inverse.on_curve", _curve_residual(p), tag
             for pair in identities(p, th):
                 yield "inverse.ratio_identities", pair.residual, tag + f" {pair.name}"

@@ -393,7 +393,8 @@ def test_verify_deterministic_reports(capsys):
 
 def test_a_sweep_sums_each_theta_once(monkeypatch):
     # lattice sums of 20-sample sweeps over all suites, seeds 1-5: the 1+i
-    # and 1+zeta lemmas take the thetas their suites already hold
+    # and 1+zeta lemmas take the thetas their suites already hold, and
+    # inverse.t_routes the thetas its sample point was built from
     kernel_module = sys.modules["lemnis.theta"]
     kernel, calls = kernel_module._lattice_sums, []
 
@@ -411,12 +412,13 @@ def test_a_sweep_sums_each_theta_once(monkeypatch):
             for _ in suite(rng, 20):
                 pass
             per_suite[name] += len(calls) - before
-    assert per_suite["tau-i"] == 5 * 481 and per_suite["tau-zeta"] == 5 * 329
-    assert sum(per_suite.values()) == 8602  # 1,720.4 per sweep
+    assert per_suite == {"addition": 1600, "tau-i": 5 * 481, "tau-zeta": 5 * 329, "inverse": 960,
+                         "multiplication": 1792, "monodromy": 0, "meaniter": 0}
+    assert sum(per_suite.values()) == 8402  # 1,680.4 per sweep
     before = len(calls)
     for seed in range(1, 6):
         sweep(list(SUITES), seed, 20)
-    assert len(calls) - before == 8602
+    assert len(calls) - before == 8402
 
 
 def test_the_public_lemmas_equal_the_suites_reuse():

@@ -113,11 +113,29 @@ def test_curve_check_is_overflow_safe():
         CurvePoint(SchwarzVariant.QUARTIC, 1e110, 1e83)
     with pytest.raises(DomainError):
         CurvePoint(SchwarzVariant.SEXTIC, 1e80, 2e53j)
-    # below modulus 1 nothing is scaled: the residual is the plain formula
+    # below modulus 1 nothing is scaled: the residual is the plain formula,
+    # (u^2/t)^3 against t - 1 over max(|t|, 1)
     p = lift_branch(SchwarzVariant.SEXTIC, 0.3 - 0.4j, 1)
     t, u = p.t, p.u
     assert abs(u) < 1.0
-    assert _curve_residual(p) == abs(u ** 6 - t ** 3 * (t - 1)) / max(abs(u) ** 6, abs(t) ** 4, 1.0)
+    w = u * u / t
+    assert _curve_residual(p) == abs(w * w * w - (t - 1)) / max(abs(t), 1.0)
+
+
+def test_curve_check_is_relative_near_t_zero():
+    # an absolute floor passed u = 0 over |t| below about 1e-5, and abel_jacobi
+    # then found no sheet; the true u over t = 1e-6 is 7.07e-4 (1 + i)
+    for curve, t in ((SchwarzVariant.QUARTIC, 1e-6), (SchwarzVariant.SEXTIC, 1e-5)):
+        with pytest.raises(DomainError, match=re.escape("(t, u) does not satisfy the curve equation")):
+            CurvePoint(curve, t, 0.0)
+    # the true points there, and t = u = 0 exactly, still construct
+    for curve in SchwarzVariant.QUARTIC, SchwarzVariant.SEXTIC:
+        for t in (1e-6, 1e-5, -2e-12j, 1e-11 + 1e-11j):
+            for k in range(curve.root_order):
+                assert _curve_residual(lift_branch(curve, t, k)) <= 1e-14
+        assert _curve_residual(CurvePoint(curve, 0.0, 0.0)) == 0.0
+        with pytest.raises(DomainError):
+            CurvePoint(curve, 0.0, 1e-300)
 
 
 def test_special_points():
@@ -390,11 +408,16 @@ def test_inverse_sextic_examples():
 
 
 def test_inverse_dual_t_routes_agree():
+    # the lemma reads the point and thetas the inverse built: route 1 is its t
     rng = random.Random(91)
     for _ in range(20):
         z = complex(rng.uniform(0.02, 0.95), rng.uniform(0.02, 0.95))
-        tp, tq = inverse_quartic_t_routes(_cpt(TAU_I, z))
+        p, th = _quartic_with_thetas(_cpt(TAU_I, z))
+        tp, tq = inverse_quartic_t_routes(p, th)
         assert abs(tp - tq) < 1e-10
+        assert repr(tp) == repr(p.t)
+    with pytest.raises(DomainError, match="over t = infinity"):
+        inverse_quartic_t_routes(*_quartic_with_thetas(_cpt(TAU_I, (1 + 1j) / 2)))
 
 
 def test_inverse_modulus_guard():

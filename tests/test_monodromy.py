@@ -483,7 +483,7 @@ CALLS = {
     "addition_check": lambda: verify.addition_check(0.1, 0.2j, L.TAU_I),
     "one_plus_i_multiple": lambda: verify.one_plus_i_multiple(0.1, L.theta_four(0.1, L.TAU_I)),
     "one_plus_zeta_multiple": lambda: verify.one_plus_zeta_multiple(0.1, L.theta_four(0.1, L.TAU_ZETA)),
-    "inverse_quartic_t_routes": lambda: verify.inverse_quartic_t_routes(zp),
+    "inverse_quartic_t_routes": lambda: verify.inverse_quartic_t_routes(*curves._quartic_with_thetas(zp)),
     "ratio_identities_quartic": lambda: verify.ratio_identities_quartic(*curves._quartic_with_thetas(zp)),
     "ratio_identities_sextic": lambda: verify.ratio_identities_sextic(*curves._sextic_with_thetas(zs)),
     "one_form_constant": lambda: verify.one_form_constant(L.SchwarzVariant.SEXTIC),
